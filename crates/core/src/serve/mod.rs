@@ -176,8 +176,10 @@ pub fn job_base(model: &str, job: u64) -> u64 {
 
 /// Flattens a table into the row-major f32 grid a
 /// [`silofuse_distributed::Message::ServeChunk`] carries. Numeric values
-/// come off the decoder as f32 (stored as f64), so the cast is lossless;
-/// categorical codes are small integers, exact in f32 below 2^24.
+/// are rounded to f32: the decoder's inverse scaling runs in f64, so a
+/// served value equals [`ModelRegistry::sample`]'s to f32 precision, not
+/// bit for bit. Categorical codes are small integers, exact in f32 below
+/// 2^24.
 pub(crate) fn table_to_grid(table: &Table) -> Vec<f32> {
     let (rows, cols) = (table.n_rows(), table.n_cols());
     let mut grid = vec![0.0f32; rows * cols];

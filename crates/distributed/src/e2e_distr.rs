@@ -8,19 +8,17 @@
 
 use crate::error::ProtocolError;
 use crate::faults::NetConfig;
-use crate::stacked::{take, take_u32};
+use crate::stacked::{silo_ae_config, take, take_u32};
 use crate::supervision::{MembershipTable, SiloOutput, SupervisorConfig};
 use crate::transport::{
     bump_round, dead_silo, link_with, new_stats, recv_or_dead, ClientEndpoint, CommStats,
-    SharedStats, TransportError,
+    SharedStats,
 };
 use crate::Message;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use silofuse_checkpoint::{CheckpointError, Checkpointer};
-use silofuse_diffusion::backbone::{BackboneConfig, DiffusionBackbone};
-use silofuse_diffusion::gaussian::{GaussianDdpm, GaussianDiffusion, Parameterization};
-use silofuse_diffusion::schedule::NoiseSchedule;
+use silofuse_diffusion::gaussian::{GaussianDdpm, Parameterization};
 use silofuse_models::latentdiff::LatentDiffConfig;
 use silofuse_models::TabularAutoencoder;
 use silofuse_nn::Tensor;
@@ -31,36 +29,14 @@ use silofuse_tabular::table::Table;
 const JOINT_CKPT: &str = "e2e-joint";
 /// Phase label crashes and checkpoints are keyed on.
 const JOINT_PHASE: &str = "joint-train";
+/// Init salt of the joint DDPM (see [`LatentDiffConfig::latent_ddpm`]).
+const JOINT_DDPM_SALT: u64 = 0xe2ed;
 
 struct ClientState {
     ae: TabularAutoencoder,
     endpoint: ClientEndpoint,
     partition: Table,
     latent_dim: usize,
-}
-
-/// Deterministic DDPM construction so a restarted coordinator rebuilds the
-/// exact same initial network before loading checkpointed weights.
-fn build_e2e_ddpm(config: &LatentDiffConfig, total_latent: usize) -> GaussianDdpm {
-    let mut init_rng = StdRng::seed_from_u64(config.seed ^ 0xe2ed);
-    let backbone = DiffusionBackbone::new(
-        BackboneConfig {
-            data_dim: total_latent,
-            hidden_dim: config.ddpm_hidden,
-            depth: 8,
-            time_embed_dim: 16,
-            dropout: 0.01,
-            out_dim: total_latent,
-        },
-        config.seed,
-        &mut init_rng,
-    );
-    let schedule = NoiseSchedule::new(config.schedule, config.timesteps);
-    GaussianDdpm::new(
-        GaussianDiffusion::new(schedule, Parameterization::PredictX0),
-        backbone,
-        config.ddpm_lr,
-    )
 }
 
 /// The end-to-end distributed synthesizer.
@@ -140,9 +116,7 @@ impl E2eDistributed {
         let mut coord_endpoints = Vec::with_capacity(partitions.len());
         for (i, part) in partitions.iter().enumerate() {
             let (client_ep, coord_ep) = link_with(std::sync::Arc::clone(&stats), i as u64, net);
-            let mut ae_cfg = config.ae;
-            ae_cfg.seed = config.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let ae = TabularAutoencoder::new(part, ae_cfg);
+            let ae = TabularAutoencoder::new(part, silo_ae_config(&config, i));
             let latent_dim = ae.latent_dim();
             clients.push(ClientState {
                 ae,
@@ -169,19 +143,15 @@ impl E2eDistributed {
         // pre-declared-dead silos keep their index (and therefore per-silo
         // seed) but contribute no latent columns.
         let total_latent: usize = model_silos.iter().map(|&i| clients[i].latent_dim).sum();
-        let mut ddpm = build_e2e_ddpm(&config, total_latent);
+        let mut ddpm =
+            config.latent_ddpm(total_latent, JOINT_DDPM_SALT, Parameterization::PredictX0);
 
         let base = ckpt.cloned().unwrap_or_else(Checkpointer::disabled);
         let crash_plan =
             net.faults.as_ref().and_then(|p| p.crash_at.clone()).or_else(|| base.crash().cloned());
         let mut crash_armed =
             base.clone().with_crash(crash_plan.filter(|c| c.phase == JOINT_PHASE));
-        let coord_err = |source: CheckpointError| match source {
-            CheckpointError::Crashed { phase, step } => {
-                ProtocolError::Crashed { node: "coordinator".into(), phase, step }
-            }
-            source => ProtocolError::Checkpoint { node: "coordinator".into(), source },
-        };
+        let coord_err = ProtocolError::checkpoint("coordinator");
 
         let mut model = Self {
             config,
@@ -212,15 +182,21 @@ impl E2eDistributed {
                 0
             }
         };
-        if crash_armed.crash_due(JOINT_PHASE, round) {
-            let err = crash_armed.maybe_crash(JOINT_PHASE, round).expect_err("crash is due");
-            if !base.is_enabled() {
-                return Err(coord_err(err));
+        loop {
+            if crash_armed.crash_due(JOINT_PHASE, round) {
+                // The simulated process dies here: the restarted run falls
+                // back to the latest snapshot and replays the lost rounds
+                // (the crash disarms — it already happened).
+                let err = crash_armed.maybe_crash(JOINT_PHASE, round).expect_err("crash is due");
+                if !base.is_enabled() {
+                    return Err(coord_err(err));
+                }
+                crash_armed = base.clone();
+                round = model.restore_joint(&mut ddpm, &base, rng).map_err(coord_err)?.min(total);
             }
-            crash_armed = base.clone();
-            round = model.restore_joint(&mut ddpm, &base, rng).map_err(coord_err)?.min(total);
-        }
-        while round < total {
+            if round >= total {
+                break;
+            }
             let idx: Vec<usize> =
                 (0..config.batch_size.min(rows)).map(|_| rng.gen_range(0..rows)).collect();
             if !model.joint_step(&mut ddpm, &idx, round, rng)? {
@@ -234,17 +210,6 @@ impl E2eDistributed {
             if base.is_enabled() && base.due(round, total) {
                 let payload = model.snapshot_joint(&mut ddpm, rng);
                 base.save(JOINT_CKPT, JOINT_PHASE, round, &payload).map_err(coord_err)?;
-            }
-            if crash_armed.crash_due(JOINT_PHASE, round) {
-                // The simulated process dies here: the restarted run falls
-                // back to the latest snapshot and replays the lost rounds
-                // (the crash disarms — it already happened).
-                let err = crash_armed.maybe_crash(JOINT_PHASE, round).expect_err("crash is due");
-                if !base.is_enabled() {
-                    return Err(coord_err(err));
-                }
-                crash_armed = base.clone();
-                round = model.restore_joint(&mut ddpm, &base, rng).map_err(coord_err)?.min(total);
             }
         }
         model.ddpm = Some(ddpm);
@@ -308,18 +273,17 @@ impl E2eDistributed {
             .load(JOINT_CKPT, JOINT_PHASE)?
             .ok_or_else(|| CheckpointError::state("e2e-joint checkpoint missing"))?;
         for (i, client) in self.clients.iter_mut().enumerate() {
-            let mut ae_cfg = self.config.ae;
-            ae_cfg.seed = self.config.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            client.ae = TabularAutoencoder::new(&client.partition, ae_cfg);
+            client.ae = TabularAutoencoder::new(&client.partition, silo_ae_config(&self.config, i));
         }
         let total_latent: usize =
             self.model_silos.iter().map(|&i| self.clients[i].latent_dim).sum();
-        *ddpm = build_e2e_ddpm(&self.config, total_latent);
+        *ddpm = self.config.latent_ddpm(total_latent, JOINT_DDPM_SALT, Parameterization::PredictX0);
         self.import_joint_state(ddpm, &saved.payload, rng)?;
         Ok(saved.step)
     }
 
-    /// Absorbs a mid-round silo death under a degrading policy: marks the
+    /// Handles silo `silo`'s death mid-round, reported as `err`. Fail-fast
+    /// returns `err`. A degrading policy absorbs the death: it marks the
     /// silo dead, re-checks the quorum, and tells the training loop to
     /// stop at the last completed round (`Ok(false)`).
     fn degrade(
@@ -327,7 +291,11 @@ impl E2eDistributed {
         silo: usize,
         tick: u64,
         phase: &'static str,
+        err: ProtocolError,
     ) -> Result<bool, ProtocolError> {
+        if !self.sup.policy.degrades() {
+            return Err(err);
+        }
         self.membership.mark_dead(silo, tick);
         observe::count(observe::names::SUPERVISION_DEGRADED, 1);
         let alive = self.membership.n_alive();
@@ -344,11 +312,12 @@ impl E2eDistributed {
     }
 
     /// One distributed end-to-end step over aligned batch rows `idx`.
-    /// This thread holds both halves of every link, so under a fault plan
-    /// each bounded receive kicks the sending endpoint to retransmit its
-    /// unacknowledged frames (nobody else can). Returns `Ok(false)` when a
-    /// silo died and the policy degrades: the round is abandoned (no
-    /// [`bump_round`]) and joint training must stop.
+    /// This thread holds both halves of every link, so each receive finds
+    /// its frame queued unless a fault plan lost it; the bounded receive
+    /// then kicks the sending endpoint to retransmit its unacknowledged
+    /// frames (nobody else can). Returns `Ok(false)` when a silo died and
+    /// the policy degrades: the round is abandoned (no [`bump_round`])
+    /// and joint training must stop.
     fn joint_step(
         &mut self,
         ddpm: &mut GaussianDdpm,
@@ -357,7 +326,6 @@ impl E2eDistributed {
         rng: &mut StdRng,
     ) -> Result<bool, ProtocolError> {
         let m = self.clients.len();
-        let reliable = self.net.reliable();
         let policy = self.net.retry;
         let supervised = self.sup.enabled();
         let model_silos = self.model_silos.clone();
@@ -384,15 +352,8 @@ impl E2eDistributed {
                 data: z_i.as_slice().to_vec(),
             });
             if let Err(source) = sent {
-                if self.sup.policy.degrades() {
-                    return self.degrade(i, tick, "activation-upload");
-                }
-                return Err(ProtocolError::SiloDead {
-                    client: i,
-                    phase: "activation-upload",
-                    retry: None,
-                    source,
-                });
+                let err = dead_silo("activation-upload", i, &client.endpoint, source);
+                return self.degrade(i, tick, "activation-upload", err);
             }
             batches[i] = Some((batch, z_i));
         }
@@ -401,63 +362,19 @@ impl E2eDistributed {
         let coord_scope = observe::scope("coordinator");
         let mut uploads: Vec<Option<Tensor>> = (0..model_silos.len()).map(|_| None).collect();
         for &i in &model_silos {
+            let (coord_ep, client_ep) = (&self.coord_endpoints[i], &self.clients[i].endpoint);
             let got = if supervised {
-                // Lease-based failure detector (mirrors the stacked
-                // collect): each bounded receive is one lease, any frame
-                // renews it, `suspect_after + 1` silent leases exhaust the
-                // budget. Silent leases also kick the client half to
-                // retransmit, since this thread holds both ends.
-                let lease = policy.recv_deadline;
-                let budget = u64::from(self.sup.suspect_after) + 1;
-                let mut misses = 0u64;
-                let raw = loop {
-                    match self.coord_endpoints[i].recv_timeout(lease) {
-                        Ok(Message::Heartbeat { client, tick: at }) => {
-                            if (client as usize) < m {
-                                self.membership.beat(client as usize, at);
-                            }
-                            misses = 0;
-                        }
-                        Ok(msg) => break Ok(msg),
-                        Err(TransportError::Timeout) => {
-                            self.clients[i].endpoint.retransmit_unacked();
-                            misses += 1;
-                            self.membership.miss(i, misses);
-                            if misses >= budget {
-                                break Err(TransportError::RetryExhausted {
-                                    attempts: misses as u32,
-                                    backoff_ticks: misses,
-                                });
-                            }
-                        }
-                        Err(e) => break Err(e),
-                    }
-                };
-                match raw {
-                    Ok(msg) => msg,
-                    Err(source) => {
-                        if self.sup.policy.degrades() {
-                            return self.degrade(i, tick, "activation-upload");
-                        }
-                        return Err(dead_silo(
-                            "activation-upload",
-                            i,
-                            &self.coord_endpoints[i],
-                            source,
-                        ));
-                    }
-                }
-            } else if reliable {
-                recv_or_dead(
-                    &policy,
-                    "activation-upload",
-                    i,
-                    &self.coord_endpoints[i],
-                    &self.clients[i].endpoint,
-                )?
+                self.sup
+                    .recv_leased(i, coord_ep, policy.recv_deadline, &mut self.membership, || {
+                        client_ep.retransmit_unacked()
+                    })
+                    .map_err(|source| dead_silo("activation-upload", i, coord_ep, source))
             } else {
-                let ep = &self.coord_endpoints[i];
-                ep.recv().map_err(|source| dead_silo("activation-upload", i, ep, source))?
+                recv_or_dead(&policy, "activation-upload", i, coord_ep, client_ep)
+            };
+            let got = match got {
+                Ok(msg) => msg,
+                Err(err) => return self.degrade(i, tick, "activation-upload", err),
             };
             match got {
                 Message::ActivationUpload { client, rows, cols, data } => {
@@ -494,15 +411,8 @@ impl E2eDistributed {
                 data: g.as_slice().to_vec(),
             });
             if let Err(source) = sent {
-                if self.sup.policy.degrades() {
-                    return self.degrade(i, tick, "grad-download");
-                }
-                return Err(ProtocolError::SiloDead {
-                    client: i,
-                    phase: "grad-download",
-                    retry: None,
-                    source,
-                });
+                let err = dead_silo("grad-download", i, &self.coord_endpoints[i], source);
+                return self.degrade(i, tick, "grad-download", err);
             }
         }
 
@@ -510,29 +420,19 @@ impl E2eDistributed {
         drop(coord_scope);
         for &i in &model_silos {
             let _scope = observe::scope(&format!("silo{i}"));
-            let got = if reliable {
-                recv_or_dead(
-                    &policy,
-                    "grad-download",
-                    i,
-                    &self.clients[i].endpoint,
-                    &self.coord_endpoints[i],
-                )
-            } else {
-                let ep = &self.clients[i].endpoint;
-                ep.recv().map_err(|source| dead_silo("grad-download", i, ep, source))
-            };
+            let got = recv_or_dead(
+                &policy,
+                "grad-download",
+                i,
+                &self.clients[i].endpoint,
+                &self.coord_endpoints[i],
+            );
             let msg = match got {
                 Ok(msg) => msg,
-                Err(e) => {
-                    if self.sup.policy.degrades() {
-                        // The DDPM (and earlier silos) already stepped this
-                        // round, but the round is abandoned un-counted:
-                        // state stays deterministic under the fault plan.
-                        return self.degrade(i, tick, "grad-download");
-                    }
-                    return Err(e);
-                }
+                // The DDPM (and earlier silos) already stepped this round,
+                // but a degraded round is abandoned un-counted: state stays
+                // deterministic under the fault plan.
+                Err(err) => return self.degrade(i, tick, "grad-download", err),
             };
             let Message::GradientDownload { rows, cols, data, .. } = msg else {
                 return Err(ProtocolError::Unexpected {
@@ -585,71 +485,58 @@ impl E2eDistributed {
     /// streamed in chunks of [`LatentDiffConfig::synth_chunk_rows`] through
     /// the batched reverse-diffusion engine so memory stays bounded by the
     /// chunk size.
+    ///
+    /// # Panics
+    /// Panics where [`E2eDistributed::try_synthesize_supervised`] errors,
+    /// or if a silo is dead and its partition masked.
     pub fn synthesize_partitioned(&mut self, n: usize, rng: &mut StdRng) -> Vec<Table> {
-        if self.sup.enabled() {
-            return self
-                .synthesize_supervised(n, rng)
-                .into_iter()
-                .enumerate()
-                .map(|(i, out)| match out {
-                    SiloOutput::Decoded(t) => t,
-                    SiloOutput::Masked { .. } => panic!(
-                        "silo {i} is dead: its columns are masked — consume \
-                         synthesize_supervised() for typed masked output"
-                    ),
-                })
-                .collect();
-        }
-        let chunk_rows = self.config.synth_chunk_rows;
-        let widths: Vec<usize> = self.clients.iter().map(|c| c.latent_dim).collect();
-        let ddpm = self.ddpm.as_mut().expect("model is fitted");
-        let mut sampler = ddpm
-            .chunked_sampler(n, self.config.inference_steps, self.config.eta, chunk_rows, rng)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let mut decoded: Vec<Vec<Table>> = (0..widths.len()).map(|_| Vec::new()).collect();
-        loop {
-            let chunk = {
-                let _phase = observe::phase("sample");
-                sampler.next_chunk()
-            };
-            let Some((_, z)) = chunk else { break };
-            let parts = z.split_cols(&widths);
-            silofuse_nn::workspace::recycle(z);
-            let _phase = observe::phase("decode");
-            for ((z_i, client), acc) in
-                parts.iter().zip(self.clients.iter_mut()).zip(decoded.iter_mut())
-            {
-                acc.push(client.ae.decode(z_i));
-            }
-        }
-        decoded
-            .iter()
-            .zip(self.clients.iter_mut())
-            .map(|(parts, client)| {
-                if parts.is_empty() {
-                    client.ae.decode(&Tensor::zeros(0, client.latent_dim))
-                } else {
-                    Table::concat_rows(&parts.iter().collect::<Vec<_>>())
-                }
+        self.synthesize_supervised(n, rng)
+            .into_iter()
+            .enumerate()
+            .map(|(i, out)| match out {
+                SiloOutput::Decoded(t) => t,
+                SiloOutput::Masked { .. } => panic!(
+                    "silo {i} is dead: its columns are masked — consume \
+                     synthesize_supervised() for typed masked output"
+                ),
             })
             .collect()
     }
 
-    /// Synthesis under supervision: one [`SiloOutput`] per client, in
-    /// client order. Silos that died during joint training (or were
-    /// pre-declared dead) cannot decode — their partitions are emitted as
-    /// typed [`SiloOutput::Masked`] columns, never silently imputed. The
-    /// coordinator still samples the full joint latent space the DDPM was
-    /// trained on; a dead model silo's latent columns are discarded, not
-    /// decoded on its behalf.
+    /// Panicking [`E2eDistributed::try_synthesize_supervised`].
+    ///
+    /// # Panics
+    /// Panics where the fallible call errors.
     pub fn synthesize_supervised(&mut self, n: usize, rng: &mut StdRng) -> Vec<SiloOutput> {
+        self.try_synthesize_supervised(n, rng).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The protocol's one synthesis engine: one [`SiloOutput`] per client,
+    /// in client order. With the default [`SupervisorConfig`] every silo
+    /// is alive and decodes. Silos that died during joint training (or
+    /// were pre-declared dead) cannot decode — their partitions are
+    /// emitted as typed [`SiloOutput::Masked`] columns, never silently
+    /// imputed. The coordinator still samples the full joint latent space
+    /// the DDPM was trained on; a dead model silo's latent columns are
+    /// discarded, not decoded on its behalf.
+    ///
+    /// A zero [`LatentDiffConfig::synth_chunk_rows`] returns
+    /// [`ProtocolError::InvalidRequest`].
+    pub fn try_synthesize_supervised(
+        &mut self,
+        n: usize,
+        rng: &mut StdRng,
+    ) -> Result<Vec<SiloOutput>, ProtocolError> {
         let chunk_rows = self.config.synth_chunk_rows;
         let model_silos = self.model_silos.clone();
         let widths: Vec<usize> = model_silos.iter().map(|&i| self.clients[i].latent_dim).collect();
         let ddpm = self.ddpm.as_mut().expect("model is fitted");
         let mut sampler = ddpm
             .chunked_sampler(n, self.config.inference_steps, self.config.eta, chunk_rows, rng)
-            .unwrap_or_else(|e| panic!("{e}"));
+            .map_err(|source| ProtocolError::InvalidRequest {
+                phase: "synthesis-request",
+                source,
+            })?;
         let mut decoded: Vec<Vec<Table>> = (0..model_silos.len()).map(|_| Vec::new()).collect();
         loop {
             let chunk = {
@@ -668,7 +555,7 @@ impl E2eDistributed {
             }
         }
         drop(sampler);
-        (0..self.clients.len())
+        Ok((0..self.clients.len())
             .map(|i| match model_silos.iter().position(|&s| s == i) {
                 Some(p) if self.membership.is_alive(i) => {
                     let parts = &decoded[p];
@@ -684,7 +571,7 @@ impl E2eDistributed {
                     rows: n,
                 },
             })
-            .collect()
+            .collect())
     }
 
     /// Per-silo health for this run.
@@ -707,6 +594,7 @@ impl E2eDistributed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
     use silofuse_models::AutoencoderConfig;
     use silofuse_tabular::partition::{PartitionPlan, PartitionStrategy};
     use silofuse_tabular::profiles;

@@ -91,6 +91,13 @@ pub enum ProtocolError {
         /// The cause of the rejection.
         source: silofuse_diffusion::SampleRequestError,
     },
+    /// A caller named a client index the run does not have.
+    NoSuchClient {
+        /// The requested client index.
+        client: usize,
+        /// Number of clients in the run (valid indices are `0..clients`).
+        clients: usize,
+    },
     /// The serving layer refused to admit a new synthesis job: either
     /// the server-wide in-flight bound or the tenant's own quota is
     /// already full. The request was rejected immediately instead of
@@ -134,6 +141,9 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::InvalidRequest { phase, source } => {
                 write!(f, "invalid request during {phase}: {source}")
             }
+            ProtocolError::NoSuchClient { client, clients } => {
+                write!(f, "no client {client}: the run has {clients} clients")
+            }
             ProtocolError::Overloaded { tenant, in_flight, limit } => {
                 write!(
                     f,
@@ -141,6 +151,20 @@ impl std::fmt::Display for ProtocolError {
                      back off and retry"
                 )
             }
+        }
+    }
+}
+
+impl ProtocolError {
+    /// Maps `node`'s checkpoint failures to protocol errors: an injected
+    /// crash keeps its phase and step as [`ProtocolError::Crashed`],
+    /// anything else becomes [`ProtocolError::Checkpoint`].
+    pub(crate) fn checkpoint(node: &str) -> impl Fn(CheckpointError) -> Self + Copy + '_ {
+        move |source| match source {
+            CheckpointError::Crashed { phase, step } => {
+                ProtocolError::Crashed { node: node.into(), phase, step }
+            }
+            source => ProtocolError::Checkpoint { node: node.into(), source },
         }
     }
 }
@@ -154,6 +178,7 @@ impl std::error::Error for ProtocolError {
             ProtocolError::Unexpected { .. }
             | ProtocolError::Crashed { .. }
             | ProtocolError::QuorumLost { .. }
+            | ProtocolError::NoSuchClient { .. }
             | ProtocolError::Overloaded { .. } => None,
         }
     }

@@ -21,11 +21,9 @@ use crate::Message;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silofuse_checkpoint::{CheckpointError, Checkpointer, CrashPoint};
-use silofuse_diffusion::backbone::{BackboneConfig, DiffusionBackbone};
-use silofuse_diffusion::gaussian::{GaussianDdpm, GaussianDiffusion, Parameterization};
-use silofuse_diffusion::schedule::NoiseSchedule;
+use silofuse_diffusion::gaussian::{GaussianDdpm, Parameterization};
 use silofuse_models::latentdiff::{LatentDiffConfig, LatentScaler};
-use silofuse_models::TabularAutoencoder;
+use silofuse_models::{AutoencoderConfig, TabularAutoencoder};
 use silofuse_nn::Tensor;
 use silofuse_observe as observe;
 use silofuse_tabular::table::Table;
@@ -57,12 +55,54 @@ impl SiloSlot {
     }
 }
 
+/// Init salt of the coordinator's latent DDPM (see
+/// [`LatentDiffConfig::latent_ddpm`]).
+const COORDINATOR_DDPM_SALT: u64 = 0x51d0;
+
+/// Silo `i`'s autoencoder config: the run seed mixed with the silo index,
+/// so silos draw distinct weights and a rebuilt silo draws the same ones.
+/// Both distributed protocols seed their silos by this rule.
+pub(crate) fn silo_ae_config(config: &LatentDiffConfig, i: usize) -> AutoencoderConfig {
+    AutoencoderConfig {
+        seed: config.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        ..config.ae
+    }
+}
+
+/// Builds silo `i`'s autoencoder and local RNG from config, then trains
+/// it on `part` through `ckpt`, resuming from its latest `silo<i>-ae`
+/// checkpoint when `ckpt` resumes. Fit and
+/// [`SiloFuseModel::restart_silo`] both build silos here, so a restarted
+/// silo matches the one it replaces. `on_step` sees each completed step.
+fn train_silo_ae(
+    part: &Table,
+    config: &LatentDiffConfig,
+    i: usize,
+    ckpt: &Checkpointer,
+    on_step: &mut dyn FnMut(u64),
+) -> Result<(TabularAutoencoder, StdRng), CheckpointError> {
+    let ae_config = silo_ae_config(config, i);
+    let mut local_rng = StdRng::seed_from_u64(ae_config.seed ^ 0xc11e);
+    let mut ae = TabularAutoencoder::new(part, ae_config);
+    ae.fit_resumable_observed(
+        part,
+        config.ae_steps,
+        config.batch_size,
+        &mut local_rng,
+        ckpt,
+        &format!("silo{i}-ae"),
+        "ae-train",
+        on_step,
+    )?;
+    Ok((ae, local_rng))
+}
+
 /// The fitted distributed SiloFuse model.
 pub struct SiloFuseModel {
     config: LatentDiffConfig,
     net: NetConfig,
     clients: Vec<SiloSlot>,
-    coordinator: Option<Coordinator>,
+    coordinator: Coordinator,
     coord_endpoints: Vec<crate::transport::CoordEndpoint>,
     stats: SharedStats,
     // The checkpointer the model was fitted under: synthesis checkpoints
@@ -172,9 +212,6 @@ impl SiloFuseModel {
             let part = part.clone();
             let hb = sup.heartbeat_every;
             let degrades = sup.policy.degrades();
-            let mut cfg = config;
-            cfg.ae.seed = config.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let seed = cfg.ae.seed;
             let base = base.clone();
             let my_crash = if i == crash_client { crash_plan.clone() } else { None };
             handles.push(Some(std::thread::spawn(move || {
@@ -182,19 +219,11 @@ impl SiloFuseModel {
                 // Lamport ticks — is attributed to its own actor scope.
                 let _scope = observe::scope(&format!("silo{i}"));
                 let node = format!("silo {i}");
-                let name = format!("silo{i}-ae");
-                let ckpt_err = |source: CheckpointError| match source {
-                    CheckpointError::Crashed { phase, step } => {
-                        ProtocolError::Crashed { node: node.clone(), phase, step }
-                    }
-                    source => ProtocolError::Checkpoint { node: node.clone(), source },
-                };
+                let ckpt_err = ProtocolError::checkpoint(&node);
                 // A (re)started silo process: deterministic model + RNG from
                 // config, then state from the latest checkpoint if resuming.
                 let fit_client = |resume: bool, armed: Option<CrashPoint>| {
                     let c = base.clone().with_resume(base.resume() || resume).with_crash(armed);
-                    let mut local_rng = StdRng::seed_from_u64(seed ^ 0xc11e);
-                    let mut ae = TabularAutoencoder::new(&part, cfg.ae);
                     let _phase = observe::phase("ae-train");
                     // Heartbeats are keyed to the *logical* training clock
                     // (completed steps), never wall time; they ride the
@@ -207,17 +236,7 @@ impl SiloFuseModel {
                                 .send(&Message::Heartbeat { client: i as u32, tick: done });
                         }
                     };
-                    ae.fit_resumable_observed(
-                        &part,
-                        cfg.ae_steps,
-                        cfg.batch_size,
-                        &mut local_rng,
-                        &c,
-                        &name,
-                        "ae-train",
-                        &mut beat,
-                    )?;
-                    Ok::<_, CheckpointError>((ae, local_rng))
+                    train_silo_ae(&part, &config, i, &c, &mut beat)
                 };
                 let armed_train = my_crash.clone().filter(|c| c.phase == "ae-train");
                 let (mut ae, mut local_rng) = match fit_client(false, armed_train) {
@@ -225,7 +244,7 @@ impl SiloFuseModel {
                     Err(CheckpointError::Crashed { .. }) if base.is_enabled() => {
                         // The silo died mid-train; its replacement rebuilds
                         // from config and resumes from the last checkpoint.
-                        fit_client(true, None).map_err(&ckpt_err)?
+                        fit_client(true, None).map_err(ckpt_err)?
                     }
                     Err(e) => return Err(ckpt_err(e)),
                 };
@@ -241,7 +260,7 @@ impl SiloFuseModel {
                             return Err(ckpt_err(err));
                         }
                         drop(ae);
-                        let (ae2, rng2) = fit_client(true, None).map_err(&ckpt_err)?;
+                        let (ae2, rng2) = fit_client(true, None).map_err(ckpt_err)?;
                         ae = ae2;
                         local_rng = rng2;
                     }
@@ -252,7 +271,7 @@ impl SiloFuseModel {
                 let mut latents = ae.encode(&part);
                 // DP-style mechanism: perturb latents *before* they leave
                 // the silo (relative to each column's scale).
-                if cfg.latent_noise_std > 0.0 {
+                if config.latent_noise_std > 0.0 {
                     let col_stds: Vec<f32> = {
                         let means = latents.mean_rows();
                         let mut stds = vec![0.0f32; latents.cols()];
@@ -270,7 +289,7 @@ impl SiloFuseModel {
                         silofuse_nn::init::randn(latents.rows(), latents.cols(), &mut local_rng);
                     for r in 0..latents.rows() {
                         for (c, v) in latents.row_mut(r).iter_mut().enumerate() {
-                            *v += cfg.latent_noise_std * col_stds[c] * noise.row(r)[c];
+                            *v += config.latent_noise_std * col_stds[c] * noise.row(r)[c];
                         }
                     }
                 }
@@ -335,39 +354,8 @@ impl SiloFuseModel {
             }
             let ep = &coord_endpoints[i];
             let got = if supervised {
-                // Lease-based failure detector: each bounded receive is one
-                // lease; any frame — heartbeat or payload — renews it.
-                // `suspect_after` consecutive silent leases suspect the
-                // silo; one more exhausts the budget. Deliveries are
-                // governed solely by the deterministic fault plan, so the
-                // Dead verdict is identical at any thread count (only the
-                // transient Suspected state can differ with timing, and it
-                // never affects output).
-                let lease = net.retry.recv_deadline;
-                let budget = u64::from(sup.suspect_after) + 1;
-                let mut misses = 0u64;
-                loop {
-                    match ep.recv_timeout(lease) {
-                        Ok(Message::Heartbeat { client, tick }) => {
-                            if (client as usize) < m {
-                                membership.beat(client as usize, tick);
-                            }
-                            misses = 0;
-                        }
-                        Ok(msg) => break Ok(msg),
-                        Err(TransportError::Timeout) => {
-                            misses += 1;
-                            membership.miss(i, misses);
-                            if misses >= budget {
-                                break Err(TransportError::RetryExhausted {
-                                    attempts: misses as u32,
-                                    backoff_ticks: misses,
-                                });
-                            }
-                        }
-                        Err(e) => break Err(e),
-                    }
-                }
+                // The silo thread retransmits its own upload: no kick.
+                sup.recv_leased(i, ep, net.retry.recv_deadline, &mut membership, || {})
             } else {
                 ep.recv()
             };
@@ -466,26 +454,19 @@ impl SiloFuseModel {
         //     training on the concatenated *surviving* latents
         //     Z = Z_i1 || ... (all of them on a fault-free run).
         let model_silos = membership.alive_indices();
-        let latent_widths: Vec<usize> =
+        let mut latent_widths: Vec<usize> =
             model_silos.iter().map(|&i| clients[i].state().latent_dim).collect();
         let parts: Vec<&Tensor> =
             model_silos.iter().map(|&i| uploads[i].as_ref().expect("live silo uploaded")).collect();
         let z_raw = Tensor::concat_cols(&parts);
-        let scaler = if config.scale_latents {
+        let mut scaler = if config.scale_latents {
             LatentScaler::fit(&z_raw)
         } else {
             LatentScaler::identity(z_raw.cols())
         };
         let mut z = scaler.scale(&z_raw);
-        let mut scaler = scaler;
-        let mut latent_widths = latent_widths;
 
-        let coord_err = |source: CheckpointError| match source {
-            CheckpointError::Crashed { phase, step } => {
-                ProtocolError::Crashed { node: "coordinator".into(), phase, step }
-            }
-            source => ProtocolError::Checkpoint { node: "coordinator".into(), source },
-        };
+        let coord_err = ProtocolError::checkpoint("coordinator");
 
         // Pipeline-level checkpoint: everything the coordinator needs to
         // restart latent training without asking the silos to re-upload.
@@ -494,24 +475,23 @@ impl SiloFuseModel {
             base.save("pipeline-post-upload", "pipeline", 0, &payload).map_err(coord_err)?;
         }
 
-        let mut ddpm = build_coordinator_ddpm(&config, z.cols());
-        let coord_crash = crash_plan.clone().filter(|c| c.phase == "latent-train");
-        let armed = base.clone().with_crash(coord_crash);
-        let first = {
-            let _phase = observe::phase("latent-train");
-            ddpm.fit_latent(
-                &z,
-                config.diffusion_steps,
-                config.batch_size,
-                config.ddpm_lr,
-                rng,
-                &armed,
-                "coordinator-ddpm",
-                "latent-train",
-            )
+        // A (re)started coordinator builds its DDPM from config, then
+        // trains it from the latest checkpoint if `ckpt` resumes.
+        let parameterization = if config.predict_noise {
+            Parameterization::PredictNoise
+        } else {
+            Parameterization::PredictX0
         };
-        match first {
-            Ok(_) => {}
+        let train_ddpm = |z: &Tensor, rng: &mut StdRng, ckpt: &Checkpointer| {
+            let mut ddpm = config.latent_ddpm(z.cols(), COORDINATOR_DDPM_SALT, parameterization);
+            let _phase = observe::phase("latent-train");
+            let (steps, batch, lr) = (config.diffusion_steps, config.batch_size, config.ddpm_lr);
+            ddpm.fit_latent(z, steps, batch, lr, rng, ckpt, "coordinator-ddpm", "latent-train")
+                .map(|_| ddpm)
+        };
+        let coord_crash = crash_plan.clone().filter(|c| c.phase == "latent-train");
+        let mut ddpm = match train_ddpm(&z, rng, &base.clone().with_crash(coord_crash)) {
+            Ok(ddpm) => ddpm,
             Err(CheckpointError::Crashed { .. }) if base.is_enabled() => {
                 // Coordinator process died mid-train: its replacement
                 // reloads Z / scaler / widths from the post-upload pipeline
@@ -530,22 +510,10 @@ impl SiloFuseModel {
                 z = z2;
                 scaler = scaler2;
                 latent_widths = widths2;
-                ddpm = build_coordinator_ddpm(&config, z.cols());
-                let _phase = observe::phase("latent-train");
-                ddpm.fit_latent(
-                    &z,
-                    config.diffusion_steps,
-                    config.batch_size,
-                    config.ddpm_lr,
-                    rng,
-                    &resume,
-                    "coordinator-ddpm",
-                    "latent-train",
-                )
-                .map_err(coord_err)?;
+                train_ddpm(&z, rng, &resume).map_err(coord_err)?
             }
             Err(e) => return Err(coord_err(e)),
-        }
+        };
         if base.is_enabled() {
             let mut payload = rng.state().to_le_bytes().to_vec();
             payload.extend_from_slice(&ddpm.export_train_state());
@@ -562,7 +530,7 @@ impl SiloFuseModel {
             config,
             net: net.clone(),
             clients,
-            coordinator: Some(Coordinator { ddpm, scaler, latent_widths, model_silos }),
+            coordinator: Coordinator { ddpm, scaler, latent_widths, model_silos },
             coord_endpoints,
             stats,
             ckpt: base,
@@ -627,10 +595,13 @@ impl SiloFuseModel {
         self.config.synth_chunk_rows = rows;
     }
 
-    /// Fallible [`SiloFuseModel::synthesize_partitioned_with_steps`]: under
-    /// a fault plan, lost request/latent transmissions are recovered by
-    /// peer-kick retransmission (this thread holds both endpoint halves),
-    /// and exhausting the retry budget returns [`ProtocolError`].
+    /// Fallible [`SiloFuseModel::synthesize_partitioned_with_steps`]: the
+    /// engine of [`SiloFuseModel::try_synthesize_supervised`], with every
+    /// partition required. Under the default fail-fast policy a lost
+    /// transmission is recovered by peer-kick retransmission and an
+    /// exhausted retry budget returns [`ProtocolError`]. Under a degrading
+    /// policy a masked partition returns a typed
+    /// [`ProtocolError::SiloDead`], never silently imputed columns.
     pub fn try_synthesize_partitioned_with_steps(
         &mut self,
         n: usize,
@@ -638,196 +609,48 @@ impl SiloFuseModel {
         inference_steps: Option<usize>,
         rng: &mut StdRng,
     ) -> Result<Vec<Table>, ProtocolError> {
-        assert!(requesting_client < self.clients.len(), "no such client");
-        if self.sup.enabled() {
-            // Supervised runs route through the membership-aware engine; a
-            // caller insisting on the all-or-nothing Table API gets a typed
-            // SiloDead for the first masked partition instead of silently
-            // imputed columns.
-            let outputs =
-                self.try_synthesize_supervised(n, requesting_client, inference_steps, rng)?;
-            let mut tables = Vec::with_capacity(outputs.len());
-            for (i, out) in outputs.into_iter().enumerate() {
-                match out {
-                    SiloOutput::Decoded(t) => tables.push(t),
-                    SiloOutput::Masked { .. } => {
-                        return Err(ProtocolError::SiloDead {
-                            client: i,
-                            phase: "synthetic-latents",
-                            retry: None,
-                            source: TransportError::Disconnected,
-                        })
-                    }
-                }
-            }
-            return Ok(tables);
-        }
-        let reliable = self.net.reliable();
-        let policy = self.net.retry;
-
-        // Line 1: request travels client -> coordinator. This thread
-        // plays both roles, so each half runs under its actor's scope.
-        {
-            let _scope = observe::scope(&format!("silo{requesting_client}"));
-            self.clients[requesting_client]
-                .state()
-                .endpoint
-                .send(&Message::SynthesisRequest { client: requesting_client as u32, n: n as u32 })
-                .map_err(|source| ProtocolError::SiloDead {
-                    client: requesting_client,
-                    phase: "synthesis-request",
+        let outputs = self.try_synthesize_supervised(n, requesting_client, inference_steps, rng)?;
+        outputs
+            .into_iter()
+            .enumerate()
+            .map(|(i, out)| match out {
+                SiloOutput::Decoded(t) => Ok(t),
+                SiloOutput::Masked { .. } => Err(ProtocolError::SiloDead {
+                    client: i,
+                    phase: "synthetic-latents",
                     retry: None,
-                    source,
-                })?;
-        }
-        let _coord_scope = observe::scope("coordinator");
-        let req_ep = &self.coord_endpoints[requesting_client];
-        let req = if reliable {
-            recv_retrying(
-                &policy,
-                |d| req_ep.recv_timeout(d),
-                || self.clients[requesting_client].state().endpoint.retransmit_unacked(),
-            )
-        } else {
-            req_ep.recv()
-        };
-        let _ = req
-            .map_err(|source| dead_silo("synthesis-request", requesting_client, req_ep, source))?;
-
-        // Lines 2-4: sample noise, denoise, partition — streamed in chunks
-        // of `synth_chunk_rows` through the batched reverse-diffusion
-        // engine, so coordinator memory and per-message payloads stay
-        // bounded by the chunk size for any `n`.
-        let steps = inference_steps.unwrap_or(self.config.inference_steps);
-        let chunk_rows = self.config.synth_chunk_rows;
-        let ckpt = self.ckpt.clone();
-        let synth_name = format!("coordinator-synth{}", self.synth_calls);
-        self.synth_calls += 1;
-        let coord_err = |source: CheckpointError| match source {
-            CheckpointError::Crashed { phase, step } => {
-                ProtocolError::Crashed { node: "coordinator".into(), phase, step }
-            }
-            source => ProtocolError::Checkpoint { node: "coordinator".into(), source },
-        };
-
-        // The sampler consumes exactly one u64 (the per-row base seed).
-        // Checkpointing `base` plus the caller RNG's post-draw state makes
-        // a resumed synthesis regenerate every chunk bit-identically and
-        // leave the caller RNG exactly where an uninterrupted run would.
-        let mut resumed = None;
-        if ckpt.is_enabled() && ckpt.resume() {
-            if let Some(saved) = ckpt.load(&synth_name, "synthesis").map_err(coord_err)? {
-                if saved.payload.len() < 16 {
-                    return Err(coord_err(CheckpointError::Truncated));
-                }
-                let base = u64::from_le_bytes(saved.payload[..8].try_into().unwrap());
-                let state = u64::from_le_bytes(saved.payload[8..16].try_into().unwrap());
-                *rng = StdRng::from_state(state);
-                resumed = Some(base);
-            }
-        }
-        let base = resumed.unwrap_or_else(|| rng.gen::<u64>());
-        if ckpt.is_enabled() && resumed.is_none() {
-            let mut payload = base.to_le_bytes().to_vec();
-            payload.extend_from_slice(&rng.state().to_le_bytes());
-            ckpt.save(&synth_name, "synthesis", 0, &payload).map_err(coord_err)?;
-        }
-
-        let coord = self.coordinator.as_mut().expect("model is fitted");
-        let Coordinator { ddpm, scaler, latent_widths, .. } = coord;
-        let mut sampler =
-            ddpm.chunked_sampler_from_base(n, steps, self.config.eta, chunk_rows, base).map_err(
-                |source| ProtocolError::InvalidRequest { phase: "synthesis-request", source },
-            )?;
-        let total_chunks = sampler.total_chunks() as u64;
-        let mut decoded: Vec<Vec<Table>> = (0..self.clients.len()).map(|_| Vec::new()).collect();
-        let mut chunk_idx = 0u64;
-        loop {
-            let chunk = {
-                let _phase = observe::phase("sample");
-                sampler.next_chunk()
-            };
-            let Some((_, z)) = chunk else { break };
-            let latents = scaler.unscale(&z);
-            silofuse_nn::workspace::recycle(z);
-            let parts = latents.split_cols(latent_widths);
-
-            // Lines 5-7: ship each client its slice; decode locally.
-            let _phase = observe::phase("decode");
-            for (i, part) in parts.iter().enumerate() {
-                self.coord_endpoints[i]
-                    .send(&Message::SyntheticLatents {
-                        client: i as u32,
-                        rows: part.rows() as u32,
-                        cols: part.cols() as u32,
-                        data: part.as_slice().to_vec(),
-                    })
-                    .map_err(|source| ProtocolError::SiloDead {
-                        client: i,
-                        phase: "synthetic-latents",
-                        retry: None,
-                        source,
-                    })?;
-                // The receive and local decode belong to silo i; the
-                // nested guard shadows the ambient coordinator scope.
-                let _scope = observe::scope(&format!("silo{i}"));
-                let client_ep = &self.clients[i].state().endpoint;
-                let msg = if reliable {
-                    recv_retrying(
-                        &policy,
-                        |d| client_ep.recv_timeout(d),
-                        || self.coord_endpoints[i].retransmit_unacked(),
-                    )
-                } else {
-                    client_ep.recv()
-                }
-                .map_err(|source| dead_silo("synthetic-latents", i, client_ep, source))?;
-                let Message::SyntheticLatents { rows, cols, data, .. } = msg else {
-                    return Err(ProtocolError::Unexpected {
-                        phase: "synthetic-latents",
-                        got: format!("{msg:?}"),
-                    });
-                };
-                let z_i = Tensor::from_vec(rows as usize, cols as usize, data);
-                decoded[i].push(self.clients[i].state_mut().ae.decode(&z_i));
-            }
-
-            // Chunk boundary: record progress and honour injected crashes —
-            // a resumed run replays from the recorded base bit-identically.
-            chunk_idx += 1;
-            if ckpt.is_enabled() && ckpt.due(chunk_idx, total_chunks) {
-                let mut payload = base.to_le_bytes().to_vec();
-                payload.extend_from_slice(&rng.state().to_le_bytes());
-                ckpt.save(&synth_name, "synthesis", chunk_idx, &payload).map_err(coord_err)?;
-            }
-            ckpt.maybe_crash("synthesis", chunk_idx).map_err(coord_err)?;
-        }
-
-        let mut outputs = Vec::with_capacity(self.clients.len());
-        for (i, parts) in decoded.iter().enumerate() {
-            if parts.is_empty() {
-                // n == 0: decode an empty latent batch to keep the schema.
-                let w = self.clients[i].state().latent_dim;
-                outputs.push(self.clients[i].state_mut().ae.decode(&Tensor::zeros(0, w)));
-            } else {
-                outputs.push(Table::concat_rows(&parts.iter().collect::<Vec<_>>()));
-            }
-        }
-        bump_round(&self.stats);
-        Ok(outputs)
+                    source: TransportError::Disconnected,
+                }),
+            })
+            .collect()
     }
 
-    /// Membership-aware synthesis (Algorithm 2 under graceful
-    /// degradation): returns one [`SiloOutput`] per silo instead of
-    /// requiring every silo to decode.
+    /// [`ProtocolError::NoSuchClient`] unless `client` indexes a silo of
+    /// this run.
+    fn check_client(&self, client: usize) -> Result<(), ProtocolError> {
+        let clients = self.clients.len();
+        if client < clients {
+            Ok(())
+        } else {
+            Err(ProtocolError::NoSuchClient { client, clients })
+        }
+    }
+
+    /// Algorithm 2, the protocol's one synthesis engine: returns one
+    /// [`SiloOutput`] per silo instead of requiring every silo to decode.
+    /// With the default [`SupervisorConfig`] (fail-fast, heartbeats off)
+    /// it is the plain protocol: every silo decodes and the first dead
+    /// silo aborts the call.
     ///
-    /// - Live silos decode their latent slices exactly as in
-    ///   [`SiloFuseModel::try_synthesize_partitioned_with_steps`].
+    /// - The coordinator denoises in chunks of
+    ///   [`LatentDiffConfig::synth_chunk_rows`], so its memory and every
+    ///   message stay bounded by the chunk size; live silos decode their
+    ///   own latent slices.
     /// - A silo whose retry budget is exhausted mid-run is marked Dead;
     ///   under a `quorum`/`best-effort` [`crate::supervision::DegradePolicy`]
     ///   the run continues and that silo's whole partition is emitted as
     ///   [`SiloOutput::Masked`] (never a partial table, never silently
-    ///   imputed). Under `fail-fast` the historical typed error returns.
+    ///   imputed). Under `fail-fast` the typed error returns.
     /// - Slices keep being shipped to a dead-but-partitioned silo: they
     ///   park in the reliable layer's unacked send window, and when the
     ///   fault plan's `rejoin_at` heals the link, the peer kick replays
@@ -838,7 +661,14 @@ impl SiloFuseModel {
     ///
     /// Everything is driven by logical clocks (chunk indices) and the
     /// deterministic retry budget: a fixed seed and fault plan produce
-    /// bit-identical output at any thread count.
+    /// bit-identical output at any thread count. The sampler consumes
+    /// exactly one u64 of `rng` (the per-row base seed); with a
+    /// checkpointer that base and the caller RNG's state are saved at
+    /// chunk boundaries, so a crashed synthesis resumes bit-identically.
+    ///
+    /// An unknown `requesting_client` returns
+    /// [`ProtocolError::NoSuchClient`]; a zero chunk size or bad
+    /// `inference_steps` returns [`ProtocolError::InvalidRequest`].
     pub fn try_synthesize_supervised(
         &mut self,
         n: usize,
@@ -846,11 +676,10 @@ impl SiloFuseModel {
         inference_steps: Option<usize>,
         rng: &mut StdRng,
     ) -> Result<Vec<SiloOutput>, ProtocolError> {
-        assert!(requesting_client < self.clients.len(), "no such client");
+        self.check_client(requesting_client)?;
         let m = self.clients.len();
         let sup = self.sup.clone();
         let degrade = sup.policy;
-        let reliable = self.net.reliable();
         let policy = self.net.retry;
         {
             let alive = self.membership.n_alive();
@@ -870,36 +699,26 @@ impl SiloFuseModel {
         };
 
         // Line 1: request travels client -> coordinator; the coordinator
-        // absorbs any heartbeats queued ahead of it on the link.
+        // absorbs any heartbeats queued ahead of it on the link. This
+        // thread holds both ends of every link here, so each receive finds
+        // its frame queued unless a fault plan lost it; the bounded
+        // receive then kicks the peer to retransmit.
         {
             let _scope = observe::scope(&format!("silo{requester}"));
-            self.clients[requester]
-                .state()
-                .endpoint
+            let client_ep = &self.clients[requester].state().endpoint;
+            client_ep
                 .send(&Message::SynthesisRequest { client: requester as u32, n: n as u32 })
-                .map_err(|source| ProtocolError::SiloDead {
-                    client: requester,
-                    phase: "synthesis-request",
-                    retry: None,
-                    source,
-                })?;
+                .map_err(|source| dead_silo("synthesis-request", requester, client_ep, source))?;
         }
         let _coord_scope = observe::scope("coordinator");
         loop {
-            let req_ep = &self.coord_endpoints[requester];
-            let msg = if reliable {
-                recv_or_dead(
-                    &policy,
-                    "synthesis-request",
-                    requester,
-                    req_ep,
-                    &self.clients[requester].state().endpoint,
-                )?
-            } else {
-                req_ep
-                    .recv()
-                    .map_err(|source| dead_silo("synthesis-request", requester, req_ep, source))?
-            };
+            let msg = recv_or_dead(
+                &policy,
+                "synthesis-request",
+                requester,
+                &self.coord_endpoints[requester],
+                &self.clients[requester].state().endpoint,
+            )?;
             match msg {
                 Message::Heartbeat { client, tick } => {
                     if (client as usize) < m {
@@ -921,12 +740,7 @@ impl SiloFuseModel {
         let ckpt = self.ckpt.clone();
         let synth_name = format!("coordinator-synth{}", self.synth_calls);
         self.synth_calls += 1;
-        let coord_err = |source: CheckpointError| match source {
-            CheckpointError::Crashed { phase, step } => {
-                ProtocolError::Crashed { node: "coordinator".into(), phase, step }
-            }
-            source => ProtocolError::Checkpoint { node: "coordinator".into(), source },
-        };
+        let coord_err = ProtocolError::checkpoint("coordinator");
         let mut resumed = None;
         if ckpt.is_enabled() && ckpt.resume() {
             if let Some(saved) = ckpt.load(&synth_name, "synthesis").map_err(coord_err)? {
@@ -940,14 +754,16 @@ impl SiloFuseModel {
             }
         }
         let base = resumed.unwrap_or_else(|| rng.gen::<u64>());
-        if ckpt.is_enabled() && resumed.is_none() {
+        let save_progress = |chunks_done: u64, rng: &StdRng| {
             let mut payload = base.to_le_bytes().to_vec();
             payload.extend_from_slice(&rng.state().to_le_bytes());
-            ckpt.save(&synth_name, "synthesis", 0, &payload).map_err(coord_err)?;
+            ckpt.save(&synth_name, "synthesis", chunks_done, &payload).map_err(coord_err)
+        };
+        if ckpt.is_enabled() && resumed.is_none() {
+            save_progress(0, rng)?;
         }
 
-        let coord = self.coordinator.as_mut().expect("model is fitted");
-        let Coordinator { ddpm, scaler, latent_widths, model_silos } = coord;
+        let Coordinator { ddpm, scaler, latent_widths, model_silos } = &mut self.coordinator;
         let mut sampler =
             ddpm.chunked_sampler_from_base(n, steps, self.config.eta, chunk_rows, base).map_err(
                 |source| ProtocolError::InvalidRequest { phase: "synthesis-request", source },
@@ -963,6 +779,8 @@ impl SiloFuseModel {
         // deliver, however long the budget.
         let probe = RetryPolicy { max_retries: 2, ..policy };
         let mut chunk_idx = 0u64;
+        // Lines 2-4: sample noise, denoise and partition, one chunk at a
+        // time; lines 5-7: ship each silo its slice to decode locally.
         loop {
             let chunk = {
                 let _phase = observe::phase("sample");
@@ -994,19 +812,15 @@ impl SiloFuseModel {
                 }
                 // Ship the slice regardless of membership (see the rejoin
                 // contract in the method docs).
-                if let Err(source) = self.coord_endpoints[i].send(&Message::SyntheticLatents {
+                let coord_ep = &self.coord_endpoints[i];
+                if let Err(source) = coord_ep.send(&Message::SyntheticLatents {
                     client: i as u32,
                     rows: part.rows() as u32,
                     cols: part.cols() as u32,
                     data: part.as_slice().to_vec(),
                 }) {
                     if !degrade.degrades() {
-                        return Err(ProtocolError::SiloDead {
-                            client: i,
-                            phase: "synthetic-latents",
-                            retry: None,
-                            source,
-                        });
+                        return Err(dead_silo("synthetic-latents", i, coord_ep, source));
                     }
                     self.membership.mark_dead(i, chunk_idx);
                     continue;
@@ -1019,19 +833,13 @@ impl SiloFuseModel {
                 while pending[i] > 0 {
                     let alive = self.membership.is_alive(i);
                     let budget = if alive { policy } else { probe };
-                    let got = {
-                        let client_ep = &self.clients[i].state().endpoint;
-                        if reliable {
-                            recv_retrying(
-                                &budget,
-                                |d| client_ep.recv_timeout(d),
-                                || self.coord_endpoints[i].retransmit_unacked(),
-                            )
-                        } else {
-                            client_ep.recv()
-                        }
-                        .map_err(|source| dead_silo("synthetic-latents", i, client_ep, source))
-                    };
+                    let got = recv_or_dead(
+                        &budget,
+                        "synthetic-latents",
+                        i,
+                        &self.clients[i].state().endpoint,
+                        &self.coord_endpoints[i],
+                    );
                     match got {
                         Ok(Message::SyntheticLatents { rows, cols, data, .. }) => {
                             let z_i = Tensor::from_vec(rows as usize, cols as usize, data);
@@ -1074,11 +882,10 @@ impl SiloFuseModel {
                 }
             }
 
+            // Chunk boundary: record progress and honour injected crashes.
             chunk_idx += 1;
             if ckpt.is_enabled() && ckpt.due(chunk_idx, total_chunks) {
-                let mut payload = base.to_le_bytes().to_vec();
-                payload.extend_from_slice(&rng.state().to_le_bytes());
-                ckpt.save(&synth_name, "synthesis", chunk_idx, &payload).map_err(coord_err)?;
+                save_progress(chunk_idx, rng)?;
             }
             ckpt.maybe_crash("synthesis", chunk_idx).map_err(coord_err)?;
         }
@@ -1090,18 +897,12 @@ impl SiloFuseModel {
                 continue;
             }
             while pending[i] > 0 {
-                let got = {
-                    let client_ep = &self.clients[i].state().endpoint;
-                    if reliable {
-                        recv_retrying(
-                            &probe,
-                            |d| client_ep.recv_timeout(d),
-                            || self.coord_endpoints[i].retransmit_unacked(),
-                        )
-                    } else {
-                        client_ep.recv()
-                    }
-                };
+                let client_ep = &self.clients[i].state().endpoint;
+                let got = recv_retrying(
+                    &probe,
+                    |d| client_ep.recv_timeout(d),
+                    || self.coord_endpoints[i].retransmit_unacked(),
+                );
                 match got {
                     Ok(Message::SyntheticLatents { rows, cols, data, .. }) => {
                         let z_i = Tensor::from_vec(rows as usize, cols as usize, data);
@@ -1160,23 +961,23 @@ impl SiloFuseModel {
     /// latents are part of the coordinator's generative model (a silo dead
     /// *before* upload contributed nothing the DDPM could sample for).
     /// The fresh link re-arms the fault plan for that link id, including
-    /// any partition window.
+    /// any partition window. An unknown `i` returns
+    /// [`ProtocolError::NoSuchClient`].
     pub fn restart_silo(&mut self, i: usize) -> Result<(), ProtocolError> {
-        assert!(i < self.clients.len(), "no such client");
+        self.check_client(i)?;
         if self.membership.is_alive(i) && self.clients[i].state.is_some() {
             return Ok(());
         }
-        let in_model = self.coordinator.as_ref().is_some_and(|c| c.model_silos.contains(&i));
-        if !in_model {
+        if !self.coordinator.model_silos.contains(&i) {
             return Err(ProtocolError::Unexpected {
                 phase: "rejoin",
                 got: format!("silo {i} has no latents in the coordinator model"),
             });
         }
         let node = format!("silo {i}");
-        let ckpt_err =
-            |source: CheckpointError| ProtocolError::Checkpoint { node: node.clone(), source };
+        let ckpt_err = ProtocolError::checkpoint(&node);
         let name = format!("silo{i}-ae");
+        // The crash is disarmed: the replacement process does not die again.
         let resume = self.ckpt.clone().with_resume(true).with_crash(None);
         let resume_step =
             resume.latest_step(&name, "ae-train").map_err(ckpt_err)?.ok_or_else(|| {
@@ -1185,46 +986,23 @@ impl SiloFuseModel {
                 )))
             })?;
 
-        // Rebuild the silo exactly as fit did: same config-derived seeds,
-        // weights restored from (and the training tail, if any, replayed
-        // after) the checkpoint.
-        let mut cfg = self.config;
-        cfg.ae.seed = self.config.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let reliable = self.net.reliable();
+        // Rebuild the silo exactly as fit did: weights restored from (and
+        // the training tail, if any, replayed after) the checkpoint.
         let (client_ep, coord_ep) =
             link_with(std::sync::Arc::clone(&self.stats), i as u64, &self.net);
         let ae = {
             let _scope = observe::scope(&format!("silo{i}"));
-            let mut local_rng = StdRng::seed_from_u64(cfg.ae.seed ^ 0xc11e);
-            let mut ae = TabularAutoencoder::new(&self.clients[i].partition, cfg.ae);
-            ae.fit_resumable(
-                &self.clients[i].partition,
-                cfg.ae_steps,
-                cfg.batch_size,
-                &mut local_rng,
-                &resume,
-                &name,
-                "ae-train",
-            )
-            .map_err(ckpt_err)?;
-            client_ep.send(&Message::RejoinRequest { client: i as u32, resume_step }).map_err(
-                |source| ProtocolError::SiloDead {
-                    client: i,
-                    phase: "rejoin",
-                    retry: None,
-                    source,
-                },
-            )?;
+            let (ae, _) =
+                train_silo_ae(&self.clients[i].partition, &self.config, i, &resume, &mut |_| {})
+                    .map_err(ckpt_err)?;
+            client_ep
+                .send(&Message::RejoinRequest { client: i as u32, resume_step })
+                .map_err(|source| dead_silo("rejoin", i, &client_ep, source))?;
             ae
         };
         {
             let _coord = observe::scope("coordinator");
-            let msg = if reliable {
-                recv_or_dead(&self.net.retry, "rejoin", i, &coord_ep, &client_ep)?
-            } else {
-                coord_ep.recv().map_err(|source| dead_silo("rejoin", i, &coord_ep, source))?
-            };
-            match msg {
+            match recv_or_dead(&self.net.retry, "rejoin", i, &coord_ep, &client_ep)? {
                 Message::RejoinRequest { client, resume_step: step }
                     if client as usize == i && step <= self.config.ae_steps as u64 =>
                 {
@@ -1244,12 +1022,7 @@ impl SiloFuseModel {
         }
         {
             let _scope = observe::scope(&format!("silo{i}"));
-            let grant = if reliable {
-                recv_or_dead(&self.net.retry, "rejoin", i, &client_ep, &coord_ep)?
-            } else {
-                client_ep.recv().map_err(|source| dead_silo("rejoin", i, &client_ep, source))?
-            };
-            match grant {
+            match recv_or_dead(&self.net.retry, "rejoin", i, &client_ep, &coord_ep)? {
                 Message::Heartbeat { client, tick }
                     if client as usize == i && tick == resume_step => {}
                 other => {
@@ -1274,32 +1047,6 @@ impl SiloFuseModel {
         let parts = self.synthesize_partitioned(n, 0, rng);
         Table::concat_columns(&parts.iter().collect::<Vec<_>>())
     }
-}
-
-/// Deterministic coordinator-side DDPM construction: a restarted
-/// coordinator rebuilds the exact same initial network from config before
-/// loading checkpointed weights on top.
-fn build_coordinator_ddpm(config: &LatentDiffConfig, z_cols: usize) -> GaussianDdpm {
-    let mut init_rng = StdRng::seed_from_u64(config.seed ^ 0x51d0);
-    let backbone = DiffusionBackbone::new(
-        BackboneConfig {
-            data_dim: z_cols,
-            hidden_dim: config.ddpm_hidden,
-            depth: 8,
-            time_embed_dim: 16,
-            dropout: 0.01,
-            out_dim: z_cols,
-        },
-        config.seed,
-        &mut init_rng,
-    );
-    let schedule = NoiseSchedule::new(config.schedule, config.timesteps);
-    let parameterization = if config.predict_noise {
-        Parameterization::PredictNoise
-    } else {
-        Parameterization::PredictX0
-    };
-    GaussianDdpm::new(GaussianDiffusion::new(schedule, parameterization), backbone, config.ddpm_lr)
 }
 
 /// Serialises the coordinator's post-upload state — RNG, scaled latent

@@ -2,12 +2,10 @@
 //! and quorum-gated graceful degradation.
 //!
 //! The paper's cross-silo protocols assume every feature silo stays
-//! online for the whole pipeline; before this layer, one silo exhausting
-//! its retry budget killed the entire run with
-//! [`crate::error::ProtocolError::SiloDead`]. Real federated deployments
-//! must keep serving when a participant drops, so the coordinator now
-//! runs a deterministic, tick-based failure detector over the existing
-//! reliable transport:
+//! online for the whole pipeline. Real federated deployments must keep
+//! serving when a participant drops, so the coordinator runs a
+//! deterministic, tick-based failure detector over the reliable
+//! transport:
 //!
 //! - Silos send [`crate::message::Heartbeat`] control frames stamped
 //!   with their *logical* clock (training step or synthesis chunk —
@@ -19,21 +17,29 @@
 //!   exhaustion (deterministic for a fixed fault plan) pushes it
 //!   Suspected → Dead; a later heartbeat or rejoin handshake brings it
 //!   back as Rejoined.
-//! - A [`DegradePolicy`] decides what a death means: `fail-fast`
-//!   preserves the historical typed-error behavior, `quorum(k)` keeps
-//!   going while at least `k` silos survive, `best-effort` keeps going
-//!   while any survive. Under degradation the dead silo's feature
-//!   columns are emitted as typed [`SiloOutput::Masked`] values — never
-//!   silently imputed.
+//! - A [`DegradePolicy`] decides what a death means: `fail-fast` aborts
+//!   the run with a typed [`crate::error::ProtocolError::SiloDead`],
+//!   `quorum(k)` keeps going while at least `k` silos survive,
+//!   `best-effort` keeps going while any survive. Under degradation the
+//!   dead silo's feature columns are emitted as typed
+//!   [`SiloOutput::Masked`] values — never silently imputed.
+//!
+//! Each protocol has a single synthesis engine, and supervision is its
+//! policy rather than a second code path: the default
+//! [`SupervisorConfig`] (fail-fast, heartbeats off, no silo pre-dead) is
+//! the plain fail-fast protocol, byte for byte on the wire.
 //!
 //! Everything here is driven by logical clocks and the deterministic
 //! retry budget, so a fixed seed and fault plan produce bit-identical
 //! degraded output at any thread count. Only the transient Suspected
 //! state may differ with wall-clock timing; it never affects output.
 
+use crate::transport::{Endpoint, TransportError};
+use crate::Message;
 use silofuse_observe as observe;
 use silofuse_tabular::schema::Schema;
 use silofuse_tabular::table::Table;
+use std::time::Duration;
 
 /// Liveness state of one silo, as seen by the coordinator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,8 +221,8 @@ impl MembershipTable {
 /// What the coordinator does when a silo's retry budget is exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DegradePolicy {
-    /// Historical behavior: the first dead silo aborts the run with a
-    /// typed [`crate::error::ProtocolError::SiloDead`].
+    /// The default: the first dead silo aborts the run with a typed
+    /// [`crate::error::ProtocolError::SiloDead`].
     #[default]
     FailFast,
     /// Continue while at least `k` silos survive; fewer aborts with
@@ -282,8 +288,9 @@ impl DegradePolicy {
 
 /// Configuration of the supervision layer, carried on
 /// [`crate::faults::NetConfig`]. The default disables supervision
-/// entirely (no heartbeats, fail-fast on death), which preserves the
-/// historical protocol behavior and exact byte accounting.
+/// entirely (no heartbeats, fail-fast on death, no silo pre-dead): the
+/// protocols' synthesis engines then run as plain fail-fast protocols
+/// with exact byte accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// Degradation policy applied when a silo dies.
@@ -339,6 +346,54 @@ impl SupervisorConfig {
     /// Builds the membership table for an `n`-silo run.
     pub fn membership(&self, n: usize) -> MembershipTable {
         MembershipTable::new(n, self.suspect_after, &self.pre_dead)
+    }
+
+    /// The lease-based failure detector: receives silo `silo`'s next
+    /// protocol frame from `from`, one bounded receive of `lease` per
+    /// lease. Any frame renews the lease; heartbeats are absorbed into
+    /// `membership` and the wait goes on. `suspect_after` consecutive
+    /// silent leases suspect the silo, and one more exhausts the budget
+    /// as [`TransportError::RetryExhausted`]. `kick` runs on every silent
+    /// lease, as in [`crate::transport::recv_retrying`]: a thread that
+    /// holds both ends of the link retransmits the silo's frames there.
+    ///
+    /// Deliveries are governed solely by the deterministic fault plan, so
+    /// the Dead verdict is identical at any thread count (only the
+    /// transient Suspected state can differ with timing, and it never
+    /// affects output).
+    pub(crate) fn recv_leased(
+        &self,
+        silo: usize,
+        from: &dyn Endpoint,
+        lease: Duration,
+        membership: &mut MembershipTable,
+        mut kick: impl FnMut(),
+    ) -> Result<Message, TransportError> {
+        let budget = u64::from(self.suspect_after) + 1;
+        let mut misses = 0u64;
+        loop {
+            match from.recv_timeout(lease) {
+                Ok(Message::Heartbeat { client, tick }) => {
+                    if (client as usize) < membership.n_total() {
+                        membership.beat(client as usize, tick);
+                    }
+                    misses = 0;
+                }
+                Ok(msg) => return Ok(msg),
+                Err(TransportError::Timeout) => {
+                    kick();
+                    misses += 1;
+                    membership.miss(silo, misses);
+                    if misses >= budget {
+                        return Err(TransportError::RetryExhausted {
+                            attempts: misses as u32,
+                            backoff_ticks: misses,
+                        });
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
     }
 }
 

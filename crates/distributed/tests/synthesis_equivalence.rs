@@ -14,6 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use silofuse_checkpoint::{Checkpointer, CrashPoint};
+use silofuse_diffusion::SampleRequestError;
 use silofuse_distributed::e2e_distr::E2eDistributed;
 use silofuse_distributed::faults::NetConfig;
 use silofuse_distributed::stacked::SiloFuseModel;
@@ -222,6 +223,60 @@ fn synthesis_resumes_bit_identically_from_a_mid_synthesis_checkpoint() {
         .expect("follow-up synthesis");
     assert_eq!(resumed_second, clean_second, "post-resume RNG timeline diverged");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A zero chunk size is a caller error that both protocols reject with
+/// the same typed error, and the model serves again once it is fixed.
+#[test]
+fn zero_chunk_rows_is_a_typed_invalid_request_in_both_protocols() {
+    let parts = partitions(61);
+    let is_chunk_rows = |err: &ProtocolError| {
+        matches!(
+            err,
+            ProtocolError::InvalidRequest { source: SampleRequestError::ChunkRows(_), .. }
+        )
+    };
+
+    let mut rng = StdRng::seed_from_u64(61);
+    let mut stacked = SiloFuseModel::fit(&parts, tiny_config(61), &mut rng);
+    stacked.set_synth_chunk_rows(0);
+    let err = stacked
+        .try_synthesize_partitioned_with_steps(8, 0, None, &mut rng)
+        .expect_err("stacked must reject a zero chunk size");
+    assert!(is_chunk_rows(&err), "{err}");
+    stacked.set_synth_chunk_rows(4);
+    assert!(stacked.synthesize_partitioned(8, 0, &mut rng).iter().all(|t| t.n_rows() == 8));
+
+    let mut e2e = E2eDistributed::fit(&parts, tiny_config(61), &mut rng);
+    e2e.set_synth_chunk_rows(0);
+    let err = e2e.try_synthesize_supervised(8, &mut rng).expect_err("E2EDistr must reject it too");
+    assert!(is_chunk_rows(&err), "{err}");
+    e2e.set_synth_chunk_rows(4);
+    assert!(e2e.synthesize_partitioned(8, &mut rng).iter().all(|t| t.n_rows() == 8));
+}
+
+/// A client index outside the run is a typed error naming the index and
+/// the client count, never a panic, and the rejected call sends nothing.
+#[test]
+fn unknown_client_index_is_a_typed_error() {
+    let parts = partitions(67);
+    let mut rng = StdRng::seed_from_u64(67);
+    let mut model = SiloFuseModel::fit(&parts, tiny_config(67), &mut rng);
+    let before = model.comm_stats();
+
+    let err = model
+        .try_synthesize_partitioned_with_steps(4, 2, None, &mut rng)
+        .expect_err("a 2-silo run has no client 2");
+    assert!(matches!(err, ProtocolError::NoSuchClient { client: 2, clients: 2 }), "{err}");
+    assert!(err.to_string().contains("no client 2"), "{err}");
+    assert!(err.to_string().contains("2 clients"), "{err}");
+    let err = model.try_synthesize_supervised(4, 7, None, &mut rng).expect_err("no client 7");
+    assert!(matches!(err, ProtocolError::NoSuchClient { client: 7, clients: 2 }), "{err}");
+    let err = model.restart_silo(5).expect_err("no silo 5 to restart");
+    assert!(matches!(err, ProtocolError::NoSuchClient { client: 5, clients: 2 }), "{err}");
+    assert_eq!(model.comm_stats(), before, "a rejected request must not touch the wire");
+
+    assert!(model.synthesize_partitioned(4, 1, &mut rng).iter().all(|t| t.n_rows() == 4));
 }
 
 proptest! {

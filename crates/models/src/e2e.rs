@@ -10,10 +10,8 @@
 use crate::autoencoder::TabularAutoencoder;
 use crate::latentdiff::LatentDiffConfig;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use silofuse_diffusion::backbone::{BackboneConfig, DiffusionBackbone};
-use silofuse_diffusion::gaussian::{GaussianDdpm, GaussianDiffusion, Parameterization};
-use silofuse_diffusion::schedule::NoiseSchedule;
+use rand::Rng;
+use silofuse_diffusion::gaussian::{GaussianDdpm, Parameterization};
 use silofuse_tabular::table::Table;
 
 struct Fitted {
@@ -62,22 +60,7 @@ impl E2eCentralized {
         let mut ae = TabularAutoencoder::new(table, cfg.ae);
         let latent_dim = ae.latent_dim();
 
-        let mut init_rng = StdRng::seed_from_u64(cfg.seed ^ 0xe2e);
-        let backbone = DiffusionBackbone::new(
-            BackboneConfig {
-                data_dim: latent_dim,
-                hidden_dim: cfg.ddpm_hidden,
-                depth: 8,
-                time_embed_dim: 16,
-                dropout: 0.01,
-                out_dim: latent_dim,
-            },
-            cfg.seed,
-            &mut init_rng,
-        );
-        let schedule = NoiseSchedule::new(cfg.schedule, cfg.timesteps);
-        let diffusion = GaussianDiffusion::new(schedule, Parameterization::PredictX0);
-        let mut ddpm = GaussianDdpm::new(diffusion, backbone, cfg.ddpm_lr);
+        let mut ddpm = cfg.latent_ddpm(latent_dim, 0xe2e, Parameterization::PredictX0);
 
         let n = table.n_rows();
         let total_steps = cfg.ae_steps + cfg.diffusion_steps;
@@ -145,6 +128,10 @@ impl E2eCentralized {
 mod tests {
     use super::*;
     use crate::autoencoder::AutoencoderConfig;
+    use rand::SeedableRng;
+    use silofuse_diffusion::backbone::{BackboneConfig, DiffusionBackbone};
+    use silofuse_diffusion::gaussian::GaussianDiffusion;
+    use silofuse_diffusion::schedule::NoiseSchedule;
     use silofuse_tabular::profiles;
 
     fn quick_config(seed: u64) -> LatentDiffConfig {

@@ -87,6 +87,32 @@ impl Default for LatentDiffConfig {
     }
 }
 
+impl LatentDiffConfig {
+    /// The paper's latent DDPM (§V-A backbone) over `width` latent
+    /// columns. Its initial weights come from `seed ^ salt`: each model
+    /// family keeps its own salt, and a restarted node rebuilds the same
+    /// network from config before loading checkpointed weights on top.
+    pub fn latent_ddpm(
+        &self,
+        width: usize,
+        salt: u64,
+        parameterization: Parameterization,
+    ) -> GaussianDdpm {
+        let mut init_rng = StdRng::seed_from_u64(self.seed ^ salt);
+        let backbone = DiffusionBackbone::new(
+            BackboneConfig::paper_latent(width, self.ddpm_hidden),
+            self.seed,
+            &mut init_rng,
+        );
+        let schedule = NoiseSchedule::new(self.schedule, self.timesteps);
+        GaussianDdpm::new(
+            GaussianDiffusion::new(schedule, parameterization),
+            backbone,
+            self.ddpm_lr,
+        )
+    }
+}
+
 /// Per-dimension latent standardisation so the DDPM sees unit-scale data
 /// (the latent-diffusion "scale factor" trick). Public because the
 /// distributed SiloFuse coordinator applies the same trick to the
@@ -250,27 +276,12 @@ impl LatentDiff {
             z.add_scaled(&noise, cfg.latent_noise_std);
         }
 
-        let mut init_rng = StdRng::seed_from_u64(cfg.seed ^ 0xddb1);
-        let backbone = DiffusionBackbone::new(
-            BackboneConfig {
-                data_dim: z.cols(),
-                hidden_dim: cfg.ddpm_hidden,
-                depth: 8,
-                time_embed_dim: 16,
-                dropout: 0.01,
-                out_dim: z.cols(),
-            },
-            cfg.seed,
-            &mut init_rng,
-        );
-        let schedule = NoiseSchedule::new(cfg.schedule, cfg.timesteps);
         let parameterization = if cfg.predict_noise {
             Parameterization::PredictNoise
         } else {
             Parameterization::PredictX0
         };
-        let diffusion = GaussianDiffusion::new(schedule, parameterization);
-        let mut ddpm = GaussianDdpm::new(diffusion, backbone, cfg.ddpm_lr);
+        let mut ddpm = cfg.latent_ddpm(z.cols(), 0xddb1, parameterization);
 
         {
             let _phase = observe::phase("latent-train");
