@@ -3,7 +3,7 @@
 use rand::Rng;
 use silofuse_nn::embedding::timestep_embedding;
 use silofuse_nn::layers::{mlp, Layer, Mode, Sequential};
-use silofuse_nn::Tensor;
+use silofuse_nn::{workspace, Tensor};
 
 /// Architecture hyperparameters for a [`DiffusionBackbone`].
 #[derive(Debug, Clone, Copy)]
@@ -80,21 +80,40 @@ impl DiffusionBackbone {
 
     /// Predicts from noisy data `x_t` and per-row timesteps `t`.
     ///
+    /// The network input `[x_t ‖ emb(t)]` is assembled in one workspace
+    /// buffer; a row whose timestep repeats the previous row's copies that
+    /// row's embedding (while sampling, every row shares `t`).
+    ///
     /// # Panics
     /// Panics if `t.len() != x_t.rows()` or `x_t.cols() != data_dim`.
     pub fn predict(&mut self, x_t: &Tensor, t: &[usize], mode: Mode) -> Tensor {
         assert_eq!(t.len(), x_t.rows(), "one timestep per row");
-        assert_eq!(x_t.cols(), self.config.data_dim, "backbone data width mismatch");
-        let emb = timestep_embedding(t, self.config.time_embed_dim);
-        let input = Tensor::concat_cols(&[x_t, &emb]);
-        self.net.forward(&input, mode)
+        let d = self.config.data_dim;
+        assert_eq!(x_t.cols(), d, "backbone data width mismatch");
+        let width = d + self.config.time_embed_dim;
+        let mut input = workspace::take(x_t.rows(), width);
+        let data = input.as_mut_slice();
+        for (r, &t_r) in t.iter().enumerate() {
+            let row = r * width;
+            data[row..row + d].copy_from_slice(x_t.row(r));
+            if r > 0 && t[r - 1] == t_r {
+                data.copy_within(row - width + d..row, row + d);
+            } else {
+                timestep_embedding(t_r, &mut data[row + d..row + width]);
+            }
+        }
+        let out = self.net.forward(&input, mode);
+        workspace::recycle(input);
+        out
     }
 
     /// Backpropagates through the latest `predict`, accumulating parameter
     /// gradients and returning `dLoss/dx_t`.
     pub fn backward_to_input(&mut self, grad_output: &Tensor) -> Tensor {
         let grad_full = self.net.backward(grad_output);
-        grad_full.slice_cols(0, self.config.data_dim)
+        let grad = grad_full.slice_cols(0, self.config.data_dim);
+        workspace::recycle(grad_full);
+        grad
     }
 
     /// Accesses the underlying network for optimisation.

@@ -327,12 +327,13 @@ impl GaussianDdpm {
             Parameterization::PredictNoise => &noise,
         };
         let (loss, grad) = mse(&pred, target);
+        workspace::recycle(pred);
 
         self.backbone.net_mut().zero_grad();
         let grad_xt = self.backbone.backward_to_input(&grad);
         self.optimizer.step(self.backbone.net_mut());
 
-        let input_grad = want_input_grad.then(|| {
+        let input_grad = if want_input_grad {
             // dLoss/dx0 = dLoss/dx_t * sqrt(ᾱ_t)  (through the forward process)
             //           + direct term when the target itself is x0.
             let mut g = grad_xt;
@@ -345,8 +346,12 @@ impl GaussianDdpm {
             if self.diffusion.parameterization == Parameterization::PredictX0 {
                 g.add_scaled(&grad, -1.0); // dLoss/dtarget = -dLoss/dpred
             }
-            g
-        });
+            Some(g)
+        } else {
+            workspace::recycle(grad_xt);
+            None
+        };
+        workspace::recycle(grad);
         (loss, input_grad, ts)
     }
 
@@ -1074,6 +1079,28 @@ mod tests {
         // An empty range yields no chunks.
         let mut empty = ddpm.chunked_sampler_range_from_base(5, 0, 6, 1.0, 4, base).unwrap();
         assert!(empty.next_chunk().is_none());
+    }
+
+    /// After warm-up every buffer a DDPM training step takes comes from the
+    /// workspace arena: the miss counter stays flat, for both
+    /// parameterizations, with the paper backbone's dropout layers.
+    #[test]
+    fn warm_train_step_allocates_nothing() {
+        for param in [Parameterization::PredictNoise, Parameterization::PredictX0] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let schedule = NoiseSchedule::new(ScheduleKind::Linear, 50);
+            let backbone = DiffusionBackbone::new(BackboneConfig::paper_latent(6, 32), 5, &mut rng);
+            let mut ddpm =
+                GaussianDdpm::new(GaussianDiffusion::new(schedule, param), backbone, 1e-3);
+            let x0 = randn(24, 6, &mut rng);
+            for step in 0..8 {
+                if step == 4 {
+                    silofuse_nn::workspace::reset_counters();
+                }
+                ddpm.train_step(&x0, &mut rng);
+            }
+            assert_eq!(silofuse_nn::workspace::misses(), 0, "{param:?}: a warm step allocated");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use silofuse_nn::layers::{
 };
 use silofuse_nn::loss::{gaussian_nll, grouped_softmax_cross_entropy};
 use silofuse_nn::optim::{Adam, Optimizer};
-use silofuse_nn::Tensor;
+use silofuse_nn::{workspace, Tensor};
 use silofuse_observe as observe;
 use silofuse_tabular::encode::{CategoricalTargets, ScalingKind, TableEncoder};
 use silofuse_tabular::schema::ColumnKind;
@@ -218,6 +218,7 @@ impl TabularAutoencoder {
             grads.push(Tensor::zeros(heads.rows(), 0));
         }
         let grad = Tensor::concat_cols(&grads.iter().collect::<Vec<_>>());
+        grads.into_iter().for_each(workspace::recycle);
         (loss, grad)
     }
 
@@ -246,17 +247,17 @@ impl TabularAutoencoder {
     }
 
     /// One optimisation step on a batch (rows of `table`); returns the loss.
+    ///
+    /// Every step temporary goes back to the workspace arena, so a warm
+    /// step allocates no fresh tensor storage.
     pub fn train_step(&mut self, batch: &Table) -> f32 {
-        let targets = self.targets(batch);
-        let z = self.encoder_forward(batch, Mode::Train);
-        let heads = self.decoder.forward(&z, Mode::Train);
-        let (loss, grad_heads) = self.loss_and_head_grad(&heads, &targets);
-        self.encoder.zero_grad();
-        self.decoder.zero_grad();
-        let grad_z = self.decoder.backward(&grad_heads);
-        let _ = self.encoder.backward(&grad_z);
-        self.dec_opt.step(&mut self.decoder);
-        self.enc_opt.step(&mut self.encoder);
+        self.zero_grad();
+        let z = self.encoder_forward_train(batch);
+        let (loss, grad_z) = self.decoder_loss_backward(&z, batch);
+        workspace::recycle(z);
+        self.encoder_backward(&grad_z);
+        workspace::recycle(grad_z);
+        self.opt_step();
         loss
     }
 
@@ -468,13 +469,15 @@ impl TabularAutoencoder {
         let targets = self.targets(batch);
         let heads = self.decoder.forward(z, Mode::Train);
         let (loss, grad_heads) = self.loss_and_head_grad(&heads, &targets);
+        workspace::recycle(heads);
         let grad_z = self.decoder.backward(&grad_heads);
+        workspace::recycle(grad_heads);
         (loss, grad_z)
     }
 
     /// Backpropagates a latent gradient through the encoder.
     pub fn encoder_backward(&mut self, grad_z: &Tensor) {
-        let _ = self.encoder.backward(grad_z);
+        workspace::recycle(self.encoder.backward(grad_z));
     }
 
     /// Zeroes both networks' gradients.
@@ -804,5 +807,27 @@ mod tests {
         dense.fit(&t, 6, 32, &mut rng_a);
         sparse.fit(&t, 6, 32, &mut rng_b);
         assert_eq!(dense.export_weights(), sparse.export_weights());
+    }
+
+    /// After warm-up an AE training step takes every buffer from the
+    /// workspace arena, on the dense and on the sparse path.
+    #[test]
+    fn warm_train_step_allocates_nothing() {
+        let t = toy_table(96);
+        let batch = t.select_rows(&(0..32).collect::<Vec<_>>());
+        for encoding in [SparsePolicy::Dense, SparsePolicy::Sparse] {
+            let mut ae = TabularAutoencoder::new(
+                &t,
+                AutoencoderConfig { hidden_dim: 32, encoding, ..Default::default() },
+            );
+            assert_eq!(ae.uses_sparse(), encoding == SparsePolicy::Sparse);
+            for step in 0..8 {
+                if step == 4 {
+                    silofuse_nn::workspace::reset_counters();
+                }
+                ae.train_step(&batch);
+            }
+            assert_eq!(silofuse_nn::workspace::misses(), 0, "{encoding:?}: a warm step allocated");
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! Pluggable compute backends for the dense kernels.
 //!
 //! Every dense operation in this crate — the three GEMM variants, axpy,
-//! element-wise map/zip, row reductions, and softmax — dispatches through a
-//! process-global [`Backend`]. Two implementations ship:
+//! element-wise map/zip, GELU forward and backward, row reductions, and
+//! softmax — dispatches through a process-global [`Backend`]. Two
+//! implementations ship:
 //!
 //! - [`Reference`]: the original single-threaded scalar loops, kept as the
 //!   correctness oracle.
@@ -96,6 +97,13 @@ pub trait Backend: Send + Sync + fmt::Debug {
 
     /// `y[i] = f(y[i], x[i])`.
     fn zip_inplace(&self, y: &mut [f32], x: &[f32], f: ZipFn);
+
+    /// `out[i] = gelu(x[i])`, the tanh approximation evaluated through the
+    /// repo-owned [`simd::tanh`] (see [`simd::gelu`]).
+    fn gelu(&self, x: &[f32], out: &mut [f32]);
+
+    /// `out[i] = grad[i] · gelu'(x[i])` (see [`simd::gelu_grad`]).
+    fn gelu_backward(&self, grad: &[f32], x: &[f32], out: &mut [f32]);
 
     /// Column sums over a `rows×cols` matrix: `out[c] = Σ_r x[r][c]`,
     /// accumulated in ascending row order (`out` overwritten, len `cols`).
@@ -445,6 +453,18 @@ impl Backend for Reference {
         }
     }
 
+    fn gelu(&self, x: &[f32], out: &mut [f32]) {
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = simd::gelu(v);
+        }
+    }
+
+    fn gelu_backward(&self, grad: &[f32], x: &[f32], out: &mut [f32]) {
+        for ((o, &g), &v) in out.iter_mut().zip(grad).zip(x) {
+            *o = g * simd::gelu_grad(v);
+        }
+    }
+
     fn sum_rows(&self, rows: usize, cols: usize, x: &[f32], out: &mut [f32]) {
         sum_rows_cols(0..cols, rows, cols, x, out);
     }
@@ -476,7 +496,9 @@ const PAR_ELEM_MIN: usize = 1 << 16;
 /// SIMD level. The `map`/`zip` family takes `dyn Fn` closures and cannot
 /// be explicitly vectorised; at one worker those calls are inlined
 /// monomorphised by `Tensor` (see `elementwise_parallelism`) where LLVM
-/// auto-vectorises them.
+/// auto-vectorises them. GELU has dedicated kernels instead
+/// ([`simd::gelu_slice`]), because its `tanh` only vectorises when the
+/// whole port inlines into an AVX2 loop.
 #[derive(Debug, Clone, Copy)]
 pub struct Parallel {
     threads: usize,
@@ -706,6 +728,25 @@ impl Backend for Parallel {
         });
     }
 
+    fn gelu(&self, x: &[f32], out: &mut [f32]) {
+        if self.threads == 1 || x.len() < PAR_ELEM_MIN {
+            return simd::gelu_slice(x, out);
+        }
+        self.run_elems(out, |offset, chunk| {
+            simd::gelu_slice(&x[offset..offset + chunk.len()], chunk);
+        });
+    }
+
+    fn gelu_backward(&self, grad: &[f32], x: &[f32], out: &mut [f32]) {
+        if self.threads == 1 || x.len() < PAR_ELEM_MIN {
+            return simd::gelu_backward_slice(grad, x, out);
+        }
+        self.run_elems(out, |offset, chunk| {
+            let end = offset + chunk.len();
+            simd::gelu_backward_slice(&grad[offset..end], &x[offset..end], chunk);
+        });
+    }
+
     fn sum_rows(&self, rows: usize, cols: usize, x: &[f32], out: &mut [f32]) {
         if self.threads == 1 || rows * cols < PAR_ELEM_MIN || cols < 2 {
             return Reference.sum_rows(rows, cols, x, out);
@@ -869,6 +910,14 @@ impl Backend for HalfPrecision {
 
     fn zip_inplace(&self, y: &mut [f32], x: &[f32], f: ZipFn) {
         self.inner.zip_inplace(y, x, f);
+    }
+
+    fn gelu(&self, x: &[f32], out: &mut [f32]) {
+        self.inner.gelu(x, out);
+    }
+
+    fn gelu_backward(&self, grad: &[f32], x: &[f32], out: &mut [f32]) {
+        self.inner.gelu_backward(grad, x, out);
     }
 
     fn sum_rows(&self, rows: usize, cols: usize, x: &[f32], out: &mut [f32]) {
@@ -1098,6 +1147,12 @@ pub const MAP_COUNTERS: KernelCounters =
 /// Counters for [`Backend::zip`] / [`Backend::zip_inplace`].
 pub const ZIP_COUNTERS: KernelCounters =
     KernelCounters { calls: "nn.kernel.zip.calls", nanos: "nn.kernel.zip.ns" };
+/// Counters for [`Backend::gelu`].
+pub const GELU_COUNTERS: KernelCounters =
+    KernelCounters { calls: "nn.kernel.gelu.calls", nanos: "nn.kernel.gelu.ns" };
+/// Counters for [`Backend::gelu_backward`].
+pub const GELU_GRAD_COUNTERS: KernelCounters =
+    KernelCounters { calls: "nn.kernel.gelu_grad.calls", nanos: "nn.kernel.gelu_grad.ns" };
 /// Counters for [`Backend::sum_rows`].
 pub const SUM_ROWS_COUNTERS: KernelCounters =
     KernelCounters { calls: "nn.kernel.sum_rows.calls", nanos: "nn.kernel.sum_rows.ns" };
@@ -1115,6 +1170,8 @@ pub const KERNEL_COUNTERS: &[KernelCounters] = &[
     AXPY_COUNTERS,
     MAP_COUNTERS,
     ZIP_COUNTERS,
+    GELU_COUNTERS,
+    GELU_GRAD_COUNTERS,
     SUM_ROWS_COUNTERS,
     SOFTMAX_COUNTERS,
 ];

@@ -1,57 +1,58 @@
 //! Sinusoidal timestep embeddings for diffusion backbones.
 
-use crate::tensor::Tensor;
-
-/// Computes transformer-style sinusoidal embeddings for a batch of diffusion
-/// timesteps: `emb[i, 2k] = sin(t_i / 10000^(2k/dim))`, cosine in odd slots.
+/// Writes the transformer-style sinusoidal embedding of diffusion timestep
+/// `t` into `out`, whose length is the embedding width `dim`:
+/// `out[2k] = sin(t / 10000^(2k/dim))`, cosine in odd slots.
 ///
 /// # Panics
-/// Panics if `dim` is zero or odd.
-pub fn timestep_embedding(timesteps: &[usize], dim: usize) -> Tensor {
+/// Panics if `out.len()` is zero or odd.
+pub fn timestep_embedding(t: usize, out: &mut [f32]) {
+    let dim = out.len();
     assert!(dim >= 2 && dim % 2 == 0, "embedding dim must be even and >= 2");
     let half = dim / 2;
-    let mut out = Tensor::zeros(timesteps.len(), dim);
-    for (r, &t) in timesteps.iter().enumerate() {
-        let row = out.row_mut(r);
-        for k in 0..half {
-            let freq = (-(k as f64) * (10_000f64).ln() / half as f64).exp();
-            let angle = t as f64 * freq;
-            row[2 * k] = angle.sin() as f32;
-            row[2 * k + 1] = angle.cos() as f32;
-        }
+    for k in 0..half {
+        let freq = (-(k as f64) * (10_000f64).ln() / half as f64).exp();
+        let angle = t as f64 * freq;
+        out[2 * k] = angle.sin() as f32;
+        out[2 * k + 1] = angle.cos() as f32;
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn embed(t: usize, dim: usize) -> Vec<f32> {
+        let mut out = vec![f32::NAN; dim];
+        timestep_embedding(t, &mut out);
+        out
+    }
+
     #[test]
     fn zero_timestep_is_cosine_one() {
-        let e = timestep_embedding(&[0], 8);
+        let e = embed(0, 8);
         for k in 0..4 {
-            assert_eq!(e.row(0)[2 * k], 0.0);
-            assert_eq!(e.row(0)[2 * k + 1], 1.0);
+            assert_eq!(e[2 * k], 0.0);
+            assert_eq!(e[2 * k + 1], 1.0);
         }
     }
 
     #[test]
     fn distinct_timesteps_get_distinct_embeddings() {
-        let e = timestep_embedding(&[1, 2, 100], 16);
-        assert_ne!(e.row(0), e.row(1));
-        assert_ne!(e.row(1), e.row(2));
+        assert_ne!(embed(1, 16), embed(2, 16));
+        assert_ne!(embed(2, 16), embed(100, 16));
     }
 
     #[test]
     fn values_are_bounded() {
-        let e = timestep_embedding(&[0, 50, 199], 32);
-        assert!(e.as_slice().iter().all(|&v| (-1.0..=1.0).contains(&v)));
+        for t in [0, 50, 199] {
+            assert!(embed(t, 32).iter().all(|&v| (-1.0..=1.0).contains(&v)));
+        }
     }
 
     #[test]
     #[should_panic(expected = "embedding dim")]
     fn odd_dim_rejected() {
-        let _ = timestep_embedding(&[1], 7);
+        let _ = embed(1, 7);
     }
 }

@@ -1,6 +1,7 @@
 //! Element-wise activation functions.
 
 use super::{Layer, Mode, Param};
+use crate::simd;
 use crate::tensor::Tensor;
 
 /// The supported activation nonlinearities.
@@ -11,7 +12,8 @@ pub enum ActivationKind {
     /// Leaky ReLU with slope 0.2 for negative inputs (GAN default in the paper).
     LeakyRelu,
     /// Gaussian error linear unit (tanh approximation), the paper's choice
-    /// for autoencoders and diffusion backbones (§V-A).
+    /// for autoencoders and diffusion backbones (§V-A). Evaluated through
+    /// the repo-owned [`simd::tanh`], never the host's libm.
     Gelu,
     /// Hyperbolic tangent.
     Tanh,
@@ -20,7 +22,6 @@ pub enum ActivationKind {
 }
 
 const LEAKY_SLOPE: f32 = 0.2;
-const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 
 impl ActivationKind {
     /// Applies the activation to a scalar.
@@ -35,10 +36,7 @@ impl ActivationKind {
                     LEAKY_SLOPE * x
                 }
             }
-            ActivationKind::Gelu => {
-                let inner = GELU_C * (x + 0.044715 * x * x * x);
-                0.5 * x * (1.0 + inner.tanh())
-            }
+            ActivationKind::Gelu => simd::gelu(x),
             ActivationKind::Tanh => x.tanh(),
             ActivationKind::Sigmoid => 1.0 / (1.0 + (-x).exp()),
         }
@@ -62,13 +60,7 @@ impl ActivationKind {
                     LEAKY_SLOPE
                 }
             }
-            ActivationKind::Gelu => {
-                let x3 = 0.044715 * x * x * x;
-                let inner = GELU_C * (x + x3);
-                let t = inner.tanh();
-                let sech2 = 1.0 - t * t;
-                0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
-            }
+            ActivationKind::Gelu => simd::gelu_grad(x),
             ActivationKind::Tanh => {
                 let t = x.tanh();
                 1.0 - t * t
@@ -105,8 +97,10 @@ impl Layer for Activation {
         if mode == Mode::Train {
             crate::workspace::cache_assign(&mut self.cached_input, input);
         }
-        let kind = self.kind;
-        input.map(|v| kind.apply(v))
+        match self.kind {
+            ActivationKind::Gelu => input.gelu(),
+            kind => input.map(|v| kind.apply(v)),
+        }
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -114,8 +108,10 @@ impl Layer for Activation {
             .cached_input
             .as_ref()
             .expect("Activation::backward called without a cached forward pass");
-        let kind = self.kind;
-        grad_output.zip_with(input, |g, x| g * kind.derivative(x))
+        match self.kind {
+            ActivationKind::Gelu => grad_output.gelu_backward(input),
+            kind => grad_output.zip_with(input, |g, x| g * kind.derivative(x)),
+        }
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}

@@ -39,7 +39,7 @@ impl Layer for Dropout {
             if let Some(mask) = self.mask.take() {
                 crate::workspace::recycle(mask);
             }
-            return input.clone();
+            return crate::workspace::take_copy(input);
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
@@ -65,7 +65,7 @@ impl Layer for Dropout {
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         match &self.mask {
             Some(mask) => grad_output.mul(mask),
-            None => grad_output.clone(),
+            None => crate::workspace::take_copy(grad_output),
         }
     }
 

@@ -6,11 +6,12 @@
 //! broadcasting machinery beyond what the SiloFuse models need; each
 //! operation is explicit about shapes and checks them.
 //!
-//! The dense kernels (GEMM variants, axpy, map/zip, reductions, softmax)
-//! dispatch through the process-global [`crate::backend::Backend`], so the
-//! same call runs serial or parallel depending on `--threads` — with
-//! bit-identical results either way. Freshly produced tensors draw their
-//! storage from the [`crate::workspace`] arena where possible.
+//! The dense kernels (GEMM variants, axpy, map/zip, GELU, reductions,
+//! softmax) dispatch through the process-global
+//! [`crate::backend::Backend`], so the same call runs serial or parallel
+//! depending on `--threads` — with bit-identical results either way.
+//! Freshly produced tensors draw their storage from the
+//! [`crate::workspace`] arena where possible.
 
 use crate::{backend, workspace};
 use std::fmt;
@@ -331,6 +332,27 @@ impl Tensor {
         }
     }
 
+    /// GELU (tanh approximation) element-wise into a new tensor, through
+    /// the backend's counted [`backend::Backend::gelu`] kernel.
+    pub fn gelu(&self) -> Tensor {
+        let mut out = workspace::take(self.rows, self.cols);
+        backend::timed(backend::GELU_COUNTERS, || {
+            backend::get().gelu(&self.data, out.as_mut_slice());
+        });
+        out
+    }
+
+    /// GELU backward for the upstream gradient `self` at layer input `x`:
+    /// `self[i] · gelu'(x[i])` into a new tensor.
+    pub fn gelu_backward(&self, x: &Tensor) -> Tensor {
+        assert_eq!(self.shape(), x.shape(), "gelu_backward shape mismatch");
+        let mut out = workspace::take(self.rows, self.cols);
+        backend::timed(backend::GELU_GRAD_COUNTERS, || {
+            backend::get().gelu_backward(&self.data, &x.data, out.as_mut_slice());
+        });
+        out
+    }
+
     /// Adds a row vector to every row (bias broadcast).
     ///
     /// # Panics
@@ -386,7 +408,8 @@ impl Tensor {
         }
     }
 
-    /// Column-wise concatenation of tensors that share a row count.
+    /// Column-wise concatenation of tensors that share a row count, into
+    /// storage drawn from the workspace arena.
     ///
     /// # Panics
     /// Panics if `parts` is empty or row counts disagree.
@@ -395,7 +418,7 @@ impl Tensor {
         let rows = parts[0].rows;
         assert!(parts.iter().all(|p| p.rows == rows), "concat_cols row count mismatch");
         let cols: usize = parts.iter().map(|p| p.cols).sum();
-        let mut out = Tensor::zeros(rows, cols);
+        let mut out = workspace::take(rows, cols);
         for r in 0..rows {
             let mut offset = 0;
             let dst = out.row_mut(r);
@@ -426,10 +449,11 @@ impl Tensor {
         parts
     }
 
-    /// Extracts a contiguous column range `[start, start + width)`.
+    /// Extracts a contiguous column range `[start, start + width)` into
+    /// storage drawn from the workspace arena.
     pub fn slice_cols(&self, start: usize, width: usize) -> Tensor {
         assert!(start + width <= self.cols, "slice_cols out of range");
-        let mut out = Tensor::zeros(self.rows, width);
+        let mut out = workspace::take(self.rows, width);
         for r in 0..self.rows {
             out.row_mut(r).copy_from_slice(&self.row(r)[start..start + width]);
         }

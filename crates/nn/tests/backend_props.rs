@@ -131,6 +131,40 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The GELU forward and backward kernels are bit-identical between
+    /// Reference and Parallel at every thread count. Lengths leave a SIMD
+    /// tail of 1..=7 lanes and reach past the element-wise fan-out
+    /// threshold; NaN, ±Inf, -0 and the |x| ≥ 22 branch ride along.
+    #[test]
+    fn gelu_kernels_bit_identical(seed in 0u64..1000, blocks in 0usize..12_000, tail in 1usize..8) {
+        let len = blocks * 8 + tail;
+        let mut x = noise(len, seed ^ 0x6e1);
+        let grad = noise(len, seed ^ 0x9a4d);
+        for (i, special) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 30.0, 1e-30]
+            .into_iter()
+            .enumerate()
+        {
+            x[(i * 7919 + seed as usize) % len] = special;
+        }
+        let mut want = vec![0.0f32; len];
+        Reference.gelu(&x, &mut want);
+        let mut want_grad = vec![0.0f32; len];
+        Reference.gelu_backward(&grad, &x, &mut want_grad);
+        for t in THREADS {
+            let par = Parallel::new(t);
+            let mut got = vec![0.0f32; len];
+            par.gelu(&x, &mut got);
+            prop_assert!(bits_eq(&want, &got), "gelu len {len} diverged at {t} threads");
+            let mut got_grad = vec![0.0f32; len];
+            par.gelu_backward(&grad, &x, &mut got_grad);
+            prop_assert!(bits_eq(&want_grad, &got_grad), "gelu_backward len {len} diverged at {t} threads");
+        }
+    }
+}
+
 /// The register-blocked SIMD kernels tile 4 rows × 2 vectors of columns
 /// and block k in chunks; every (m, k, n) tail combination around those
 /// widths must fall back to narrower kernels that keep the exact scalar
