@@ -13,7 +13,7 @@ use silofuse_distributed::Message;
 use silofuse_metrics::{resemblance, ResemblanceConfig};
 use silofuse_models::{AutoencoderConfig, TabularAutoencoder};
 use silofuse_nn::init::{randn, Init};
-use silofuse_nn::layers::{Layer, Linear, Mode};
+use silofuse_nn::layers::{Layer, Linear};
 use silofuse_nn::Tensor;
 use silofuse_tabular::profiles;
 use silofuse_trees::{BoostParams, GbdtBinaryClassifier};
@@ -38,7 +38,7 @@ fn bench_layers(c: &mut Criterion) {
         bench.iter_batched(
             || Linear::new(64, 128, Init::XavierUniform, &mut StdRng::seed_from_u64(2)),
             |mut layer| {
-                let y = layer.forward(&x, Mode::Train);
+                let y = layer.forward(&x);
                 let g = Tensor::full(y.rows(), y.cols(), 1.0);
                 layer.backward(&g)
             },
@@ -66,7 +66,7 @@ fn bench_diffusion(c: &mut Criterion) {
         bench.iter(|| ddpm.train_step(&data, &mut rng))
     });
     group.bench_function("ddpm_sample_64_rows_25_steps", |bench| {
-        let mut ddpm = make();
+        let ddpm = make();
         let mut rng = StdRng::seed_from_u64(5);
         bench.iter(|| ddpm.sample(64, 25, 1.0, &mut rng))
     });
@@ -90,7 +90,7 @@ fn bench_autoencoder(c: &mut Criterion) {
         bench.iter(|| ae.train_step(&table))
     });
     group.bench_function("encode_loan_256", |bench| {
-        let mut ae = TabularAutoencoder::new(
+        let ae = TabularAutoencoder::new(
             &table,
             AutoencoderConfig { hidden_dim: 128, ..Default::default() },
         );

@@ -1,11 +1,12 @@
 //! Serving benchmark: multi-tenant synthesis throughput and latency
 //! through the full `silofuse-serve` path — admission control, chunked
-//! streaming over the reliable transport, cursor pagination — at two or
-//! more concurrent-tenant levels. Each tenant thread runs a fixed number
-//! of paginated jobs (two cursor fetches per job) and retries typed
-//! `Overloaded` rejections with exponential back-off, exactly as a real
-//! client would. Reports jobs/sec plus p50/p99 per-job latency and the
-//! rejection count at each level, then writes `BENCH_serve.json` so the
+//! streaming over the reliable transport, cursor pagination — at 1, 2 and
+//! 4 concurrent tenants of one shared model. Each tenant thread runs a
+//! fixed number of paginated jobs (two cursor fetches per job) and retries
+//! typed `Overloaded` rejections with exponential back-off, exactly as a
+//! real client would. Reports jobs/sec plus p50/p99 per-job latency and
+//! the rejection count at each level, and the 2-vs-1-tenant throughput
+//! ratio, then writes `BENCH_serve.json` with the host's core count so the
 //! serving-performance trajectory accumulates across commits.
 //!
 //! Usage: `cargo run --release -p silofuse-bench --bin serve -- [--quick]
@@ -140,7 +141,7 @@ fn main() {
         "control B",
     ]);
     let mut levels = Vec::new();
-    for tenants in [2usize, 4] {
+    for tenants in [1usize, 2, 4] {
         match run_level(&specs, tenants, jobs_per_tenant, rows_per_job, chunk_rows) {
             Ok(level) => {
                 let jobs = level.latencies_ns.len();
@@ -173,13 +174,25 @@ fn main() {
         }
     }
 
+    let jobs_per_s = |tenants: usize| {
+        levels
+            .iter()
+            .find(|l| l.tenants == tenants)
+            .map(|l| l.latencies_ns.len() as f64 / (l.elapsed_ns as f64 / 1e9))
+    };
+    let scaling_2v1 = jobs_per_s(2).zip(jobs_per_s(1)).map_or(0.0, |(two, one)| two / one);
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    eprintln!("[serve] 2 vs 1 tenant throughput: {scaling_2v1:.2}x on {host_cpus} host CPU(s)");
+
     let mut json = String::from("{\n  \"bench\": \"serve\",\n");
     let _ = writeln!(json, "  \"seed\": {},", opts.seed);
     let _ = writeln!(json, "  \"quick\": {},", opts.quick);
+    let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
     let _ = writeln!(json, "  \"threads\": {},", opts.threads.max(1));
     let _ = writeln!(json, "  \"chunk_rows\": {chunk_rows},");
     let _ = writeln!(json, "  \"max_in_flight\": 2,");
     let _ = writeln!(json, "  \"per_tenant_max\": 1,");
+    let _ = writeln!(json, "  \"scaling_2v1\": {scaling_2v1:.3},");
     json.push_str("  \"results\": [\n");
     let records: Vec<String> = levels
         .iter()
@@ -207,7 +220,8 @@ fn main() {
     let content = format!(
         "Serve — multi-tenant synthesis service throughput; Loan model, seed {}, \
          max_in_flight 2, per_tenant_max 1, chunk_rows {chunk_rows}, \
-         two cursor fetches per job, Overloaded retried with back-off\n\n{}",
+         two cursor fetches per job, Overloaded retried with back-off; \
+         {host_cpus} host CPU(s), 2 vs 1 tenant throughput {scaling_2v1:.2}x\n\n{}",
         opts.seed,
         report.render()
     );

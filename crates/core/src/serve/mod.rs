@@ -50,8 +50,9 @@ use std::fmt;
 /// Knobs of a [`SynthesisServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Jobs allowed to synthesize concurrently across all tenants;
-    /// requests beyond this are rejected, never queued.
+    /// Jobs allowed to synthesize concurrently across all tenants, each
+    /// on its own tenant thread, in parallel even when they share a
+    /// model; requests beyond this are rejected, never queued.
     pub max_in_flight: usize,
     /// Concurrent-job quota for any single tenant (one tenant may hold
     /// several connections).

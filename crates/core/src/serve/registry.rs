@@ -4,15 +4,18 @@
 //! previous run *loads* the models — resume fast-forwards every training
 //! phase bit-identically from its final checkpoint — so a restarted
 //! server serves exactly the rows the old one would have.
+//!
+//! Sampling only reads a fitted model, so the registry is shared, not
+//! locked: every tenant thread samples from the same models at once.
 
 use super::{job_base, ServeError};
 use crate::budget::TrainBudget;
 use rand::{rngs::StdRng, SeedableRng};
 use silofuse_checkpoint::Checkpointer;
+use silofuse_diffusion::{RowRangeOverflow, SampleRequestError};
 use silofuse_models::LatentDiff;
 use silofuse_tabular::{profiles, Schema, Table};
 use std::path::Path;
-use std::sync::Mutex;
 
 /// Recipe for one registry model: what to call it, which dataset profile
 /// and how many rows to fit on, the training seed, and the budget.
@@ -46,9 +49,10 @@ impl ModelSpec {
 pub(crate) struct ModelEntry {
     pub(crate) name: String,
     pub(crate) schema: Schema,
-    /// One job samples at a time per model; concurrency interleaves at
-    /// chunk granularity because the server re-locks per chunk.
-    model: Mutex<LatentDiff>,
+    /// Shared by every tenant thread: sampling borrows the model
+    /// immutably, and each row's noise depends only on `(model, job,
+    /// row)`, so concurrent jobs neither wait for nor perturb each other.
+    model: LatentDiff,
 }
 
 /// An ordered, immutable collection of fitted synthesizers addressed by
@@ -82,7 +86,7 @@ impl ModelRegistry {
             let mut rng = StdRng::seed_from_u64(spec.seed);
             model.try_fit(&table, &mut rng)?;
             let schema = model.schema().expect("try_fit succeeded, the model is fitted").clone();
-            entries.push(ModelEntry { name: spec.name.clone(), schema, model: Mutex::new(model) });
+            entries.push(ModelEntry { name: spec.name.clone(), schema, model });
         }
         Ok(Self { entries })
     }
@@ -115,7 +119,14 @@ impl ModelRegistry {
     /// Synthesizes `rows` rows of job `(model, job)` starting at absolute
     /// row `start_row`. This is the ground-truth sampling path: the
     /// server streams its chunks through it, and tests call it directly
-    /// to check served bytes against an unchunked reference.
+    /// to check served bytes against an unchunked reference. Any number
+    /// of threads may call it at once; each gets exactly the bytes a lone
+    /// call would.
+    ///
+    /// # Errors
+    /// [`ServeError::Protocol`] for an unknown model id, and
+    /// [`ServeError::Sample`] for a range whose end overflows the row
+    /// index.
     pub fn sample(
         &self,
         model: u32,
@@ -126,8 +137,9 @@ impl ModelRegistry {
         let entry = self
             .entry(model)
             .ok_or_else(|| ServeError::Protocol(format!("unknown model id {model}")))?;
+        let (start_row, rows) = RowRangeOverflow::check(start_row, u64::from(rows))
+            .map_err(SampleRequestError::from)?;
         let base = job_base(&entry.name, job);
-        let mut guard = entry.model.lock().unwrap_or_else(|e| e.into_inner());
-        Ok(guard.try_synthesize_range(start_row as usize, rows as usize, base)?)
+        Ok(entry.model.try_synthesize_range(start_row, rows, base)?)
     }
 }

@@ -8,6 +8,7 @@
 use super::admission::Admission;
 use super::registry::ModelRegistry;
 use super::{grid_to_table, table_to_grid, ServeConfig, ServeError};
+use silofuse_diffusion::RowRangeOverflow;
 use silofuse_distributed::transport::{
     link_with, new_stats, ClientEndpoint, CoordEndpoint, SharedStats, TransportError,
 };
@@ -128,36 +129,32 @@ fn handle_request(
     start_row: u64,
     rows: u32,
 ) {
+    let reject = |code| {
+        observe::count(observe::names::SERVE_REJECTED, 1);
+        let _ = coord.send(&Message::ServeReject { job, code });
+    };
     admission.note_waiting(1);
     let admitted = admission.try_admit(tenant);
     admission.note_waiting(-1);
-    let _permit = match admitted {
-        Ok(permit) => permit,
-        Err(_overloaded) => {
-            observe::count(observe::names::SERVE_REJECTED, 1);
-            let _ = coord.send(&Message::ServeReject { job, code: ServeRejectCode::Overloaded });
-            return;
-        }
+    let Ok(_permit) = admitted else {
+        return reject(ServeRejectCode::Overloaded);
     };
     let _span = observe::span(observe::names::SERVE_JOB_SPAN);
     observe::count(observe::names::SERVE_JOBS, 1);
     if registry.entry(model).is_none() {
-        observe::count(observe::names::SERVE_REJECTED, 1);
-        let _ = coord.send(&Message::ServeReject { job, code: ServeRejectCode::UnknownModel });
-        return;
+        return reject(ServeRejectCode::UnknownModel);
+    }
+    // A range past the last addressable row is refused whole, before any
+    // of its chunks is sampled.
+    if RowRangeOverflow::check(start_row, u64::from(rows)).is_err() {
+        return reject(ServeRejectCode::InvalidRequest);
     }
     let mut done = 0u64;
     while done < u64::from(rows) {
         let take = (u64::from(rows) - done).min(chunk_rows as u64) as u32;
         let first_row = start_row + done;
-        let table = match registry.sample(model, job, first_row, take) {
-            Ok(table) => table,
-            Err(_) => {
-                observe::count(observe::names::SERVE_REJECTED, 1);
-                let _ = coord
-                    .send(&Message::ServeReject { job, code: ServeRejectCode::InvalidRequest });
-                return;
-            }
+        let Ok(table) = registry.sample(model, job, first_row, take) else {
+            return reject(ServeRejectCode::InvalidRequest);
         };
         let cols = table.n_cols() as u32;
         let data = table_to_grid(&table);

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 use silofuse_nn::embedding::timestep_embedding;
-use silofuse_nn::layers::{mlp, Layer, Mode, Sequential};
+use silofuse_nn::layers::{mlp, Layer, Sequential};
 use silofuse_nn::{workspace, Tensor};
 
 /// Architecture hyperparameters for a [`DiffusionBackbone`].
@@ -78,15 +78,34 @@ impl DiffusionBackbone {
         &self.config
     }
 
-    /// Predicts from noisy data `x_t` and per-row timesteps `t`.
-    ///
-    /// The network input `[x_t ‖ emb(t)]` is assembled in one workspace
-    /// buffer; a row whose timestep repeats the previous row's copies that
-    /// row's embedding (while sampling, every row shares `t`).
+    /// Training pass: predicts from noisy data `x_t` and per-row timesteps
+    /// `t`, caching activations for [`DiffusionBackbone::backward_to_input`].
     ///
     /// # Panics
     /// Panics if `t.len() != x_t.rows()` or `x_t.cols() != data_dim`.
-    pub fn predict(&mut self, x_t: &Tensor, t: &[usize], mode: Mode) -> Tensor {
+    pub fn predict(&mut self, x_t: &Tensor, t: &[usize]) -> Tensor {
+        let input = self.network_input(x_t, t);
+        let out = self.net.forward(&input);
+        workspace::recycle(input);
+        out
+    }
+
+    /// Inference pass: [`DiffusionBackbone::predict`] without caches or
+    /// dropout, through a shared borrow.
+    ///
+    /// # Panics
+    /// Panics if `t.len() != x_t.rows()` or `x_t.cols() != data_dim`.
+    pub fn infer(&self, x_t: &Tensor, t: &[usize]) -> Tensor {
+        let input = self.network_input(x_t, t);
+        let out = self.net.infer(&input);
+        workspace::recycle(input);
+        out
+    }
+
+    /// Assembles the network input `[x_t ‖ emb(t)]` in one workspace
+    /// buffer; a row whose timestep repeats the previous row's copies that
+    /// row's embedding (while sampling, every row shares `t`).
+    fn network_input(&self, x_t: &Tensor, t: &[usize]) -> Tensor {
         assert_eq!(t.len(), x_t.rows(), "one timestep per row");
         let d = self.config.data_dim;
         assert_eq!(x_t.cols(), d, "backbone data width mismatch");
@@ -102,9 +121,7 @@ impl DiffusionBackbone {
                 timestep_embedding(t_r, &mut data[row + d..row + width]);
             }
         }
-        let out = self.net.forward(&input, mode);
-        workspace::recycle(input);
-        out
+        input
     }
 
     /// Backpropagates through the latest `predict`, accumulating parameter
@@ -145,9 +162,9 @@ mod tests {
             dropout: 0.0,
             out_dim: 10,
         };
-        let mut bb = DiffusionBackbone::new(cfg, 0, &mut rng);
+        let bb = DiffusionBackbone::new(cfg, 0, &mut rng);
         let x = randn(4, 6, &mut rng);
-        let y = bb.predict(&x, &[0, 1, 2, 3], Mode::Infer);
+        let y = bb.infer(&x, &[0, 1, 2, 3]);
         assert_eq!(y.shape(), (4, 10));
     }
 
@@ -157,7 +174,7 @@ mod tests {
         let cfg = BackboneConfig::paper_latent(5, 16);
         let mut bb = DiffusionBackbone::new(cfg, 1, &mut rng);
         let x = randn(3, 5, &mut rng);
-        let y = bb.predict(&x, &[7, 8, 9], Mode::Train);
+        let y = bb.predict(&x, &[7, 8, 9]);
         let g = bb.backward_to_input(&Tensor::full(y.rows(), y.cols(), 1.0));
         assert_eq!(g.shape(), (3, 5));
         assert!(g.all_finite());
@@ -167,10 +184,10 @@ mod tests {
     fn different_timesteps_change_prediction() {
         let mut rng = StdRng::seed_from_u64(2);
         let cfg = BackboneConfig::paper_latent(4, 16);
-        let mut bb = DiffusionBackbone::new(cfg, 2, &mut rng);
+        let bb = DiffusionBackbone::new(cfg, 2, &mut rng);
         let x = randn(1, 4, &mut rng);
-        let y0 = bb.predict(&x, &[0], Mode::Infer);
-        let y9 = bb.predict(&x, &[99], Mode::Infer);
+        let y0 = bb.infer(&x, &[0]);
+        let y9 = bb.infer(&x, &[99]);
         assert_ne!(y0, y9);
     }
 

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silofuse_checkpoint::{CheckpointError, Checkpointer};
 use silofuse_nn::init::{randn, randn_fill};
-use silofuse_nn::layers::{Layer, Mode};
+use silofuse_nn::layers::Layer;
 use silofuse_nn::loss::mse;
 use silofuse_nn::optim::{Adam, Optimizer};
 use silofuse_nn::{workspace, Tensor};
@@ -27,14 +27,51 @@ impl std::fmt::Display for InvalidChunkRows {
 
 impl std::error::Error for InvalidChunkRows {}
 
+/// A cursor-range request whose end `start_row + rows` does not fit in
+/// the row index (`usize`). Rejected before any sampling runs instead of
+/// wrapping around or panicking.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowRangeOverflow {
+    /// The requested first row.
+    pub start_row: u64,
+    /// The requested row count.
+    pub rows: u64,
+}
+
+impl RowRangeOverflow {
+    /// Converts the cursor range `start_row .. start_row + rows` into
+    /// `usize` row indices `(start_row, rows)`.
+    ///
+    /// # Errors
+    /// [`RowRangeOverflow`] when the range's end does not fit in `usize`.
+    pub fn check(start_row: u64, rows: u64) -> Result<(usize, usize), Self> {
+        let err = Self { start_row, rows };
+        let end = start_row.checked_add(rows).ok_or(err)?;
+        usize::try_from(end).map_err(|_| err)?;
+        // Both are at most `end`, so they fit too.
+        Ok((start_row as usize, rows as usize))
+    }
+}
+
+impl std::fmt::Display for RowRangeOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "row range {} + {} overflows the row index", self.start_row, self.rows)
+    }
+}
+
+impl std::error::Error for RowRangeOverflow {}
+
 /// Everything a sampling request can be rejected for before any reverse
-/// diffusion runs: a bad strided-schedule length or a zero chunk size.
+/// diffusion runs: a bad strided-schedule length, a zero chunk size, or a
+/// row range past the last addressable row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleRequestError {
     /// `inference_steps` was zero or exceeded the schedule's `T`.
     Steps(InvalidInferenceSteps),
     /// `chunk_rows` was zero.
     ChunkRows(InvalidChunkRows),
+    /// `start_row + rows` overflowed the row index.
+    RowRange(RowRangeOverflow),
 }
 
 impl std::fmt::Display for SampleRequestError {
@@ -42,6 +79,7 @@ impl std::fmt::Display for SampleRequestError {
         match self {
             SampleRequestError::Steps(e) => e.fmt(f),
             SampleRequestError::ChunkRows(e) => e.fmt(f),
+            SampleRequestError::RowRange(e) => e.fmt(f),
         }
     }
 }
@@ -51,6 +89,7 @@ impl std::error::Error for SampleRequestError {
         match self {
             SampleRequestError::Steps(e) => Some(e),
             SampleRequestError::ChunkRows(e) => Some(e),
+            SampleRequestError::RowRange(e) => Some(e),
         }
     }
 }
@@ -64,6 +103,12 @@ impl From<InvalidInferenceSteps> for SampleRequestError {
 impl From<InvalidChunkRows> for SampleRequestError {
     fn from(e: InvalidChunkRows) -> Self {
         SampleRequestError::ChunkRows(e)
+    }
+}
+
+impl From<RowRangeOverflow> for SampleRequestError {
+    fn from(e: RowRangeOverflow) -> Self {
+        SampleRequestError::RowRange(e)
     }
 }
 
@@ -321,7 +366,7 @@ impl GaussianDdpm {
         let noise = randn(x0.rows(), x0.cols(), rng);
         let x_t = self.diffusion.q_sample(x0, &ts, &noise);
 
-        let pred = self.backbone.predict(&x_t, &ts, Mode::Train);
+        let pred = self.backbone.predict(&x_t, &ts);
         let target = match self.diffusion.parameterization {
             Parameterization::PredictX0 => x0,
             Parameterization::PredictNoise => &noise,
@@ -365,13 +410,7 @@ impl GaussianDdpm {
     /// # Panics
     /// Panics when `inference_steps` is zero or exceeds `T`; use
     /// [`GaussianDdpm::try_sample`] for a typed error.
-    pub fn sample(
-        &mut self,
-        n: usize,
-        inference_steps: usize,
-        eta: f32,
-        rng: &mut StdRng,
-    ) -> Tensor {
+    pub fn sample(&self, n: usize, inference_steps: usize, eta: f32, rng: &mut StdRng) -> Tensor {
         self.try_sample(n, inference_steps, eta, rng).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -381,7 +420,7 @@ impl GaussianDdpm {
     /// # Errors
     /// [`InvalidInferenceSteps`] when `inference_steps == 0` or `> T`.
     pub fn try_sample(
-        &mut self,
+        &self,
         n: usize,
         inference_steps: usize,
         eta: f32,
@@ -392,8 +431,10 @@ impl GaussianDdpm {
         let mut sampler = match self.chunked_sampler(n, inference_steps, eta, n.max(1), rng) {
             Ok(s) => s,
             Err(SampleRequestError::Steps(e)) => return Err(e),
-            // chunk_rows is n.max(1) >= 1, so ChunkRows cannot occur here.
-            Err(SampleRequestError::ChunkRows(_)) => unreachable!("chunk_rows >= 1"),
+            // chunk_rows is n.max(1) >= 1 and the range starts at row 0.
+            Err(e @ (SampleRequestError::ChunkRows(_) | SampleRequestError::RowRange(_))) => {
+                unreachable!("{e}")
+            }
         };
         match sampler.next_chunk() {
             Some((_, x)) => Ok(x),
@@ -415,7 +456,7 @@ impl GaussianDdpm {
     /// [`SampleRequestError`] when `inference_steps == 0` or `> T`, or
     /// when `chunk_rows == 0`.
     pub fn chunked_sampler(
-        &mut self,
+        &self,
         n: usize,
         inference_steps: usize,
         eta: f32,
@@ -434,7 +475,7 @@ impl GaussianDdpm {
     /// [`SampleRequestError`] when `inference_steps == 0` or `> T`, or
     /// when `chunk_rows == 0`.
     pub fn chunked_sampler_from_base(
-        &mut self,
+        &self,
         n: usize,
         inference_steps: usize,
         eta: f32,
@@ -452,10 +493,10 @@ impl GaussianDdpm {
     /// cursor pagination in `silofuse-serve` resumes from.
     ///
     /// # Errors
-    /// [`SampleRequestError`] when `inference_steps == 0` or `> T`, or
-    /// when `chunk_rows == 0`.
+    /// [`SampleRequestError`] when `inference_steps == 0` or `> T`, when
+    /// `chunk_rows == 0`, or when `start_row + rows` overflows `usize`.
     pub fn chunked_sampler_range_from_base(
-        &mut self,
+        &self,
         start_row: usize,
         rows: usize,
         inference_steps: usize,
@@ -466,6 +507,9 @@ impl GaussianDdpm {
         if chunk_rows == 0 {
             return Err(InvalidChunkRows.into());
         }
+        let n = start_row
+            .checked_add(rows)
+            .ok_or(RowRangeOverflow { start_row: start_row as u64, rows: rows as u64 })?;
         silofuse_nn::backend::record_telemetry();
         silofuse_observe::count("diffusion.sampled_rows", rows as u64);
         let coeffs = SampleCoefficients::build(&self.diffusion.schedule, inference_steps, eta)?;
@@ -474,7 +518,7 @@ impl GaussianDdpm {
             coeffs,
             base,
             start_row,
-            n: start_row + rows,
+            n,
             chunk_rows,
             next_row: start_row,
         })
@@ -489,7 +533,7 @@ impl GaussianDdpm {
     /// # Errors
     /// [`InvalidInferenceSteps`] when `inference_steps == 0` or `> T`.
     pub fn sample_rows_reference(
-        &mut self,
+        &self,
         n: usize,
         inference_steps: usize,
         eta: f32,
@@ -504,7 +548,7 @@ impl GaussianDdpm {
             let mut rr = row_rng(base, r as u64);
             let mut x = randn(1, dim, &mut rr);
             for i in 0..k {
-                let pred = self.backbone.predict(&x, &coeffs.steps[i..=i], Mode::Infer);
+                let pred = self.backbone.infer(&x, &coeffs.steps[i..=i]);
                 let sa = coeffs.sqrt_ab[i];
                 let sn = coeffs.sqrt_one_minus_ab[i];
                 let x0_hat: Vec<f32> = match self.diffusion.parameterization {
@@ -547,7 +591,7 @@ impl GaussianDdpm {
     /// from its derived RNG and recycling step temporaries through the
     /// workspace arena.
     fn sample_chunk(
-        &mut self,
+        &self,
         coeffs: &SampleCoefficients,
         base: u64,
         first_row: usize,
@@ -561,7 +605,7 @@ impl GaussianDdpm {
         let k = coeffs.steps.len();
         for i in 0..k {
             ts.fill(coeffs.steps[i]);
-            let pred = self.backbone.predict(&x, &ts, Mode::Infer);
+            let pred = self.backbone.infer(&x, &ts);
             let sa = coeffs.sqrt_ab[i];
             let sn = coeffs.sqrt_one_minus_ab[i];
             let x0_hat = match self.diffusion.parameterization {
@@ -683,7 +727,7 @@ fn fill_gaussian_rows(x: &mut Tensor, rngs: &mut [StdRng]) {
 /// latent chunks of at most `chunk_rows` rows until `n` rows have been
 /// produced. Created by [`GaussianDdpm::chunked_sampler`].
 pub struct ChunkedSampler<'a> {
-    ddpm: &'a mut GaussianDdpm,
+    ddpm: &'a GaussianDdpm,
     coeffs: SampleCoefficients,
     base: u64,
     start_row: usize,
@@ -929,7 +973,7 @@ mod tests {
 
     #[test]
     fn ddim_sampling_is_deterministic_given_rng() {
-        let mut ddpm = small_ddpm(2, Parameterization::PredictNoise, 5);
+        let ddpm = small_ddpm(2, Parameterization::PredictNoise, 5);
         let mut r1 = StdRng::seed_from_u64(4);
         let mut r2 = StdRng::seed_from_u64(4);
         let a = ddpm.sample(8, 10, 0.0, &mut r1);
@@ -952,7 +996,7 @@ mod tests {
     fn batched_sample_is_bit_identical_to_per_row_oracle() {
         for param in [Parameterization::PredictX0, Parameterization::PredictNoise] {
             for eta in [0.0f32, 0.7, 1.0] {
-                let mut ddpm = small_ddpm(3, param, 17);
+                let ddpm = small_ddpm(3, param, 17);
                 let mut r1 = StdRng::seed_from_u64(9);
                 let mut r2 = StdRng::seed_from_u64(9);
                 let batched = ddpm.try_sample(13, 7, eta, &mut r1).unwrap();
@@ -965,7 +1009,7 @@ mod tests {
 
     #[test]
     fn chunked_sampling_is_invariant_to_chunk_size() {
-        let mut ddpm = small_ddpm(2, Parameterization::PredictX0, 23);
+        let ddpm = small_ddpm(2, Parameterization::PredictX0, 23);
         let mut whole_rng = StdRng::seed_from_u64(5);
         let whole = ddpm.try_sample(11, 6, 1.0, &mut whole_rng).unwrap();
         for chunk in [1usize, 2, 3, 4, 11, 64] {
@@ -986,7 +1030,7 @@ mod tests {
 
     #[test]
     fn resumed_sampler_from_base_regenerates_identical_rows() {
-        let mut ddpm = small_ddpm(2, Parameterization::PredictNoise, 29);
+        let ddpm = small_ddpm(2, Parameterization::PredictNoise, 29);
         let mut rng = StdRng::seed_from_u64(8);
         let mut first_half = Vec::new();
         let base = {
@@ -1009,7 +1053,7 @@ mod tests {
 
     #[test]
     fn sample_zero_rows_is_empty_and_consumes_one_u64() {
-        let mut ddpm = small_ddpm(2, Parameterization::PredictX0, 31);
+        let ddpm = small_ddpm(2, Parameterization::PredictX0, 31);
         let mut rng = StdRng::seed_from_u64(3);
         let out = ddpm.try_sample(0, 5, 1.0, &mut rng).unwrap();
         assert_eq!(out.shape(), (0, 2));
@@ -1020,7 +1064,7 @@ mod tests {
 
     #[test]
     fn invalid_inference_steps_is_a_typed_error() {
-        let mut ddpm = small_ddpm(2, Parameterization::PredictX0, 37);
+        let ddpm = small_ddpm(2, Parameterization::PredictX0, 37);
         let mut rng = StdRng::seed_from_u64(1);
         let err = ddpm.try_sample(4, 0, 1.0, &mut rng).unwrap_err();
         assert_eq!(err, InvalidInferenceSteps { requested: 0, timesteps: 50 });
@@ -1030,7 +1074,7 @@ mod tests {
 
     #[test]
     fn zero_chunk_rows_is_a_typed_error() {
-        let mut ddpm = small_ddpm(2, Parameterization::PredictX0, 41);
+        let ddpm = small_ddpm(2, Parameterization::PredictX0, 41);
         let mut rng = StdRng::seed_from_u64(1);
         let err = ddpm.chunked_sampler(4, 5, 1.0, 0, &mut rng).err().unwrap();
         assert_eq!(err, SampleRequestError::ChunkRows(InvalidChunkRows));
@@ -1038,11 +1082,17 @@ mod tests {
         // The step error still comes through the combined type.
         let err = ddpm.chunked_sampler(4, 0, 1.0, 2, &mut rng).err().unwrap();
         assert!(matches!(err, SampleRequestError::Steps(_)));
+        // So does a range whose end overflows the row index.
+        let err = ddpm.chunked_sampler_range_from_base(usize::MAX - 10, 256, 5, 1.0, 2, 7);
+        let overflow = RowRangeOverflow { start_row: usize::MAX as u64 - 10, rows: 256 };
+        assert_eq!(err.err().unwrap(), SampleRequestError::RowRange(overflow));
+        assert_eq!(RowRangeOverflow::check(u64::MAX - 10, 256), Err(overflow));
+        assert_eq!(RowRangeOverflow::check(7, 9), Ok((7, 9)));
     }
 
     #[test]
     fn range_sampler_matches_the_matching_slice_of_a_full_drain() {
-        let mut ddpm = small_ddpm(3, Parameterization::PredictNoise, 43);
+        let ddpm = small_ddpm(3, Parameterization::PredictNoise, 43);
         let base = 0xfeed_beef_u64;
         let mut whole = Tensor::zeros(13, 3);
         {

@@ -38,7 +38,7 @@ pub mod schedule;
 pub use backbone::{BackboneConfig, DiffusionBackbone};
 pub use gaussian::{
     ChunkedSampler, GaussianDdpm, GaussianDiffusion, InvalidChunkRows, Parameterization,
-    SampleCoefficients, SampleRequestError,
+    RowRangeOverflow, SampleCoefficients, SampleRequestError,
 };
 pub use multinomial::MultinomialDiffusion;
 pub use schedule::{InvalidInferenceSteps, NoiseSchedule, ScheduleKind};

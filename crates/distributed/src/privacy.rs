@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn zero_leak_knn_equals_blind() {
         let t = profiles::diabetes().generate(64, 1);
-        let mut ae = TabularAutoencoder::new(&t, AutoencoderConfig::default());
+        let ae = TabularAutoencoder::new(&t, AutoencoderConfig::default());
         let z = ae.encode(&t);
         let knn = knn_attacker_reconstruction(&z, &t, 0);
         let blind = blind_attacker_reconstruction(&t);

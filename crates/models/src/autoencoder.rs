@@ -10,9 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silofuse_checkpoint::{CheckpointError, Checkpointer};
 use silofuse_nn::init::Init;
-use silofuse_nn::layers::{
-    Activation, ActivationKind, EmbeddingGather, Layer, Linear, Mode, Sequential,
-};
+use silofuse_nn::layers::{Activation, ActivationKind, EmbeddingGather, Layer, Linear, Sequential};
 use silofuse_nn::loss::{gaussian_nll, grouped_softmax_cross_entropy};
 use silofuse_nn::optim::{Adam, Optimizer};
 use silofuse_nn::{workspace, Tensor};
@@ -69,9 +67,10 @@ pub struct TabularAutoencoder {
     enc_opt: Adam,
     dec_opt: Adam,
     table_encoder: TableEncoder,
-    /// Reusable sparse batch when the sparse path is active; `None` means
-    /// every batch is densified. The buffer is cleared and refilled in
-    /// place each step, so steady-state training allocates nothing here.
+    /// Reusable sparse training batch when the sparse path is active;
+    /// `None` means every batch is densified. The buffer is cleared and
+    /// refilled in place each step, so steady-state training allocates
+    /// nothing here.
     sparse: Option<SparseBatch>,
     heads: HeadLayout,
     latent_dim: usize,
@@ -146,7 +145,7 @@ impl TabularAutoencoder {
         self.sparse.is_some()
     }
 
-    /// Bytes held by the most recently encoded sparse batch, or `None` on
+    /// Bytes held by the most recent sparse training batch, or `None` on
     /// the dense path. Scales with nonzeros, not with the one-hot width.
     pub fn sparse_batch_bytes(&self) -> Option<usize> {
         self.sparse.as_ref().map(SparseBatch::batch_bytes)
@@ -222,28 +221,20 @@ impl TabularAutoencoder {
         (loss, grad)
     }
 
-    /// Runs the encoder on a batch through whichever representation is
-    /// active. The sparse path reuses `self.sparse`'s buffers (no per-step
-    /// allocation) and is bit-identical to the dense path for finite
-    /// weights — see the backend gather/scatter determinism docs.
-    fn encoder_forward(&mut self, table: &Table, mode: Mode) -> Tensor {
-        let Self { table_encoder, sparse, encoder, .. } = self;
-        match sparse {
-            Some(batch) => {
-                table_encoder
-                    .encode_sparse_into(table, batch)
-                    .expect("batch codes already validated against the fitted schema");
-                encoder.forward_sparse(crate::sparse::batch_ref(batch), mode)
-            }
-            None => {
-                let x = Tensor::from_vec(
-                    table.n_rows(),
-                    table_encoder.encoded_width(),
-                    table_encoder.encode(table),
-                );
-                encoder.forward(&x, mode)
-            }
-        }
+    /// Dense encoder input: the one-hot + scaled features of `table`.
+    fn dense_input(&self, table: &Table) -> Tensor {
+        Tensor::from_vec(
+            table.n_rows(),
+            self.table_encoder.encoded_width(),
+            self.table_encoder.encode(table),
+        )
+    }
+
+    /// Fills `batch` with `table`'s sparse encoding.
+    fn encode_sparse(&self, table: &Table, batch: &mut SparseBatch) {
+        self.table_encoder
+            .encode_sparse_into(table, batch)
+            .expect("batch codes already validated against the fitted schema");
     }
 
     /// One optimisation step on a batch (rows of `table`); returns the loss.
@@ -403,9 +394,19 @@ impl TabularAutoencoder {
         payload
     }
 
-    /// Encodes a table into latents `Z_i = E_i(X_i)` (inference mode).
-    pub fn encode(&mut self, table: &Table) -> Tensor {
-        self.encoder_forward(table, Mode::Infer)
+    /// Encodes a table into latents `Z_i = E_i(X_i)` (inference pass)
+    /// through whichever representation is active. The sparse path is
+    /// bit-identical to the dense path for finite weights — see the
+    /// backend gather/scatter determinism docs.
+    pub fn encode(&self, table: &Table) -> Tensor {
+        if self.sparse.is_none() {
+            return self.encoder.infer(&self.dense_input(table));
+        }
+        let mut batch = self.table_encoder.sparse_batch();
+        self.encode_sparse(table, &mut batch);
+        self.encoder
+            .try_infer_sparse(crate::sparse::batch_ref(&batch))
+            .expect("the sparse encoder starts with an embedding gather")
     }
 
     /// Decodes latents back into a table: numeric = μ head, categorical =
@@ -413,9 +414,9 @@ impl TabularAutoencoder {
     ///
     /// # Panics
     /// Panics if `latents` width differs from the latent dimension.
-    pub fn decode(&mut self, latents: &Tensor) -> Table {
+    pub fn decode(&self, latents: &Tensor) -> Table {
         assert_eq!(latents.cols(), self.latent_dim, "latent width mismatch");
-        let heads = self.decoder.forward(latents, Mode::Infer);
+        let heads = self.decoder.infer(latents);
         self.heads_to_table(&heads)
     }
 
@@ -457,17 +458,29 @@ impl TabularAutoencoder {
     // Raw forward/backward plumbing for the end-to-end baselines.
     // ------------------------------------------------------------------
 
-    /// Encoder forward in training mode (caches for backward). Routes
-    /// through the sparse path when active, like [`Self::train_step`].
+    /// Encoder training pass (caches for backward). Routes through the
+    /// sparse path when active, reusing the sparse batch buffer so a warm
+    /// step allocates nothing.
     pub fn encoder_forward_train(&mut self, table: &Table) -> Tensor {
-        self.encoder_forward(table, Mode::Train)
+        match self.sparse.take() {
+            Some(mut batch) => {
+                self.encode_sparse(table, &mut batch);
+                let z = self.encoder.forward_sparse(crate::sparse::batch_ref(&batch));
+                self.sparse = Some(batch);
+                z
+            }
+            None => {
+                let x = self.dense_input(table);
+                self.encoder.forward(&x)
+            }
+        }
     }
 
     /// Decoder forward + NLL loss on `batch`, returning the loss and the
     /// gradient with respect to the latent input.
     pub fn decoder_loss_backward(&mut self, z: &Tensor, batch: &Table) -> (f32, Tensor) {
         let targets = self.targets(batch);
-        let heads = self.decoder.forward(z, Mode::Train);
+        let heads = self.decoder.forward(z);
         let (loss, grad_heads) = self.loss_and_head_grad(&heads, &targets);
         workspace::recycle(heads);
         let grad_z = self.decoder.backward(&grad_heads);
@@ -572,7 +585,7 @@ mod tests {
     #[test]
     fn shapes_are_consistent() {
         let t = toy_table(64);
-        let mut ae = TabularAutoencoder::new(&t, AutoencoderConfig::default());
+        let ae = TabularAutoencoder::new(&t, AutoencoderConfig::default());
         assert_eq!(ae.latent_dim(), t.schema().width());
         let z = ae.encode(&t);
         assert_eq!(z.shape(), (64, t.schema().width()));

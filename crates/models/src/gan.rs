@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use silofuse_checkpoint::{CheckpointError, Checkpointer};
 use silofuse_nn::init::{randn, Init};
 use silofuse_nn::layers::{
-    Activation, ActivationKind, Conv1d, EmbeddingGather, Layer, LayerNorm, Linear, Mode, Sequential,
+    Activation, ActivationKind, Conv1d, EmbeddingGather, Layer, LayerNorm, Linear, Sequential,
 };
 use silofuse_nn::loss::bce_with_logits;
 use silofuse_nn::optim::{Adam, Optimizer};
@@ -149,7 +149,7 @@ impl TabularGan {
                 table_encoder
                     .encode_sparse_into(real, batch)
                     .expect("batch codes already validated against the fitted schema");
-                discriminator.forward_sparse(crate::sparse::batch_ref(batch), Mode::Train)
+                discriminator.forward_sparse(crate::sparse::batch_ref(batch))
             }
             None => {
                 let x = Tensor::from_vec(
@@ -157,7 +157,7 @@ impl TabularGan {
                     table_encoder.encoded_width(),
                     table_encoder.encode(real),
                 );
-                discriminator.forward(&x, Mode::Train)
+                discriminator.forward(&x)
             }
         }
     }
@@ -166,7 +166,7 @@ impl TabularGan {
     pub fn train_step(&mut self, real: &Table, rng: &mut StdRng) -> GanLosses {
         let n = real.n_rows();
         let noise = randn(n, self.noise_dim, rng);
-        let x_fake = self.generator.forward(&noise, Mode::Train);
+        let x_fake = self.generator.forward(&noise);
 
         // --- Discriminator update: maximise log D(x) + log(1 - D(G(z))).
         // Real (possibly sparse) and fake (dense) batches go through the
@@ -176,7 +176,7 @@ impl TabularGan {
         let ones = Tensor::full(n, 1, 1.0);
         let (l_real, g_real) = bce_with_logits(&logits_real, &ones);
         let _ = self.discriminator.backward(&g_real);
-        let logits_fake = self.discriminator.forward(&x_fake, Mode::Train);
+        let logits_fake = self.discriminator.forward(&x_fake);
         let zeros = Tensor::zeros(n, 1);
         let (l_fake, g_fake) = bce_with_logits(&logits_fake, &zeros);
         let _ = self.discriminator.backward(&g_fake);
@@ -185,7 +185,7 @@ impl TabularGan {
         // --- Generator update: non-saturating, maximise log D(G(z)).
         self.generator.zero_grad();
         self.discriminator.zero_grad();
-        let logits_fake2 = self.discriminator.forward(&x_fake, Mode::Train);
+        let logits_fake2 = self.discriminator.forward(&x_fake);
         let (g_loss, g_grad) = bce_with_logits(&logits_fake2, &ones);
         let grad_fake = self.discriminator.backward(&g_grad);
         let _ = self.generator.backward(&grad_fake);
@@ -319,7 +319,7 @@ impl TabularGan {
     /// Generates `n` synthetic rows.
     pub fn sample(&mut self, n: usize, rng: &mut StdRng) -> Table {
         let noise = randn(n, self.noise_dim, rng);
-        let fake = self.generator.forward(&noise, Mode::Infer);
+        let fake = self.generator.infer(&noise);
         self.table_encoder.decode(fake.as_slice()).expect("generator output width matches encoder")
     }
 }

@@ -313,7 +313,7 @@ impl LatentDiff {
     ///
     /// # Panics
     /// Panics if called before [`LatentDiff::fit`].
-    pub fn synthesize(&mut self, n: usize, rng: &mut StdRng) -> Table {
+    pub fn synthesize(&self, n: usize, rng: &mut StdRng) -> Table {
         self.synthesize_with_steps(n, None, rng)
     }
 
@@ -324,7 +324,7 @@ impl LatentDiff {
     /// Panics if the step override is zero or exceeds the schedule length;
     /// use [`LatentDiff::try_synthesize_with_steps`] for a typed error.
     pub fn synthesize_with_steps(
-        &mut self,
+        &self,
         n: usize,
         inference_steps: Option<usize>,
         rng: &mut StdRng,
@@ -347,7 +347,7 @@ impl LatentDiff {
     /// # Panics
     /// Panics if called before [`LatentDiff::fit`].
     pub fn try_synthesize_with_steps(
-        &mut self,
+        &self,
         n: usize,
         inference_steps: Option<usize>,
         rng: &mut StdRng,
@@ -356,7 +356,7 @@ impl LatentDiff {
             return Err(InvalidChunkRows.into());
         }
         let chunk_rows = self.config.synth_chunk_rows;
-        let fitted = self.fitted.as_mut().expect("LatentDiff::fit must be called first");
+        let fitted = self.fitted.as_ref().expect("LatentDiff::fit must be called first");
         let steps = inference_steps.unwrap_or(fitted.inference_steps);
         let base = rng.gen::<u64>();
         Self::synthesize_range_inner(fitted, 0, n, steps, chunk_rows, base)
@@ -367,6 +367,8 @@ impl LatentDiff {
     /// stream `base` defines. Fetching `[0, k)` now and `[k, n)` later is
     /// byte-identical to one `try_synthesize_with_steps(n)` call that
     /// drew the same base — the serving layer's pagination entry point.
+    /// It only reads the fitted model, so any number of threads can
+    /// synthesize ranges of one shared model at once.
     ///
     /// # Errors
     /// [`SampleRequestError`] as for [`LatentDiff::try_synthesize_with_steps`].
@@ -374,7 +376,7 @@ impl LatentDiff {
     /// # Panics
     /// Panics if called before [`LatentDiff::fit`].
     pub fn try_synthesize_range(
-        &mut self,
+        &self,
         start_row: usize,
         rows: usize,
         base: u64,
@@ -383,13 +385,13 @@ impl LatentDiff {
             return Err(InvalidChunkRows.into());
         }
         let chunk_rows = self.config.synth_chunk_rows;
-        let fitted = self.fitted.as_mut().expect("LatentDiff::fit must be called first");
+        let fitted = self.fitted.as_ref().expect("LatentDiff::fit must be called first");
         let steps = fitted.inference_steps;
         Self::synthesize_range_inner(fitted, start_row, rows, steps, chunk_rows, base)
     }
 
     fn synthesize_range_inner(
-        fitted: &mut Fitted,
+        fitted: &Fitted,
         start_row: usize,
         rows: usize,
         steps: usize,
@@ -585,7 +587,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "fit must be called")]
     fn synthesize_before_fit_panics() {
-        let mut model = LatentDiff::new(quick_config(3));
+        let model = LatentDiff::new(quick_config(3));
         let mut rng = StdRng::seed_from_u64(3);
         let _ = model.synthesize(4, &mut rng);
     }

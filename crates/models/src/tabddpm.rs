@@ -10,7 +10,7 @@ use silofuse_diffusion::gaussian::{GaussianDiffusion, Parameterization};
 use silofuse_diffusion::multinomial::MultinomialDiffusion;
 use silofuse_diffusion::schedule::{NoiseSchedule, ScheduleKind};
 use silofuse_nn::init::randn;
-use silofuse_nn::layers::{Layer, Mode};
+use silofuse_nn::layers::Layer;
 use silofuse_nn::loss::mse;
 use silofuse_nn::optim::{Adam, Optimizer};
 use silofuse_nn::Tensor;
@@ -161,7 +161,7 @@ impl TabDdpm {
         }
 
         let input = Tensor::concat_cols(&[&xt_num, &xt_cat_onehot]);
-        let pred = self.backbone.predict(&input, &ts, Mode::Train);
+        let pred = self.backbone.predict(&input, &ts);
 
         // Combined loss and gradient (Eq. 3): L = L_simple + mean_v M[v].
         let mut grad = Tensor::zeros(n, pred.cols());
@@ -344,7 +344,7 @@ impl TabDdpm {
                 offset += self.cat_widths[f];
             }
             let input = Tensor::concat_cols(&[&x_num, &onehot]);
-            let pred = self.backbone.predict(&input, &ts, Mode::Infer);
+            let pred = self.backbone.infer(&input, &ts);
             let last_step = i + 1 == steps.len();
             let t_prev = if last_step { 0 } else { steps[i + 1] };
 

@@ -1,6 +1,6 @@
 //! Element-wise activation functions.
 
-use super::{Layer, Mode, Param};
+use super::{Layer, Param};
 use crate::simd;
 use crate::tensor::Tensor;
 
@@ -93,10 +93,12 @@ impl Activation {
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        if mode == Mode::Train {
-            crate::workspace::cache_assign(&mut self.cached_input, input);
-        }
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        crate::workspace::cache_assign(&mut self.cached_input, input);
+        self.infer(input)
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
         match self.kind {
             ActivationKind::Gelu => input.gelu(),
             kind => input.map(|v| kind.apply(v)),
@@ -126,9 +128,9 @@ mod tests {
 
     #[test]
     fn relu_clamps_negatives() {
-        let mut a = Activation::new(ActivationKind::Relu);
+        let a = Activation::new(ActivationKind::Relu);
         let x = Tensor::from_vec(1, 3, vec![-1.0, 0.0, 2.0]);
-        assert_eq!(a.forward(&x, Mode::Infer).as_slice(), &[0.0, 0.0, 2.0]);
+        assert_eq!(a.infer(&x).as_slice(), &[0.0, 0.0, 2.0]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! encoded feature vector as a 1-D signal with channels. A batch row stores
 //! the signal channel-major: `[c0 p0, c0 p1, .., c1 p0, ..]`.
 
-use super::{Layer, Mode, Param};
+use super::{Layer, Param};
 use crate::init::Init;
 use crate::tensor::Tensor;
 use rand::Rng;
@@ -82,7 +82,13 @@ impl Conv1d {
 }
 
 impl Layer for Conv1d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let out = self.infer(input);
+        crate::workspace::cache_assign(&mut self.cached_input, input);
+        out
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
         assert_eq!(
             input.cols(),
             self.input_width(),
@@ -109,9 +115,6 @@ impl Layer for Conv1d {
                     out.row_mut(r)[oc * out_len + op] = acc;
                 }
             }
-        }
-        if mode == Mode::Train {
-            crate::workspace::cache_assign(&mut self.cached_input, input);
         }
         out
     }
@@ -180,7 +183,7 @@ mod tests {
         let mut conv = Conv1d::new(1, 1, 1, 1, 0, 5, &mut rng);
         conv.weight.value = Tensor::from_vec(1, 1, vec![1.0]);
         let x = Tensor::from_vec(1, 5, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        let y = conv.forward(&x, Mode::Infer);
+        let y = conv.infer(&x);
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
@@ -191,7 +194,7 @@ mod tests {
         conv.weight.value = Tensor::from_vec(1, 3, vec![1.0, 1.0, 1.0]);
         conv.bias.value = Tensor::zeros(1, 1);
         let x = Tensor::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]);
-        let y = conv.forward(&x, Mode::Infer);
+        let y = conv.infer(&x);
         // Zero-padded 3-tap moving sums: [0+1+2, 1+2+3, 2+3+4, 3+4+0]
         assert_eq!(y.as_slice(), &[3.0, 6.0, 9.0, 7.0]);
     }

@@ -1,6 +1,6 @@
 //! Inverted dropout.
 
-use super::{Layer, Mode, Param};
+use super::{Layer, Param};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,12 +34,12 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        if mode == Mode::Infer || self.p == 0.0 {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        if self.p == 0.0 {
             if let Some(mask) = self.mask.take() {
                 crate::workspace::recycle(mask);
             }
-            return crate::workspace::take_copy(input);
+            return self.infer(input);
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
@@ -62,6 +62,10 @@ impl Layer for Dropout {
         out
     }
 
+    fn infer(&self, input: &Tensor) -> Tensor {
+        crate::workspace::take_copy(input)
+    }
+
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         match &self.mask {
             Some(mask) => grad_output.mul(mask),
@@ -82,16 +86,16 @@ mod tests {
 
     #[test]
     fn infer_is_identity() {
-        let mut d = Dropout::new(0.5, 1);
+        let d = Dropout::new(0.5, 1);
         let x = Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(d.forward(&x, Mode::Infer), x);
+        assert_eq!(d.infer(&x), x);
     }
 
     #[test]
     fn train_preserves_expectation() {
         let mut d = Dropout::new(0.3, 2);
         let x = Tensor::full(200, 50, 1.0);
-        let y = d.forward(&x, Mode::Train);
+        let y = d.forward(&x);
         let mean = y.mean();
         assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
     }
@@ -100,7 +104,7 @@ mod tests {
     fn backward_uses_same_mask() {
         let mut d = Dropout::new(0.5, 3);
         let x = Tensor::full(4, 4, 1.0);
-        let y = d.forward(&x, Mode::Train);
+        let y = d.forward(&x);
         let g = d.backward(&Tensor::full(4, 4, 1.0));
         // Gradient must be zero exactly where the output was zero.
         for (yi, gi) in y.as_slice().iter().zip(g.as_slice().iter()) {
@@ -112,7 +116,7 @@ mod tests {
     fn zero_probability_never_drops() {
         let mut d = Dropout::new(0.0, 4);
         let x = Tensor::full(8, 8, 2.0);
-        assert_eq!(d.forward(&x, Mode::Train), x);
+        assert_eq!(d.forward(&x), x);
     }
 
     #[test]

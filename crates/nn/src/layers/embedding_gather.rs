@@ -1,7 +1,7 @@
 //! Sparse input layer: embedding gather fused with the dense-numeric
 //! affine half.
 
-use super::{Layer, Mode, Param};
+use super::{Layer, Param};
 use crate::backend;
 use crate::init::Init;
 use crate::sparse::{SparseBatchRef, SparseSpec};
@@ -9,7 +9,7 @@ use crate::tensor::Tensor;
 use crate::workspace;
 use rand::Rng;
 
-/// Which representation the most recent `Train` forward consumed, so
+/// Which representation the most recent training forward consumed, so
 /// `backward` routes to the matching gradient kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LastInput {
@@ -86,8 +86,21 @@ impl EmbeddingGather {
         self.weight.value.cols()
     }
 
-    /// Sparse forward pass: gathers one weight row per nonzero.
-    pub fn forward_sparse(&mut self, batch: SparseBatchRef<'_>, mode: Mode) -> Tensor {
+    /// Sparse training pass: [`EmbeddingGather::infer_sparse`], caching
+    /// the batch for the scatter-add backward.
+    pub fn forward_sparse(&mut self, batch: SparseBatchRef<'_>) -> Tensor {
+        let out = self.infer_sparse(batch);
+        self.cached_rows = batch.rows;
+        self.cached_numeric.clear();
+        self.cached_numeric.extend_from_slice(batch.numeric);
+        self.cached_indices.clear();
+        self.cached_indices.extend_from_slice(batch.indices);
+        self.last_input = LastInput::Sparse;
+        out
+    }
+
+    /// Sparse inference pass: gathers one weight row per nonzero.
+    pub fn infer_sparse(&self, batch: SparseBatchRef<'_>) -> Tensor {
         batch.check(&self.spec);
         let n_out = self.fan_out();
         let mut out = workspace::take(batch.rows, n_out);
@@ -103,27 +116,22 @@ impl EmbeddingGather {
             )
         });
         out.add_row_broadcast(self.bias.value.as_slice());
-        if mode == Mode::Train {
-            self.cached_rows = batch.rows;
-            self.cached_numeric.clear();
-            self.cached_numeric.extend_from_slice(batch.numeric);
-            self.cached_indices.clear();
-            self.cached_indices.extend_from_slice(batch.indices);
-            self.last_input = LastInput::Sparse;
-        }
         out
     }
 }
 
 impl Layer for EmbeddingGather {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let out = self.infer(input);
+        workspace::cache_assign(&mut self.cached_input, input);
+        self.last_input = LastInput::Dense;
+        out
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
         assert_eq!(input.cols(), self.fan_in(), "EmbeddingGather dense input width");
         let mut out = input.matmul(&self.weight.value);
         out.add_row_broadcast(self.bias.value.as_slice());
-        if mode == Mode::Train {
-            workspace::cache_assign(&mut self.cached_input, input);
-            self.last_input = LastInput::Dense;
-        }
         out
     }
 
@@ -173,8 +181,12 @@ impl Layer for EmbeddingGather {
         }
     }
 
-    fn try_forward_sparse(&mut self, batch: SparseBatchRef<'_>, mode: Mode) -> Option<Tensor> {
-        Some(self.forward_sparse(batch, mode))
+    fn try_forward_sparse(&mut self, batch: SparseBatchRef<'_>) -> Option<Tensor> {
+        Some(self.forward_sparse(batch))
+    }
+
+    fn try_infer_sparse(&self, batch: SparseBatchRef<'_>) -> Option<Tensor> {
+        Some(self.infer_sparse(batch))
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -232,8 +244,8 @@ mod tests {
         let mut linear = Linear::new(spec.in_width(), 5, Init::XavierUniform, &mut rng_b);
         assert_eq!(gather.weight.value, *linear.weight());
         let x = crate::init::randn(4, spec.in_width(), &mut rng_a);
-        let yg = gather.forward(&x, Mode::Train);
-        let yl = linear.forward(&x, Mode::Train);
+        let yg = gather.forward(&x);
+        let yl = linear.forward(&x);
         assert_eq!(yg, yl);
         let g = Tensor::full(4, 5, 0.3);
         assert_eq!(gather.backward(&g), linear.backward(&g));
@@ -253,8 +265,8 @@ mod tests {
         let batch = SparseBatchRef { rows, numeric: &numeric, indices: &indices };
         let dense = densify(&spec, rows, &numeric, &indices);
 
-        let ys = gather.forward_sparse(batch, Mode::Train);
-        let yd = oracle.forward(&dense, Mode::Train);
+        let ys = gather.forward_sparse(batch);
+        let yd = oracle.forward(&dense);
         assert_eq!(ys, yd, "sparse forward must equal densified dense forward");
 
         let g = crate::init::randn(rows, 4, &mut rng);
@@ -290,12 +302,12 @@ mod tests {
         let batch = SparseBatchRef { rows, numeric: &numeric, indices: &indices };
         let g = Tensor::full(rows, 2, 1.0);
 
-        let _ = layer.forward_sparse(batch, Mode::Train);
+        let _ = layer.forward_sparse(batch);
         let dx = layer.backward(&g);
         assert_eq!(dx.cols(), 0);
 
         let dense = densify(&spec, rows, &numeric, &indices);
-        let _ = layer.forward(&dense, Mode::Train);
+        let _ = layer.forward(&dense);
         let dx = layer.backward(&g);
         assert_eq!(dx.shape(), (rows, spec.in_width()));
     }

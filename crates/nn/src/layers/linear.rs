@@ -1,6 +1,6 @@
 //! Fully connected (dense) layer.
 
-use super::{Layer, Mode, Param};
+use super::{Layer, Param};
 use crate::init::Init;
 use crate::tensor::Tensor;
 use rand::Rng;
@@ -40,12 +40,15 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let out = self.infer(input);
+        crate::workspace::cache_assign(&mut self.cached_input, input);
+        out
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
         let mut out = input.matmul(&self.weight.value);
         out.add_row_broadcast(self.bias.value.as_slice());
-        if mode == Mode::Train {
-            crate::workspace::cache_assign(&mut self.cached_input, input);
-        }
         out
     }
 
@@ -86,7 +89,7 @@ mod tests {
         layer.weight.value = Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         layer.bias.value = Tensor::from_vec(1, 2, vec![0.5, -0.5]);
         let x = Tensor::from_vec(1, 2, vec![1.0, 1.0]);
-        let y = layer.forward(&x, Mode::Infer);
+        let y = layer.infer(&x);
         assert_eq!(y.as_slice(), &[4.5, 5.5]);
     }
 
@@ -104,11 +107,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut layer = Linear::new(2, 2, Init::XavierUniform, &mut rng);
         let x = crate::init::randn(3, 2, &mut rng);
-        let y = layer.forward(&x, Mode::Train);
+        let y = layer.forward(&x);
         let g = Tensor::full(y.rows(), y.cols(), 1.0);
         let _ = layer.backward(&g);
         let first = layer.weight.grad.clone();
-        let _ = layer.forward(&x, Mode::Train);
+        let _ = layer.forward(&x);
         let _ = layer.backward(&g);
         let doubled = layer.weight.grad.clone();
         assert_eq!(doubled, first.scale(2.0));

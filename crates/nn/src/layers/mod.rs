@@ -1,11 +1,15 @@
 //! Neural-network layers with explicit, cached backpropagation.
 //!
-//! Every layer implements [`Layer`]: `forward` caches whatever it needs,
-//! `backward` consumes the most recent cache and returns the gradient with
-//! respect to the layer's input so stacks compose (this is what lets the
-//! end-to-end SiloFuse baselines push gradients decoder → diffusion →
-//! encoder). Parameter gradients are *accumulated*; call
-//! [`Layer::zero_grad`] before each optimisation step.
+//! Every layer implements [`Layer`] with two passes. The training pass
+//! `forward(&mut self)` caches whatever `backward` needs, draws dropout
+//! masks and updates batch-norm running statistics; `backward` consumes
+//! the most recent cache and returns the gradient with respect to the
+//! layer's input so stacks compose (this is what lets the end-to-end
+//! SiloFuse baselines push gradients decoder → diffusion → encoder).
+//! Parameter gradients are *accumulated*; call [`Layer::zero_grad`] before
+//! each optimisation step. The inference pass `infer(&self)` only reads
+//! the parameters, so any number of threads can run one shared model at
+//! once.
 
 mod activation;
 mod conv;
@@ -25,16 +29,6 @@ pub use sequential::{mlp, Sequential};
 
 use crate::sparse::SparseBatchRef;
 use crate::tensor::Tensor;
-
-/// Whether a forward pass is part of training (dropout active, batch-norm
-/// statistics updated) or inference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Training pass: stochastic layers are active and caches are kept.
-    Train,
-    /// Inference pass: deterministic behaviour, no dropout.
-    Infer,
-}
 
 /// A trainable parameter: current value plus accumulated gradient.
 #[derive(Debug, Clone)]
@@ -70,22 +64,37 @@ impl Param {
 
 /// A differentiable layer over batches of row vectors.
 pub trait Layer {
-    /// Computes outputs from `input`, caching intermediates for `backward`.
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
+    /// Training pass: computes outputs from `input`, caching intermediates
+    /// for `backward`. Stochastic layers draw from their own RNG here
+    /// ([`Dropout`]) and [`BatchNorm1d`] normalises with batch statistics
+    /// while updating its running ones.
+    fn forward(&mut self, input: &Tensor) -> Tensor;
+
+    /// Inference pass: computes outputs from `input` reading only the
+    /// parameters and buffers. Deterministic ([`Dropout`] is the identity,
+    /// [`BatchNorm1d`] uses its running statistics), cache-free, and
+    /// otherwise bit-identical to [`Layer::forward`].
+    fn infer(&self, input: &Tensor) -> Tensor;
 
     /// Backpropagates `grad_output` through the most recent `forward`,
     /// accumulating parameter gradients and returning `dLoss/dInput`.
     ///
     /// # Panics
-    /// May panic if called without a preceding `forward` in `Train` mode.
+    /// May panic if called without a preceding `forward`.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
 
-    /// Attempts a forward pass over a sparse one-hot batch. Layers without
+    /// Attempts a training pass over a sparse one-hot batch. Layers without
     /// a sparse input path return `None` (the default);
     /// [`EmbeddingGather`] consumes the batch, and [`Sequential`] delegates
     /// to its first layer.
-    fn try_forward_sparse(&mut self, batch: SparseBatchRef<'_>, mode: Mode) -> Option<Tensor> {
-        let _ = (batch, mode);
+    fn try_forward_sparse(&mut self, batch: SparseBatchRef<'_>) -> Option<Tensor> {
+        let _ = batch;
+        None
+    }
+
+    /// The inference twin of [`Layer::try_forward_sparse`].
+    fn try_infer_sparse(&self, batch: SparseBatchRef<'_>) -> Option<Tensor> {
+        let _ = batch;
         None
     }
 
@@ -123,13 +132,13 @@ pub trait Layer {
 pub(crate) mod gradcheck {
     //! Finite-difference gradient checking shared by layer tests.
 
-    use super::{Layer, Mode};
+    use super::Layer;
     use crate::tensor::Tensor;
 
     /// Checks `dLoss/dInput` of `layer` against central finite differences
     /// for the scalar loss `sum(forward(x))`.
     pub fn check_input_grad(layer: &mut dyn Layer, x: &Tensor, tol: f32) {
-        let y = layer.forward(x, Mode::Train);
+        let y = layer.forward(x);
         let grad_out = Tensor::full(y.rows(), y.cols(), 1.0);
         let analytic = layer.backward(&grad_out);
 
@@ -139,8 +148,8 @@ pub(crate) mod gradcheck {
             xp.as_mut_slice()[i] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= eps;
-            let fp = layer.forward(&xp, Mode::Train).sum();
-            let fm = layer.forward(&xm, Mode::Train).sum();
+            let fp = layer.forward(&xp).sum();
+            let fm = layer.forward(&xm).sum();
             let numeric = (fp - fm) / (2.0 * eps);
             let got = analytic.as_slice()[i];
             assert!(
@@ -154,7 +163,7 @@ pub(crate) mod gradcheck {
     /// differences for the scalar loss `sum(forward(x))`.
     pub fn check_param_grads(layer: &mut dyn Layer, x: &Tensor, tol: f32) {
         layer.zero_grad();
-        let y = layer.forward(x, Mode::Train);
+        let y = layer.forward(x);
         let grad_out = Tensor::full(y.rows(), y.cols(), 1.0);
         let _ = layer.backward(&grad_out);
 
@@ -194,9 +203,9 @@ pub(crate) mod gradcheck {
                     });
                 };
                 perturb(layer, eps);
-                let fp = layer.forward(x, Mode::Train).sum();
+                let fp = layer.forward(x).sum();
                 perturb(layer, -2.0 * eps);
-                let fm = layer.forward(x, Mode::Train).sum();
+                let fm = layer.forward(x).sum();
                 perturb(layer, eps);
                 let numeric = (fp - fm) / (2.0 * eps);
                 let got = analytic[param_idx][e];

@@ -1,6 +1,6 @@
 //! Normalisation layers: LayerNorm and BatchNorm1d.
 
-use super::{Layer, Mode, Param};
+use super::{Layer, Param};
 use crate::tensor::Tensor;
 
 const EPS: f32 = 1e-5;
@@ -15,6 +15,15 @@ pub struct LayerNorm {
     cache: Option<(Tensor, Vec<f32>)>,
 }
 
+/// Hands back a training cache's storage for reuse: the old `x_hat` goes
+/// to the workspace arena and its `1/std` vector is returned.
+fn reclaim(cache: &mut Option<(Tensor, Vec<f32>)>) -> Vec<f32> {
+    cache.take().map_or_else(Vec::new, |(x_hat, inv_stds)| {
+        crate::workspace::recycle(x_hat);
+        inv_stds
+    })
+}
+
 impl LayerNorm {
     /// Creates a LayerNorm over `dim` features (gamma = 1, beta = 0).
     pub fn new(dim: usize) -> Self {
@@ -24,24 +33,12 @@ impl LayerNorm {
             cache: None,
         }
     }
-}
 
-impl Layer for LayerNorm {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    /// Normalises every row of `input` into `x_hat` (one `1/std` per row
+    /// written to `inv_stds`) and returns the scaled, shifted output.
+    fn normalize(&self, input: &Tensor, x_hat: &mut Tensor, inv_stds: &mut Vec<f32>) -> Tensor {
         let (rows, cols) = input.shape();
         assert_eq!(cols, self.gamma.value.cols(), "LayerNorm dim mismatch");
-        let mut x_hat = crate::workspace::take(rows, cols);
-        // Reclaim last step's cache storage instead of allocating anew.
-        let mut inv_stds = match (mode, self.cache.take()) {
-            (Mode::Train, Some((old, v))) => {
-                crate::workspace::recycle(old);
-                v
-            }
-            (_, cache) => {
-                self.cache = cache;
-                Vec::new()
-            }
-        };
         inv_stds.clear();
         inv_stds.reserve(rows);
         let mut out = crate::workspace::take(rows, cols);
@@ -59,11 +56,23 @@ impl Layer for LayerNorm {
                 out[(r, c)] = *o * gamma[c] + beta[c];
             }
         }
-        if mode == Mode::Train {
-            self.cache = Some((x_hat, inv_stds));
-        } else {
-            crate::workspace::recycle(x_hat);
-        }
+        out
+    }
+}
+
+impl Layer for LayerNorm {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let mut x_hat = crate::workspace::take(input.rows(), input.cols());
+        let mut inv_stds = reclaim(&mut self.cache);
+        let out = self.normalize(input, &mut x_hat, &mut inv_stds);
+        self.cache = Some((x_hat, inv_stds));
+        out
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
+        let mut x_hat = crate::workspace::take(input.rows(), input.cols());
+        let out = self.normalize(input, &mut x_hat, &mut Vec::new());
+        crate::workspace::recycle(x_hat);
         out
     }
 
@@ -138,60 +147,52 @@ impl BatchNorm1d {
             cache: None,
         }
     }
-}
 
-impl Layer for BatchNorm1d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    /// Per-column batch mean and variance of `input` in pooled scratch
+    /// rows, folded into the running statistics.
+    fn batch_stats(&mut self, input: &Tensor) -> (Tensor, Tensor) {
+        let (rows, cols) = input.shape();
+        let mut means = crate::workspace::take(1, cols);
+        input.sum_rows_into(means.as_mut_slice());
+        for v in means.as_mut_slice() {
+            *v /= rows as f32;
+        }
+        let mut vars = crate::workspace::take_zeroed(1, cols);
+        for r in 0..rows {
+            for ((&v, &m), out) in
+                input.row(r).iter().zip(means.as_slice()).zip(vars.as_mut_slice())
+            {
+                let d = v - m;
+                *out += d * d;
+            }
+        }
+        for v in vars.as_mut_slice() {
+            *v /= rows as f32;
+        }
+        for c in 0..cols {
+            self.running_mean[c] =
+                (1.0 - self.momentum) * self.running_mean[c] + self.momentum * means.as_slice()[c];
+            self.running_var[c] =
+                (1.0 - self.momentum) * self.running_var[c] + self.momentum * vars.as_slice()[c];
+        }
+        (means, vars)
+    }
+
+    /// Normalises `input` column-wise with `means`/`vars` into `x_hat`
+    /// (one `1/std` per column written to `inv_stds`) and returns the
+    /// scaled, shifted output.
+    fn normalize(
+        &self,
+        input: &Tensor,
+        means: &[f32],
+        vars: &[f32],
+        x_hat: &mut Tensor,
+        inv_stds: &mut Vec<f32>,
+    ) -> Tensor {
         let (rows, cols) = input.shape();
         assert_eq!(cols, self.gamma.value.cols(), "BatchNorm dim mismatch");
-        // Batch statistics land in pooled scratch rows; the inference path
-        // reads the running stats in place instead of cloning them.
-        let mut stats = if mode == Mode::Train && rows > 1 {
-            let mut means = crate::workspace::take(1, cols);
-            input.sum_rows_into(means.as_mut_slice());
-            for v in means.as_mut_slice() {
-                *v /= rows as f32;
-            }
-            let mut vars = crate::workspace::take_zeroed(1, cols);
-            for r in 0..rows {
-                for ((&v, &m), out) in
-                    input.row(r).iter().zip(means.as_slice()).zip(vars.as_mut_slice())
-                {
-                    let d = v - m;
-                    *out += d * d;
-                }
-            }
-            for v in vars.as_mut_slice() {
-                *v /= rows as f32;
-            }
-            for c in 0..cols {
-                self.running_mean[c] = (1.0 - self.momentum) * self.running_mean[c]
-                    + self.momentum * means.as_slice()[c];
-                self.running_var[c] = (1.0 - self.momentum) * self.running_var[c]
-                    + self.momentum * vars.as_slice()[c];
-            }
-            Some((means, vars))
-        } else {
-            None
-        };
-        let (means, vars): (&[f32], &[f32]) = match &stats {
-            Some((m, v)) => (m.as_slice(), v.as_slice()),
-            None => (&self.running_mean, &self.running_var),
-        };
-
-        let mut inv_stds = match (mode, self.cache.take()) {
-            (Mode::Train, Some((old, v))) => {
-                crate::workspace::recycle(old);
-                v
-            }
-            (_, cache) => {
-                self.cache = cache;
-                Vec::new()
-            }
-        };
         inv_stds.clear();
         inv_stds.extend(vars.iter().map(|&v| 1.0 / (v + EPS).sqrt()));
-        let mut x_hat = crate::workspace::take(rows, cols);
         let mut out = crate::workspace::take(rows, cols);
         let gamma = self.gamma.value.as_slice();
         let beta = self.beta.value.as_slice();
@@ -202,15 +203,42 @@ impl Layer for BatchNorm1d {
                 out[(r, c)] = *o * gamma[c] + beta[c];
             }
         }
-        if let Some((means, vars)) = stats.take() {
+        out
+    }
+}
+
+impl Layer for BatchNorm1d {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let (rows, cols) = input.shape();
+        assert_eq!(cols, self.gamma.value.cols(), "BatchNorm dim mismatch");
+        // A single-row batch has no batch statistics and normalises with
+        // the running ones instead.
+        let stats = (rows > 1).then(|| self.batch_stats(input));
+        let mut inv_stds = reclaim(&mut self.cache);
+        let mut x_hat = crate::workspace::take(rows, cols);
+        let (means, vars) = match &stats {
+            Some((m, v)) => (m.as_slice(), v.as_slice()),
+            None => (self.running_mean.as_slice(), self.running_var.as_slice()),
+        };
+        let out = self.normalize(input, means, vars, &mut x_hat, &mut inv_stds);
+        if let Some((means, vars)) = stats {
             crate::workspace::recycle(means);
             crate::workspace::recycle(vars);
         }
-        if mode == Mode::Train {
-            self.cache = Some((x_hat, inv_stds));
-        } else {
-            crate::workspace::recycle(x_hat);
-        }
+        self.cache = Some((x_hat, inv_stds));
+        out
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
+        let mut x_hat = crate::workspace::take(input.rows(), input.cols());
+        let out = self.normalize(
+            input,
+            &self.running_mean,
+            &self.running_var,
+            &mut x_hat,
+            &mut Vec::new(),
+        );
+        crate::workspace::recycle(x_hat);
         out
     }
 
@@ -274,10 +302,10 @@ mod tests {
 
     #[test]
     fn layernorm_output_is_normalised() {
-        let mut ln = LayerNorm::new(8);
+        let ln = LayerNorm::new(8);
         let mut rng = StdRng::seed_from_u64(5);
         let x = crate::init::randn(4, 8, &mut rng).scale(3.0);
-        let y = ln.forward(&x, Mode::Infer);
+        let y = ln.infer(&x);
         for r in 0..4 {
             let row = y.row(r);
             let mean = row.iter().sum::<f32>() / 8.0;
@@ -307,7 +335,7 @@ mod tests {
         let mut bn = BatchNorm1d::new(3);
         let mut rng = StdRng::seed_from_u64(8);
         let x = crate::init::randn(64, 3, &mut rng).map(|v| v * 2.0 + 5.0);
-        let y = bn.forward(&x, Mode::Train);
+        let y = bn.forward(&x);
         let means = y.mean_rows();
         for m in means {
             assert!(m.abs() < 1e-4, "column mean {m}");
@@ -321,10 +349,10 @@ mod tests {
         // Train a while so running stats converge toward the data stats.
         for _ in 0..200 {
             let x = crate::init::randn(32, 2, &mut rng).map(|v| v * 2.0 + 5.0);
-            let _ = bn.forward(&x, Mode::Train);
+            let _ = bn.forward(&x);
         }
         let x = crate::init::randn(16, 2, &mut rng).map(|v| v * 2.0 + 5.0);
-        let y = bn.forward(&x, Mode::Infer);
+        let y = bn.infer(&x);
         // Roughly standardised under running stats.
         let m = y.mean();
         assert!(m.abs() < 0.5, "mean {m}");

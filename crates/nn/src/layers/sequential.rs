@@ -1,13 +1,16 @@
 //! Composition of layers.
 
-use super::{Layer, Mode, Param};
+use super::{Layer, Param};
 use crate::sparse::SparseBatchRef;
 use crate::tensor::Tensor;
 
 /// A stack of layers applied in order; backward runs in reverse.
+///
+/// Layers are `Send + Sync`, so a stack can move to another thread and be
+/// shared by threads that run [`Layer::infer`] on it at once.
 #[derive(Default)]
 pub struct Sequential {
-    layers: Vec<Box<dyn Layer + Send>>,
+    layers: Vec<Box<dyn Layer + Send + Sync>>,
 }
 
 impl std::fmt::Debug for Sequential {
@@ -23,13 +26,13 @@ impl Sequential {
     }
 
     /// Appends a layer (builder style).
-    pub fn push(mut self, layer: impl Layer + Send + 'static) -> Self {
+    pub fn push(mut self, layer: impl Layer + Send + Sync + 'static) -> Self {
         self.layers.push(Box::new(layer));
         self
     }
 
     /// Appends a boxed layer in place.
-    pub fn add(&mut self, layer: Box<dyn Layer + Send>) {
+    pub fn add(&mut self, layer: Box<dyn Layer + Send + Sync>) {
         self.layers.push(layer);
     }
 
@@ -43,34 +46,48 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Forward pass over a sparse one-hot batch: the first layer must be a
+    /// Training pass over a sparse one-hot batch: the first layer must be a
     /// sparse consumer ([`super::EmbeddingGather`]); the rest of the stack
     /// runs dense with the usual arena ping-pong.
     ///
     /// # Panics
     /// Panics when the stack is empty or the first layer has no sparse
     /// input path.
-    pub fn forward_sparse(&mut self, batch: SparseBatchRef<'_>, mode: Mode) -> Tensor {
-        self.try_forward_sparse(batch, mode)
+    pub fn forward_sparse(&mut self, batch: SparseBatchRef<'_>) -> Tensor {
+        self.try_forward_sparse(batch)
             .expect("Sequential::forward_sparse: first layer does not accept sparse batches")
     }
 }
 
+/// Feeds `x` through `layers` in order. Each layer's output ping-pongs
+/// through the workspace arena, so a pass does not clone the batch and
+/// intermediate buffers are recycled for the next call instead of dropped.
+fn pipe<L>(
+    mut x: Tensor,
+    layers: impl Iterator<Item = L>,
+    apply: impl Fn(L, &Tensor) -> Tensor,
+) -> Tensor {
+    for layer in layers {
+        let y = apply(layer, &x);
+        crate::workspace::recycle(std::mem::replace(&mut x, y));
+    }
+    x
+}
+
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        // The first layer reads `input` directly; after that each layer's
-        // output ping-pongs through the workspace arena, so a forward pass
-        // does not clone the batch and intermediate buffers are recycled
-        // for the next call instead of dropped.
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        // The first layer reads `input` directly.
         let Some((first, rest)) = self.layers.split_first_mut() else {
             return input.clone();
         };
-        let mut x = first.forward(input, mode);
-        for layer in rest {
-            let y = layer.forward(&x, mode);
-            crate::workspace::recycle(std::mem::replace(&mut x, y));
-        }
-        x
+        pipe(first.forward(input), rest.iter_mut(), |layer, x| layer.forward(x))
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
+        let Some((first, rest)) = self.layers.split_first() else {
+            return input.clone();
+        };
+        pipe(first.infer(input), rest.iter(), |layer, x| layer.infer(x))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -78,22 +95,19 @@ impl Layer for Sequential {
         let Some((last, rest)) = self.layers.split_last_mut() else {
             return grad_output.clone();
         };
-        let mut g = last.backward(grad_output);
-        for layer in rest.iter_mut().rev() {
-            let g_in = layer.backward(&g);
-            crate::workspace::recycle(std::mem::replace(&mut g, g_in));
-        }
-        g
+        pipe(last.backward(grad_output), rest.iter_mut().rev(), |layer, g| layer.backward(g))
     }
 
-    fn try_forward_sparse(&mut self, batch: SparseBatchRef<'_>, mode: Mode) -> Option<Tensor> {
+    fn try_forward_sparse(&mut self, batch: SparseBatchRef<'_>) -> Option<Tensor> {
         let (first, rest) = self.layers.split_first_mut()?;
-        let mut x = first.try_forward_sparse(batch, mode)?;
-        for layer in rest {
-            let y = layer.forward(&x, mode);
-            crate::workspace::recycle(std::mem::replace(&mut x, y));
-        }
-        Some(x)
+        let x = first.try_forward_sparse(batch)?;
+        Some(pipe(x, rest.iter_mut(), |layer, x| layer.forward(x)))
+    }
+
+    fn try_infer_sparse(&self, batch: SparseBatchRef<'_>) -> Option<Tensor> {
+        let (first, rest) = self.layers.split_first()?;
+        let x = first.try_infer_sparse(batch)?;
+        Some(pipe(x, rest.iter(), |layer, x| layer.infer(x)))
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -172,7 +186,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(32);
         let mut net = mlp(&[10, 64, 64, 3], Some(0.01), 7, &mut rng);
         let x = crate::init::randn(5, 10, &mut rng);
-        let y = net.forward(&x, Mode::Infer);
+        let y = net.infer(&x);
         assert_eq!(y.shape(), (5, 3));
         // 10*64+64 + 64*64+64 + 64*3+3
         assert_eq!(net.param_count(), 10 * 64 + 64 + 64 * 64 + 64 + 64 * 3 + 3);
@@ -182,7 +196,8 @@ mod tests {
     fn empty_sequential_is_identity() {
         let mut net = Sequential::new();
         let x = Tensor::from_vec(1, 2, vec![1.0, 2.0]);
-        assert_eq!(net.forward(&x, Mode::Train), x);
+        assert_eq!(net.forward(&x), x);
+        assert_eq!(net.infer(&x), x);
         assert_eq!(net.backward(&x), x);
     }
 }

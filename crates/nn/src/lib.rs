@@ -12,10 +12,14 @@
 //! baseline (E2EDistr) possible: gradients flow decoder → diffusion backbone
 //! → encoder across simulated silo boundaries.
 //!
+//! Every layer has two passes: `forward(&mut self)` is the training pass
+//! that feeds `backward`, and `infer(&self)` is the inference pass, which
+//! only reads the weights so threads can share one trained network.
+//!
 //! ## Example
 //!
 //! ```
-//! use silofuse_nn::layers::{mlp, Layer, Mode};
+//! use silofuse_nn::layers::{mlp, Layer};
 //! use silofuse_nn::optim::{Adam, Optimizer};
 //! use silofuse_nn::{loss, init};
 //! use rand::{rngs::StdRng, SeedableRng};
@@ -27,11 +31,13 @@
 //! let target = x.slice_cols(0, 1).map(|v| v * 0.5);
 //! for _ in 0..50 {
 //!     net.zero_grad();
-//!     let pred = net.forward(&x, Mode::Train);
+//!     let pred = net.forward(&x);
 //!     let (_l, grad) = loss::mse(&pred, &target);
 //!     net.backward(&grad);
 //!     opt.step(&mut net);
 //! }
+//! let fitted = net.infer(&x);
+//! assert_eq!(fitted.shape(), (64, 1));
 //! ```
 
 #![warn(missing_docs)]

@@ -194,7 +194,7 @@ pub fn clip_grad_norm(layer: &mut dyn Layer, max_norm: f32) -> f32 {
 mod tests {
     use super::*;
     use crate::init::Init;
-    use crate::layers::{Linear, Mode};
+    use crate::layers::Linear;
     use crate::loss;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -208,7 +208,7 @@ mod tests {
         let mut last = f32::INFINITY;
         for _ in 0..steps {
             layer.zero_grad();
-            let y = layer.forward(&x, Mode::Train);
+            let y = layer.forward(&x);
             let (l, g) = loss::mse(&y, &target);
             let _ = layer.backward(&g);
             opt.step(&mut layer);
@@ -243,7 +243,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut layer = Linear::new(4, 4, Init::XavierUniform, &mut rng);
         let x = crate::init::randn(8, 4, &mut rng).scale(100.0);
-        let y = layer.forward(&x, Mode::Train);
+        let y = layer.forward(&x);
         let (_, g) = loss::mse(&y, &y.map(|v| v + 100.0));
         let _ = layer.backward(&g);
         let pre = clip_grad_norm(&mut layer, 1.0);
@@ -259,7 +259,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(6);
             let mut layer = Linear::new(3, 3, Init::XavierUniform, &mut rng);
             let x = crate::init::randn(4, 3, &mut rng);
-            let y = layer.forward(&x, Mode::Train);
+            let y = layer.forward(&x);
             let (_, g) = loss::mse(&y, &y.map(|v| v + 1.0));
             let _ = layer.backward(&g);
             layer.visit_params(&mut |p| p.grad.as_mut_slice()[0] = poison);
@@ -304,7 +304,7 @@ mod tests {
                     opt = fresh;
                 }
                 layer.zero_grad();
-                let y = layer.forward(&x, Mode::Train);
+                let y = layer.forward(&x);
                 let (_, g) = loss::mse(&y, &target);
                 let _ = layer.backward(&g);
                 opt.step(&mut layer);

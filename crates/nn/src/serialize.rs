@@ -340,7 +340,7 @@ pub fn import_train_state(
 mod tests {
     use super::*;
     use crate::init::{randn, Init};
-    use crate::layers::{mlp, BatchNorm1d, Linear, Mode, Sequential};
+    use crate::layers::{mlp, BatchNorm1d, Linear, Sequential};
     use crate::optim::Optimizer;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -350,15 +350,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut net = mlp(&[4, 16, 2], None, 0, &mut rng);
         let x = randn(3, 4, &mut rng);
-        let before = net.forward(&x, Mode::Infer);
+        let before = net.infer(&x);
         let dict = export_state_dict(&mut net);
 
         // A fresh network with different init gives different outputs...
         let mut other = mlp(&[4, 16, 2], None, 99, &mut StdRng::seed_from_u64(99));
-        assert_ne!(other.forward(&x, Mode::Infer), before);
+        assert_ne!(other.infer(&x), before);
         // ...until the state dict is loaded.
         import_state_dict(&mut other, &dict).unwrap();
-        assert_eq!(other.forward(&x, Mode::Infer), before);
+        assert_eq!(other.infer(&x), before);
     }
 
     #[test]
@@ -368,10 +368,10 @@ mod tests {
         let dict = export_state_dict(&mut net);
         let mut wrong = mlp(&[4, 16, 2], None, 1, &mut rng);
         let x = randn(2, 4, &mut rng);
-        let before = wrong.forward(&x, Mode::Infer);
+        let before = wrong.infer(&x);
         let err = import_state_dict(&mut wrong, &dict).unwrap_err();
         assert!(matches!(err, StateDictError::ShapeMismatch { .. }));
-        assert_eq!(wrong.forward(&x, Mode::Infer), before, "failed import must not mutate");
+        assert_eq!(wrong.infer(&x), before, "failed import must not mutate");
     }
 
     #[test]
@@ -438,7 +438,7 @@ mod tests {
         let mut net = mlp(&[3, 8, 3], Some(0.1), 5, &mut rng);
         let mut opt = Adam::new(1e-3);
         let x = randn(2, 3, &mut rng);
-        let before = net.forward(&x, Mode::Infer);
+        let before = net.infer(&x);
         let mut fuzz_rng = StdRng::seed_from_u64(0xf022);
         for _ in 0..500 {
             let len = fuzz_rng.gen_range(0..256usize);
@@ -453,7 +453,7 @@ mod tests {
         }
         // Mutations only happen after full validation, so the network is
         // untouched by the 500 rejected imports.
-        assert_eq!(net.forward(&x, Mode::Infer), before);
+        assert_eq!(net.infer(&x), before);
     }
 
     #[test]
@@ -471,7 +471,7 @@ mod tests {
         let x = randn(8, 4, &mut rng);
         for _ in 0..5 {
             net.zero_grad();
-            let y = net.forward(&x, Mode::Train);
+            let y = net.forward(&x);
             let _ = net.backward(&y);
             opt.step(&mut net);
         }
@@ -486,14 +486,14 @@ mod tests {
         for _ in 0..5 {
             net.zero_grad();
             other.zero_grad();
-            let a = net.forward(&x, Mode::Train);
-            let b = other.forward(&x, Mode::Train);
+            let a = net.forward(&x);
+            let b = other.forward(&x);
             assert_eq!(a, b, "train forward diverged");
             let _ = net.backward(&a);
             let _ = other.backward(&b);
             opt.step(&mut net);
             other_opt.step(&mut other);
         }
-        assert_eq!(net.forward(&x, Mode::Infer), other.forward(&x, Mode::Infer));
+        assert_eq!(net.infer(&x), other.infer(&x));
     }
 }

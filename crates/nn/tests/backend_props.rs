@@ -10,11 +10,12 @@ use rand::SeedableRng;
 use silofuse_nn::backend::{self, Backend, Parallel, Reference};
 use silofuse_nn::init::{randn, Init};
 use silofuse_nn::layers::{
-    Activation, ActivationKind, BatchNorm1d, Conv1d, Dropout, Layer, LayerNorm, Linear, Mode,
-    Sequential,
+    Activation, ActivationKind, BatchNorm1d, Conv1d, Dropout, EmbeddingGather, Layer, LayerNorm,
+    Linear, Sequential,
 };
 use silofuse_nn::loss::mse;
 use silofuse_nn::optim::{clip_grad_norm, Adam, Optimizer};
+use silofuse_nn::sparse::{SparseBatchRef, SparseField, SparseSpec};
 use silofuse_nn::{workspace, Tensor};
 
 /// Thread counts exercised for the parallel backend; 7 is deliberately not
@@ -273,7 +274,7 @@ fn nan_and_inf_propagate_bitwise_identically() {
 /// and all parameter gradients.
 fn run_layer(make: &dyn Fn() -> Box<dyn Layer>, x: &Tensor) -> (Tensor, Tensor, Vec<f32>) {
     let mut layer = make();
-    let y = layer.forward(x, Mode::Train);
+    let y = layer.forward(x);
     let upstream = y.map(|v| v * 0.25 + 0.125);
     let gx = layer.backward(&upstream);
     let mut grads = Vec::new();
@@ -341,6 +342,109 @@ fn layer_passes_bit_identical_across_thread_counts() {
     backend::set_threads(1);
 }
 
+/// The sparse input layout of [`infer_matches_training_forward_across_thread_counts`]:
+/// 256 densified columns, numeric slots between one-hot blocks.
+fn gather_spec() -> SparseSpec {
+    SparseSpec::new(vec![
+        SparseField::Numeric { slot: 0 },
+        SparseField::Categorical { offset: 1, width: 60 },
+        SparseField::Numeric { slot: 61 },
+        SparseField::Categorical { offset: 62, width: 194 },
+    ])
+}
+
+fn gather_layer() -> EmbeddingGather {
+    let mut rng = StdRng::seed_from_u64(43);
+    EmbeddingGather::new(gather_spec(), 96, Init::XavierUniform, &mut rng)
+}
+
+/// `infer` is the training `forward` minus caches and randomness, at 1, 2
+/// and 4 backend threads: bit-identical for every deterministic layer
+/// (both input paths of `EmbeddingGather` included), the identity for
+/// `Dropout`, and running-statistics normalisation for `BatchNorm1d`.
+#[test]
+fn infer_matches_training_forward_across_thread_counts() {
+    type Factory = Box<dyn Fn() -> Box<dyn Layer>>;
+    let mut factories: Vec<(String, Factory)> = vec![
+        (
+            "linear".into(),
+            Box::new(|| {
+                let mut rng = StdRng::seed_from_u64(41);
+                Box::new(Linear::new(256, 128, Init::XavierUniform, &mut rng))
+            }),
+        ),
+        ("layernorm".into(), Box::new(|| Box::new(LayerNorm::new(256)))),
+        (
+            "conv1d".into(),
+            Box::new(|| {
+                let mut rng = StdRng::seed_from_u64(42);
+                Box::new(Conv1d::new(4, 6, 3, 1, 1, 64, &mut rng))
+            }),
+        ),
+        ("embedding-gather dense".into(), Box::new(|| Box::new(gather_layer()))),
+    ];
+    for kind in [
+        ActivationKind::Relu,
+        ActivationKind::LeakyRelu,
+        ActivationKind::Gelu,
+        ActivationKind::Tanh,
+        ActivationKind::Sigmoid,
+    ] {
+        factories.push((format!("{kind:?}"), Box::new(move || Box::new(Activation::new(kind)))));
+    }
+
+    let mut rng = StdRng::seed_from_u64(40);
+    let x = randn(288, 256, &mut rng);
+    let numeric = randn(288, 2, &mut rng);
+    let indices: Vec<u32> = (0..288u32).flat_map(|r| [1 + r * 7 % 60, 62 + r * 13 % 194]).collect();
+    let batch = SparseBatchRef { rows: 288, numeric: numeric.as_slice(), indices: &indices };
+
+    backend::set_threads(1);
+    let mut baseline: Vec<Tensor> = factories.iter().map(|(_, make)| make().infer(&x)).collect();
+    baseline.push(gather_layer().infer_sparse(batch));
+    for t in [1usize, 2, 4] {
+        backend::set_threads(t);
+        let mut outputs = Vec::new();
+        for (name, make) in &factories {
+            let y = make().infer(&x);
+            assert!(bits_eq(make().forward(&x).as_slice(), y.as_slice()), "{name} at {t} threads");
+            outputs.push(y);
+        }
+        let y = gather_layer().infer_sparse(batch);
+        let trained = gather_layer().forward_sparse(batch);
+        assert!(bits_eq(trained.as_slice(), y.as_slice()), "sparse gather at {t} threads");
+        let stack =
+            Sequential::new().push(gather_layer()).push(Activation::new(ActivationKind::Gelu));
+        let stacked = stack.try_infer_sparse(batch).expect("first layer gathers");
+        assert!(bits_eq(stacked.as_slice(), y.gelu().as_slice()), "sparse stack at {t} threads");
+        outputs.push(y);
+        for ((name, _), (want, got)) in factories.iter().zip(baseline.iter().zip(&outputs)) {
+            assert!(bits_eq(want.as_slice(), got.as_slice()), "{name} diverged at {t} threads");
+        }
+
+        assert_eq!(Dropout::new(0.3, 44).infer(&x), x, "dropout at {t} threads");
+
+        let mut bn = BatchNorm1d::new(256);
+        for _ in 0..3 {
+            let _ = bn.forward(&x.map(|v| v * 2.0 + 5.0));
+        }
+        let mut stats = Vec::new();
+        bn.visit_buffers(&mut |b| stats.push(b.clone()));
+        let (mean, var) = (&stats[0], &stats[1]);
+        let mut want = x.clone();
+        for r in 0..want.rows() {
+            for (c, v) in want.row_mut(r).iter_mut().enumerate() {
+                // gamma = 1 and beta = 0: no optimizer step has run.
+                *v = (*v - mean[c]) * (1.0 / (var[c] + 1e-5).sqrt()) * 1.0 + 0.0;
+            }
+        }
+        let y = bn.infer(&x);
+        assert!(bits_eq(y.as_slice(), want.as_slice()), "batchnorm at {t} threads");
+        assert_ne!(y, bn.forward(&x), "training normalises by batch statistics");
+    }
+    backend::set_threads(1);
+}
+
 /// Conv1d's analytic gradients match central finite differences, for both
 /// the input gradient and every weight/bias entry probed.
 #[test]
@@ -354,12 +458,12 @@ fn conv1d_backward_matches_finite_differences() {
 
     // Loss L = <forward(x), upstream>, so backward(upstream) is dL/dx.
     let loss = |conv: &mut Conv1d, input: &Tensor| -> f32 {
-        let y = conv.forward(input, Mode::Train);
+        let y = conv.forward(input);
         y.as_slice().iter().zip(upstream.as_slice()).map(|(a, b)| a * b).sum()
     };
 
     conv.zero_grad();
-    let _ = conv.forward(&x, Mode::Train);
+    let _ = conv.forward(&x);
     let gx = conv.backward(&upstream);
     let mut analytic = Vec::new();
     conv.visit_params(&mut |p| analytic.extend_from_slice(p.grad.as_slice()));
@@ -426,7 +530,7 @@ fn warm_training_step_allocates_nothing() {
             workspace::reset_counters();
         }
         net.zero_grad();
-        let pred = net.forward(&x, Mode::Train);
+        let pred = net.forward(&x);
         let (_, grad) = mse(&pred, &target);
         workspace::recycle(pred);
         let gin = net.backward(&grad);

@@ -12,8 +12,7 @@ use silofuse_nn::backend::{self, Backend, HalfPrecision, Precision, Reference};
 use silofuse_nn::f16::{round_f16, F16_EPS};
 use silofuse_nn::init::{randn, Init};
 use silofuse_nn::layers::{
-    Activation, ActivationKind, BatchNorm1d, Conv1d, Dropout, Layer, LayerNorm, Linear, Mode,
-    Sequential,
+    Activation, ActivationKind, BatchNorm1d, Conv1d, Dropout, Layer, LayerNorm, Linear, Sequential,
 };
 use silofuse_nn::Tensor;
 
@@ -23,7 +22,7 @@ fn bits_eq(a: &[f32], b: &[f32]) -> bool {
 
 /// One forward pass of a fresh layer built by `make`.
 fn forward_once(make: &dyn Fn() -> Box<dyn Layer>, x: &Tensor) -> Tensor {
-    make().forward(x, Mode::Infer)
+    make().infer(x)
 }
 
 #[test]
@@ -58,18 +57,18 @@ fn precision_state_machine_and_f16_layer_tolerance() {
         Linear::new(48, 32, Init::XavierUniform, &mut rng)
     };
     let y16 = {
-        let mut l = layer.clone();
-        l.forward(&x, Mode::Infer)
+        let l = layer.clone();
+        l.infer(&x)
     };
     let y_pinned = {
         let _f32 = backend::force_f32();
-        let mut l = layer.clone();
-        l.forward(&x, Mode::Infer)
+        let l = layer.clone();
+        l.infer(&x)
     };
     backend::set_precision(Precision::F32);
     let y32 = {
-        let mut l = layer.clone();
-        l.forward(&x, Mode::Infer)
+        let l = layer.clone();
+        l.infer(&x)
     };
     assert!(
         bits_eq(y_pinned.as_slice(), y32.as_slice()),

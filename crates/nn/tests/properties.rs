@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use silofuse_nn::init::Init;
-use silofuse_nn::layers::{Activation, ActivationKind, Layer, Linear, Mode};
+use silofuse_nn::layers::{Activation, ActivationKind, Layer, Linear};
 use silofuse_nn::loss::{bce_with_logits, mse};
 use silofuse_nn::Tensor;
 
@@ -129,12 +129,12 @@ proptest! {
     #[test]
     fn linear_layer_is_affine(seed in 0u64..200, alpha in -3.0f32..3.0) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut layer = Linear::new(4, 3, Init::XavierUniform, &mut rng);
+        let layer = Linear::new(4, 3, Init::XavierUniform, &mut rng);
         let x = silofuse_nn::init::randn(2, 4, &mut rng);
         let zero = Tensor::zeros(2, 4);
-        let f0 = layer.forward(&zero, Mode::Infer);
-        let fx = layer.forward(&x, Mode::Infer);
-        let fax = layer.forward(&x.scale(alpha), Mode::Infer);
+        let f0 = layer.infer(&zero);
+        let fx = layer.infer(&x);
+        let fax = layer.infer(&x.scale(alpha));
         // f(ax) - f(0) = a (f(x) - f(0))
         let lhs = fax.sub(&f0);
         let rhs = fx.sub(&f0).scale(alpha);
@@ -146,7 +146,7 @@ proptest! {
     #[test]
     fn activation_backward_shape_and_sparsity(t in arb_tensor(6)) {
         let mut act = Activation::new(ActivationKind::Gelu);
-        let y = act.forward(&t, Mode::Train);
+        let y = act.forward(&t);
         prop_assert_eq!(y.shape(), t.shape());
         let zero_grad = Tensor::zeros(t.rows(), t.cols());
         let g = act.backward(&zero_grad);

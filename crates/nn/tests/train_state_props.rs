@@ -9,8 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use silofuse_nn::init::Init;
 use silofuse_nn::layers::{
-    Activation, ActivationKind, BatchNorm1d, Conv1d, Dropout, Layer, LayerNorm, Linear, Mode,
-    Sequential,
+    Activation, ActivationKind, BatchNorm1d, Conv1d, Dropout, Layer, LayerNorm, Linear, Sequential,
 };
 use silofuse_nn::optim::{Adam, Optimizer};
 use silofuse_nn::serialize::{export_train_state, import_train_state};
@@ -40,7 +39,7 @@ fn build(kinds: &[u8], seed: u64) -> Sequential {
 
 fn train_step(net: &mut Sequential, opt: &mut Adam, x: &silofuse_nn::Tensor) {
     net.zero_grad();
-    let y = net.forward(x, Mode::Train);
+    let y = net.forward(x);
     let _ = net.backward(&y);
     opt.step(net);
 }
@@ -70,15 +69,15 @@ proptest! {
         for _ in 0..3 {
             net.zero_grad();
             twin.zero_grad();
-            let a = net.forward(&x, Mode::Train);
-            let b = twin.forward(&x, Mode::Train);
+            let a = net.forward(&x);
+            let b = twin.forward(&x);
             prop_assert_eq!(&a, &b);
             let _ = net.backward(&a);
             let _ = twin.backward(&b);
             opt.step(&mut net);
             twin_opt.step(&mut twin);
         }
-        prop_assert_eq!(net.forward(&x, Mode::Infer), twin.forward(&x, Mode::Infer));
+        prop_assert_eq!(net.infer(&x), twin.infer(&x));
     }
 
     /// Interrupt training at an arbitrary step, restore into a fresh model
@@ -116,6 +115,6 @@ proptest! {
         for _ in split..10 {
             train_step(&mut resumed, &mut resumed_opt, &x);
         }
-        prop_assert_eq!(straight.forward(&x, Mode::Infer), resumed.forward(&x, Mode::Infer));
+        prop_assert_eq!(straight.infer(&x), resumed.infer(&x));
     }
 }

@@ -1,16 +1,21 @@
 //! Integration tests of the multi-tenant synthesis service: cursor
 //! pagination must be byte-identical under ANY split of a job's row
 //! range — across streamed chunk boundaries, nn-backend thread counts,
-//! and full server restarts (registry reload from checkpoints) — and
-//! overload must answer with a typed rejection instead of queueing.
+//! full server restarts (registry reload from checkpoints), and tenants
+//! sampling one shared model at once — and overload or a range past the
+//! last row must answer with a typed rejection instead of queueing or
+//! panicking.
 
 use proptest::prelude::*;
-use silofuse_core::serve::{ModelRegistry, ModelSpec, ServeConfig, ServeError, SynthesisServer};
+use silofuse_core::diffusion::SampleRequestError;
+use silofuse_core::serve::{
+    ModelRegistry, ModelSpec, ServeConfig, ServeError, SynthesisServer, TenantClient,
+};
 use silofuse_core::TrainBudget;
 use silofuse_distributed::ServeRejectCode;
 use silofuse_tabular::Table;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Barrier, OnceLock};
 use std::time::Duration;
 
 /// Small enough to fit in seconds, real enough to exercise both phases.
@@ -162,7 +167,6 @@ fn zero_chunk_rows_is_a_typed_error_at_every_layer() {
     // Model config: the old `.max(1)` clamp is gone — a zero
     // `synth_chunk_rows` is rejected at the request boundary.
     use rand::{rngs::StdRng, SeedableRng};
-    use silofuse_core::diffusion::SampleRequestError;
     use silofuse_core::models::LatentDiff;
     let mut cfg = tiny_budget().latent_config(3);
     cfg.synth_chunk_rows = 0;
@@ -186,4 +190,110 @@ fn catalog_rejects_unknown_models_client_side() {
     assert!(matches!(err, ServeError::Protocol(_)), "{err}");
     drop(client);
     server.shutdown();
+}
+
+#[test]
+fn a_range_past_the_last_row_is_a_typed_rejection() {
+    let registry = ModelRegistry::open(Some(trained_dir()), 25, &specs()).unwrap();
+    let model = registry.model_id("loan").unwrap();
+    let err = registry.sample(model, 5, u64::MAX - 10, 256).expect_err("the range end overflows");
+    assert!(matches!(err, ServeError::Sample(SampleRequestError::RowRange(_))), "{err}");
+    // The last rows below the limit are still addressable.
+    assert_eq!(registry.sample(model, 5, u64::MAX - 10, 10).unwrap().n_rows(), 10);
+
+    let mut server = SynthesisServer::new(registry, serve_config(4)).unwrap();
+    let client = server.connect("edge");
+    match client.fetch(model, 5, u64::MAX - 10, 256) {
+        Err(ServeError::Rejected { job: 5, code: ServeRejectCode::InvalidRequest }) => {}
+        Ok(t) => panic!("served {} rows past the last row", t.n_rows()),
+        Err(e) => panic!("expected a typed InvalidRequest rejection, got {e}"),
+    }
+    // The connection survived the bad request.
+    assert_eq!(client.fetch(model, 5, 0, 8).unwrap().n_rows(), 8);
+    drop(client);
+    server.shutdown();
+}
+
+/// Fetches a page, backing off while admission answers `Overloaded`.
+fn fetch_admitted(client: &TenantClient, job: u64, start: u64, rows: u32) -> Table {
+    let model = client.model_id("loan").expect("loan is cataloged");
+    loop {
+        match client.fetch(model, job, start, rows) {
+            Err(ServeError::Rejected { code: ServeRejectCode::Overloaded, .. }) => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            other => return other.expect("page must be served"),
+        }
+    }
+}
+
+#[test]
+fn concurrent_tenants_of_one_model_get_a_lone_tenants_bytes() {
+    let registry = ModelRegistry::open(Some(trained_dir()), 25, &specs()).unwrap();
+    let config =
+        ServeConfig { max_in_flight: 4, per_tenant_max: 1, chunk_rows: 4, ..Default::default() };
+    let mut server = SynthesisServer::new(registry, config).unwrap();
+    // Tenant t pages through job 40 + t % 2 from row 8t in overlapping
+    // 24-row pages, so both jobs are read by two tenants at once and
+    // every page streams as six interleaving 4-row chunks.
+    let pages = |t: u64| (0..3u64).map(move |p| (40 + t % 2, 8 * t + 16 * p, 24u32));
+    let go = &Barrier::new(4);
+    let served: Vec<Vec<Table>> = std::thread::scope(|scope| {
+        let tenants: Vec<_> = (0..4u64)
+            .map(|t| {
+                let client = server.connect(&format!("tenant-{t}"));
+                scope.spawn(move || {
+                    go.wait();
+                    pages(t)
+                        .map(|(job, start, rows)| fetch_admitted(&client, job, start, rows))
+                        .collect()
+                })
+            })
+            .collect();
+        tenants.into_iter().map(|h| h.join().expect("tenant thread panicked")).collect()
+    });
+    server.shutdown();
+    for (t, tables) in served.iter().enumerate() {
+        for ((job, start, rows), table) in pages(t as u64).zip(tables) {
+            let lone = fetch_on_fresh_server(job, start, rows).unwrap();
+            assert_eq!(table, &lone, "tenant {t}: job {job} rows {start}+{rows}");
+        }
+    }
+}
+
+#[test]
+fn concurrent_registry_samples_match_sequential_ones() {
+    let registry = ModelRegistry::open(Some(trained_dir()), 25, &specs()).unwrap();
+    let model = registry.model_id("loan").unwrap();
+    let requests = [(1u64, 0u64, 96u32), (2, 48, 96)];
+    let sequential: Vec<Table> = requests
+        .iter()
+        .map(|&(job, start, rows)| registry.sample(model, job, start, rows).unwrap())
+        .collect();
+    let (registry, go) = (&registry, &Barrier::new(requests.len()));
+    let concurrent: Vec<Table> = std::thread::scope(|scope| {
+        let calls: Vec<_> = requests
+            .iter()
+            .map(|&(job, start, rows)| {
+                scope.spawn(move || {
+                    go.wait();
+                    registry.sample(model, job, start, rows)
+                })
+            })
+            .collect();
+        calls.into_iter().map(|h| h.join().expect("sampler panicked").unwrap()).collect()
+    });
+    assert_eq!(concurrent, sequential);
+}
+
+/// Tenant threads share one registry and sample from it without a lock,
+/// so every model layer on the inference path must be `Send + Sync`.
+#[test]
+fn the_inference_path_is_send_and_sync() {
+    fn shared<T: Send + Sync>() {}
+    shared::<ModelRegistry>();
+    shared::<silofuse_core::models::LatentDiff>();
+    shared::<silofuse_core::diffusion::GaussianDdpm>();
+    shared::<silofuse_core::models::TabularAutoencoder>();
+    shared::<silofuse_core::nn::layers::Sequential>();
 }
