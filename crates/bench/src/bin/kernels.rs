@@ -110,7 +110,8 @@ fn gflops_floor(level: SimdLevel) -> Option<f64> {
 fn main() {
     let opts = parse_cli();
     silofuse_bench::init_trace("kernels", &opts);
-    let requested_threads = if opts.threads > 1 { opts.threads } else { 4 };
+    let configured = silofuse_nn::backend::threads();
+    let requested_threads = if configured > 1 { configured } else { 4 };
     // Parallel speedup is bounded by the cores the host actually grants;
     // clamp the timed leg so an oversubscribed box does not measure
     // scheduler noise, and record both counts so a clamped run is not read

@@ -132,7 +132,7 @@ fn main() {
     let mut report = silofuse_bench::TextTable::new(&["op", "disabled", "enabled"]);
     let mut json = String::from("{\n  \"bench\": \"observe\",\n");
     let _ = writeln!(json, "  \"seed\": {},", opts.seed);
-    let _ = writeln!(json, "  \"threads\": {},", opts.threads);
+    let _ = writeln!(json, "  \"threads\": {},", silofuse_nn::backend::threads());
     let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
     let _ = writeln!(json, "  \"reps\": {reps},");
     json.push_str("  \"results\": [\n");

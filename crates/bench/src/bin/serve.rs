@@ -120,7 +120,6 @@ fn run_level(
 
 fn main() {
     let opts = parse_cli();
-    silofuse_nn::backend::set_threads(opts.threads.max(1));
 
     let budget =
         if opts.quick { TrainBudget::quick().scaled_down(4) } else { TrainBudget::quick() };
@@ -188,7 +187,7 @@ fn main() {
     let _ = writeln!(json, "  \"seed\": {},", opts.seed);
     let _ = writeln!(json, "  \"quick\": {},", opts.quick);
     let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
-    let _ = writeln!(json, "  \"threads\": {},", opts.threads.max(1));
+    let _ = writeln!(json, "  \"threads\": {},", silofuse_nn::backend::threads());
     let _ = writeln!(json, "  \"chunk_rows\": {chunk_rows},");
     let _ = writeln!(json, "  \"max_in_flight\": 2,");
     let _ = writeln!(json, "  \"per_tenant_max\": 1,");

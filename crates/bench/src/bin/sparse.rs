@@ -53,7 +53,8 @@ fn best_of(reps: usize, mut f: impl FnMut()) -> u64 {
 fn main() {
     let opts = parse_cli();
     silofuse_bench::init_trace("sparse", &opts);
-    let threads = if opts.threads > 1 { opts.threads } else { 4 };
+    let configured = silofuse_nn::backend::threads();
+    let threads = if configured > 1 { configured } else { 4 };
     let reps = if opts.quick { 2 } else { 3 };
     let steps = if opts.quick { 4 } else { 10 };
     let rows = if opts.quick { 192 } else { 512 };

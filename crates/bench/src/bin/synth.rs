@@ -79,7 +79,8 @@ fn best_of(reps: usize, mut f: impl FnMut()) -> u64 {
 fn main() {
     let opts = parse_cli();
     silofuse_bench::init_trace("synth", &opts);
-    let threads = if opts.threads > 1 { opts.threads } else { 4 };
+    let configured = silofuse_nn::backend::threads();
+    let threads = if configured > 1 { configured } else { 4 };
     let reps = if opts.quick { 2 } else { 4 };
     let rows = if opts.quick { 128 } else { 512 };
     let dims: &[usize] = &[8, 32];

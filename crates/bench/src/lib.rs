@@ -24,7 +24,9 @@
 use silofuse_checkpoint::Checkpointer;
 use silofuse_core::pipeline::RunConfig;
 use silofuse_distributed::{FaultPlan, NetConfig};
-use silofuse_tabular::profiles::{all_profiles, DatasetProfile};
+use silofuse_tabular::profiles::{
+    all_profiles, high_cardinality_profiles, profile_by_name, DatasetProfile,
+};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -65,9 +67,10 @@ pub struct CliOptions {
     /// `checkpoint_dir` (`--resume`).
     pub resume: bool,
     /// Worker threads for the dense-kernel backend (`--threads N`).
-    /// 1 = serial SIMD kernels; results are bit-identical at every
-    /// thread count.
-    pub threads: usize,
+    /// None keeps the backend's configured count: `SILOFUSE_THREADS`, or
+    /// one worker per available core when that is unset. 1 = serial SIMD
+    /// kernels; results are bit-identical at every thread count.
+    pub threads: Option<usize>,
     /// Numeric precision mode (`--precision f32|f16`). `f16` opts
     /// inference into half-precision operand storage; training always
     /// stays f32.
@@ -89,7 +92,7 @@ impl Default for CliOptions {
             checkpoint_dir: None,
             checkpoint_every: 50,
             resume: false,
-            threads: 1,
+            threads: None,
             precision: silofuse_nn::backend::Precision::F32,
         }
     }
@@ -121,92 +124,120 @@ pub fn checkpointer(opts: &CliOptions, tag: &str) -> Option<Checkpointer> {
     Some(Checkpointer::new(scoped, opts.checkpoint_every).with_resume(opts.resume))
 }
 
-/// Parses `std::env::args()` into [`CliOptions`].
+/// The usage line printed with every argument error.
+const USAGE: &str = "supported: --quick --trace --expose FILE --trials N --seed S --datasets A,B \
+                     --faults drop=0.05,delay=10ms,seed=7 --retry-deadline DUR \
+                     --retry-max-backoff DUR --checkpoint-dir D --checkpoint-every N --resume \
+                     --threads N --precision P";
+
+/// Parses `std::env::args()` into [`CliOptions`], then applies
+/// `--threads` (only when given) and `--precision` to the backend.
 ///
-/// # Panics
-/// Panics with a usage message on malformed arguments.
+/// On a malformed argument this prints the error and the usage line and
+/// exits with status 2, before any work runs.
 pub fn parse_cli() -> CliOptions {
+    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
+    if let Some(n) = opts.threads {
+        silofuse_nn::backend::set_threads(n);
+    }
+    silofuse_nn::backend::set_precision(opts.precision);
+    opts
+}
+
+/// Parses command-line arguments (without the program name) into
+/// [`CliOptions`]. Touches no global state.
+///
+/// # Errors
+/// A message naming the offending argument: an unknown flag, a missing
+/// or malformed value, a `--datasets` name that matches no profile, or
+/// `--resume` without `--checkpoint-dir`.
+pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
+        let mut value = |what: &str| args.next().ok_or(format!("{arg} needs {what}"));
         match arg.as_str() {
             "--quick" => opts.quick = true,
             "--trace" => opts.trace = true,
             "--expose" => {
-                opts.expose = Some(args.next().expect("--expose needs a file path"));
+                opts.expose = Some(value("a file path")?);
                 opts.trace = true;
             }
             "--trials" => {
-                opts.trials = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--trials needs a positive integer");
+                opts.trials = value("a positive integer")?
+                    .parse()
+                    .map_err(|_| "--trials needs a positive integer".to_string())?;
             }
             "--seed" => {
-                opts.seed =
-                    args.next().and_then(|v| v.parse().ok()).expect("--seed needs an integer");
+                opts.seed = value("an integer")?
+                    .parse()
+                    .map_err(|_| "--seed needs an integer".to_string())?;
             }
             "--datasets" => {
-                let list = args.next().expect("--datasets needs a comma-separated list");
-                opts.datasets = Some(list.split(',').map(|s| s.trim().to_string()).collect());
+                let list = value("a comma-separated list")?;
+                let names: Vec<String> = list.split(',').map(|s| s.trim().to_string()).collect();
+                if let Some(bad) = names.iter().find(|n| profile_by_name(n).is_none()) {
+                    let valid: Vec<&str> = all_profiles()
+                        .into_iter()
+                        .chain(high_cardinality_profiles())
+                        .map(|p| p.name)
+                        .collect();
+                    return Err(format!(
+                        "--datasets: unknown dataset '{bad}'; valid names: {}",
+                        valid.join(", ")
+                    ));
+                }
+                opts.datasets = Some(names);
             }
             "--faults" => {
-                let spec = args.next().expect("--faults needs a spec like drop=0.05,seed=7");
-                opts.faults = Some(FaultPlan::parse(&spec).unwrap_or_else(|e| panic!("{e}")));
+                opts.faults = Some(FaultPlan::parse(&value("a spec like drop=0.05,seed=7")?)?);
             }
             "--retry-deadline" => {
-                let v = args.next().expect("--retry-deadline needs a duration like 250ms");
+                let v = value("a duration like 250ms")?;
                 opts.retry_deadline = Some(
                     silofuse_distributed::faults::parse_duration(&v)
-                        .unwrap_or_else(|e| panic!("--retry-deadline: {e}")),
+                        .map_err(|e| format!("--retry-deadline: {e}"))?,
                 );
             }
             "--retry-max-backoff" => {
-                let v = args.next().expect("--retry-max-backoff needs a duration like 2s");
+                let v = value("a duration like 2s")?;
                 opts.retry_max_backoff = Some(
                     silofuse_distributed::faults::parse_duration(&v)
-                        .unwrap_or_else(|e| panic!("--retry-max-backoff: {e}")),
+                        .map_err(|e| format!("--retry-max-backoff: {e}"))?,
                 );
             }
-            "--checkpoint-dir" => {
-                opts.checkpoint_dir = Some(args.next().expect("--checkpoint-dir needs a path"));
-            }
+            "--checkpoint-dir" => opts.checkpoint_dir = Some(value("a path")?),
             "--checkpoint-every" => {
-                opts.checkpoint_every = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
+                opts.checkpoint_every = value("a positive integer")?
+                    .parse()
+                    .ok()
                     .filter(|&n| n > 0)
-                    .expect("--checkpoint-every needs a positive integer");
+                    .ok_or("--checkpoint-every needs a positive integer")?;
             }
             "--resume" => opts.resume = true,
             "--precision" => {
-                opts.precision = args
-                    .next()
-                    .as_deref()
-                    .and_then(silofuse_nn::backend::Precision::parse)
-                    .expect("--precision needs f32 or f16");
+                opts.precision = silofuse_nn::backend::Precision::parse(&value("f32 or f16")?)
+                    .ok_or("--precision needs f32 or f16")?;
             }
             "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .expect("--threads needs a positive integer");
+                opts.threads = Some(
+                    value("a positive integer")?
+                        .parse()
+                        .ok()
+                        .filter(|&n| n > 0)
+                        .ok_or("--threads needs a positive integer")?,
+                );
             }
-            other => panic!(
-                "unknown argument {other}; supported: --quick --trace --expose FILE --trials N \
-                 --seed S --datasets A,B --faults drop=0.05,delay=10ms,seed=7 \
-                 --retry-deadline DUR --retry-max-backoff DUR \
-                 --checkpoint-dir D --checkpoint-every N --resume --threads N --precision P"
-            ),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
     if opts.resume && opts.checkpoint_dir.is_none() {
-        panic!("--resume needs --checkpoint-dir to load from");
+        return Err("--resume needs --checkpoint-dir to load from".into());
     }
-    silofuse_nn::backend::set_threads(opts.threads);
-    silofuse_nn::backend::set_precision(opts.precision);
-    opts
+    Ok(opts)
 }
 
 /// The datasets selected by the CLI options, in Table II order.
@@ -396,6 +427,42 @@ pub fn human_bytes(b: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<CliOptions, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn threads_stay_unset_unless_the_flag_is_given() {
+        assert_eq!(parse(&[]).expect("no arguments parse").threads, None);
+        assert_eq!(parse(&["--quick"]).expect("valid").threads, None);
+        assert_eq!(parse(&["--threads", "3"]).expect("valid").threads, Some(3));
+        assert!(parse(&["--threads", "0"]).is_err());
+        assert!(parse(&["--threads"]).is_err());
+    }
+
+    #[test]
+    fn unknown_dataset_names_are_rejected_with_the_valid_list() {
+        let err = parse(&["--datasets", "Lona"]).expect_err("a misspelled name must not parse");
+        assert!(err.contains("'Lona'"), "{err}");
+        for p in all_profiles() {
+            assert!(err.contains(p.name), "{err} should list {}", p.name);
+        }
+        let err = parse(&["--datasets", "Loan,Chrun"]).expect_err("one bad name is enough");
+        assert!(err.contains("'Chrun'"), "{err}");
+
+        let opts = parse(&["--datasets", "loan, Churn"]).expect("known names, any case");
+        let names: Vec<&str> = selected_profiles(&opts).iter().map(|p| p.name).collect();
+        assert_eq!(names, ["Loan", "Churn"]);
+    }
+
+    #[test]
+    fn malformed_arguments_are_errors_not_panics() {
+        assert!(parse(&["--modle"]).unwrap_err().contains("--modle"));
+        assert!(parse(&["--seed", "x"]).is_err());
+        assert!(parse(&["--resume"]).is_err());
+        assert!(parse(&["--checkpoint-dir", "d", "--resume"]).is_ok());
+    }
 
     #[test]
     fn text_table_aligns_columns() {

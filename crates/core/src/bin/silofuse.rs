@@ -231,8 +231,9 @@ USAGE:
   tmp+rename; implies --trace).
 
   Any command also accepts --threads N: run the dense kernels on N worker
-  threads (default 1 = serial SIMD kernels). Outputs are bit-identical at
-  every thread count, so --threads is purely a speed knob.
+  threads (default: SILOFUSE_THREADS, else one per available core; 1 =
+  serial SIMD kernels). Outputs are bit-identical at every thread count,
+  so --threads is purely a speed knob.
 
   --precision f16 opts *inference* (synthesis) into half-precision operand
   storage with f32 accumulation; training always runs full-precision f32,

@@ -9,7 +9,7 @@ use silofuse_nn::init::{randn, randn_fill};
 use silofuse_nn::layers::Layer;
 use silofuse_nn::loss::mse;
 use silofuse_nn::optim::{Adam, Optimizer};
-use silofuse_nn::{workspace, Tensor};
+use silofuse_nn::{backend, pool, workspace, Tensor};
 
 /// A synthesis request asked for `chunk_rows == 0`. A zero chunk size
 /// would make the streaming sampler spin forever without producing a
@@ -723,6 +723,10 @@ fn fill_gaussian_rows(x: &mut Tensor, rngs: &mut [StdRng]) {
     }
 }
 
+/// Fewest rows a split part of a sampling chunk gets: smaller batches
+/// lose more to per-call kernel overhead than a second core wins back.
+const MIN_SPLIT_ROWS: usize = 64;
+
 /// Streaming batched sampler over the reverse-diffusion chain: yields
 /// latent chunks of at most `chunk_rows` rows until `n` rows have been
 /// produced. Created by [`GaussianDdpm::chunked_sampler`].
@@ -769,6 +773,13 @@ impl ChunkedSampler<'_> {
     /// all `n` rows are generated. The tensor's storage comes from the
     /// workspace arena — recycle it when done to keep synthesis
     /// allocation-free at steady state.
+    ///
+    /// The chunk is one compute entry of the worker pool
+    /// ([`silofuse_nn::pool`]): when idle cores are free it splits into
+    /// contiguous row ranges of at least 64 rows, one per core, each
+    /// sampled as its own batch. Every row's noise depends only on its
+    /// absolute index and every kernel's per-row arithmetic on nothing but
+    /// that row, so the split never changes a byte.
     pub fn next_chunk(&mut self) -> Option<(usize, Tensor)> {
         if self.next_row >= self.n {
             return None;
@@ -776,7 +787,27 @@ impl ChunkedSampler<'_> {
         let _span = silofuse_observe::span(silofuse_observe::names::SYNTH_CHUNK_SPAN);
         let first = self.next_row;
         let m = self.chunk_rows.min(self.n - first);
-        let x = self.ddpm.sample_chunk(&self.coeffs, self.base, first, m);
+        let dim = self.dim();
+        let lease = pool::lease(backend::threads(), if dim == 0 { 1 } else { m / MIN_SPLIT_ROWS });
+        let x = if lease.parts() == 1 {
+            self.ddpm.sample_chunk(&self.coeffs, self.base, first, m)
+        } else {
+            silofuse_observe::count(silofuse_observe::names::SYNTH_SPLIT_CHUNKS, 1);
+            let part_rows = m.div_ceil(lease.parts());
+            let mut x = workspace::take(m, dim);
+            let parts: Vec<(usize, &mut [f32])> = x
+                .as_mut_slice()
+                .chunks_mut(part_rows * dim)
+                .enumerate()
+                .map(|(p, out)| (first + p * part_rows, out))
+                .collect();
+            lease.run(parts, |(row, out)| {
+                let part = self.ddpm.sample_chunk(&self.coeffs, self.base, row, out.len() / dim);
+                out.copy_from_slice(part.as_slice());
+                workspace::recycle(part);
+            });
+            x
+        };
         self.next_row = first + m;
         silofuse_observe::count(silofuse_observe::names::SYNTH_ROWS, m as u64);
         silofuse_observe::count(silofuse_observe::names::SYNTH_CHUNKS, 1);

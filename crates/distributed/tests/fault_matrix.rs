@@ -379,6 +379,7 @@ fn degraded_run_is_bit_identical_at_1_2_and_4_threads() {
             .expect("quorum 2-of-3 survives the cut");
         model.try_synthesize_supervised(10, 0, None, &mut rng).expect("degraded synthesis")
     };
+    let found = silofuse_nn::backend::threads();
     silofuse_nn::backend::set_threads(1);
     let base = run();
     assert!(base[1].is_masked());
@@ -386,7 +387,7 @@ fn degraded_run_is_bit_identical_at_1_2_and_4_threads() {
         silofuse_nn::backend::set_threads(threads);
         assert_eq!(run(), base, "degraded output diverged at {threads} threads");
     }
-    silofuse_nn::backend::set_threads(1);
+    silofuse_nn::backend::set_threads(found);
 }
 
 #[test]

@@ -129,6 +129,8 @@ fn e2e_synthesis_is_invariant_to_chunk_size_and_prefix_stable() {
 
 /// The paper-default thread counts CI exercises (`SILOFUSE_THREADS=4`
 /// matrix leg): batched synthesis must not depend on backend parallelism.
+/// These chunks are too small to split across cores; `split_synthesis.rs`
+/// covers chunks that do.
 #[test]
 fn synthesis_is_bit_identical_at_1_2_and_4_threads() {
     let run_stacked = |chunk: usize| {
@@ -144,6 +146,7 @@ fn synthesis_is_bit_identical_at_1_2_and_4_threads() {
         model.synthesize_partitioned(17, &mut rng)
     };
 
+    let found = silofuse_nn::backend::threads();
     silofuse_nn::backend::set_threads(1);
     let base_stacked = run_stacked(5);
     let base_e2e = run_e2e(5);
@@ -155,7 +158,7 @@ fn synthesis_is_bit_identical_at_1_2_and_4_threads() {
         // this thread count still reproduces the 1-thread output.
         assert_eq!(run_stacked(3), base_stacked, "stacked chunk=3 diverged at {threads} threads");
     }
-    silofuse_nn::backend::set_threads(1);
+    silofuse_nn::backend::set_threads(found);
 }
 
 /// Coordinator killed between two synthesis chunks: the relaunched run

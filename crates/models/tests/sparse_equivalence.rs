@@ -51,6 +51,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let batch = [1usize, 7, 32, 64][batch_sel];
+        let found = silofuse_nn::backend::threads();
         silofuse_nn::backend::set_threads([1usize, 2, 4][threads_sel]);
         let t = dataset(idx, 80, seed);
         let mut sparse = TabularAutoencoder::new(&t, ae_cfg(seed, SparsePolicy::Sparse));
@@ -66,7 +67,7 @@ proptest! {
         let z_d = dense.encode(&t);
         prop_assert_eq!(&z_s, &z_d);
         prop_assert_eq!(sparse.decode(&z_s), dense.decode(&z_d));
-        silofuse_nn::backend::set_threads(1);
+        silofuse_nn::backend::set_threads(found);
     }
 
     /// Sparse real-batch discriminator training leaves GAN weights,
@@ -80,6 +81,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let batch = [8usize, 32][batch_sel];
+        let found = silofuse_nn::backend::threads();
         silofuse_nn::backend::set_threads([1usize, 2, 4][threads_sel]);
         let t = dataset(idx, 64, seed);
         let cfg = GanConfig { hidden_dim: 24, noise_dim: 12, seed, ..Default::default() };
@@ -93,7 +95,7 @@ proptest! {
         dense.fit(&t, steps, batch, &mut rng_d);
         prop_assert_eq!(sparse.export_train_state(), dense.export_train_state());
         prop_assert_eq!(sparse.sample(16, &mut rng_s), dense.sample(16, &mut rng_d));
-        silofuse_nn::backend::set_threads(1);
+        silofuse_nn::backend::set_threads(found);
     }
 }
 

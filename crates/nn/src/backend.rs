@@ -9,12 +9,12 @@
 //!   correctness oracle.
 //! - [`Parallel`]: register-blocked SIMD micro-kernels (AVX2/SSE2 by
 //!   runtime detection, scalar fallback — see [`crate::simd`]) whose
-//!   output rows are partitioned into blocks and drained by a scoped
-//!   worker pool (a shared MPMC work queue over the vendored crossbeam
-//!   channels — idle workers grab the next block, so uneven blocks
-//!   self-balance). `gemm_transpose` packs the `Bᵀ` panel k-major first,
-//!   so the hot loop reads both operands contiguously instead of paying a
-//!   strided load per multiply.
+//!   output rows are partitioned into blocks and drained by the caller
+//!   plus whatever idle cores the process-wide [`crate::pool`] lends it
+//!   (a shared work queue — each thread grabs the next block, so uneven
+//!   blocks self-balance). `gemm_transpose` packs the `Bᵀ` panel k-major
+//!   first, so the hot loop reads both operands contiguously instead of
+//!   paying a strided load per multiply.
 //! - [`HalfPrecision`]: an opt-in low-precision wrapper for synthesis —
 //!   matrix-product operands are rounded to IEEE binary16 storage
 //!   ([`crate::f16`]) and accumulated in f32. Selected with
@@ -45,10 +45,12 @@
 //!
 //! The global backend is selected with [`set_threads`] (the CLI's
 //! `--threads N`) or the `SILOFUSE_THREADS` environment variable; it
-//! defaults to a single-worker [`Parallel`], i.e. serial SIMD kernels.
+//! defaults to a [`Parallel`] with one worker per available core
+//! ([`std::thread::available_parallelism`]). One worker means serial SIMD
+//! kernels.
 
 use crate::sparse::{SparseField, SparseSpec};
-use crate::{f16, simd, workspace};
+use crate::{f16, pool, simd, workspace};
 use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock, RwLock};
@@ -480,17 +482,33 @@ impl Backend for Reference {
 // Parallel backend.
 // ---------------------------------------------------------------------------
 
-/// Minimum multiply-add count before a GEMM fans out to workers; below it
-/// the scoped-pool setup costs more than the kernel.
-const PAR_GEMM_MIN_MADDS: usize = 1 << 18;
-/// Minimum element count before element-wise / reduction ops fan out.
-const PAR_ELEM_MIN: usize = 1 << 16;
+// Fan-out thresholds, measured with the worker pool on a 2-vCPU AVX2 host
+// where waking a parked helper and joining it costs about 15 µs. Below
+// each one, a 2-worker call ran no faster than the serial kernel.
 
-/// Register-blocked SIMD kernels over a scoped worker pool.
+/// Minimum multiply-add count before a GEMM fans out: 16×128×128 (2¹⁸)
+/// ran at 0.55–0.64× on two workers, 32×128×128 at 1.0×, 64×128×128 at
+/// 1.26–1.48×.
+const PAR_GEMM_MIN_MADDS: usize = 1 << 19;
+/// Minimum element count before GELU forward or backward fans out: its
+/// `tanh` costs several ns per element, so 2¹⁴ elements ran at 1.15–1.41×
+/// and 24 576 (a 192×128 training batch) at 1.47–1.64×.
+const PAR_GELU_MIN: usize = 1 << 14;
+/// Minimum element count before the `dyn Fn` map/zip family and softmax
+/// fan out: map and zip ran at 1.46–1.55× at 2¹⁶ elements.
+const PAR_ELEM_MIN: usize = 1 << 16;
+/// Minimum element count before memory-bound `axpy`/`scale` fan out:
+/// 0.78× at 2¹⁶ elements, 0.98× at 2¹⁷, 1.16× at 2¹⁸.
+const PAR_STREAM_MIN: usize = 1 << 18;
+
+/// Register-blocked SIMD kernels over the process-wide worker pool.
 ///
-/// Output rows are split into `4×threads` blocks pushed onto a shared MPMC
-/// queue; each worker drains blocks until the queue is empty. Every output
-/// element is produced by exactly one worker running the [`crate::simd`]
+/// Every kernel call is one compute entry of [`crate::pool`]: it occupies
+/// a core while it runs and fans out only over cores that are idle. When
+/// it gets helpers, output rows are split into `4×threads` blocks on a
+/// shared queue that the caller and its helpers drain; otherwise the
+/// kernel runs once over every row on the calling thread. Every output
+/// element is produced by exactly one thread running the [`crate::simd`]
 /// micro-kernels, which accumulate in the same per-element order as
 /// [`Reference`], so results are bit-identical at any thread count and
 /// SIMD level. The `map`/`zip` family takes `dyn Fn` closures and cannot
@@ -510,16 +528,23 @@ impl Parallel {
         Self { threads: threads.max(1) }
     }
 
-    /// Splits `out` into per-block `(row_range, chunk)` jobs and runs them
-    /// on the worker pool. `row_width` is the number of `f32`s per output
+    /// Runs `kernel` over `total_rows` output rows as one compute entry.
+    /// When `fan_out` holds and the pool lends helpers, `out` is split
+    /// into per-block `(row_range, chunk)` jobs; otherwise the kernel runs
+    /// once over every row. `row_width` is the number of `f32`s per output
     /// row; `kernel` must fully overwrite its chunk.
     fn run_rows(
         &self,
+        fan_out: bool,
         total_rows: usize,
         row_width: usize,
         out: &mut [f32],
         kernel: impl Fn(Range<usize>, &mut [f32]) + Sync,
     ) {
+        let lease = pool::lease(self.threads, if fan_out { total_rows } else { 1 });
+        if lease.parts() == 1 {
+            return kernel(0..total_rows, out);
+        }
         let block = total_rows.div_ceil(self.threads * 4).max(1);
         let jobs: Vec<(Range<usize>, &mut [f32])> = out
             .chunks_mut(block * row_width)
@@ -529,48 +554,22 @@ impl Parallel {
                 (start..(start + block).min(total_rows), chunk)
             })
             .collect();
-        run_jobs(self.threads, jobs, |(rows, chunk)| kernel(rows, chunk));
+        lease.run(jobs, |(rows, chunk)| kernel(rows, chunk));
     }
 
-    /// Chunked element-wise dispatch over one mutable slice.
-    fn run_elems(&self, y: &mut [f32], kernel: impl Fn(usize, &mut [f32]) + Sync) {
+    /// [`Parallel::run_rows`] for element-wise ops over one mutable slice;
+    /// `kernel` gets each chunk's offset into `y`.
+    fn run_elems(&self, fan_out: bool, y: &mut [f32], kernel: impl Fn(usize, &mut [f32]) + Sync) {
         let n = y.len();
+        let lease = pool::lease(self.threads, if fan_out { n } else { 1 });
+        if lease.parts() == 1 {
+            return kernel(0, y);
+        }
         let block = n.div_ceil(self.threads * 4).max(1);
         let jobs: Vec<(usize, &mut [f32])> =
             y.chunks_mut(block).enumerate().map(|(b, chunk)| (b * block, chunk)).collect();
-        run_jobs(self.threads, jobs, |(offset, chunk)| kernel(offset, chunk));
+        lease.run(jobs, |(offset, chunk)| kernel(offset, chunk));
     }
-}
-
-/// Drains `jobs` with up to `threads` scoped workers pulling from a shared
-/// queue. Falls back to inline execution for a single job or single thread.
-fn run_jobs<T: Send>(threads: usize, jobs: Vec<T>, work: impl Fn(T) + Sync) {
-    if threads <= 1 || jobs.len() <= 1 {
-        for job in jobs {
-            work(job);
-        }
-        return;
-    }
-    let workers = threads.min(jobs.len());
-    let (tx, rx) = crossbeam::channel::unbounded();
-    for job in jobs {
-        let _ = tx.send(job);
-    }
-    drop(tx);
-    let work = &work;
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            let rx = rx.clone();
-            s.spawn(move |_| {
-                // All jobs are enqueued before the scope starts and the
-                // sender is dropped, so an empty queue means "done".
-                while let Ok(job) = rx.try_recv() {
-                    work(job);
-                }
-            });
-        }
-    })
-    .expect("kernel worker panicked");
 }
 
 impl Backend for Parallel {
@@ -583,20 +582,17 @@ impl Backend for Parallel {
     }
 
     fn gemm(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        if self.threads == 1 || m < 2 || m * k * n < PAR_GEMM_MIN_MADDS {
-            return fast_gemm_rows(0..m, k, n, a, b, out);
-        }
-        self.run_rows(m, n, out, |rows, chunk| fast_gemm_rows(rows, k, n, a, b, chunk));
+        let fan_out = m * k * n >= PAR_GEMM_MIN_MADDS;
+        self.run_rows(fan_out, m, n, out, |rows, chunk| fast_gemm_rows(rows, k, n, a, b, chunk));
     }
 
     fn gemm_transpose(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        let fan_out = m * k * n >= PAR_GEMM_MIN_MADDS;
         if simd::level() == simd::SimdLevel::Scalar {
             // Forced-scalar fallback: the original per-element dot loops.
-            if self.threads == 1 || m < 2 || m * k * n < PAR_GEMM_MIN_MADDS {
-                return gemm_transpose_rows(0..m, k, n, a, b, out);
-            }
-            return self
-                .run_rows(m, n, out, |rows, chunk| gemm_transpose_rows(rows, k, n, a, b, chunk));
+            return self.run_rows(fan_out, m, n, out, |rows, chunk| {
+                gemm_transpose_rows(rows, k, n, a, b, chunk)
+            });
         }
         // Pack the Bᵀ panel k-major once on the calling thread, then run
         // the plain gemm kernel over it: the per-element dot order is
@@ -604,20 +600,14 @@ impl Backend for Parallel {
         // Workers share the packed panel read-only.
         let mut packed = workspace::take_vec(k * n);
         simd::pack_transpose(n, k, b, &mut packed);
-        if self.threads == 1 || m < 2 || m * k * n < PAR_GEMM_MIN_MADDS {
-            fast_gemm_rows(0..m, k, n, a, &packed, out);
-        } else {
-            let bp: &[f32] = &packed;
-            self.run_rows(m, n, out, |rows, chunk| fast_gemm_rows(rows, k, n, a, bp, chunk));
-        }
+        let bp: &[f32] = &packed;
+        self.run_rows(fan_out, m, n, out, |rows, chunk| fast_gemm_rows(rows, k, n, a, bp, chunk));
         workspace::recycle_vec(packed);
     }
 
     fn transpose_gemm(&self, l: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        if self.threads == 1 || m < 2 || l * m * n < PAR_GEMM_MIN_MADDS {
-            return fast_transpose_gemm_rows(0..m, l, m, n, a, b, out);
-        }
-        self.run_rows(m, n, out, |cols, chunk| {
+        let fan_out = l * m * n >= PAR_GEMM_MIN_MADDS;
+        self.run_rows(fan_out, m, n, out, |cols, chunk| {
             fast_transpose_gemm_rows(cols, l, m, n, a, b, chunk)
         });
     }
@@ -633,11 +623,8 @@ impl Backend for Parallel {
         out: &mut [f32],
     ) {
         // Cost scales with nonzeros, not the densified width.
-        let madds = rows * spec.nnz_width() * n;
-        if self.threads == 1 || rows < 2 || madds < PAR_GEMM_MIN_MADDS {
-            return gather_rows(0..rows, spec, numeric, indices, n, w, out);
-        }
-        self.run_rows(rows, n, out, |rows, chunk| {
+        let fan_out = rows * spec.nnz_width() * n >= PAR_GEMM_MIN_MADDS;
+        self.run_rows(fan_out, rows, n, out, |rows, chunk| {
             gather_rows(rows, spec, numeric, indices, n, w, chunk)
         });
     }
@@ -652,117 +639,71 @@ impl Backend for Parallel {
         grad: &[f32],
         dw: &mut [f32],
     ) {
-        let madds = rows * spec.nnz_width() * n;
-        let in_width = spec.in_width();
-        if self.threads == 1 || in_width < 2 || madds < PAR_GEMM_MIN_MADDS {
-            return scatter_weight_rows(0..in_width, spec, rows, numeric, indices, n, grad, dw);
-        }
+        let fan_out = rows * spec.nnz_width() * n >= PAR_GEMM_MIN_MADDS;
         // Partition by weight row: each dw element has a single writer
         // accumulating batch rows in ascending order, as Reference does.
-        self.run_rows(in_width, n, dw, |wrows, chunk| {
+        self.run_rows(fan_out, spec.in_width(), n, dw, |wrows, chunk| {
             scatter_weight_rows(wrows, spec, rows, numeric, indices, n, grad, chunk)
         });
     }
 
     fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
-        if self.threads == 1 || y.len() < PAR_ELEM_MIN {
-            return simd::axpy(alpha, x, y);
-        }
-        self.run_elems(y, |offset, chunk| {
+        self.run_elems(y.len() >= PAR_STREAM_MIN, y, |offset, chunk| {
             let end = offset + chunk.len();
             simd::axpy(alpha, &x[offset..end], chunk);
         });
     }
 
     fn scale(&self, alpha: f32, y: &mut [f32]) {
-        if self.threads == 1 || y.len() < PAR_ELEM_MIN {
-            return simd::scale(alpha, y);
-        }
-        self.run_elems(y, |_, chunk| simd::scale(alpha, chunk));
+        self.run_elems(y.len() >= PAR_STREAM_MIN, y, |_, chunk| simd::scale(alpha, chunk));
     }
 
     fn map(&self, x: &[f32], out: &mut [f32], f: MapFn) {
-        if self.threads == 1 || x.len() < PAR_ELEM_MIN {
-            return Reference.map(x, out, f);
-        }
-        self.run_elems(out, |offset, chunk| {
+        self.run_elems(x.len() >= PAR_ELEM_MIN, out, |offset, chunk| {
             let end = offset + chunk.len();
-            for (o, &v) in chunk.iter_mut().zip(&x[offset..end]) {
-                *o = f(v);
-            }
+            Reference.map(&x[offset..end], chunk, f);
         });
     }
 
     fn map_inplace(&self, x: &mut [f32], f: MapFn) {
-        if self.threads == 1 || x.len() < PAR_ELEM_MIN {
-            return Reference.map_inplace(x, f);
-        }
-        self.run_elems(x, |_, chunk| {
-            for v in chunk.iter_mut() {
-                *v = f(*v);
-            }
-        });
+        self.run_elems(x.len() >= PAR_ELEM_MIN, x, |_, chunk| Reference.map_inplace(chunk, f));
     }
 
     fn zip(&self, a: &[f32], b: &[f32], out: &mut [f32], f: ZipFn) {
-        if self.threads == 1 || a.len() < PAR_ELEM_MIN {
-            return Reference.zip(a, b, out, f);
-        }
-        self.run_elems(out, |offset, chunk| {
+        self.run_elems(a.len() >= PAR_ELEM_MIN, out, |offset, chunk| {
             let end = offset + chunk.len();
-            for ((o, &av), &bv) in chunk.iter_mut().zip(&a[offset..end]).zip(&b[offset..end]) {
-                *o = f(av, bv);
-            }
+            Reference.zip(&a[offset..end], &b[offset..end], chunk, f);
         });
     }
 
     fn zip_inplace(&self, y: &mut [f32], x: &[f32], f: ZipFn) {
-        if self.threads == 1 || y.len() < PAR_ELEM_MIN {
-            return Reference.zip_inplace(y, x, f);
-        }
-        self.run_elems(y, |offset, chunk| {
+        self.run_elems(y.len() >= PAR_ELEM_MIN, y, |offset, chunk| {
             let end = offset + chunk.len();
-            for (yv, &xv) in chunk.iter_mut().zip(&x[offset..end]) {
-                *yv = f(*yv, xv);
-            }
+            Reference.zip_inplace(chunk, &x[offset..end], f);
         });
     }
 
     fn gelu(&self, x: &[f32], out: &mut [f32]) {
-        if self.threads == 1 || x.len() < PAR_ELEM_MIN {
-            return simd::gelu_slice(x, out);
-        }
-        self.run_elems(out, |offset, chunk| {
+        self.run_elems(x.len() >= PAR_GELU_MIN, out, |offset, chunk| {
             simd::gelu_slice(&x[offset..offset + chunk.len()], chunk);
         });
     }
 
     fn gelu_backward(&self, grad: &[f32], x: &[f32], out: &mut [f32]) {
-        if self.threads == 1 || x.len() < PAR_ELEM_MIN {
-            return simd::gelu_backward_slice(grad, x, out);
-        }
-        self.run_elems(out, |offset, chunk| {
+        self.run_elems(x.len() >= PAR_GELU_MIN, out, |offset, chunk| {
             let end = offset + chunk.len();
             simd::gelu_backward_slice(&grad[offset..end], &x[offset..end], chunk);
         });
     }
 
     fn sum_rows(&self, rows: usize, cols: usize, x: &[f32], out: &mut [f32]) {
-        if self.threads == 1 || rows * cols < PAR_ELEM_MIN || cols < 2 {
-            return Reference.sum_rows(rows, cols, x, out);
-        }
-        // Partition *columns*: each worker owns a column range and walks all
-        // rows in ascending order, matching the reference accumulation.
-        self.run_rows(cols, 1, out, |col_range, chunk| {
-            sum_rows_cols(col_range, rows, cols, x, chunk)
-        });
+        // Never fans out: split into column blocks, every shape measured
+        // (192×128 up to 1024×2946) ran at 0.2–0.65× on two workers.
+        self.run_rows(false, cols, 1, out, |_, chunk| sum_rows_cols(0..cols, rows, cols, x, chunk));
     }
 
     fn softmax_rows(&self, rows: usize, cols: usize, x: &mut [f32]) {
-        if self.threads == 1 || rows * cols < PAR_ELEM_MIN || rows < 2 {
-            return Reference.softmax_rows(rows, cols, x);
-        }
-        self.run_rows(rows, cols, x, |row_range, chunk| {
+        self.run_rows(rows * cols >= PAR_ELEM_MIN, rows, cols, x, |row_range, chunk| {
             for local in 0..row_range.len() {
                 softmax_row(&mut chunk[local * cols..(local + 1) * cols]);
             }
@@ -770,7 +711,7 @@ impl Backend for Parallel {
     }
 
     fn elementwise_parallelism(&self, elems: usize) -> usize {
-        if elems >= PAR_ELEM_MIN {
+        if elems >= PAR_ELEM_MIN && !pool::inside() {
             self.threads
         } else {
             1
@@ -995,11 +936,17 @@ fn compose(base: &Arc<dyn Backend>, precision: Precision) -> Arc<dyn Backend> {
     }
 }
 
-/// Base backend implied by `SILOFUSE_THREADS` (unset/invalid/≤1 → one
-/// worker, i.e. serial SIMD kernels).
+/// Base backend implied by `SILOFUSE_THREADS`: unset or invalid → one
+/// worker per available core, ≤1 → one worker (serial SIMD kernels).
 fn base_from_env() -> Arc<dyn Backend> {
     let n = std::env::var("SILOFUSE_THREADS").ok().and_then(|v| v.parse::<usize>().ok());
-    backend_for_threads(n.unwrap_or(1))
+    backend_for_threads(n.unwrap_or_else(default_threads))
+}
+
+/// The worker count used when `SILOFUSE_THREADS` is unset: the host's
+/// available parallelism, or 1 when it cannot be read.
+fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Precision implied by `SILOFUSE_PRECISION` (unset/unknown → f32).
@@ -1231,8 +1178,8 @@ mod tests {
 
     #[test]
     fn parallel_fanout_path_is_bit_identical() {
-        // Big enough to clear PAR_GEMM_MIN_MADDS so workers really spawn.
-        let (m, k, n) = (96, 64, 64);
+        // Big enough to clear PAR_GEMM_MIN_MADDS so the call fans out.
+        let (m, k, n) = (128, 64, 96);
         let a = noise(m * k, 3);
         let b = noise(k * n, 4);
         let mut want = vec![0.0; m * n];
@@ -1262,8 +1209,9 @@ mod tests {
 
     #[test]
     fn elementwise_kernels_match() {
-        let x = noise(100_000, 7);
-        let y0 = noise(100_000, 8);
+        // Past PAR_STREAM_MIN, so axpy fans out as well as map.
+        let x = noise(300_000, 7);
+        let y0 = noise(300_000, 8);
         let f: fn(f32) -> f32 = |v| v * 1.5 - 0.25;
         let mut want = vec![0.0; x.len()];
         Reference.map(&x, &mut want, &f);
@@ -1297,6 +1245,7 @@ mod tests {
 
     #[test]
     fn set_threads_switches_global_backend() {
+        let found = threads();
         set_threads(3);
         assert_eq!(threads(), 3);
         assert_eq!(name(), "parallel");
@@ -1304,13 +1253,14 @@ mod tests {
         assert_eq!(threads(), 1);
         // One worker still means the SIMD kernels, not the scalar oracle.
         assert_eq!(name(), "parallel");
+        set_threads(found);
     }
 
     #[test]
     fn gemm_transpose_packed_path_matches_reference() {
         // Shapes straddling the fan-out threshold and awkward tails, so
         // both the serial packed path and the worker path are covered.
-        for (m, k, n) in [(1, 1, 1), (2, 3, 5), (9, 33, 17), (96, 64, 64), (130, 70, 50)] {
+        for (m, k, n) in [(1, 1, 1), (2, 3, 5), (9, 33, 17), (96, 64, 64), (130, 70, 80)] {
             let a = noise(m * k, 21);
             let b = noise(n * k, 22);
             let mut want = vec![0.0; m * n];
@@ -1407,7 +1357,7 @@ mod tests {
     fn gather_bit_identical_to_dense_gemm() {
         // Sizes straddling the fan-out threshold; n varies to hit SIMD
         // tails in axpy.
-        for (rows, n) in [(1, 1), (3, 9), (40, 33), (512, 96)] {
+        for (rows, n) in [(1, 1), (3, 9), (40, 33), (512, 96), (1024, 96)] {
             let (spec, numeric, indices, dense) = sparse_fixture(rows, 41);
             let w = noise(spec.in_width() * n, 42);
             let mut want = vec![0.0; rows * n];
@@ -1434,7 +1384,7 @@ mod tests {
 
     #[test]
     fn scatter_bit_identical_to_dense_transpose_gemm() {
-        for (rows, n) in [(1, 1), (5, 7), (64, 48), (300, 64)] {
+        for (rows, n) in [(1, 1), (5, 7), (64, 48), (300, 64), (1024, 96)] {
             let (spec, numeric, indices, dense) = sparse_fixture(rows, 51);
             let grad = noise(rows * n, 52);
             let mut want = vec![0.0; spec.in_width() * n];

@@ -49,6 +49,7 @@ pub mod init;
 pub mod layers;
 pub mod loss;
 pub mod optim;
+pub mod pool;
 pub mod serialize;
 pub mod simd;
 pub mod sparse;

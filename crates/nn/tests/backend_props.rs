@@ -40,15 +40,15 @@ fn noise(n: usize, mut state: u64) -> Vec<f32> {
 }
 
 proptest! {
-    // Dims up to 72 put many cases above the parallel dispatch threshold
-    // (`72^3 > 2^18` multiply-adds), so both the inline and the fanned-out
+    // Dims up to 96 put many cases above the parallel dispatch threshold
+    // (`96^3 > 2^19` multiply-adds), so both the inline and the fanned-out
     // paths are exercised.
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `gemm` is bit-identical between Reference and Parallel at every
     /// thread count, for random shapes.
     #[test]
-    fn gemm_bit_identical(seed in 0u64..1000, m in 1usize..72, k in 1usize..72, n in 1usize..72) {
+    fn gemm_bit_identical(seed in 0u64..1000, m in 1usize..96, k in 1usize..96, n in 1usize..96) {
         let a = noise(m * k, seed ^ 0xa5a5);
         let b = noise(k * n, seed ^ 0x5a5a);
         let mut want = vec![0.0f32; m * n];
@@ -62,7 +62,7 @@ proptest! {
 
     /// `gemm_transpose` (A · Bᵀ) is bit-identical across backends.
     #[test]
-    fn gemm_transpose_bit_identical(seed in 0u64..1000, m in 1usize..72, k in 1usize..72, n in 1usize..72) {
+    fn gemm_transpose_bit_identical(seed in 0u64..1000, m in 1usize..96, k in 1usize..96, n in 1usize..96) {
         let a = noise(m * k, seed ^ 0x1111);
         let b = noise(n * k, seed ^ 0x2222);
         let mut want = vec![0.0f32; m * n];
@@ -76,7 +76,7 @@ proptest! {
 
     /// `transpose_gemm` (Aᵀ · B) is bit-identical across backends.
     #[test]
-    fn transpose_gemm_bit_identical(seed in 0u64..1000, l in 1usize..72, m in 1usize..72, n in 1usize..72) {
+    fn transpose_gemm_bit_identical(seed in 0u64..1000, l in 1usize..96, m in 1usize..96, n in 1usize..96) {
         let a = noise(l * m, seed ^ 0x3333);
         let b = noise(l * n, seed ^ 0x4444);
         let mut want = vec![0.0f32; m * n];
@@ -89,9 +89,9 @@ proptest! {
     }
 
     /// The elementwise and reduction kernels agree bitwise too (sizes
-    /// straddle the elementwise dispatch threshold).
+    /// straddle the elementwise dispatch thresholds).
     #[test]
-    fn elementwise_kernels_bit_identical(seed in 0u64..1000, rows in 1usize..400, cols in 1usize..300) {
+    fn elementwise_kernels_bit_identical(seed in 0u64..1000, rows in 1usize..1000, cols in 1usize..300) {
         let x = noise(rows * cols, seed ^ 0x7777);
         let y0 = noise(rows * cols, seed ^ 0x8888);
         for t in THREADS {
@@ -325,6 +325,7 @@ fn layer_passes_bit_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(20);
     let x = randn(288, 256, &mut rng);
 
+    let found = backend::threads();
     backend::set_threads(1);
     let baselines: Vec<_> = factories.iter().map(|(_, f)| run_layer(f, &x)).collect();
     for t in THREADS {
@@ -339,7 +340,7 @@ fn layer_passes_bit_identical_across_thread_counts() {
             assert!(bits_eq(pg0, &pg), "{name} param grads diverged at {t} threads");
         }
     }
-    backend::set_threads(1);
+    backend::set_threads(found);
 }
 
 /// The sparse input layout of [`infer_matches_training_forward_across_thread_counts`]:
@@ -399,6 +400,7 @@ fn infer_matches_training_forward_across_thread_counts() {
     let indices: Vec<u32> = (0..288u32).flat_map(|r| [1 + r * 7 % 60, 62 + r * 13 % 194]).collect();
     let batch = SparseBatchRef { rows: 288, numeric: numeric.as_slice(), indices: &indices };
 
+    let found = backend::threads();
     backend::set_threads(1);
     let mut baseline: Vec<Tensor> = factories.iter().map(|(_, make)| make().infer(&x)).collect();
     baseline.push(gather_layer().infer_sparse(batch));
@@ -442,7 +444,7 @@ fn infer_matches_training_forward_across_thread_counts() {
         assert!(bits_eq(y.as_slice(), want.as_slice()), "batchnorm at {t} threads");
         assert_ne!(y, bn.forward(&x), "training normalises by batch statistics");
     }
-    backend::set_threads(1);
+    backend::set_threads(found);
 }
 
 /// Conv1d's analytic gradients match central finite differences, for both

@@ -97,6 +97,15 @@ pub mod names {
     pub const SYNTH_CHUNKS: &str = "synth.chunks";
     /// Span wrapping one streamed chunk of batched reverse diffusion.
     pub const SYNTH_CHUNK_SPAN: &str = "synth.chunk";
+    /// Counter: latent chunks whose rows were split across cores borrowed
+    /// from the worker pool.
+    pub const SYNTH_SPLIT_CHUNKS: &str = "synth.split_chunks";
+    /// Counter: compute entries (kernel calls, sampling chunks) that
+    /// borrowed at least one idle core from the worker pool.
+    pub const POOL_DISPATCHES: &str = "nn.pool.dispatches";
+    /// Counter: compute entries that wanted helpers but found no idle
+    /// core, and ran inline on their caller.
+    pub const POOL_INLINE: &str = "nn.pool.inline";
     /// Span wrapping every blocking transport receive; the per-actor
     /// comm-wait-vs-compute breakdown in `trace-report` sums these.
     pub const COMM_WAIT_SPAN: &str = "comm-wait";
