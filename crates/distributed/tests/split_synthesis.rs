@@ -1,12 +1,13 @@
 //! A sampling chunk split across idle cores writes the bytes of the serial
 //! run, for both distributed protocols.
 //!
-//! A chunk of at least 128 rows splits into contiguous row ranges, one per
-//! core the worker pool lends it, and each range is sampled as its own
-//! batch. Every row's noise is keyed to its absolute index, so the split
-//! must not change a byte. The pool counters prove the split really ran:
-//! without them a run that found no idle core would sample inline and pass
-//! without touching the pool.
+//! A chunk of at least 128 rows splits into contiguous parts of 16 to 18
+//! rows, which the caller and the cores the worker pool lends it take from
+//! a shared queue, and each part is sampled as its own batch. Every row's
+//! noise is keyed to its absolute index, so the split must not change a
+//! byte. The pool counters prove the split really ran: without them a run
+//! that found no idle core would sample inline and pass without touching
+//! the pool.
 //!
 //! This file holds a single test on purpose. The pool lends only cores no
 //! other caller holds, so another test's kernels running at the same
@@ -60,10 +61,11 @@ fn chunks_split_across_idle_cores_give_the_serial_bytes() {
     let mut e2e =
         E2eDistributed::fit(&partitions(37), tiny_config(37), &mut StdRng::seed_from_u64(37));
 
-    // A 300-row request is a 256-row chunk plus a 44-row one at chunk size
-    // 256, and one 300-row chunk at 8192; each chunk of 128 rows or more
-    // can split.
-    for chunk in [256, 8192] {
+    // A 300-row request is a 200-row chunk (parts of 16 and 17 rows) plus
+    // a 100-row one at chunk size 200, a 256-row chunk plus a 44-row one
+    // at 256, and one 300-row chunk at 8192; each chunk of 128 rows or
+    // more can split.
+    for chunk in [200, 256, 8192] {
         stacked.set_synth_chunk_rows(chunk);
         e2e.set_synth_chunk_rows(chunk);
         let mut run = || {
