@@ -3,9 +3,8 @@
 //! stack actually runs. Verifies bit-identity between the backends on every
 //! timed shape (at 1, 2, and 4 workers) before timing, gates throughput
 //! against per-ISA GFLOP/s floors and the `gemm_transpose`-vs-`gemm` packing
-//! ratio, checks the f16 inference path against its documented tolerance,
-//! then writes `BENCH_kernels.json` so the perf trajectory accumulates
-//! across commits.
+//! ratio, then writes `BENCH_kernels.json` so the perf trajectory
+//! accumulates across commits.
 //!
 //! Usage: `cargo run --release -p silofuse-bench --bin kernels -- [--quick]
 //! [--threads N] [--seed S]`. `--threads` picks the worker count for the
@@ -16,12 +15,10 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 use silofuse_bench::parse_cli;
-use silofuse_nn::backend::{Backend, HalfPrecision, Parallel, Reference};
-use silofuse_nn::f16::F16_EPS;
+use silofuse_nn::backend::{Backend, Parallel, Reference};
 use silofuse_nn::simd::{self, SimdLevel};
 
 /// One timed kernel invocation family at one shape.
@@ -127,7 +124,6 @@ fn main() {
     let simd_level = simd::level();
     let reference = Reference;
     let parallel = Parallel::new(threads);
-    let half = HalfPrecision::new(Arc::new(Reference));
     let reps = if opts.quick { 3 } else { 7 };
 
     let sizes: &[usize] = if opts.quick { &[128, 256] } else { &[128, 256, 512] };
@@ -191,32 +187,6 @@ fn main() {
             );
         }
 
-        // f16 tolerance gate: rounding each operand to binary16 perturbs it
-        // by at most F16_EPS relative, so each output element can drift by
-        // at most ~2*F16_EPS times the sum of |a|·|b| along its dot product
-        // (f32 accumulation adds nothing at this scale). Gate with a 2.5x
-        // factor for the second-order terms.
-        let abs_a: Vec<f32> = a.iter().map(|v| v.abs()).collect();
-        let abs_b: Vec<f32> = b.iter().map(|v| v.abs()).collect();
-        let mut abs_dot = vec![0.0f32; lo];
-        run_case(&reference, c, &abs_a, &abs_b, &mut abs_dot);
-        let mut out_f16 = vec![0.0f32; lo];
-        run_case(&half, c, &a, &b, &mut out_f16);
-        let mut f16_err_ratio = 0.0f64;
-        for ((&y16, &y32), &bound) in out_f16.iter().zip(&out_ref).zip(&abs_dot) {
-            let tol = 2.5 * F16_EPS as f64 * bound as f64 + 1e-6;
-            f16_err_ratio = f16_err_ratio.max((y16 - y32).abs() as f64 / tol);
-        }
-        assert!(
-            f16_err_ratio <= 1.0,
-            "{} {}x{}x{}: f16 path exceeds tolerance (ratio {:.3})",
-            c.kernel,
-            c.m,
-            c.k,
-            c.n,
-            f16_err_ratio
-        );
-
         let t_ref = time_case(&reference, c, &a, &b, &mut out_ref, reps);
         let t_par = time_case(&parallel, c, &a, &b, &mut out_par, reps);
         let speedup = t_ref as f64 / t_par.max(1) as f64;
@@ -273,8 +243,7 @@ fn main() {
             json,
             "    {{\"kernel\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
              \"reference_ns\": {}, \"parallel_ns\": {}, \"threads\": {}, \
-             \"speedup\": {:.3}, \"parallel_gflops\": {:.3}, \"bit_identical\": true, \
-             \"f16_err_ratio\": {:.4}}}{}",
+             \"speedup\": {:.3}, \"parallel_gflops\": {:.3}, \"bit_identical\": true}}{}",
             c.kernel,
             c.m,
             c.k,
@@ -284,7 +253,6 @@ fn main() {
             threads,
             speedup,
             gflops,
-            f16_err_ratio,
             if i + 1 == cases.len() { "" } else { "," }
         );
     }
@@ -311,7 +279,7 @@ fn main() {
     let content = format!(
         "Kernel benchmark — Reference vs Parallel backend; seed {}, {} reps, SIMD {}\n\
          (best-of-reps wall clock; every shape verified bit-identical at 1/2/4 workers\n\
-         and the f16 path tolerance-checked before timing)\n\n{}",
+         before timing)\n\n{}",
         opts.seed,
         reps,
         simd_level.name(),

@@ -1,7 +1,7 @@
 //! # silofuse-bench
 //!
 //! Experiment harness reproducing every table and figure of the SiloFuse
-//! paper's evaluation (§V), plus criterion microbenchmarks.
+//! paper's evaluation (§V).
 //!
 //! Each experiment is a binary:
 //!
@@ -71,10 +71,6 @@ pub struct CliOptions {
     /// one worker per available core when that is unset. 1 = serial SIMD
     /// kernels; results are bit-identical at every thread count.
     pub threads: Option<usize>,
-    /// Numeric precision mode (`--precision f32|f16`). `f16` opts
-    /// inference into half-precision operand storage; training always
-    /// stays f32.
-    pub precision: silofuse_nn::backend::Precision,
 }
 
 impl Default for CliOptions {
@@ -93,7 +89,6 @@ impl Default for CliOptions {
             checkpoint_every: 50,
             resume: false,
             threads: None,
-            precision: silofuse_nn::backend::Precision::F32,
         }
     }
 }
@@ -128,10 +123,10 @@ pub fn checkpointer(opts: &CliOptions, tag: &str) -> Option<Checkpointer> {
 const USAGE: &str = "supported: --quick --trace --expose FILE --trials N --seed S --datasets A,B \
                      --faults drop=0.05,delay=10ms,seed=7 --retry-deadline DUR \
                      --retry-max-backoff DUR --checkpoint-dir D --checkpoint-every N --resume \
-                     --threads N --precision P";
+                     --threads N";
 
 /// Parses `std::env::args()` into [`CliOptions`], then applies
-/// `--threads` (only when given) and `--precision` to the backend.
+/// `--threads` (only when given) to the backend.
 ///
 /// On a malformed argument this prints the error and the usage line and
 /// exits with status 2, before any work runs.
@@ -143,7 +138,6 @@ pub fn parse_cli() -> CliOptions {
     if let Some(n) = opts.threads {
         silofuse_nn::backend::set_threads(n);
     }
-    silofuse_nn::backend::set_precision(opts.precision);
     opts
 }
 
@@ -218,10 +212,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliOptions, 
                     .ok_or("--checkpoint-every needs a positive integer")?;
             }
             "--resume" => opts.resume = true,
-            "--precision" => {
-                opts.precision = silofuse_nn::backend::Precision::parse(&value("f32 or f16")?)
-                    .ok_or("--precision needs f32 or f16")?;
-            }
             "--threads" => {
                 opts.threads = Some(
                     value("a positive integer")?
@@ -459,6 +449,7 @@ mod tests {
     #[test]
     fn malformed_arguments_are_errors_not_panics() {
         assert!(parse(&["--modle"]).unwrap_err().contains("--modle"));
+        assert!(parse(&["--precision", "f16"]).unwrap_err().contains("--precision"));
         assert!(parse(&["--seed", "x"]).is_err());
         assert!(parse(&["--resume"]).is_err());
         assert!(parse(&["--checkpoint-dir", "d", "--resume"]).is_ok());

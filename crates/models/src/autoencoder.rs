@@ -356,9 +356,6 @@ impl TabularAutoencoder {
         phase: &str,
         on_step: &mut dyn FnMut(u64),
     ) -> Result<f32, CheckpointError> {
-        // Training math must never route through a reduced-precision
-        // backend: pin dispatch to f32 for the duration of this fit.
-        let _f32 = silofuse_nn::backend::force_f32();
         silofuse_nn::backend::record_telemetry();
         let stride = observe::epoch_stride(steps);
         let n = table.n_rows();

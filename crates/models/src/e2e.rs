@@ -53,9 +53,6 @@ impl E2eCentralized {
 
     /// Joint training on `table`.
     pub fn fit(&mut self, table: &Table, rng: &mut StdRng) {
-        // Training math must never route through a reduced-precision
-        // backend: pin dispatch to f32 for the duration of this fit.
-        let _f32 = silofuse_nn::backend::force_f32();
         let cfg = self.config;
         let mut ae = TabularAutoencoder::new(table, cfg.ae);
         let latent_dim = ae.latent_dim();

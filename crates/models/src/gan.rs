@@ -230,9 +230,6 @@ impl TabularGan {
         phase: &str,
     ) -> Result<(), CheckpointError> {
         let _span = observe::span("gan-train");
-        // Training math must never route through a reduced-precision
-        // backend: pin dispatch to f32 for the duration of this fit.
-        let _f32 = silofuse_nn::backend::force_f32();
         silofuse_nn::backend::record_telemetry();
         let mut start = 0usize;
         if let Some(saved) = ckpt.load(name, phase)? {

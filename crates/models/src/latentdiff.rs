@@ -240,9 +240,6 @@ impl LatentDiff {
     /// Propagates checkpoint I/O or decode failures, a corrupt/mismatched
     /// saved state, or an injected [`CheckpointError::Crashed`].
     pub fn try_fit(&mut self, table: &Table, rng: &mut StdRng) -> Result<(), CheckpointError> {
-        // The whole fit pipeline — including the encode pass that produces
-        // the latents the DDPM trains on — stays full-precision f32.
-        let _f32 = silofuse_nn::backend::force_f32();
         let cfg = self.config;
         let ckpt = self.ckpt.clone();
         // Phase 1: autoencoder.

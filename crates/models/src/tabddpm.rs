@@ -243,9 +243,6 @@ impl TabDdpm {
         phase: &str,
     ) -> Result<f32, CheckpointError> {
         let _span = observe::span("tabddpm-train");
-        // Training math must never route through a reduced-precision
-        // backend: pin dispatch to f32 for the duration of this fit.
-        let _f32 = silofuse_nn::backend::force_f32();
         silofuse_nn::backend::record_telemetry();
         let mut start = 0usize;
         if let Some(saved) = ckpt.load(name, phase)? {

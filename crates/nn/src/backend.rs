@@ -2,8 +2,7 @@
 //!
 //! Every dense operation in this crate — the three GEMM variants, axpy,
 //! element-wise map/zip, GELU forward and backward, row reductions, and
-//! softmax — dispatches through a process-global [`Backend`]. Two
-//! implementations ship:
+//! softmax — dispatches through a [`Backend`]. Two implementations ship:
 //!
 //! - [`Reference`]: the original single-threaded scalar loops, kept as the
 //!   correctness oracle.
@@ -15,45 +14,33 @@
 //!   blocks self-balance). `gemm_transpose` packs the `Bᵀ` panel k-major
 //!   first, so the hot loop reads both operands contiguously instead of
 //!   paying a strided load per multiply.
-//! - [`HalfPrecision`]: an opt-in low-precision wrapper for synthesis —
-//!   matrix-product operands are rounded to IEEE binary16 storage
-//!   ([`crate::f16`]) and accumulated in f32. Selected with
-//!   [`set_precision`] / `SILOFUSE_PRECISION=f16` / the CLI's
-//!   `--precision f16`; *never* active while a [`force_f32`] guard is
-//!   held, which every training entry point takes.
 //!
 //! # Determinism guarantee
 //!
-//! `Parallel` is **bit-identical** to `Reference` at every thread count
-//! and SIMD level. Each output element is accumulated by exactly one
-//! worker (and one SIMD lane) in a fixed order — ascending `k` for GEMM,
-//! ascending row for column reductions — with separate multiply and add
-//! instructions (never FMA, which would round differently). Floating-point
-//! addition is not associative, so this is a hard requirement: the
-//! crash-recovery suite asserts byte-identical resume, and a thread- or
-//! lane-dependent sum would break it. Blocked iteration keeps the order
-//! intact because blocks are visited in ascending order and accumulate
-//! into the same output slot.
+//! Every `Backend` is **bit-identical** to `Reference`, and `Parallel` is
+//! so at every thread count and SIMD level. Each output element is
+//! accumulated by exactly one worker (and one SIMD lane) in a fixed order —
+//! ascending `k` for GEMM, ascending row for column reductions — with
+//! separate multiply and add instructions (never FMA, which would round
+//! differently). Floating-point addition is not associative, so this is a
+//! hard requirement: the crash-recovery suite asserts byte-identical
+//! resume, and a thread- or lane-dependent sum would break it. Blocked
+//! iteration keeps the order intact because blocks are visited in
+//! ascending order and accumulate into the same output slot.
 //!
-//! `HalfPrecision` is deliberately *not* bit-identical — rounding operands
-//! to f16 is the point. Training therefore pins itself to f32 with
-//! [`force_f32`], so checkpoints, resume, and prefix-stable synthesis
-//! guarantees are untouched; only inference opted in via the precision
-//! switch sees the rounded path, and the bench + property tests gate it
-//! against the f32 oracle within the documented tolerance
-//! ([`crate::f16::F16_EPS`]-derived).
-//!
-//! The global backend is selected with [`set_threads`] (the CLI's
-//! `--threads N`) or the `SILOFUSE_THREADS` environment variable; it
-//! defaults to a [`Parallel`] with one worker per available core
+//! The one piece of global state is the worker count of the [`Parallel`]
+//! that [`get`] returns. It is selected with [`set_threads`] (the CLI's
+//! `--threads N`) or the `SILOFUSE_THREADS` environment variable, and
+//! defaults to one worker per available core
 //! ([`std::thread::available_parallelism`]). One worker means serial SIMD
-//! kernels.
+//! kernels. Since no worker count changes a result, it may change at any
+//! time, even while a model trains.
 
 use crate::sparse::{SparseField, SparseSpec};
-use crate::{f16, pool, simd, workspace};
+use crate::{pool, simd, workspace};
 use std::fmt;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Element-wise unary function passed to backend map kernels.
 pub type MapFn<'a> = &'a (dyn Fn(f32) -> f32 + Sync);
@@ -720,327 +707,85 @@ impl Backend for Parallel {
 }
 
 // ---------------------------------------------------------------------------
-// Half-precision inference backend.
+// Global worker count.
 // ---------------------------------------------------------------------------
 
-/// Opt-in low-precision inference wrapper: f16 operand storage, f32
-/// accumulation.
-///
-/// Every matrix-product operand (parameters *and* activations — whatever
-/// feeds a `gemm` variant) is rounded to IEEE binary16 storage via
-/// [`crate::f16::quantize_slice`] before the multiply; the multiply-add
-/// chain itself runs in f32 through the wrapped backend, so accumulation
-/// error does not compound on top of storage error. Element-wise kernels,
-/// reductions, and softmax delegate unchanged in f32.
-///
-/// This backend is **not** bit-identical to [`Reference`] — rounding is
-/// the point — which is why the global dispatch never routes through it
-/// while a [`force_f32`] guard is held (training), and why the property
-/// tests and the kernel bench gate its outputs against the f32 oracle
-/// within the tolerance derived from [`crate::f16::F16_EPS`].
-#[derive(Debug, Clone)]
-pub struct HalfPrecision {
-    inner: Arc<dyn Backend>,
-}
+/// The configured worker count; 0 until [`set_threads`] sets it or the
+/// first [`threads`] call reads it from `SILOFUSE_THREADS`. It publishes no
+/// other data, so `Relaxed`.
+static THREADS: AtomicUsize = AtomicUsize::new(0);
 
-impl HalfPrecision {
-    /// Wraps `inner` so its matrix products see f16-rounded operands.
-    pub fn new(inner: Arc<dyn Backend>) -> Self {
-        Self { inner }
-    }
-
-    /// A pooled copy of `src` rounded through binary16 storage.
-    fn quantized(src: &[f32]) -> Vec<f32> {
-        let mut buf = workspace::take_vec(src.len());
-        f16::quantize_slice(src, &mut buf);
-        buf
-    }
-}
-
-impl Backend for HalfPrecision {
-    fn name(&self) -> &'static str {
-        "f16"
-    }
-
-    fn threads(&self) -> usize {
-        self.inner.threads()
-    }
-
-    fn gemm(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        let qa = Self::quantized(a);
-        let qb = Self::quantized(b);
-        self.inner.gemm(m, k, n, &qa, &qb, out);
-        workspace::recycle_vec(qa);
-        workspace::recycle_vec(qb);
-    }
-
-    fn gemm_transpose(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        let qa = Self::quantized(a);
-        let qb = Self::quantized(b);
-        self.inner.gemm_transpose(m, k, n, &qa, &qb, out);
-        workspace::recycle_vec(qa);
-        workspace::recycle_vec(qb);
-    }
-
-    fn transpose_gemm(&self, l: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        let qa = Self::quantized(a);
-        let qb = Self::quantized(b);
-        self.inner.transpose_gemm(l, m, n, &qa, &qb, out);
-        workspace::recycle_vec(qa);
-        workspace::recycle_vec(qb);
-    }
-
-    fn gather_gemm(
-        &self,
-        rows: usize,
-        n: usize,
-        spec: &SparseSpec,
-        numeric: &[f32],
-        indices: &[u32],
-        w: &[f32],
-        out: &mut [f32],
-    ) {
-        // Quantizing the densified batch only touches its numeric slots —
-        // one-hot 1.0/0.0 entries are f16-exact — so rounding `numeric`
-        // and the weight table reproduces the dense f16 path exactly.
-        let qnum = Self::quantized(numeric);
-        let qw = Self::quantized(w);
-        self.inner.gather_gemm(rows, n, spec, &qnum, indices, &qw, out);
-        workspace::recycle_vec(qnum);
-        workspace::recycle_vec(qw);
-    }
-
-    fn scatter_grad(
-        &self,
-        rows: usize,
-        n: usize,
-        spec: &SparseSpec,
-        numeric: &[f32],
-        indices: &[u32],
-        grad: &[f32],
-        dw: &mut [f32],
-    ) {
-        // Training pins f32 via `force_f32`, so this path is exercised only
-        // by the property tests; keep the transpose_gemm operand semantics.
-        let qnum = Self::quantized(numeric);
-        let qg = Self::quantized(grad);
-        self.inner.scatter_grad(rows, n, spec, &qnum, indices, &qg, dw);
-        workspace::recycle_vec(qnum);
-        workspace::recycle_vec(qg);
-    }
-
-    fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
-        self.inner.axpy(alpha, x, y);
-    }
-
-    fn scale(&self, alpha: f32, y: &mut [f32]) {
-        self.inner.scale(alpha, y);
-    }
-
-    fn map(&self, x: &[f32], out: &mut [f32], f: MapFn) {
-        self.inner.map(x, out, f);
-    }
-
-    fn map_inplace(&self, x: &mut [f32], f: MapFn) {
-        self.inner.map_inplace(x, f);
-    }
-
-    fn zip(&self, a: &[f32], b: &[f32], out: &mut [f32], f: ZipFn) {
-        self.inner.zip(a, b, out, f);
-    }
-
-    fn zip_inplace(&self, y: &mut [f32], x: &[f32], f: ZipFn) {
-        self.inner.zip_inplace(y, x, f);
-    }
-
-    fn gelu(&self, x: &[f32], out: &mut [f32]) {
-        self.inner.gelu(x, out);
-    }
-
-    fn gelu_backward(&self, grad: &[f32], x: &[f32], out: &mut [f32]) {
-        self.inner.gelu_backward(grad, x, out);
-    }
-
-    fn sum_rows(&self, rows: usize, cols: usize, x: &[f32], out: &mut [f32]) {
-        self.inner.sum_rows(rows, cols, x, out);
-    }
-
-    fn softmax_rows(&self, rows: usize, cols: usize, x: &mut [f32]) {
-        self.inner.softmax_rows(rows, cols, x);
-    }
-
-    fn elementwise_parallelism(&self, elems: usize) -> usize {
-        self.inner.elementwise_parallelism(elems)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Global backend selection.
-// ---------------------------------------------------------------------------
-
-/// Numeric precision mode for the global dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Precision {
-    /// Full-precision f32 kernels (default; the only mode training uses).
-    F32,
-    /// f16 operand storage with f32 accumulation ([`HalfPrecision`]),
-    /// applied to inference unless a [`force_f32`] guard is held.
-    F16,
-}
-
-impl Precision {
-    /// Mode name for telemetry, bench reports, and CLI round-trips.
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::F32 => "f32",
-            Precision::F16 => "f16",
-        }
-    }
-
-    /// Parses a CLI/env spelling (`f32`/`full`/`single`, `f16`/`half`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "f32" | "full" | "single" => Some(Precision::F32),
-            "f16" | "half" => Some(Precision::F16),
-            _ => None,
-        }
-    }
-}
-
-/// Global dispatch state: the installed base backend, the precision mode,
-/// the precision-composed view of the base, and the depth of nested
-/// [`force_f32`] guards currently pinning dispatch to the base.
-struct State {
-    base: Arc<dyn Backend>,
-    composed: Arc<dyn Backend>,
-    precision: Precision,
-    forced_f32: usize,
-}
-
-static GLOBAL: OnceLock<RwLock<State>> = OnceLock::new();
-
-fn slot() -> &'static RwLock<State> {
-    GLOBAL.get_or_init(|| {
-        let base = base_from_env();
-        let precision = precision_from_env();
-        let composed = compose(&base, precision);
-        RwLock::new(State { base, composed, precision, forced_f32: 0 })
-    })
-}
-
-/// The precision-composed view of `base`.
-fn compose(base: &Arc<dyn Backend>, precision: Precision) -> Arc<dyn Backend> {
-    match precision {
-        Precision::F32 => base.clone(),
-        Precision::F16 => Arc::new(HalfPrecision::new(base.clone())),
-    }
-}
-
-/// Base backend implied by `SILOFUSE_THREADS`: unset or invalid → one
-/// worker per available core, ≤1 → one worker (serial SIMD kernels).
-fn base_from_env() -> Arc<dyn Backend> {
-    let n = std::env::var("SILOFUSE_THREADS").ok().and_then(|v| v.parse::<usize>().ok());
-    backend_for_threads(n.unwrap_or_else(default_threads))
-}
-
-/// The worker count used when `SILOFUSE_THREADS` is unset: the host's
-/// available parallelism, or 1 when it cannot be read.
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Precision implied by `SILOFUSE_PRECISION` (unset/unknown → f32).
-fn precision_from_env() -> Precision {
-    std::env::var("SILOFUSE_PRECISION")
+/// Worker count implied by `SILOFUSE_THREADS`: unset or invalid → one
+/// worker per available core (1 when that cannot be read), ≤1 → one
+/// worker (serial SIMD kernels).
+fn threads_from_env() -> usize {
+    std::env::var("SILOFUSE_THREADS")
         .ok()
-        .and_then(|v| Precision::parse(&v))
-        .unwrap_or(Precision::F32)
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .max(1)
 }
 
-/// The process-global backend every `Tensor` kernel dispatches through:
-/// the precision-composed backend, unless a [`force_f32`] guard pins
-/// dispatch to the full-precision base.
-pub fn get() -> Arc<dyn Backend> {
-    let s = slot().read().unwrap_or_else(|e| e.into_inner());
-    if s.forced_f32 > 0 {
-        s.base.clone()
-    } else {
-        s.composed.clone()
-    }
+/// The backend every `Tensor` kernel dispatches through: a [`Parallel`]
+/// with the configured worker count.
+pub fn get() -> Parallel {
+    Parallel::new(threads())
 }
 
-/// Installs `backend` as the process-global base backend; the active
-/// precision mode is re-applied on top of it.
-///
-/// Safe to call at any time — base backends are bit-identical, so
-/// in-flight training runs produce the same numbers regardless of when
-/// the switch lands.
-pub fn set(backend: Arc<dyn Backend>) {
-    let mut s = slot().write().unwrap_or_else(|e| e.into_inner());
-    s.composed = compose(&backend, s.precision);
-    s.base = backend;
-}
-
-/// Selects the global precision mode. Unlike [`set`], this *does* change
-/// numerics for inference callers (that is the point); training is
-/// unaffected because its entry points hold a [`force_f32`] guard.
-pub fn set_precision(precision: Precision) {
-    let mut s = slot().write().unwrap_or_else(|e| e.into_inner());
-    s.composed = compose(&s.base, precision);
-    s.precision = precision;
-}
-
-/// The currently selected global precision mode.
-pub fn precision() -> Precision {
-    slot().read().unwrap_or_else(|e| e.into_inner()).precision
-}
-
-/// RAII guard pinning global dispatch to the full-precision f32 base
-/// backend; see [`force_f32`].
-pub struct ForceF32Guard(());
-
-impl Drop for ForceF32Guard {
-    fn drop(&mut self) {
-        slot().write().unwrap_or_else(|e| e.into_inner()).forced_f32 -= 1;
-    }
-}
-
-/// Pins global dispatch to the full-precision f32 base backend until the
-/// returned guard drops. Guards nest (a counter, not a flag). Every
-/// training entry point takes one, which is what makes "training stays
-/// f32 and bit-identical" a structural guarantee rather than a
-/// convention: even with `--precision f16`, gradient math can never
-/// route through [`HalfPrecision`].
-pub fn force_f32() -> ForceF32Guard {
-    slot().write().unwrap_or_else(|e| e.into_inner()).forced_f32 += 1;
-    ForceF32Guard(())
-}
-
-/// Selects the backend for a worker count: one [`Parallel`] worker (serial
-/// SIMD kernels) for `n ≤ 1`, a worker pool otherwise.
+/// Sets the worker count of every later kernel call: one [`Parallel`]
+/// worker (serial SIMD kernels) for `n ≤ 1`, a share of the worker pool
+/// otherwise.
 pub fn set_threads(n: usize) {
-    set(backend_for_threads(n));
+    THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
-/// The backend [`set_threads`] would install, without installing it.
-pub fn backend_for_threads(n: usize) -> Arc<dyn Backend> {
-    Arc::new(Parallel::new(n))
-}
-
-/// Worker-thread count of the current global backend.
+/// The configured worker count.
 pub fn threads() -> usize {
-    get().threads()
+    match THREADS.load(Ordering::Relaxed) {
+        0 => {
+            let n = threads_from_env();
+            // A `set_threads` racing this first read wins over the env.
+            match THREADS.compare_exchange(0, n, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => n,
+                Err(set) => set,
+            }
+        }
+        n => n,
+    }
 }
 
-/// Name of the current global backend.
+/// Name of the backend [`get`] returns.
 pub fn name() -> &'static str {
     get().name()
 }
 
+/// The numeric precision of every kernel: IEEE binary32, the only one.
+///
+/// It stays, with [`precision`], only because the pipeline benchmark
+/// (`pipebench/src/host.rs`) stamps `precision=f32` on every result it
+/// writes; it goes with the next change to that benchmark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Precision {
+    /// Full-precision f32 kernels.
+    F32,
+}
+
+impl Precision {
+    /// Mode name for bench reports: `"f32"`.
+    pub fn name(self) -> &'static str {
+        "f32"
+    }
+}
+
+/// The precision every kernel computes in: always [`Precision::F32`].
+pub fn precision() -> Precision {
+    Precision::F32
+}
+
 /// Records the active backend's identity in the run telemetry: a gauge for
-/// the worker-thread count and counters keyed by the backend's name, the
-/// detected SIMD level, and the precision mode. Fit entry points call this
-/// so every trace states which backend produced it.
+/// the worker-thread count and counters keyed by the backend's name and
+/// the detected SIMD level. Fit entry points call this so every trace
+/// states which backend produced it.
 pub fn record_telemetry() {
     if !silofuse_observe::enabled() {
         return;
@@ -1049,7 +794,6 @@ pub fn record_telemetry() {
     silofuse_observe::gauge("nn.backend.threads", be.threads() as f64);
     silofuse_observe::count(&format!("nn.backend.{}", be.name()), 1);
     silofuse_observe::count(&format!("nn.backend.simd.{}", simd::level().name()), 1);
-    silofuse_observe::count(&format!("nn.backend.precision.{}", precision().name()), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -1277,31 +1021,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn half_precision_rounds_gemm_operands() {
-        let (m, k, n) = (7, 19, 11);
-        let a = noise(m * k, 31);
-        let b = noise(k * n, 32);
-        let qa: Vec<f32> = a.iter().map(|&v| f16::round_f16(v)).collect();
-        let qb: Vec<f32> = b.iter().map(|&v| f16::round_f16(v)).collect();
-        let mut want = vec![0.0; m * n];
-        Reference.gemm(m, k, n, &qa, &qb, &mut want);
-        let half = HalfPrecision::new(Arc::new(Reference));
-        let mut got = vec![0.0; m * n];
-        half.gemm(m, k, n, &a, &b, &mut got);
-        assert_eq!(
-            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "f16 gemm must equal f32 gemm over explicitly rounded operands"
-        );
-        // Elementwise ops are not quantized: f32 passthrough.
-        let mut y = a.clone();
-        let mut y_ref = a.clone();
-        half.axpy(0.5, &b[..m * k], &mut y);
-        Reference.axpy(0.5, &b[..m * k], &mut y_ref);
-        assert_eq!(y, y_ref);
-    }
-
     /// A deterministic sparse batch (interleaved numeric slots and one-hot
     /// blocks) together with its densified `rows × in_width` oracle form.
     fn sparse_fixture(rows: usize, seed: u64) -> (SparseSpec, Vec<f32>, Vec<u32>, Vec<f32>) {
@@ -1407,23 +1126,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn half_precision_gather_matches_dense_f16_path() {
-        let rows = 9;
-        let n = 13;
-        let (spec, numeric, indices, dense) = sparse_fixture(rows, 61);
-        let w = noise(spec.in_width() * n, 62);
-        let half = HalfPrecision::new(Arc::new(Reference));
-        let mut want = vec![0.0; rows * n];
-        half.gemm(rows, spec.in_width(), n, &dense, &w, &mut want);
-        let mut got = vec![0.0; rows * n];
-        half.gather_gemm(rows, n, &spec, &numeric, &indices, &w, &mut got);
-        assert_eq!(
-            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "f16 gather must equal f16 gemm over the densified batch"
-        );
     }
 }

@@ -2,7 +2,7 @@
 //! affine half.
 
 use super::{Layer, Param};
-use crate::backend;
+use crate::backend::{self, Backend};
 use crate::init::Init;
 use crate::sparse::{SparseBatchRef, SparseSpec};
 use crate::tensor::Tensor;

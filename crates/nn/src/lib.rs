@@ -44,7 +44,6 @@
 
 pub mod backend;
 pub mod embedding;
-pub mod f16;
 pub mod init;
 pub mod layers;
 pub mod loss;

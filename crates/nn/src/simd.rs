@@ -114,16 +114,6 @@ pub fn level() -> SimdLevel {
     })
 }
 
-/// Whether the F16C conversion instructions may be used for bulk f16
-/// rounding. Honors the `SILOFUSE_SIMD` scalar override so the forced-
-/// scalar CI leg exercises the software converter.
-#[cfg(target_arch = "x86_64")]
-pub fn f16c_enabled() -> bool {
-    static F16C: OnceLock<bool> = OnceLock::new();
-    *F16C
-        .get_or_init(|| level() != SimdLevel::Scalar && std::arch::is_x86_feature_detected!("f16c"))
-}
-
 /// k-dimension cache-block size: accumulators stay in registers for a full
 /// block; a `KC×n` panel of `rhs` stays hot while a tile of lhs rows
 /// streams over it. Exact regardless of value (see module docs).

@@ -7,13 +7,14 @@
 //! operation is explicit about shapes and checks them.
 //!
 //! The dense kernels (GEMM variants, axpy, map/zip, GELU, reductions,
-//! softmax) dispatch through the process-global
-//! [`crate::backend::Backend`], so the same call runs serial or parallel
-//! depending on `--threads` — with bit-identical results either way.
+//! softmax) dispatch through [`crate::backend::get`], so the same call runs
+//! serial or parallel depending on `--threads` — with bit-identical results
+//! either way.
 //! Freshly produced tensors draw their storage from the
 //! [`crate::workspace`] arena where possible.
 
-use crate::{backend, workspace};
+use crate::backend::{self, Backend};
+use crate::workspace;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
