@@ -1,8 +1,6 @@
 //! Combined sweep: trains each (model, dataset) pair once and emits Tables
 //! III (resemblance), IV (utility), and VI (privacy, top-3 models) from the
-//! same runs — the efficient way to regenerate the paper's quantitative
-//! core on a single CPU. The dedicated `table3`/`table4`/`table6` binaries
-//! regenerate individual tables.
+//! same runs.
 
 use silofuse_bench::{cell, emit_report, parse_cli, run_config_for, selected_profiles, TextTable};
 use silofuse_core::pipeline::{evaluate_model, mean_std, DatasetRun};

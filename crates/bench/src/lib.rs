@@ -8,14 +8,18 @@
 //! | target | reproduces |
 //! |---|---|
 //! | `table2` | Table II — dataset statistics & one-hot expansion |
-//! | `table3` | Table III — resemblance scores, 7 models × 9 datasets |
-//! | `table4` | Table IV — utility scores |
+//! | `sweep`  | Tables III, IV and VI — resemblance, utility and privacy scores, 7 models × 9 datasets, from one training pass |
 //! | `table5` | Table V — correlation-difference matrices |
-//! | `table6` | Table VI — privacy scores |
 //! | `table7` | Table VII — privacy vs denoising steps |
 //! | `fig10`  | Fig. 10 — communication bytes vs iterations |
 //! | `fig11`  | Fig. 11 — robustness to #clients & feature permutation |
 //! | `theorem1` | Theorem 1 — latent irreversibility, empirically |
+//! | `ablation` | ablations of SiloFuse's design choices (DESIGN.md §3) |
+//!
+//! Two more bins gate what no test can: `kernels` (per-ISA GFLOP/s floors
+//! and the `gemm_transpose`-to-`gemm` ratio, written to
+//! `BENCH_kernels.json`) and `observe` (the traced-synthesis overhead
+//! bound, written to `BENCH_observe.json`).
 //!
 //! Common flags: `--quick` (smoke-test sizes), `--trials N`,
 //! `--datasets Loan,Adult,...`, `--seed S`. Reports are printed and written

@@ -20,10 +20,12 @@ use silofuse_core::{
 use silofuse_metrics::{
     privacy, resemblance, utility, PrivacyConfig, ResemblanceConfig, UtilityConfig,
 };
-use silofuse_tabular::csv::{read_csv, write_csv, CsvTable};
+use silofuse_tabular::csv::{read_csv, read_csv_as, write_csv, CsvTable};
 use silofuse_tabular::partition::PartitionStrategy;
 use silofuse_tabular::profiles;
 use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -32,8 +34,7 @@ fn main() -> ExitCode {
     let (command, run, flags) = match parse_args(&args) {
         Ok(Invocation::Run { command, run, flags }) => (command, run, flags),
         Ok(Invocation::Help) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
+            return exit_code(print(&mut std::io::stdout(), &format!("{USAGE}\n")))
         }
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -55,14 +56,29 @@ fn main() -> ExitCode {
         eprintln!("[trace] exposing Prometheus snapshots at {path}");
         silofuse_observe::expose::Flusher::start(path.clone(), Duration::from_millis(500))
     });
-    let result = run(&flags);
+    let result = run(&flags).and_then(|text| print(&mut std::io::stdout(), &text));
     finish_trace(flusher);
+    exit_code(result)
+}
+
+fn exit_code(result: Result<(), String>) -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Writes a command's output: the one place the binary writes to stdout.
+/// A reader that stopped reading (`silofuse --help | head -1`) is not a
+/// failure, since the rest of the output has nowhere to go, so the command
+/// still exits 0; any other write error is reported.
+fn print(out: &mut impl Write, text: &str) -> Result<(), String> {
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("writing to stdout: {e}")),
+        _ => Ok(()),
     }
 }
 
@@ -104,7 +120,7 @@ fn finish_trace(flusher: Option<silofuse_observe::expose::Flusher>) {
 /// `silofuse trace-report [--input <run.trace.jsonl>]`: load a merged
 /// causal trace (default: the most recent one under the telemetry
 /// directory) and print its critical-path breakdown.
-fn cmd_trace_report(flags: &Flags) -> Result<(), String> {
+fn cmd_trace_report(flags: &Flags) -> Result<String, String> {
     let path = match flags.get("input") {
         Some(p) => std::path::PathBuf::from(p),
         None => latest_trace_file()?,
@@ -113,8 +129,7 @@ fn cmd_trace_report(flags: &Flags) -> Result<(), String> {
     let report = silofuse_observe::trace::parse_trace_jsonl(&text)
         .map_err(|e| format!("{}: {e}", path.display()))?;
     eprintln!("[trace-report] {}", path.display());
-    print!("{}", silofuse_observe::trace::render_report(&report));
-    Ok(())
+    Ok(silofuse_observe::trace::render_report(&report))
 }
 
 /// The most recently modified `*.trace.jsonl` under the telemetry dir.
@@ -192,6 +207,8 @@ USAGE:
   silofuse evaluate --real <real.csv> --synth <synth.csv>
       [--holdout <holdout.csv>] [--seed S]
       Score resemblance (+ utility when a holdout is given) and privacy.
+      The synthetic and holdout files are read with the real file's
+      columns and category labels.
 
   silofuse inspect --input <data.csv>
       Print the inferred schema and Table II-style statistics.
@@ -229,8 +246,8 @@ USAGE:
 
 type Flags = HashMap<String, String>;
 
-/// A command's entry point.
-type CommandFn = fn(&Flags) -> Result<(), String>;
+/// A command's entry point; it returns what to print on stdout.
+type CommandFn = fn(&Flags) -> Result<String, String>;
 
 /// What the command line asks for.
 #[derive(Debug)]
@@ -348,12 +365,18 @@ fn parse_num<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Res
     }
 }
 
-fn load_csv(path: &str) -> Result<CsvTable, String> {
+/// Reads the CSV at `path`, inferring its schema, or, given `like`, with
+/// `like`'s schema and vocabularies.
+fn load_csv(path: &str, like: Option<&CsvTable>) -> Result<CsvTable, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    read_csv(&text).map_err(|e| format!("{path}: {e}"))
+    match like {
+        None => read_csv(&text),
+        Some(like) => read_csv_as(&text, like),
+    }
+    .map_err(|e| format!("{path}: {e}"))
 }
 
-fn cmd_generate(flags: &Flags) -> Result<(), String> {
+fn cmd_generate(flags: &Flags) -> Result<String, String> {
     let name = required(flags, "profile")?;
     let rows: usize = parse_num(flags, "rows", 1000)?;
     let seed: u64 = parse_num(flags, "seed", 42)?;
@@ -376,11 +399,10 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
         .collect();
     std::fs::write(out, write_csv(&table, Some(&vocabularies)))
         .map_err(|e| format!("{out}: {e}"))?;
-    println!("wrote {rows} rows x {} columns of {} to {out}", table.n_cols(), profile.name);
-    Ok(())
+    Ok(format!("wrote {rows} rows x {} columns of {} to {out}\n", table.n_cols(), profile.name))
 }
 
-fn cmd_serve(flags: &Flags) -> Result<(), String> {
+fn cmd_serve(flags: &Flags) -> Result<String, String> {
     let models_arg = flags.get("models").map(String::as_str).unwrap_or("Loan");
     let train_rows: usize = parse_num(flags, "train-rows", 512)?;
     let tenants: usize = parse_num(flags, "tenants", 2)?;
@@ -461,15 +483,14 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let elapsed = started.elapsed();
     let stats = server.comm_stats();
     server.shutdown();
-    println!(
+    Ok(format!(
         "served {jobs_ok} job(s) / {rows_ok} rows to {tenants} tenant(s) in {:.2}s \
          ({:.1} jobs/s); {rejections} overload rejection(s) answered typed, \
-         {} control-plane bytes on the wire",
+         {} control-plane bytes on the wire\n",
         elapsed.as_secs_f64(),
         jobs_ok as f64 / elapsed.as_secs_f64().max(1e-9),
         stats.bytes_control,
-    );
-    Ok(())
+    ))
 }
 
 fn model_kind(name: &str) -> Result<ModelKind, String> {
@@ -518,7 +539,7 @@ fn checkpointer_from_flags(flags: &Flags) -> Result<Option<Checkpointer>, String
     }
 }
 
-fn cmd_synth(flags: &Flags) -> Result<(), String> {
+fn cmd_synth(flags: &Flags) -> Result<String, String> {
     let input = required(flags, "input")?;
     let out = required(flags, "out")?;
     let rows: usize = parse_num(flags, "rows", 1000)?;
@@ -575,7 +596,7 @@ fn cmd_synth(flags: &Flags) -> Result<(), String> {
 
     let ckpt = checkpointer_from_flags(flags)?;
 
-    let csv = load_csv(input)?;
+    let csv = load_csv(input, None)?;
     let clients = clients.min(csv.table.n_cols()).max(1);
     eprintln!(
         "fitting {} on {} ({} rows x {} cols, {} clients)...",
@@ -628,12 +649,11 @@ fn cmd_synth(flags: &Flags) -> Result<(), String> {
             .collect();
         std::fs::write(out, write_csv(&synth, Some(&vocabularies)))
             .map_err(|e| format!("{out}: {e}"))?;
-        println!(
-            "wrote {rows} synthetic rows ({} of {} columns) to {out}",
+        return Ok(format!(
+            "wrote {rows} synthetic rows ({} of {} columns) to {out}\n",
             synth.n_cols(),
             csv.table.n_cols()
-        );
-        return Ok(());
+        ));
     }
     let mut model =
         build_synthesizer_with_net(kind, &budget, clients, PartitionStrategy::Default, seed, net);
@@ -644,78 +664,77 @@ fn cmd_synth(flags: &Flags) -> Result<(), String> {
     let synth = model.synthesize(rows, &mut rng);
     std::fs::write(out, write_csv(&synth, Some(&csv.vocabularies)))
         .map_err(|e| format!("{out}: {e}"))?;
-    println!("wrote {rows} synthetic rows to {out}");
-    Ok(())
+    Ok(format!("wrote {rows} synthetic rows to {out}\n"))
 }
 
-fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
-    let real = load_csv(required(flags, "real")?)?;
-    let synth = load_csv(required(flags, "synth")?)?;
+fn cmd_evaluate(flags: &Flags) -> Result<String, String> {
+    let real = load_csv(required(flags, "real")?, None)?;
+    // Read against the real table, so a label has one code in both and a
+    // category the synthetic rows never produce scores as lost resemblance.
+    let synth = load_csv(required(flags, "synth")?, Some(&real))?;
     let seed: u64 = parse_num(flags, "seed", 42)?;
-    if real.table.schema() != synth.table.schema() {
-        return Err("real and synthetic schemas differ (column names/kinds must match)".into());
-    }
+    let mut out = String::new();
 
     let r =
         resemblance(&real.table, &synth.table, &ResemblanceConfig { seed, ..Default::default() });
-    println!("resemblance (0-100, higher better):");
-    println!("  column similarity        {:.1}", r.column_similarity);
-    println!("  correlation similarity   {:.1}", r.correlation_similarity);
-    println!("  jensen-shannon           {:.1}", r.jensen_shannon);
-    println!("  kolmogorov-smirnov       {:.1}", r.kolmogorov_smirnov);
-    println!("  propensity               {:.1}", r.propensity);
-    println!("  COMPOSITE                {:.1}", r.composite);
+    let _ = writeln!(out, "resemblance (0-100, higher better):");
+    let _ = writeln!(out, "  column similarity        {:.1}", r.column_similarity);
+    let _ = writeln!(out, "  correlation similarity   {:.1}", r.correlation_similarity);
+    let _ = writeln!(out, "  jensen-shannon           {:.1}", r.jensen_shannon);
+    let _ = writeln!(out, "  kolmogorov-smirnov       {:.1}", r.kolmogorov_smirnov);
+    let _ = writeln!(out, "  propensity               {:.1}", r.propensity);
+    let _ = writeln!(out, "  COMPOSITE                {:.1}", r.composite);
 
     if let Some(holdout_path) = flags.get("holdout") {
-        let holdout = load_csv(holdout_path)?;
+        let holdout = load_csv(holdout_path, Some(&real))?;
         let u = utility(
             &real.table,
             &synth.table,
             &holdout.table,
             &UtilityConfig { seed, ..Default::default() },
         );
-        println!("utility (train-on-synthetic / test-on-real): {:.1}", u.score);
+        let _ = writeln!(out, "utility (train-on-synthetic / test-on-real): {:.1}", u.score);
     }
 
     let p = privacy(&real.table, &synth.table, &PrivacyConfig { seed, ..Default::default() });
-    println!("privacy (0-100, higher = safer):");
-    println!("  singling-out             {:.1}", p.singling_out);
-    println!("  linkability              {:.1}", p.linkability);
-    println!("  attribute inference      {:.1}", p.attribute_inference);
-    println!("  COMPOSITE                {:.1}", p.composite);
-    Ok(())
+    let _ = writeln!(out, "privacy (0-100, higher = safer):");
+    let _ = writeln!(out, "  singling-out             {:.1}", p.singling_out);
+    let _ = writeln!(out, "  linkability              {:.1}", p.linkability);
+    let _ = writeln!(out, "  attribute inference      {:.1}", p.attribute_inference);
+    let _ = writeln!(out, "  COMPOSITE                {:.1}", p.composite);
+    Ok(out)
 }
 
-fn cmd_inspect(flags: &Flags) -> Result<(), String> {
+fn cmd_inspect(flags: &Flags) -> Result<String, String> {
     let input = required(flags, "input")?;
-    let csv = load_csv(input)?;
+    let csv = load_csv(input, None)?;
     let s = csv.table.schema();
-    println!(
-        "{input}: {} rows, {} columns ({} categorical, {} numeric)",
+    let mut out = format!(
+        "{input}: {} rows, {} columns ({} categorical, {} numeric)\n\
+         one-hot width {} ({:.2}x expansion)\n",
         csv.table.n_rows(),
         s.width(),
         s.categorical_count(),
-        s.numeric_count()
+        s.numeric_count(),
+        s.one_hot_width(),
+        s.expansion_factor()
     );
-    println!("one-hot width {} ({:.2}x expansion)", s.one_hot_width(), s.expansion_factor());
     for (meta, vocab) in s.columns().iter().zip(&csv.vocabularies) {
-        match (&meta.kind, vocab) {
-            (silofuse_tabular::ColumnKind::Numeric, _) => {
-                println!("  {:<24} numeric", meta.name);
-            }
+        let kind = match (&meta.kind, vocab) {
+            (silofuse_tabular::ColumnKind::Numeric, _) => "numeric".to_string(),
             (silofuse_tabular::ColumnKind::Categorical { cardinality }, Some(v)) => {
                 let preview: Vec<&str> = v.iter().take(4).map(String::as_str).collect();
-                println!(
-                    "  {:<24} categorical ({cardinality} classes: {}{})",
-                    meta.name,
+                format!(
+                    "categorical ({cardinality} classes: {}{})",
                     preview.join(", "),
                     if v.len() > 4 { ", ..." } else { "" }
-                );
+                )
             }
-            _ => println!("  {:<24} categorical", meta.name),
-        }
+            _ => "categorical".to_string(),
+        };
+        let _ = writeln!(out, "  {:<24} {kind}", meta.name);
     }
-    Ok(())
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -744,6 +763,28 @@ mod tests {
         for line in ["synth --help", "synth -h", "generate --profile Loan -h", "help", "--help"] {
             assert!(matches!(parse(line), Ok(Invocation::Help)), "{line}");
         }
+    }
+
+    /// A writer whose every write fails with `kind`.
+    struct Failing(ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_ends_quietly_and_other_write_errors_are_reported() {
+        assert_eq!(print(&mut Failing(ErrorKind::BrokenPipe), "rows\n"), Ok(()));
+        let err = print(&mut Failing(ErrorKind::PermissionDenied), "rows\n").unwrap_err();
+        assert!(err.starts_with("writing to stdout: "), "{err}");
+        let mut written = Vec::new();
+        assert_eq!(print(&mut written, "rows\n"), Ok(()));
+        assert_eq!(written, b"rows\n");
     }
 
     #[test]

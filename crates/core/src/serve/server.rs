@@ -10,7 +10,7 @@ use super::registry::ModelRegistry;
 use super::{grid_to_table, table_to_grid, ServeConfig, ServeError};
 use silofuse_diffusion::RowRangeOverflow;
 use silofuse_distributed::transport::{
-    link_with, new_stats, ClientEndpoint, CoordEndpoint, SharedStats, TransportError,
+    link_with, new_stats, Endpoint, SharedStats, TransportError,
 };
 use silofuse_distributed::{CommStats, Message, ServeRejectCode};
 use silofuse_observe as observe;
@@ -89,7 +89,7 @@ impl SynthesisServer {
 
 /// One tenant connection's service loop.
 fn serve_tenant(
-    coord: &CoordEndpoint,
+    coord: &Endpoint,
     tenant: &str,
     registry: &ModelRegistry,
     admission: &Arc<Admission>,
@@ -119,7 +119,7 @@ fn serve_tenant(
 
 #[allow(clippy::too_many_arguments)]
 fn handle_request(
-    coord: &CoordEndpoint,
+    coord: &Endpoint,
     tenant: &str,
     registry: &ModelRegistry,
     admission: &Arc<Admission>,
@@ -170,7 +170,7 @@ fn handle_request(
 /// plus a blocking [`TenantClient::fetch`] that reassembles streamed
 /// chunks into a [`Table`].
 pub struct TenantClient {
-    endpoint: ClientEndpoint,
+    endpoint: Endpoint,
     tenant: String,
     catalog: Vec<(String, Schema)>,
 }

@@ -524,8 +524,7 @@ impl GaussianDdpm {
     /// The seed per-row sampler: every row runs the reverse chain alone,
     /// with plain scalar arithmetic for the update rules (only the backbone
     /// forward is shared with the batched path). This is the bit-identity
-    /// oracle the batched engine is tested against, and the deliberately
-    /// unbatched baseline the `synth` benchmark times.
+    /// oracle the batched engine is tested against.
     ///
     /// # Errors
     /// [`InvalidInferenceSteps`] when `inference_steps == 0` or `> T`.
@@ -835,13 +834,23 @@ mod tests {
     use rand::SeedableRng;
 
     fn small_ddpm(dim: usize, param: Parameterization, seed: u64) -> GaussianDdpm {
+        ddpm_with_backbone(dim, 64, 3, param, seed)
+    }
+
+    fn ddpm_with_backbone(
+        dim: usize,
+        hidden_dim: usize,
+        depth: usize,
+        param: Parameterization,
+        seed: u64,
+    ) -> GaussianDdpm {
         let mut rng = StdRng::seed_from_u64(seed);
         let schedule = NoiseSchedule::new(ScheduleKind::Linear, 50);
         let diffusion = GaussianDiffusion::new(schedule, param);
         let cfg = BackboneConfig {
             data_dim: dim,
-            hidden_dim: 64,
-            depth: 3,
+            hidden_dim,
+            depth,
             time_embed_dim: 8,
             dropout: 0.0,
             out_dim: dim,
@@ -1037,15 +1046,21 @@ mod tests {
 
     #[test]
     fn batched_sample_is_bit_identical_to_per_row_oracle() {
-        for param in [Parameterization::PredictX0, Parameterization::PredictNoise] {
-            for eta in [0.0f32, 0.7, 1.0] {
-                let ddpm = small_ddpm(3, param, 17);
-                let mut r1 = StdRng::seed_from_u64(9);
-                let mut r2 = StdRng::seed_from_u64(9);
-                let batched = ddpm.try_sample(13, 7, eta, &mut r1).unwrap();
-                let oracle = ddpm.sample_rows_reference(13, 7, eta, &mut r2).unwrap();
-                assert_bits_eq(&batched, &oracle, &format!("{param:?} eta={eta}"));
-                assert_eq!(r1, r2, "both paths must consume exactly one u64");
+        // (data dim, hidden, depth): a small backbone, and one whose 13-row
+        // hidden-layer GEMMs (13·256·256 multiply-adds) cross the parallel
+        // fan-out threshold.
+        for (dim, hidden, depth) in [(3, 64, 3), (32, 256, 6)] {
+            for param in [Parameterization::PredictX0, Parameterization::PredictNoise] {
+                for eta in [0.0f32, 0.7, 1.0] {
+                    let ddpm = ddpm_with_backbone(dim, hidden, depth, param, 17);
+                    let mut r1 = StdRng::seed_from_u64(9);
+                    let mut r2 = StdRng::seed_from_u64(9);
+                    let batched = ddpm.try_sample(13, 7, eta, &mut r1).unwrap();
+                    let oracle = ddpm.sample_rows_reference(13, 7, eta, &mut r2).unwrap();
+                    let what = format!("dim={dim} hidden={hidden} {param:?} eta={eta}");
+                    assert_bits_eq(&batched, &oracle, &what);
+                    assert_eq!(r1, r2, "both paths must consume exactly one u64");
+                }
             }
         }
     }

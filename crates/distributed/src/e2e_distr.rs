@@ -11,8 +11,7 @@ use crate::faults::NetConfig;
 use crate::stacked::{silo_ae_config, take, take_u32};
 use crate::supervision::{MembershipTable, SiloOutput, SupervisorConfig};
 use crate::transport::{
-    bump_round, dead_silo, link_with, new_stats, recv_or_dead, ClientEndpoint, CommStats,
-    SharedStats,
+    bump_round, dead_silo, link_with, new_stats, recv_or_dead, CommStats, Endpoint, SharedStats,
 };
 use crate::Message;
 use rand::rngs::StdRng;
@@ -34,7 +33,7 @@ const JOINT_DDPM_SALT: u64 = 0xe2ed;
 
 struct ClientState {
     ae: TabularAutoencoder,
-    endpoint: ClientEndpoint,
+    endpoint: Endpoint,
     partition: Table,
     latent_dim: usize,
 }
@@ -44,7 +43,7 @@ pub struct E2eDistributed {
     config: LatentDiffConfig,
     net: NetConfig,
     clients: Vec<ClientState>,
-    coord_endpoints: Vec<crate::transport::CoordEndpoint>,
+    coord_endpoints: Vec<Endpoint>,
     ddpm: Option<GaussianDdpm>,
     stats: SharedStats,
     sup: SupervisorConfig,

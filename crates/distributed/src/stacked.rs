@@ -14,8 +14,8 @@ use crate::error::ProtocolError;
 use crate::faults::{NetConfig, RetryPolicy};
 use crate::supervision::{MembershipTable, SiloOutput, SupervisorConfig};
 use crate::transport::{
-    bump_round, dead_silo, link_with, new_stats, recv_or_dead, recv_retrying, ClientEndpoint,
-    CommStats, SharedStats, TransportError,
+    bump_round, dead_silo, link_with, new_stats, recv_or_dead, recv_retrying, CommStats, Endpoint,
+    SharedStats, TransportError,
 };
 use crate::Message;
 use rand::rngs::StdRng;
@@ -32,7 +32,7 @@ use silofuse_tabular::table::Table;
 /// leave the silo) plus its transport endpoint.
 struct ClientState {
     ae: TabularAutoencoder,
-    endpoint: ClientEndpoint,
+    endpoint: Endpoint,
     latent_dim: usize,
 }
 
@@ -103,7 +103,7 @@ pub struct SiloFuseModel {
     net: NetConfig,
     clients: Vec<SiloSlot>,
     coordinator: Coordinator,
-    coord_endpoints: Vec<crate::transport::CoordEndpoint>,
+    coord_endpoints: Vec<Endpoint>,
     stats: SharedStats,
     // The checkpointer the model was fitted under: synthesis checkpoints
     // its per-call base seed through it so a crashed synthesis resumes

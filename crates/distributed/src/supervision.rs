@@ -364,7 +364,7 @@ impl SupervisorConfig {
     pub(crate) fn recv_leased(
         &self,
         silo: usize,
-        from: &dyn Endpoint,
+        from: &Endpoint,
         lease: Duration,
         membership: &mut MembershipTable,
         mut kick: impl FnMut(),

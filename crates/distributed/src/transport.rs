@@ -143,9 +143,11 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// Direction-tagged half of a duplex link; both endpoint types wrap one.
+/// One end of a duplex client↔coordinator link, made by [`link`] or
+/// [`link_with`]. The client end sends upstream and the coordinator end
+/// downstream; each ledgers its own direction in the link's [`CommStats`].
 #[derive(Debug)]
-struct Half {
+pub struct Endpoint {
     tx: Sender<Bytes>,
     rx: Receiver<Bytes>,
     dir: observe::Direction,
@@ -173,7 +175,7 @@ struct ReliableState {
     buffered: BTreeMap<u64, Bytes>,
     /// In-order payloads ready for `recv`.
     delivered: VecDeque<Bytes>,
-    /// Fault injector for this half's outgoing direction.
+    /// Fault injector for this end's outgoing direction.
     faults: LinkFaults,
 }
 
@@ -190,8 +192,9 @@ impl ReliableState {
     }
 }
 
-impl Half {
-    fn send(&self, msg: &Message) -> Result<(), TransportError> {
+impl Endpoint {
+    /// Sends a message to the peer, counted in this end's direction.
+    pub fn send(&self, msg: &Message) -> Result<(), TransportError> {
         // Tick the current actor's Lamport clock and stamp the context
         // on the wire; `None` (tracing off) keeps the encoding
         // byte-identical to the untraced format.
@@ -228,7 +231,7 @@ impl Half {
     }
 
     /// Ledgers one first transmission (`counted` bytes, framed size in
-    /// reliable mode) for this half's direction and, in traced mode,
+    /// reliable mode) for this end's direction and, in traced mode,
     /// records the wire event under the sending scope with the `base`
     /// message size — matching what the receive side will record.
     fn note_send(
@@ -280,7 +283,7 @@ impl Half {
         if let Some(ctx) = ctx {
             let lamport = observe::trace::merge_on_recv(&ctx);
             // Traffic direction is the *sender's*: the opposite of the
-            // direction this half sends in.
+            // direction this end sends in.
             let direction = match self.dir {
                 observe::Direction::Up => observe::Direction::Down,
                 observe::Direction::Down => observe::Direction::Up,
@@ -329,7 +332,9 @@ impl Half {
         }
     }
 
-    fn recv(&self) -> Result<Message, TransportError> {
+    /// Blocks until the peer sends a message. Under a fault plan the
+    /// wait is bounded by [`RetryPolicy::recv_deadline`].
+    pub fn recv(&self) -> Result<Message, TransportError> {
         let _wait = observe::span(observe::names::COMM_WAIT_SPAN);
         match &self.reliable {
             None => {
@@ -340,7 +345,8 @@ impl Half {
         }
     }
 
-    fn recv_timeout(&self, budget: Duration) -> Result<Message, TransportError> {
+    /// Receives with an explicit time budget.
+    pub fn recv_timeout(&self, budget: Duration) -> Result<Message, TransportError> {
         let _wait = observe::span(observe::names::COMM_WAIT_SPAN);
         match &self.reliable {
             None => match self.rx.recv_timeout(budget) {
@@ -355,7 +361,7 @@ impl Half {
         }
     }
 
-    /// Bounded reliable receive: drains frames, retransmits this half's
+    /// Bounded reliable receive: drains frames, retransmits this end's
     /// own unacked payloads on silent ticks (exponential backoff), and
     /// returns [`TransportError::Timeout`] once `budget` expires.
     fn recv_reliable(&self, rel: &Reliable, budget: Duration) -> Result<Message, TransportError> {
@@ -376,7 +382,7 @@ impl Half {
                     tick = rel.policy.tick.max(Duration::from_micros(100));
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    self.retransmit_unacked(rel);
+                    self.retransmit_unacked();
                     tick = (tick * 2).min(rel.policy.max_backoff);
                 }
                 Err(RecvTimeoutError::Disconnected) => return Err(TransportError::Disconnected),
@@ -465,8 +471,13 @@ impl Half {
     }
 
     /// Re-sends every unacknowledged payload (through fault injection),
-    /// ledgered as `bytes_retried`/`retransmits`.
-    fn retransmit_unacked(&self, rel: &Reliable) {
+    /// ledgered as `bytes_retried`/`retransmits`; no-op on a plain link.
+    /// Same-thread protocol loops call this on the *peer* endpoint when
+    /// their own bounded receive times out (see [`recv_retrying`]).
+    pub fn retransmit_unacked(&self) {
+        let Some(rel) = &self.reliable else {
+            return;
+        };
         let mut st = rel.state.lock();
         if st.unacked.is_empty() {
             return;
@@ -485,18 +496,19 @@ impl Half {
         }
     }
 
-    /// Highest peer sequence number delivered so far on this half, if
+    /// Highest peer sequence number delivered so far on this end, if
     /// any — the "last frame seq" operators see in a
     /// [`crate::error::ProtocolError::SiloDead`].
-    fn last_delivered_seq(&self) -> Option<u64> {
+    pub fn last_delivered_seq(&self) -> Option<u64> {
         let rel = self.reliable.as_ref()?;
         rel.state.lock().next_expected.checked_sub(1)
     }
 
-    /// Drives the link until every payload this half sent is acked or
-    /// `budget` expires; returns whether the send window drained. Frames
-    /// received along the way are buffered for later `recv`.
-    fn flush(&self, budget: Duration) -> bool {
+    /// Drives the link until every payload this end sent is acked or
+    /// `budget` expires; returns whether the send window drained (always
+    /// `true` on a plain link). Frames received along the way are
+    /// buffered for later `recv`.
+    pub fn flush(&self, budget: Duration) -> bool {
         let Some(rel) = &self.reliable else {
             return true;
         };
@@ -519,7 +531,7 @@ impl Half {
                     tick = rel.policy.tick.max(Duration::from_micros(100));
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    self.retransmit_unacked(rel);
+                    self.retransmit_unacked();
                     tick = (tick * 2).min(rel.policy.max_backoff);
                 }
                 Err(RecvTimeoutError::Disconnected) => {
@@ -529,28 +541,17 @@ impl Half {
         }
     }
 
-    fn has_unacked(&self) -> bool {
+    /// Whether any sent payload is still awaiting a transport ack.
+    pub fn has_unacked(&self) -> bool {
         self.reliable.as_ref().is_some_and(|rel| !rel.state.lock().unacked.is_empty())
     }
-}
-
-/// The client-side endpoint of a duplex link.
-#[derive(Debug)]
-pub struct ClientEndpoint {
-    half: Half,
-}
-
-/// The coordinator-side endpoint of a duplex link.
-#[derive(Debug)]
-pub struct CoordEndpoint {
-    half: Half,
 }
 
 /// Creates a duplex client↔coordinator link whose traffic is counted in
 /// `stats`. Messages are physically serialised on send and deserialised on
 /// receive, so the byte counts are exact wire sizes. Equivalent to
 /// [`link_with`] on a perfect network.
-pub fn link(stats: SharedStats) -> (ClientEndpoint, CoordEndpoint) {
+pub fn link(stats: SharedStats) -> (Endpoint, Endpoint) {
     link_with(stats, 0, &NetConfig::default())
 }
 
@@ -562,15 +563,11 @@ const SALT_DOWN: u64 = 1;
 /// reliability layer (framing, acks, dedup, retransmission) activates and
 /// the per-direction injectors are seeded from `(plan.seed, link_id,
 /// direction)`; without one the link is byte-identical to [`link`].
-pub fn link_with(
-    stats: SharedStats,
-    link_id: u64,
-    net: &NetConfig,
-) -> (ClientEndpoint, CoordEndpoint) {
+pub fn link_with(stats: SharedStats, link_id: u64, net: &NetConfig) -> (Endpoint, Endpoint) {
     let (up_tx, up_rx) = unbounded();
     let (down_tx, down_rx) = unbounded();
     // A partitioned link shares one two-direction window, clocked by the
-    // client half's first up transmissions.
+    // client end's first up transmissions.
     let partition = net.faults.as_ref().and_then(|plan| PartitionWindow::for_link(plan, link_id));
     let reliable = |salt: u64| {
         net.faults.clone().map(|plan| Reliable {
@@ -584,163 +581,23 @@ pub fn link_with(
         })
     };
     (
-        ClientEndpoint {
-            half: Half {
-                tx: up_tx,
-                rx: down_rx,
-                dir: observe::Direction::Up,
-                link: link_id,
-                stats: Arc::clone(&stats),
-                reliable: reliable(SALT_UP),
-            },
+        Endpoint {
+            tx: up_tx,
+            rx: down_rx,
+            dir: observe::Direction::Up,
+            link: link_id,
+            stats: Arc::clone(&stats),
+            reliable: reliable(SALT_UP),
         },
-        CoordEndpoint {
-            half: Half {
-                tx: down_tx,
-                rx: up_rx,
-                dir: observe::Direction::Down,
-                link: link_id,
-                stats,
-                reliable: reliable(SALT_DOWN),
-            },
+        Endpoint {
+            tx: down_tx,
+            rx: up_rx,
+            dir: observe::Direction::Down,
+            link: link_id,
+            stats,
+            reliable: reliable(SALT_DOWN),
         },
     )
-}
-
-impl ClientEndpoint {
-    /// Sends a message to the coordinator (counted as upstream bytes).
-    pub fn send(&self, msg: &Message) -> Result<(), TransportError> {
-        self.half.send(msg)
-    }
-
-    /// Blocks until the coordinator sends a message. Under a fault plan
-    /// the wait is bounded by [`RetryPolicy::recv_deadline`].
-    pub fn recv(&self) -> Result<Message, TransportError> {
-        self.half.recv()
-    }
-
-    /// Receives with an explicit time budget.
-    pub fn recv_timeout(&self, budget: Duration) -> Result<Message, TransportError> {
-        self.half.recv_timeout(budget)
-    }
-
-    /// Re-sends every unacknowledged payload; no-op on a plain link.
-    /// Same-thread protocol loops call this on the *peer* endpoint when
-    /// their own bounded receive times out (see [`recv_retrying`]).
-    pub fn retransmit_unacked(&self) {
-        if let Some(rel) = &self.half.reliable {
-            self.half.retransmit_unacked(rel);
-        }
-    }
-
-    /// Drives the link until all sent payloads are acked or `budget`
-    /// expires; `true` on a drained window (always `true` when plain).
-    pub fn flush(&self, budget: Duration) -> bool {
-        self.half.flush(budget)
-    }
-
-    /// Whether any sent payload is still awaiting a transport ack.
-    pub fn has_unacked(&self) -> bool {
-        self.half.has_unacked()
-    }
-
-    /// Highest peer sequence number delivered on this endpoint, if any.
-    pub fn last_delivered_seq(&self) -> Option<u64> {
-        self.half.last_delivered_seq()
-    }
-}
-
-impl CoordEndpoint {
-    /// Sends a message to the client (counted as downstream bytes).
-    pub fn send(&self, msg: &Message) -> Result<(), TransportError> {
-        self.half.send(msg)
-    }
-
-    /// Blocks until the client sends a message. Under a fault plan the
-    /// wait is bounded by [`RetryPolicy::recv_deadline`].
-    pub fn recv(&self) -> Result<Message, TransportError> {
-        self.half.recv()
-    }
-
-    /// Receives with an explicit time budget.
-    pub fn recv_timeout(&self, budget: Duration) -> Result<Message, TransportError> {
-        self.half.recv_timeout(budget)
-    }
-
-    /// Re-sends every unacknowledged payload; no-op on a plain link.
-    pub fn retransmit_unacked(&self) {
-        if let Some(rel) = &self.half.reliable {
-            self.half.retransmit_unacked(rel);
-        }
-    }
-
-    /// Drives the link until all sent payloads are acked or `budget`
-    /// expires; `true` on a drained window (always `true` when plain).
-    pub fn flush(&self, budget: Duration) -> bool {
-        self.half.flush(budget)
-    }
-
-    /// Whether any sent payload is still awaiting a transport ack.
-    pub fn has_unacked(&self) -> bool {
-        self.half.has_unacked()
-    }
-
-    /// Highest peer sequence number delivered on this endpoint, if any.
-    pub fn last_delivered_seq(&self) -> Option<u64> {
-        self.half.last_delivered_seq()
-    }
-}
-
-/// Common surface of the two endpoint types, so protocol helpers like
-/// [`recv_or_dead`] work on either side of a link.
-pub trait Endpoint {
-    /// Sends a message to the peer.
-    fn send(&self, msg: &Message) -> Result<(), TransportError>;
-    /// Blocks until the peer sends a message (bounded under a fault
-    /// plan).
-    fn recv(&self) -> Result<Message, TransportError>;
-    /// Receives with an explicit time budget.
-    fn recv_timeout(&self, budget: Duration) -> Result<Message, TransportError>;
-    /// Re-sends every unacknowledged payload; no-op on a plain link.
-    fn retransmit_unacked(&self);
-    /// Highest peer sequence number delivered on this endpoint, if any.
-    fn last_delivered_seq(&self) -> Option<u64>;
-}
-
-impl Endpoint for ClientEndpoint {
-    fn send(&self, msg: &Message) -> Result<(), TransportError> {
-        ClientEndpoint::send(self, msg)
-    }
-    fn recv(&self) -> Result<Message, TransportError> {
-        ClientEndpoint::recv(self)
-    }
-    fn recv_timeout(&self, budget: Duration) -> Result<Message, TransportError> {
-        ClientEndpoint::recv_timeout(self, budget)
-    }
-    fn retransmit_unacked(&self) {
-        ClientEndpoint::retransmit_unacked(self)
-    }
-    fn last_delivered_seq(&self) -> Option<u64> {
-        ClientEndpoint::last_delivered_seq(self)
-    }
-}
-
-impl Endpoint for CoordEndpoint {
-    fn send(&self, msg: &Message) -> Result<(), TransportError> {
-        CoordEndpoint::send(self, msg)
-    }
-    fn recv(&self) -> Result<Message, TransportError> {
-        CoordEndpoint::recv(self)
-    }
-    fn recv_timeout(&self, budget: Duration) -> Result<Message, TransportError> {
-        CoordEndpoint::recv_timeout(self, budget)
-    }
-    fn retransmit_unacked(&self) {
-        CoordEndpoint::retransmit_unacked(self)
-    }
-    fn last_delivered_seq(&self) -> Option<u64> {
-        CoordEndpoint::last_delivered_seq(self)
-    }
 }
 
 /// Bounded receive with a peer "kick" between attempts, for protocol
@@ -785,8 +642,8 @@ pub fn recv_or_dead(
     policy: &RetryPolicy,
     phase: &'static str,
     client: usize,
-    from: &dyn Endpoint,
-    peer: &dyn Endpoint,
+    from: &Endpoint,
+    peer: &Endpoint,
 ) -> Result<Message, ProtocolError> {
     recv_retrying(policy, |d| from.recv_timeout(d), || peer.retransmit_unacked())
         .map_err(|source| dead_silo(phase, client, from, source))
@@ -798,7 +655,7 @@ pub fn recv_or_dead(
 pub fn dead_silo(
     phase: &'static str,
     client: usize,
-    from: &dyn Endpoint,
+    from: &Endpoint,
     source: TransportError,
 ) -> ProtocolError {
     let retry = match &source {

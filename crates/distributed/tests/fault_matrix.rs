@@ -366,7 +366,7 @@ fn e2e_degrades_by_halting_training_and_masking_dead_silo() {
 }
 
 /// Degraded output is a function of (seed, fault plan) only — never of
-/// backend parallelism (the CI chaos job's `SILOFUSE_THREADS=4` leg).
+/// backend parallelism (CI also runs the whole suite at `SILOFUSE_THREADS=4`).
 #[test]
 fn degraded_run_is_bit_identical_at_1_2_and_4_threads() {
     let parts = partitions3(67);

@@ -20,15 +20,17 @@ use silofuse_tabular::table::Table;
 use silofuse_tabular::SparsePolicy;
 
 /// Schema sweep: narrow (Loan), the paper's widest real column (Churn,
-/// 2 932-way), a mid-width schema (Heloc), and the synthetic 1k-way
-/// profile. `Sparse` is *forced*, so even low-expansion schemas exercise
-/// the sparse kernels against the dense oracle.
+/// 2 932-way), a mid-width schema (Heloc), and the synthetic 1k-way and
+/// 10k-way profiles (one-hot width 10 021). `Sparse` is *forced*, so even
+/// low-expansion schemas exercise the sparse kernels against the dense
+/// oracle.
 fn dataset(idx: usize, rows: usize, seed: u64) -> Table {
-    let profile = match idx % 4 {
+    let profile = match idx % 5 {
         0 => profiles::loan(),
         1 => profiles::churn(),
         2 => profiles::heloc(),
-        _ => profiles::profile_by_name("HighCard1k").expect("profile family resolvable"),
+        3 => profiles::profile_by_name("HighCard1k").expect("profile family resolvable"),
+        _ => profiles::profile_by_name("HighCard10k").expect("profile family resolvable"),
     };
     profile.generate(rows, seed)
 }
@@ -38,13 +40,14 @@ fn ae_cfg(seed: u64, encoding: SparsePolicy) -> AutoencoderConfig {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    // Enough cases that both tests draw every schema of `dataset`.
+    #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Sparse-path AE training, encoding, and decoding equal the dense
     /// oracle bit for bit at every thread count.
     #[test]
     fn ae_training_and_synthesis_match_dense_oracle(
-        idx in 0usize..4,
+        idx in 0usize..5,
         batch_sel in 0usize..4,
         steps in 1usize..5,
         threads_sel in 0usize..3,
@@ -74,7 +77,7 @@ proptest! {
     /// optimizer state, and samples bit-identical to the dense oracle.
     #[test]
     fn gan_training_and_sampling_match_dense_oracle(
-        idx in 0usize..4,
+        idx in 0usize..5,
         batch_sel in 0usize..2,
         steps in 1usize..4,
         threads_sel in 0usize..3,

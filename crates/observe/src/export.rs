@@ -6,7 +6,7 @@
 //! line after the run header carries the actor scope it came from:
 //!
 //! ```text
-//! {"type":"run","run":"table3","unix_ms":1754480000000}
+//! {"type":"run","run":"sweep","unix_ms":1754480000000}
 //! {"type":"phase","scope":"coordinator","phase":"encode","seq":0}
 //! {"type":"train_epoch","scope":"coordinator","model":"autoencoder","epoch":8,"loss":0.41,"lr":0.001,"rows":4096}
 //! {"type":"comm","scope":"silo0","dir":"up","kind":"LatentUpload","bytes":16396}

@@ -6,9 +6,9 @@
 //! The parser handles quoted fields, embedded commas, and doubled quotes;
 //! it is deliberately strict about ragged rows.
 
-use crate::schema::{ColumnMeta, Schema};
+use crate::schema::{ColumnKind, ColumnMeta, Schema};
 use crate::table::{Column, Table};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Errors raised while reading CSV data.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,6 +34,25 @@ pub enum CsvError {
         /// Column name.
         column: String,
     },
+    /// The header names a column the schema being read against lacks.
+    UnknownColumn {
+        /// Column name.
+        column: String,
+    },
+    /// The header lacks a column of the schema being read against.
+    MissingColumn {
+        /// Column name.
+        column: String,
+    },
+    /// A field the schema being read against has no value for: a label
+    /// outside a categorical column's vocabulary, or a non-number in a
+    /// numeric column.
+    UnknownLabel {
+        /// Column name.
+        column: String,
+        /// The field as written.
+        label: String,
+    },
 }
 
 impl std::fmt::Display for CsvError {
@@ -48,6 +67,11 @@ impl std::fmt::Display for CsvError {
             }
             CsvError::TooManyCategories { column } => {
                 write!(f, "column {column} has more than u32::MAX categories")
+            }
+            CsvError::UnknownColumn { column } => write!(f, "unknown column {column}"),
+            CsvError::MissingColumn { column } => write!(f, "missing column {column}"),
+            CsvError::UnknownLabel { column, label } => {
+                write!(f, "column {column} has no value `{label}`")
             }
         }
     }
@@ -72,59 +96,114 @@ pub struct CsvTable {
 /// fields become `NaN`-free column means; empty categorical fields become
 /// their own category `""`.
 pub fn read_csv(text: &str) -> Result<CsvTable, CsvError> {
-    let rows = parse_rows(text)?;
-    let mut iter = rows.into_iter();
-    let header = iter.next().ok_or(CsvError::Empty)?;
-    let width = header.len();
-    let data: Vec<Vec<String>> = iter.collect();
-    for (i, row) in data.iter().enumerate() {
-        if row.len() != width {
-            return Err(CsvError::RaggedRow { row: i + 1, got: row.len(), expected: width });
-        }
-    }
-
-    let mut metas = Vec::with_capacity(width);
-    let mut columns = Vec::with_capacity(width);
-    let mut vocabularies = Vec::with_capacity(width);
-    for c in 0..width {
+    let (header, data) = parse_table(text)?;
+    let mut metas = Vec::with_capacity(header.len());
+    let mut vocabularies = Vec::with_capacity(header.len());
+    for (c, name) in header.iter().enumerate() {
         let fields: Vec<&str> = data.iter().map(|r| r[c].as_str()).collect();
-        let numeric =
-            fields.iter().filter(|f| !f.is_empty()).all(|f| f.trim().parse::<f64>().is_ok());
-        let any_value = fields.iter().any(|f| !f.is_empty());
-        if numeric && any_value {
-            let parsed: Vec<Option<f64>> =
-                fields.iter().map(|f| f.trim().parse::<f64>().ok()).collect();
-            let present: Vec<f64> = parsed.iter().filter_map(|v| *v).collect();
-            let mean = present.iter().sum::<f64>() / present.len().max(1) as f64;
-            let values = parsed.into_iter().map(|v| v.unwrap_or(mean)).collect();
-            metas.push(ColumnMeta::numeric(header[c].clone()));
-            columns.push(Column::Numeric(values));
+        if fields.iter().any(|f| !f.is_empty()) && numeric_values(&fields).is_ok() {
+            metas.push(ColumnMeta::numeric(name.clone()));
             vocabularies.push(None);
         } else {
-            let mut vocab: Vec<String> = Vec::new();
-            let mut index: HashMap<&str, u32> = HashMap::new();
-            let mut codes = Vec::with_capacity(fields.len());
-            for f in &fields {
-                let code = match index.get(f) {
-                    Some(&c) => c,
-                    None => {
-                        let c = u32::try_from(vocab.len()).map_err(|_| {
-                            CsvError::TooManyCategories { column: header[c].clone() }
-                        })?;
-                        index.insert(f, c);
-                        vocab.push((*f).to_string());
-                        c
-                    }
-                };
-                codes.push(code);
-            }
-            metas.push(ColumnMeta::categorical(header[c].clone(), vocab.len().max(1) as u32));
-            columns.push(Column::Categorical(codes));
+            let mut seen = HashSet::new();
+            let vocab: Vec<String> =
+                fields.into_iter().filter(|f| seen.insert(*f)).map(String::from).collect();
+            let cardinality = u32::try_from(vocab.len())
+                .map_err(|_| CsvError::TooManyCategories { column: name.clone() })?;
+            metas.push(ColumnMeta::categorical(name.clone(), cardinality.max(1)));
             vocabularies.push(Some(vocab));
         }
     }
-    let table = Table::new(Schema::new(metas), columns).expect("inferred schema is consistent");
+    let columns: Vec<usize> = (0..header.len()).collect();
+    code_table(&data, &columns, Schema::new(metas), vocabularies)
+}
+
+/// Parses CSV text against the schema and vocabularies of `like`, a table
+/// read earlier (the real data a synthetic file is scored against), so
+/// both tables code every category the same way. Columns are matched by
+/// header name and come out in `like`'s order with `like`'s kinds. A
+/// categorical field gets its label's code in `like`'s vocabulary,
+/// whatever order labels first appear in here; a category this text never
+/// uses keeps its code and simply has no rows.
+///
+/// # Errors
+/// Those of [`read_csv`], plus [`CsvError::UnknownColumn`] for a header
+/// name `like` lacks, [`CsvError::MissingColumn`] for a column of `like`
+/// the header lacks, and [`CsvError::UnknownLabel`] for a field `like`'s
+/// column has no value for.
+pub fn read_csv_as(text: &str, like: &CsvTable) -> Result<CsvTable, CsvError> {
+    let (header, data) = parse_table(text)?;
+    let schema = like.table.schema();
+    if let Some(name) = header.iter().find(|name| schema.index_of(name).is_none()) {
+        return Err(CsvError::UnknownColumn { column: name.clone() });
+    }
+    let columns = schema
+        .columns()
+        .iter()
+        .map(|meta| {
+            let position = header.iter().position(|name| *name == meta.name);
+            position.ok_or_else(|| CsvError::MissingColumn { column: meta.name.clone() })
+        })
+        .collect::<Result<Vec<usize>, _>>()?;
+    code_table(&data, &columns, schema.clone(), like.vocabularies.clone())
+}
+
+/// Codes `data` as a table with `schema`: schema column `i` reads field
+/// `columns[i]` of every row, as a number when numeric and as its label's
+/// index in `vocabularies[i]` when categorical.
+fn code_table(
+    data: &[Vec<String>],
+    columns: &[usize],
+    schema: Schema,
+    vocabularies: Vec<Option<Vec<String>>>,
+) -> Result<CsvTable, CsvError> {
+    let mut coded = Vec::with_capacity(columns.len());
+    for ((meta, vocab), &c) in schema.columns().iter().zip(&vocabularies).zip(columns) {
+        let fields: Vec<&str> = data.iter().map(|r| r[c].as_str()).collect();
+        let unknown =
+            |label: &str| CsvError::UnknownLabel { column: meta.name.clone(), label: label.into() };
+        coded.push(match meta.kind {
+            ColumnKind::Numeric => Column::Numeric(numeric_values(&fields).map_err(unknown)?),
+            ColumnKind::Categorical { cardinality } => {
+                // Labels past the cardinality have no valid code.
+                let index: HashMap<&str, u32> = vocab
+                    .iter()
+                    .flatten()
+                    .zip(0..cardinality)
+                    .map(|(label, code)| (label.as_str(), code))
+                    .collect();
+                let codes = fields.iter().map(|f| index.get(f).copied().ok_or_else(|| unknown(f)));
+                Column::Categorical(codes.collect::<Result<_, _>>()?)
+            }
+        });
+    }
+    let table = Table::new(schema, coded).expect("coded columns follow the schema");
     Ok(CsvTable { table, vocabularies })
+}
+
+/// Splits CSV text into its header and data rows, rejecting ragged rows.
+fn parse_table(text: &str) -> Result<(Vec<String>, Vec<Vec<String>>), CsvError> {
+    let mut rows = parse_rows(text)?.into_iter();
+    let header = rows.next().ok_or(CsvError::Empty)?;
+    let data: Vec<Vec<String>> = rows.collect();
+    for (i, row) in data.iter().enumerate() {
+        if row.len() != header.len() {
+            return Err(CsvError::RaggedRow { row: i + 1, got: row.len(), expected: header.len() });
+        }
+    }
+    Ok((header, data))
+}
+
+/// A numeric column's values, empty fields imputed with the mean of the
+/// rest, or the first non-empty field that is not a number.
+fn numeric_values<'a>(fields: &[&'a str]) -> Result<Vec<f64>, &'a str> {
+    let parsed = fields
+        .iter()
+        .map(|f| if f.is_empty() { Ok(None) } else { f.trim().parse().map(Some).map_err(|_| *f) })
+        .collect::<Result<Vec<Option<f64>>, _>>()?;
+    let present: Vec<f64> = parsed.iter().filter_map(|v| *v).collect();
+    let mean = present.iter().sum::<f64>() / present.len().max(1) as f64;
+    Ok(parsed.into_iter().map(|v| v.unwrap_or(mean)).collect())
 }
 
 /// Serialises a table to CSV. Categorical codes are written through
@@ -304,6 +383,90 @@ mod tests {
         let csv = read_csv(text).unwrap();
         assert_eq!(csv.table.n_rows(), 2);
         assert_eq!(csv.vocabularies[1].as_ref().unwrap(), &vec!["x".to_string(), "y".to_string()]);
+    }
+
+    #[test]
+    fn reading_against_a_table_codes_labels_by_its_vocabulary() {
+        let real = read_csv(SAMPLE).unwrap();
+        // Labels first appear in the other order, and the columns are
+        // permuted: codes still follow the real vocabulary and the real
+        // column order.
+        let synth = read_csv_as(
+            "city,income,age
+The Hague,1,2
+Delft,3,4
+",
+            &real,
+        )
+        .unwrap();
+        assert_eq!(synth.table.schema(), real.table.schema());
+        assert_eq!(synth.table.column(1).as_categorical().unwrap(), &[1, 0]);
+        assert_eq!(synth.table.column(0).as_numeric().unwrap(), &[2.0, 4.0]);
+        assert_eq!(synth.vocabularies, real.vocabularies);
+    }
+
+    #[test]
+    fn a_category_the_text_lacks_keeps_its_code() {
+        let real = read_csv(SAMPLE).unwrap();
+        let synth = read_csv_as(
+            "age,city,income
+1,The Hague,2
+3,The Hague,4
+",
+            &real,
+        )
+        .unwrap();
+        // Read alone, the column would have one category, coded 0.
+        assert_eq!(
+            synth.table.schema().columns()[1].kind,
+            ColumnKind::Categorical { cardinality: 2 }
+        );
+        assert_eq!(synth.table.column(1).as_categorical().unwrap(), &[1, 1]);
+    }
+
+    #[test]
+    fn unknown_labels_and_columns_are_typed_errors() {
+        let real = read_csv(SAMPLE).unwrap();
+        assert_eq!(
+            read_csv_as(
+                "age,city,income
+1,Leiden,2
+",
+                &real
+            )
+            .unwrap_err(),
+            CsvError::UnknownLabel { column: "city".into(), label: "Leiden".into() }
+        );
+        assert_eq!(
+            read_csv_as(
+                "age,city,income
+old,Delft,2
+",
+                &real
+            )
+            .unwrap_err(),
+            CsvError::UnknownLabel { column: "age".into(), label: "old".into() }
+        );
+        assert_eq!(
+            read_csv_as(
+                "age,town,income
+1,Delft,2
+",
+                &real
+            )
+            .unwrap_err(),
+            CsvError::UnknownColumn { column: "town".into() }
+        );
+        assert_eq!(
+            read_csv_as(
+                "age,income
+1,2
+",
+                &real
+            )
+            .unwrap_err(),
+            CsvError::MissingColumn { column: "city".into() }
+        );
     }
 
     #[test]
