@@ -13,11 +13,13 @@ use silofuse_bench::{emit_report, parse_cli, run_config_for, TextTable};
 use silofuse_core::pipeline::DatasetRun;
 use silofuse_core::{SiloFuse, SiloFuseConfig};
 use silofuse_metrics::{privacy, resemblance, PrivacyConfig, ResemblanceConfig};
+use silofuse_observe::cli::TracedRun;
+use silofuse_observe::note;
 use silofuse_tabular::profiles;
 
 fn main() {
-    let mut opts = parse_cli();
-    silofuse_bench::init_trace("ablation", &opts);
+    let mut opts = parse_cli(&["--quick", "--seed", "--datasets", "--trace", "--expose"]);
+    let trace = TracedRun::start("ablation", "bench", opts.trace, opts.expose.as_deref());
     if opts.datasets.is_none() {
         opts.datasets = Some(vec!["Loan".into()]);
     }
@@ -63,7 +65,7 @@ fn main() {
         let mut model_cfg = cfg.budget.latent_config(cfg.seed);
         model_cfg.latent_noise_std = noise;
         let (res, p) = evaluate(model_cfg, true);
-        eprintln!("[ablation] noise {noise:>4}: resemblance {res:.1} privacy {:?}", p);
+        note!("[ablation] noise {noise:>4}: resemblance {res:.1} privacy {:?}", p);
         t1.row(vec![format!("{noise:.2}"), format!("{res:.1}"), format!("{:.1}", p.unwrap())]);
     }
     report.push_str(&t1.render());
@@ -79,7 +81,7 @@ fn main() {
         let mut model_cfg = cfg.budget.latent_config(cfg.seed);
         model_cfg.predict_noise = predict_noise;
         let (res, _) = evaluate(model_cfg, false);
-        eprintln!("[ablation] {label}: resemblance {res:.1}");
+        note!("[ablation] {label}: resemblance {res:.1}");
         t2.row(vec![label.to_string(), format!("{res:.1}")]);
     }
     report.push_str(&t2.render());
@@ -91,7 +93,7 @@ fn main() {
         let mut model_cfg = cfg.budget.latent_config(cfg.seed);
         model_cfg.scale_latents = scale;
         let (res, _) = evaluate(model_cfg, false);
-        eprintln!("[ablation] scaler={scale}: resemblance {res:.1}");
+        note!("[ablation] scaler={scale}: resemblance {res:.1}");
         t3.row(vec![label.to_string(), format!("{res:.1}")]);
     }
     report.push_str(&t3.render());
@@ -102,5 +104,5 @@ fn main() {
     );
 
     emit_report("ablation", &report);
-    silofuse_bench::finish_trace();
+    trace.finish();
 }

@@ -13,14 +13,28 @@ use silofuse_bench::{emit_report, human_bytes, net_config, parse_cli, run_config
 use silofuse_core::pipeline::DatasetRun;
 use silofuse_distributed::e2e_distr::E2eDistributed;
 use silofuse_distributed::stacked::SiloFuseModel;
+use silofuse_observe::cli::TracedRun;
+use silofuse_observe::note;
 use silofuse_tabular::partition::{PartitionPlan, PartitionStrategy};
 use silofuse_tabular::profiles;
 
 const ITERATIONS: [u64; 3] = [50_000, 500_000, 5_000_000];
 
 fn main() {
-    let mut opts = parse_cli();
-    silofuse_bench::init_trace("fig10", &opts);
+    let mut opts = parse_cli(&[
+        "--quick",
+        "--seed",
+        "--datasets",
+        "--trace",
+        "--expose",
+        "--faults",
+        "--retry-deadline",
+        "--retry-max-backoff",
+        "--checkpoint-dir",
+        "--checkpoint-every",
+        "--resume",
+    ]);
+    let trace = TracedRun::start("fig10", "bench", opts.trace, opts.expose.as_deref());
     if opts.datasets.is_none() {
         opts.datasets = Some(vec!["Abalone".into(), "Intrusion".into()]);
     }
@@ -40,7 +54,7 @@ fn main() {
         let profile = match profiles::profile_by_name(&name) {
             Some(p) => p,
             None => {
-                eprintln!("unknown dataset {name}");
+                note!("unknown dataset {name}");
                 continue;
             }
         };
@@ -117,7 +131,7 @@ fn main() {
             ));
         }
         report.push('\n');
-        eprintln!(
+        note!(
             "[fig10] {:<10} SiloFuse {} fixed vs E2EDistr {}/iter",
             profile.name,
             human_bytes(sf_bytes as f64),
@@ -132,5 +146,5 @@ fn main() {
          worse still: it would ship one-hot features inflated per Table II.\n",
     );
     emit_report("fig10", &report);
-    silofuse_bench::finish_trace();
+    trace.finish();
 }

@@ -9,12 +9,15 @@ use silofuse_bench::{cell, emit_report, parse_cli, run_config_for, TextTable};
 use silofuse_core::pipeline::{mean_std, DatasetRun};
 use silofuse_core::{SiloFuse, SiloFuseConfig};
 use silofuse_metrics::{resemblance, utility, ResemblanceConfig, UtilityConfig};
+use silofuse_observe::cli::TracedRun;
+use silofuse_observe::note;
 use silofuse_tabular::partition::{PartitionStrategy, PAPER_PERMUTATION_SEED};
 use silofuse_tabular::profiles;
 
 fn main() {
-    let mut opts = parse_cli();
-    silofuse_bench::init_trace("fig11", &opts);
+    let mut opts =
+        parse_cli(&["--quick", "--trials", "--seed", "--datasets", "--trace", "--expose"]);
+    let trace = TracedRun::start("fig11", "bench", opts.trace, opts.expose.as_deref());
     if opts.datasets.is_none() {
         opts.datasets = Some(vec!["Heloc".into(), "Loan".into(), "Churn".into()]);
     }
@@ -36,7 +39,7 @@ fn main() {
         let profile = match profiles::profile_by_name(&name) {
             Some(p) => p,
             None => {
-                eprintln!("unknown dataset {name}");
+                note!("unknown dataset {name}");
                 continue;
             }
         };
@@ -72,9 +75,12 @@ fn main() {
             }
             let (rm, rs) = mean_std(&res_trials);
             let (um, us) = mean_std(&util_trials);
-            eprintln!(
+            note!(
                 "[fig11] {:<8} {:<20} resemblance {:.1} utility {:.1}",
-                profile.name, label, rm, um
+                profile.name,
+                label,
+                rm,
+                um
             );
             table.row(vec![
                 profile.name.to_string(),
@@ -94,5 +100,5 @@ fn main() {
          points.\n",
     );
     emit_report("fig11", &report);
-    silofuse_bench::finish_trace();
+    trace.finish();
 }

@@ -20,6 +20,8 @@ use std::time::Instant;
 use silofuse_bench::parse_cli;
 use silofuse_nn::backend::{Backend, Parallel, Reference};
 use silofuse_nn::simd::{self, SimdLevel};
+use silofuse_observe::cli::TracedRun;
+use silofuse_observe::note;
 
 /// One timed kernel invocation family at one shape.
 struct Case {
@@ -105,8 +107,8 @@ fn gflops_floor(level: SimdLevel) -> Option<f64> {
 }
 
 fn main() {
-    let opts = parse_cli();
-    silofuse_bench::init_trace("kernels", &opts);
+    let opts = parse_cli(&["--quick", "--seed", "--trace", "--expose"]);
+    let trace = TracedRun::start("kernels", "bench", opts.trace, opts.expose.as_deref());
     let configured = silofuse_nn::backend::threads();
     let requested_threads = if configured > 1 { configured } else { 4 };
     // Parallel speedup is bounded by the cores the host actually grants;
@@ -116,7 +118,7 @@ fn main() {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = requested_threads.min(host_cpus).max(1);
     if threads < requested_threads {
-        eprintln!(
+        note!(
             "[kernels] note: host grants only {host_cpus} CPU(s); \
              clamping timed leg from {requested_threads} to {threads} thread(s)"
         );
@@ -221,7 +223,7 @@ fn main() {
         }
 
         let shape = format!("{}x{}x{}", c.m, c.k, c.n);
-        eprintln!(
+        note!(
             "[kernels] {:<15} {:<12} ref {:>9.2}ms  par {:>9.2}ms  {:>5.2}x  {:>7.2} GF/s",
             c.kernel,
             shape,
@@ -269,10 +271,7 @@ fn main() {
                 "gemm_transpose at {size}^3 is {gt:.2} GFLOP/s, \
                  more than 2x slower than gemm ({g:.2})"
             );
-            eprintln!(
-                "[kernels] gemm_transpose/gemm ratio at {size}^3: {:.2} (gate: >= 0.50)",
-                gt / g
-            );
+            note!("[kernels] gemm_transpose/gemm ratio at {size}^3: {:.2} (gate: >= 0.50)", gt / g);
         }
     }
 
@@ -288,19 +287,19 @@ fn main() {
     silofuse_bench::emit_report("kernels", &content);
 
     if let Err(e) = std::fs::write("BENCH_kernels.json", &json) {
-        eprintln!("warning: could not write BENCH_kernels.json: {e}");
+        note!("warning: could not write BENCH_kernels.json: {e}");
     } else {
-        eprintln!("[kernels] BENCH_kernels.json written");
+        note!("[kernels] BENCH_kernels.json written");
     }
 
     if let Some(s) = gemm512_speedup {
-        eprintln!("[kernels] 512x512x512 gemm speedup at {threads} threads: {s:.2}x");
+        note!("[kernels] 512x512x512 gemm speedup at {threads} threads: {s:.2}x");
     }
     if host_cpus < requested_threads {
-        eprintln!(
+        note!(
             "[kernels] note: host grants only {host_cpus} CPU(s); \
              multi-thread scaling is core-bound, not kernel-bound"
         );
     }
-    silofuse_bench::finish_trace();
+    trace.finish();
 }

@@ -20,6 +20,7 @@ use silofuse_bench::parse_cli;
 use silofuse_distributed::stacked::SiloFuseModel;
 use silofuse_models::latentdiff::LatentDiffConfig;
 use silofuse_models::AutoencoderConfig;
+use silofuse_observe::note;
 use silofuse_tabular::partition::{PartitionPlan, PartitionStrategy};
 use silofuse_tabular::profiles;
 
@@ -94,7 +95,7 @@ fn micro_suite(iters: u64, reps: usize) -> Vec<(&'static str, f64)> {
 }
 
 fn main() {
-    let opts = parse_cli();
+    let opts = parse_cli(&["--quick", "--seed"]);
     // Overhead numbers must come from a telemetry-free baseline, so this
     // bench manages its own init/shutdown instead of honoring --trace.
     silofuse_observe::shutdown();
@@ -166,9 +167,9 @@ fn main() {
     silofuse_bench::emit_report("observe", &content);
 
     if let Err(e) = std::fs::write("BENCH_observe.json", &json) {
-        eprintln!("warning: could not write BENCH_observe.json: {e}");
+        note!("warning: could not write BENCH_observe.json: {e}");
     } else {
-        eprintln!("[observe] BENCH_observe.json written");
+        note!("[observe] BENCH_observe.json written");
     }
 
     assert!(

@@ -5,10 +5,12 @@
 use silofuse_bench::{cell, emit_report, parse_cli, run_config_for, selected_profiles, TextTable};
 use silofuse_core::pipeline::{evaluate_model, mean_std, DatasetRun};
 use silofuse_core::ModelKind;
+use silofuse_observe::cli::TracedRun;
+use silofuse_observe::note;
 
 fn main() {
-    let opts = parse_cli();
-    silofuse_bench::init_trace("sweep", &opts);
+    let opts = parse_cli(&["--quick", "--trials", "--seed", "--datasets", "--trace", "--expose"]);
+    let trace = TracedRun::start("sweep", "bench", opts.trace, opts.expose.as_deref());
     let profiles = selected_profiles(&opts);
     let models = ModelKind::all();
     let privacy_models = [ModelKind::TabDdpm, ModelKind::LatentDiff, ModelKind::SiloFuse];
@@ -34,7 +36,7 @@ fn main() {
                 if let Some(p) = s.privacy {
                     priv_t.push(p.composite);
                 }
-                eprintln!(
+                note!(
                     "[sweep] {:<10} {:<11} trial {} | res {:>5.1} util {:>5.1}{} | {:.1}s",
                     profile.name,
                     kind.name(),
@@ -123,5 +125,5 @@ fn main() {
         None,
     );
     emit_report("table6", &t6);
-    silofuse_bench::finish_trace();
+    trace.finish();
 }

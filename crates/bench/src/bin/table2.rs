@@ -6,10 +6,11 @@
 //! (`profiles_match_table_ii_exactly`).
 
 use silofuse_bench::{emit_report, parse_cli, selected_profiles, TextTable};
+use silofuse_observe::cli::TracedRun;
 
 fn main() {
-    let opts = parse_cli();
-    silofuse_bench::init_trace("table2", &opts);
+    let opts = parse_cli(&["--datasets", "--trace", "--expose"]);
+    let trace = TracedRun::start("table2", "bench", opts.trace, opts.expose.as_deref());
     let mut table =
         TextTable::new(&["Dataset", "#Rows", "#Cat.", "#Num.", "#Bef.", "#Aft.", "Incr."]);
     for p in selected_profiles(&opts) {
@@ -31,5 +32,5 @@ fn main() {
          the sparsity blow-up SiloFuse's latent encoding avoids (paper §II-C, §III-A).\n",
     );
     emit_report("table2", &report);
-    silofuse_bench::finish_trace();
+    trace.finish();
 }

@@ -11,6 +11,8 @@ use silofuse_core::baselines::build_synthesizer;
 use silofuse_core::pipeline::DatasetRun;
 use silofuse_core::ModelKind;
 use silofuse_metrics::correlation_difference;
+use silofuse_observe::cli::TracedRun;
+use silofuse_observe::note;
 use silofuse_tabular::profiles;
 use std::fmt::Write as _;
 
@@ -22,8 +24,8 @@ fn shade(v: f64) -> char {
 }
 
 fn main() {
-    let mut opts = parse_cli();
-    silofuse_bench::init_trace("table5", &opts);
+    let mut opts = parse_cli(&["--quick", "--seed", "--datasets", "--trace", "--expose"]);
+    let trace = TracedRun::start("table5", "bench", opts.trace, opts.expose.as_deref());
     if opts.datasets.is_none() {
         opts.datasets = Some(vec!["Cardio".into(), "Intrusion".into()]);
     }
@@ -40,7 +42,7 @@ fn main() {
         let profile = match profiles::profile_by_name(&name) {
             Some(p) => p,
             None => {
-                eprintln!("unknown dataset {name}");
+                note!("unknown dataset {name}");
                 continue;
             }
         };
@@ -55,7 +57,7 @@ fn main() {
             let synth = model.synthesize(cfg.synth_rows, &mut rng);
             let diff = correlation_difference(&run.train, &synth);
             row.push(format!("{:.4}", diff.mean_abs_diff));
-            eprintln!(
+            note!(
                 "[table5] {:<10} {:<10} mean |Δ| = {:.4}",
                 profile.name,
                 kind.name(),
@@ -87,5 +89,5 @@ fn main() {
          the sparse, high-cardinality Intrusion.\n",
     );
     emit_report("table5", &report);
-    silofuse_bench::finish_trace();
+    trace.finish();
 }

@@ -8,13 +8,16 @@ use silofuse_bench::{cell, emit_report, parse_cli, run_config_for, TextTable};
 use silofuse_core::pipeline::{mean_std, DatasetRun};
 use silofuse_core::{SiloFuse, SiloFuseConfig};
 use silofuse_metrics::{privacy, PrivacyConfig};
+use silofuse_observe::cli::TracedRun;
+use silofuse_observe::note;
 use silofuse_tabular::profiles;
 
 const STEPS: [usize; 3] = [2, 5, 25];
 
 fn main() {
-    let mut opts = parse_cli();
-    silofuse_bench::init_trace("table7", &opts);
+    let mut opts =
+        parse_cli(&["--quick", "--trials", "--seed", "--datasets", "--trace", "--expose"]);
+    let trace = TracedRun::start("table7", "bench", opts.trace, opts.expose.as_deref());
     if opts.datasets.is_none() {
         opts.datasets = Some(vec!["Abalone".into(), "Heloc".into()]);
     }
@@ -24,7 +27,7 @@ fn main() {
         let profile = match profiles::profile_by_name(&name) {
             Some(p) => p,
             None => {
-                eprintln!("unknown dataset {name}");
+                note!("unknown dataset {name}");
                 continue;
             }
         };
@@ -50,9 +53,11 @@ fn main() {
                     &PrivacyConfig { seed: cfg.seed, ..Default::default() },
                 );
                 per_step[i].push(p.composite);
-                eprintln!(
+                note!(
                     "[table7] {:<8} {:>2} steps -> privacy {:.1}",
-                    profile.name, steps, p.composite
+                    profile.name,
+                    steps,
+                    p.composite
                 );
             }
         }
@@ -75,5 +80,5 @@ fn main() {
          (5 vs 25 steps differ little).\n",
     );
     emit_report("table7", &report);
-    silofuse_bench::finish_trace();
+    trace.finish();
 }

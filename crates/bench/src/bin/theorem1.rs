@@ -12,11 +12,13 @@ use silofuse_distributed::privacy::{
     reconstruction_error,
 };
 use silofuse_models::{AutoencoderConfig, TabularAutoencoder};
+use silofuse_observe::cli::TracedRun;
+use silofuse_observe::note;
 use silofuse_tabular::profiles;
 
 fn main() {
-    let mut opts = parse_cli();
-    silofuse_bench::init_trace("theorem1", &opts);
+    let mut opts = parse_cli(&["--quick", "--seed", "--datasets", "--trace", "--expose"]);
+    let trace = TracedRun::start("theorem1", "bench", opts.trace, opts.expose.as_deref());
     if opts.datasets.is_none() {
         opts.datasets = Some(vec!["Loan".into(), "Diabetes".into()]);
     }
@@ -39,7 +41,7 @@ fn main() {
         let profile = match profiles::profile_by_name(&name) {
             Some(p) => p,
             None => {
-                eprintln!("unknown dataset {name}");
+                note!("unknown dataset {name}");
                 continue;
             }
         };
@@ -70,7 +72,7 @@ fn main() {
             &run.train,
             &knn_attacker_reconstruction(&latents, &run.train, run.train.n_rows() / 4),
         );
-        eprintln!(
+        note!(
             "[theorem1] {:<10} decoder {err_decoder:.3} blind {err_blind:.3} knn16 {err_knn16:.3} knn25% {err_knn25:.3}",
             profile.name
         );
@@ -92,5 +94,5 @@ fn main() {
          which SiloFuse's protocol never transmits.\n",
     );
     emit_report("theorem1", &report);
-    silofuse_bench::finish_trace();
+    trace.finish();
 }

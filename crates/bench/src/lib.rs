@@ -21,19 +21,21 @@
 //! `BENCH_kernels.json`) and `observe` (the traced-synthesis overhead
 //! bound, written to `BENCH_observe.json`).
 //!
-//! Common flags: `--quick` (smoke-test sizes), `--trials N`,
-//! `--datasets Loan,Adult,...`, `--seed S`. Reports are printed and written
-//! to `target/experiments/<name>.txt`.
+//! Each bin accepts only the flags it reads, among `--quick` (smoke-test
+//! sizes), `--trials N`, `--datasets Loan,Adult,...`, `--seed S` and
+//! `--trace`; `--threads N` works everywhere. Reports are written to
+//! `target/experiments/<name>.txt` and printed.
 
 use silofuse_checkpoint::Checkpointer;
 use silofuse_core::pipeline::RunConfig;
 use silofuse_distributed::{FaultPlan, NetConfig};
+use silofuse_observe::cli::print;
+use silofuse_observe::note;
 use silofuse_tabular::profiles::{
     all_profiles, high_cardinality_profiles, profile_by_name, DatasetProfile,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Parsed command-line options shared by the experiment binaries.
@@ -123,20 +125,43 @@ pub fn checkpointer(opts: &CliOptions, tag: &str) -> Option<Checkpointer> {
     Some(Checkpointer::new(scoped, opts.checkpoint_every).with_resume(opts.resume))
 }
 
-/// The usage line printed with every argument error.
-const USAGE: &str = "supported: --quick --trace --expose FILE --trials N --seed S --datasets A,B \
-                     --faults drop=0.05,delay=10ms,seed=7 --retry-deadline DUR \
-                     --retry-max-backoff DUR --checkpoint-dir D --checkpoint-every N --resume \
-                     --threads N";
+/// Every flag an experiment bin can read, with its value placeholder.
+const FLAGS: [(&str, &str); 13] = [
+    ("--quick", ""),
+    ("--trace", ""),
+    ("--expose", " FILE"),
+    ("--trials", " N"),
+    ("--seed", " S"),
+    ("--datasets", " A,B"),
+    ("--faults", " drop=0.05,delay=10ms,seed=7"),
+    ("--retry-deadline", " DUR"),
+    ("--retry-max-backoff", " DUR"),
+    ("--checkpoint-dir", " D"),
+    ("--checkpoint-every", " N"),
+    ("--resume", ""),
+    ("--threads", " N"),
+];
 
-/// Parses `std::env::args()` into [`CliOptions`], then applies
-/// `--threads` (only when given) to the backend.
+/// The usage line for a bin that reads the flags `reads`.
+fn usage(reads: &[&str]) -> String {
+    let supported: Vec<String> = FLAGS
+        .iter()
+        .filter(|(flag, _)| *flag == "--threads" || reads.contains(flag))
+        .map(|(flag, value)| format!("{flag}{value}"))
+        .collect();
+    format!("supported: {}", supported.join(" "))
+}
+
+/// Parses `std::env::args()` into [`CliOptions`] for a bin that reads the
+/// flags `reads` (plus `--threads`, which every bin accepts), then
+/// applies `--threads` (only when given) to the backend.
 ///
-/// On a malformed argument this prints the error and the usage line and
-/// exits with status 2, before any work runs.
-pub fn parse_cli() -> CliOptions {
-    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("error: {e}\n{USAGE}");
+/// On a malformed argument, or a flag the bin does not read, this prints
+/// the error and the usage line and exits with status 2, before any work
+/// runs.
+pub fn parse_cli(reads: &[&str]) -> CliOptions {
+    let opts = parse_args(std::env::args().skip(1), reads).unwrap_or_else(|e| {
+        note!("error: {e}\n{}", usage(reads));
         std::process::exit(2)
     });
     if let Some(n) = opts.threads {
@@ -146,16 +171,27 @@ pub fn parse_cli() -> CliOptions {
 }
 
 /// Parses command-line arguments (without the program name) into
-/// [`CliOptions`]. Touches no global state.
+/// [`CliOptions`] for a bin that reads the flags `reads` (plus
+/// `--threads`). Touches no global state.
 ///
 /// # Errors
-/// A message naming the offending argument: an unknown flag, a missing
-/// or malformed value, a `--datasets` name that matches no profile, or
-/// `--resume` without `--checkpoint-dir`.
-pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliOptions, String> {
+/// A message naming the offending argument: an unknown flag, a flag the
+/// bin does not read, a missing or malformed value, a `--datasets` name
+/// that matches no profile, or `--resume` without `--checkpoint-dir`.
+pub fn parse_args(
+    args: impl IntoIterator<Item = String>,
+    reads: &[&str],
+) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
+        if arg != "--threads" && !reads.contains(&arg.as_str()) {
+            return Err(if FLAGS.iter().any(|(flag, _)| *flag == arg) {
+                format!("this binary does not read {arg}")
+            } else {
+                format!("unknown argument {arg}")
+            });
+        }
         let mut value = |what: &str| args.next().ok_or(format!("{arg} needs {what}"));
         match arg.as_str() {
             "--quick" => opts.quick = true,
@@ -323,86 +359,22 @@ impl TextTable {
     }
 }
 
-/// The running Prometheus snapshot flusher, when `--expose` asked for one.
-/// Module-level so `init_trace`/`finish_trace` keep their no-argument
-/// shape across every experiment binary.
-static EXPOSE_FLUSHER: Mutex<Option<silofuse_observe::expose::Flusher>> = Mutex::new(None);
-
-/// Turns on run telemetry when `--trace` (or `--expose`) was passed,
-/// naming the run after the experiment binary and scoping driver-side
-/// instrumentation under the `bench` actor. Call once at the top of
-/// `main`.
-pub fn init_trace(name: &str, opts: &CliOptions) {
-    if opts.trace {
-        let _ = silofuse_observe::init_scoped(name, "bench");
-        eprintln!("[trace] telemetry enabled for run '{name}'");
-    }
-    if let Some(path) = &opts.expose {
-        let flusher =
-            silofuse_observe::expose::Flusher::start(path.clone(), Duration::from_millis(500));
-        eprintln!("[trace] exposing Prometheus snapshots at {path}");
-        *EXPOSE_FLUSHER.lock().unwrap_or_else(|e| e.into_inner()) = Some(flusher);
-    }
-}
-
-/// Prints every actor's span tree, writes the per-scope JSONL export and
-/// the merged causal trace (`<run>.trace.jsonl`), flushes a final
-/// Prometheus snapshot when one was requested, then shuts telemetry
-/// down. A no-op unless [`init_trace`] enabled tracing.
-pub fn finish_trace() {
-    let Some(hub) = silofuse_observe::hub() else { return };
-    for scope in hub.scopes() {
-        let rows = scope.span_rows();
-        if rows.is_empty() {
-            continue;
-        }
-        let mut table = TextTable::new(&["span", "calls", "total", "mean", "max"]);
-        for row in rows {
-            table.row(vec![
-                format!("{}{}", "  ".repeat(row.depth), row.name),
-                row.stat.calls.to_string(),
-                silofuse_observe::fmt_duration(row.stat.total),
-                silofuse_observe::fmt_duration(row.stat.mean()),
-                silofuse_observe::fmt_duration(row.stat.max),
-            ]);
-        }
-        eprintln!(
-            "\n[trace] span tree for actor '{}' of run '{}':\n{}",
-            scope.actor(),
-            hub.run(),
-            table.render()
-        );
-    }
-    match silofuse_observe::export::write_jsonl_hub(&hub) {
-        Ok(path) => eprintln!("[trace] telemetry written to {}", path.display()),
-        Err(e) => eprintln!("warning: could not write telemetry: {e}"),
-    }
-    match silofuse_observe::trace::write_trace_jsonl(&hub) {
-        Ok(path) => eprintln!("[trace] merged causal trace written to {}", path.display()),
-        Err(e) => eprintln!("warning: could not write trace: {e}"),
-    }
-    if let Some(flusher) = EXPOSE_FLUSHER.lock().unwrap_or_else(|e| e.into_inner()).take() {
-        let path = flusher.path().to_path_buf();
-        match flusher.stop() {
-            Ok(true) => eprintln!("[trace] final Prometheus snapshot at {}", path.display()),
-            Ok(false) => {}
-            Err(e) => eprintln!("warning: could not write snapshot: {e}"),
-        }
-    }
-    silofuse_observe::shutdown();
-}
-
-/// Prints a report and writes it to `target/experiments/<name>.txt`.
+/// Writes a report to `target/experiments/<name>.txt`, then prints it. A
+/// closed stdout (`table2 | head -1`) still leaves the file written; any
+/// other stdout write error ends the bin with exit code 1.
 pub fn emit_report(name: &str, content: &str) {
-    println!("{content}");
     let dir = PathBuf::from("target/experiments");
     if std::fs::create_dir_all(&dir).is_ok() {
         let path = dir.join(format!("{name}.txt"));
         if let Err(e) = std::fs::write(&path, content) {
-            eprintln!("warning: could not write {}: {e}", path.display());
+            note!("warning: could not write {}: {e}", path.display());
         } else {
-            eprintln!("[report written to {}]", path.display());
+            note!("[report written to {}]", path.display());
         }
+    }
+    if let Err(e) = print(&mut std::io::stdout(), &format!("{content}\n")) {
+        note!("error: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -422,8 +394,14 @@ pub fn human_bytes(b: f64) -> String {
 mod tests {
     use super::*;
 
+    /// Parses `args` for a bin that reads the flags `reads`.
+    fn parse_for(args: &[&str], reads: &[&str]) -> Result<CliOptions, String> {
+        parse_args(args.iter().map(|a| a.to_string()), reads)
+    }
+
+    /// Parses `args` for a bin that reads every flag.
     fn parse(args: &[&str]) -> Result<CliOptions, String> {
-        parse_args(args.iter().map(|a| a.to_string()))
+        parse_for(args, &FLAGS.map(|(flag, _)| flag))
     }
 
     #[test]
@@ -457,6 +435,16 @@ mod tests {
         assert!(parse(&["--seed", "x"]).is_err());
         assert!(parse(&["--resume"]).is_err());
         assert!(parse(&["--checkpoint-dir", "d", "--resume"]).is_ok());
+
+        // A known flag the bin does not read is an error too, not silently
+        // ignored: `table2` reads only these three, plus `--threads`.
+        let table2 = ["--datasets", "--trace", "--expose"];
+        let err = parse_for(&["--faults", "drop=0.1"], &table2).unwrap_err();
+        assert_eq!(err, "this binary does not read --faults");
+        assert!(parse_for(&["--trials", "9"], &table2).is_err());
+        assert!(parse_for(&["--checkpoint-dir", "d", "--resume"], &table2).is_err());
+        assert!(parse_for(&["--datasets", "Loan", "--threads", "2"], &table2).is_ok());
+        assert_eq!(usage(&table2), "supported: --trace --expose FILE --datasets A,B --threads N");
     }
 
     #[test]

@@ -151,10 +151,6 @@ impl Synthesizer for E2eDistrSynthesizer {
         "E2EDistr"
     }
 
-    fn fit(&mut self, table: &Table, rng: &mut StdRng) {
-        self.try_fit(table, rng).unwrap_or_else(|e| panic!("distributed training failed: {e}"));
-    }
-
     fn try_fit(&mut self, table: &Table, rng: &mut StdRng) -> Result<(), CheckpointError> {
         let plan = PartitionPlan::new(table.n_cols(), self.n_clients, self.strategy);
         let partitions = plan.split(table);

@@ -20,12 +20,14 @@ use silofuse_core::{
 use silofuse_metrics::{
     privacy, resemblance, utility, PrivacyConfig, ResemblanceConfig, UtilityConfig,
 };
+use silofuse_observe::cli::{print, TracedRun};
+use silofuse_observe::note;
 use silofuse_tabular::csv::{read_csv, read_csv_as, write_csv, CsvTable};
 use silofuse_tabular::partition::PartitionStrategy;
 use silofuse_tabular::profiles;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::{ErrorKind, Write};
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -34,10 +36,11 @@ fn main() -> ExitCode {
     let (command, run, flags) = match parse_args(&args) {
         Ok(Invocation::Run { command, run, flags }) => (command, run, flags),
         Ok(Invocation::Help) => {
-            return exit_code(print(&mut std::io::stdout(), &format!("{USAGE}\n")))
+            let help = print(&mut std::io::stdout(), &format!("{USAGE}\n"));
+            return exit_code(&mut std::io::stderr(), help);
         }
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            note!("error: {e}\n\n{USAGE}");
             return ExitCode::from(2);
         }
     };
@@ -45,76 +48,31 @@ fn main() -> ExitCode {
         None => {}
         Some(Ok(n)) if n > 0 => silofuse_nn::backend::set_threads(n),
         Some(_) => {
-            eprintln!("error: --threads needs a positive integer\n\n{USAGE}");
+            note!("error: --threads needs a positive integer\n\n{USAGE}");
             return ExitCode::from(2);
         }
     }
-    if flags.contains_key("trace") || flags.contains_key("expose") {
-        let _ = silofuse_observe::init_scoped(&format!("silofuse-{command}"), "cli");
-    }
-    let flusher = flags.get("expose").map(|path| {
-        eprintln!("[trace] exposing Prometheus snapshots at {path}");
-        silofuse_observe::expose::Flusher::start(path.clone(), Duration::from_millis(500))
-    });
+    let trace = TracedRun::start(
+        &format!("silofuse-{command}"),
+        "cli",
+        flags.contains_key("trace"),
+        flags.get("expose").map(String::as_str),
+    );
     let result = run(&flags).and_then(|text| print(&mut std::io::stdout(), &text));
-    finish_trace(flusher);
-    exit_code(result)
+    trace.finish();
+    exit_code(&mut std::io::stderr(), result)
 }
 
-fn exit_code(result: Result<(), String>) -> ExitCode {
+/// The exit code of a command's `result`, reporting an error on `stderr`.
+/// A closed stderr loses the message but not the code.
+fn exit_code(stderr: &mut impl Write, result: Result<(), String>) -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
+            let _ = print(stderr, &format!("error: {e}\n"));
             ExitCode::FAILURE
         }
     }
-}
-
-/// Writes a command's output: the one place the binary writes to stdout.
-/// A reader that stopped reading (`silofuse --help | head -1`) is not a
-/// failure, since the rest of the output has nowhere to go, so the command
-/// still exits 0; any other write error is reported.
-fn print(out: &mut impl Write, text: &str) -> Result<(), String> {
-    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
-        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("writing to stdout: {e}")),
-        _ => Ok(()),
-    }
-}
-
-/// Prints each actor's span tree and writes the per-scope telemetry
-/// JSONL plus the merged causal trace when `--trace` is on; stops the
-/// Prometheus flusher (final snapshot) when `--expose` started one.
-fn finish_trace(flusher: Option<silofuse_observe::expose::Flusher>) {
-    let Some(hub) = silofuse_observe::hub() else { return };
-    for scope in hub.scopes() {
-        if scope.span_rows().is_empty() {
-            continue;
-        }
-        eprintln!(
-            "\n[trace] span tree for actor '{}' of run '{}':\n{}",
-            scope.actor(),
-            hub.run(),
-            scope.render_span_tree()
-        );
-    }
-    match silofuse_observe::export::write_jsonl_hub(&hub) {
-        Ok(path) => eprintln!("[trace] telemetry written to {}", path.display()),
-        Err(e) => eprintln!("warning: could not write telemetry: {e}"),
-    }
-    match silofuse_observe::trace::write_trace_jsonl(&hub) {
-        Ok(path) => eprintln!("[trace] merged causal trace written to {}", path.display()),
-        Err(e) => eprintln!("warning: could not write trace: {e}"),
-    }
-    if let Some(flusher) = flusher {
-        let path = flusher.path().to_path_buf();
-        match flusher.stop() {
-            Ok(true) => eprintln!("[trace] final Prometheus snapshot at {}", path.display()),
-            Ok(false) => {}
-            Err(e) => eprintln!("warning: could not write snapshot: {e}"),
-        }
-    }
-    silofuse_observe::shutdown();
 }
 
 /// `silofuse trace-report [--input <run.trace.jsonl>]`: load a merged
@@ -128,7 +86,7 @@ fn cmd_trace_report(flags: &Flags) -> Result<String, String> {
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     let report = silofuse_observe::trace::parse_trace_jsonl(&text)
         .map_err(|e| format!("{}: {e}", path.display()))?;
-    eprintln!("[trace-report] {}", path.display());
+    note!("[trace-report] {}", path.display());
     Ok(silofuse_observe::trace::render_report(&report))
 }
 
@@ -421,9 +379,9 @@ fn cmd_serve(flags: &Flags) -> Result<String, String> {
         .collect();
     let dir = flags.get("checkpoint-dir").map(std::path::PathBuf::from);
     if let Some(d) = &dir {
-        eprintln!("registry checkpoints under {} (resume on)", d.display());
+        note!("registry checkpoints under {} (resume on)", d.display());
     }
-    eprintln!("opening registry: {} model(s), {train_rows} training rows each...", specs.len());
+    note!("opening registry: {} model(s), {train_rows} training rows each...", specs.len());
     let registry = ModelRegistry::open(dir.as_deref(), every, &specs).map_err(|e| e.to_string())?;
     let model_count = registry.len();
     let config = ServeConfig {
@@ -433,7 +391,7 @@ fn cmd_serve(flags: &Flags) -> Result<String, String> {
         net: NetConfig::default(),
     };
     let mut server = SynthesisServer::new(registry, config).map_err(|e| e.to_string())?;
-    eprintln!(
+    note!(
         "serving {model_count} model(s): {tenants} tenant(s) x {jobs} job(s) x {fetch_rows} rows"
     );
     let started = std::time::Instant::now();
@@ -461,7 +419,7 @@ fn cmd_serve(flags: &Flags) -> Result<String, String> {
                                 backoff = (backoff * 2).min(Duration::from_millis(64));
                             }
                             Err(e) => {
-                                eprintln!("tenant{t} job {j}: {e}");
+                                note!("tenant{t} job {j}: {e}");
                                 return (rows_ok, jobs_ok, rejections);
                             }
                         }
@@ -516,7 +474,7 @@ fn checkpointer_from_flags(flags: &Flags) -> Result<Option<Checkpointer>, String
             if every == 0 {
                 return Err("--checkpoint-every must be at least 1".into());
             }
-            eprintln!(
+            note!(
                 "checkpointing every {every} steps to {dir}{}",
                 if flags.contains_key("resume") { " (resuming)" } else { "" }
             );
@@ -525,7 +483,7 @@ fn checkpointer_from_flags(flags: &Flags) -> Result<Option<Checkpointer>, String
             // must be cleared before any load can trip over it.
             let swept = ck.sweep_stale_tmp().map_err(|e| e.to_string())?;
             if swept > 0 {
-                eprintln!("swept {swept} stale .tmp checkpoint file(s)");
+                note!("swept {swept} stale .tmp checkpoint file(s)");
             }
             Ok(Some(ck))
         }
@@ -562,7 +520,7 @@ fn cmd_synth(flags: &Flags) -> Result<String, String> {
                     kind.name()
                 ));
             }
-            eprintln!("injecting link faults: {spec}");
+            note!("injecting link faults: {spec}");
             NetConfig::faulty(plan)
         }
     };
@@ -588,7 +546,7 @@ fn cmd_synth(flags: &Flags) -> Result<String, String> {
             Some(v) => DegradePolicy::parse(v, quorum)?,
         };
         net.supervision = SupervisorConfig::new(policy, heartbeat_every);
-        eprintln!(
+        note!(
             "supervision: policy={}, heartbeat every {heartbeat_every} ticks",
             net.supervision.policy.name()
         );
@@ -598,7 +556,7 @@ fn cmd_synth(flags: &Flags) -> Result<String, String> {
 
     let csv = load_csv(input, None)?;
     let clients = clients.min(csv.table.n_cols()).max(1);
-    eprintln!(
+    note!(
         "fitting {} on {} ({} rows x {} cols, {} clients)...",
         kind.name(),
         input,
@@ -631,7 +589,7 @@ fn cmd_synth(flags: &Flags) -> Result<String, String> {
             .try_synthesize_degraded(rows, &mut rng)
             .map_err(|e| format!("synthesis failed: {e}"))?;
         if !masked.is_empty() {
-            eprintln!(
+            note!(
                 "WARNING: {} of {} columns MASKED (their silos died; values are withheld, never imputed): {}",
                 masked.len(),
                 csv.table.n_cols(),
@@ -740,6 +698,7 @@ fn cmd_inspect(flags: &Flags) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::ErrorKind;
 
     fn parse(line: &str) -> Result<Invocation, String> {
         parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
@@ -785,6 +744,16 @@ mod tests {
         let mut written = Vec::new();
         assert_eq!(print(&mut written, "rows\n"), Ok(()));
         assert_eq!(written, b"rows\n");
+    }
+
+    #[test]
+    fn a_closed_stderr_loses_the_error_message_but_not_the_exit_code() {
+        let code = exit_code(&mut Failing(ErrorKind::BrokenPipe), Err("no such profile".into()));
+        assert_eq!(code, ExitCode::FAILURE);
+        let mut written = Vec::new();
+        assert_eq!(exit_code(&mut written, Err("no such profile".into())), ExitCode::FAILURE);
+        assert_eq!(written, b"error: no such profile\n");
+        assert_eq!(exit_code(&mut Failing(ErrorKind::BrokenPipe), Ok(())), ExitCode::SUCCESS);
     }
 
     #[test]

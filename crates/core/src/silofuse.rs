@@ -241,10 +241,6 @@ impl Synthesizer for SiloFuse {
         "SiloFuse"
     }
 
-    fn fit(&mut self, table: &Table, rng: &mut StdRng) {
-        SiloFuse::fit(self, table, rng);
-    }
-
     fn try_fit(&mut self, table: &Table, rng: &mut StdRng) -> Result<(), CheckpointError> {
         SiloFuse::try_fit(self, table, rng).map_err(protocol_to_checkpoint)
     }

@@ -2,13 +2,15 @@
 
 use crate::backbone::DiffusionBackbone;
 use crate::schedule::{InvalidInferenceSteps, NoiseSchedule};
+use crate::train::{TrainLoop, TrainState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silofuse_checkpoint::{CheckpointError, Checkpointer};
 use silofuse_nn::init::{randn, randn_fill};
 use silofuse_nn::layers::Layer;
 use silofuse_nn::loss::mse;
-use silofuse_nn::optim::{Adam, Optimizer};
+use silofuse_nn::optim::Adam;
+use silofuse_nn::serialize::StateDictError;
 use silofuse_nn::{backend, pool, workspace, Tensor};
 
 /// A synthesis request asked for `chunk_rows == 0`. A zero chunk size
@@ -189,6 +191,24 @@ impl std::fmt::Debug for GaussianDdpm {
     }
 }
 
+impl TrainState for GaussianDdpm {
+    /// Backbone parameters, buffers, internal RNGs and the complete Adam
+    /// state. Unlike [`GaussianDdpm::export_weights`], restoring this and
+    /// continuing to train is bit-identical to never having stopped.
+    fn export_train_state(&mut self) -> Vec<u8> {
+        silofuse_nn::serialize::export_train_state(self.backbone.net_mut(), &self.optimizer)
+    }
+
+    /// A failed import leaves the model untouched.
+    fn import_train_state(&mut self, bytes: &[u8]) -> Result<(), StateDictError> {
+        silofuse_nn::serialize::import_train_state(
+            self.backbone.net_mut(),
+            &mut self.optimizer,
+            bytes,
+        )
+    }
+}
+
 /// Gradient information returned by
 /// [`GaussianDdpm::train_step_with_input_grad`] for end-to-end training.
 #[derive(Debug)]
@@ -211,11 +231,6 @@ impl GaussianDdpm {
         &self.diffusion
     }
 
-    /// Mutable access to the backbone (for parameter counting etc.).
-    pub fn backbone_mut(&mut self) -> &mut DiffusionBackbone {
-        &mut self.backbone
-    }
-
     /// Exports the backbone weights as a state dict (see
     /// `silofuse_nn::serialize`); rebuild the same architecture and call
     /// [`GaussianDdpm::import_weights`] to restore.
@@ -234,41 +249,10 @@ impl GaussianDdpm {
         silofuse_nn::serialize::import_state_dict(self.backbone.net_mut(), bytes)
     }
 
-    /// Exports the full training state — backbone parameters, buffers,
-    /// internal RNGs, and the complete Adam state — for checkpointing.
-    /// Unlike [`GaussianDdpm::export_weights`], restoring this and
-    /// continuing to train is bit-identical to never having stopped.
-    pub fn export_train_state(&mut self) -> Vec<u8> {
-        silofuse_nn::serialize::export_train_state(self.backbone.net_mut(), &self.optimizer)
-    }
-
-    /// Restores state exported by [`GaussianDdpm::export_train_state`].
-    ///
-    /// # Errors
-    /// Propagates shape/count mismatches from the state-dict layer; a
-    /// failed import leaves the model untouched.
-    pub fn import_train_state(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<(), silofuse_nn::serialize::StateDictError> {
-        silofuse_nn::serialize::import_train_state(
-            self.backbone.net_mut(),
-            &mut self.optimizer,
-            bytes,
-        )
-    }
-
-    /// The resumable latent-DDPM training loop shared by the centralized
-    /// LatentDiff model and the SiloFuse coordinator: `steps` minibatch
-    /// steps over the latent matrix `z`, checkpointed through `ckpt` under
-    /// (`name`, `phase`), emitting `latent-ddpm` train events.
-    ///
-    /// Checkpoint payloads carry the caller's RNG state alongside the full
-    /// training state, so a resumed loop replays the exact random stream —
-    /// for a fixed seed, crash-at-step-N + resume is byte-identical to an
-    /// uninterrupted run. With [`Checkpointer::disabled`] the loop is
-    /// byte-identical to the pre-checkpoint implementation (nothing here
-    /// consumes RNG beyond the training steps themselves).
+    /// Latent-DDPM training for the centralized LatentDiff model and the
+    /// SiloFuse coordinator: `steps` minibatch steps over the latent matrix
+    /// `z` through the shared [`TrainLoop`], checkpointed through `ckpt`
+    /// under (`name`, `phase`), emitting `latent-ddpm` train events.
     ///
     /// # Errors
     /// Checkpoint I/O or restore failures, and
@@ -285,56 +269,22 @@ impl GaussianDdpm {
         name: &str,
         phase: &str,
     ) -> Result<f32, CheckpointError> {
-        silofuse_nn::backend::record_telemetry();
-        let n = z.rows();
-        let mut start = 0usize;
-        if let Some(saved) = ckpt.load(name, phase)? {
-            if saved.payload.len() < 8 {
-                return Err(CheckpointError::Truncated);
-            }
-            let state = u64::from_le_bytes(saved.payload[..8].try_into().unwrap());
-            self.import_train_state(&saved.payload[8..]).map_err(CheckpointError::state)?;
-            *rng = StdRng::from_state(state);
-            start = (saved.step as usize).min(steps);
-        } else if ckpt.is_enabled() {
-            // Phase-entry checkpoint: a crash before the first periodic
-            // save must not resume with an already-advanced RNG stream.
-            let payload = self.snapshot_with_rng(rng);
-            ckpt.save(name, phase, 0, &payload)?;
-        }
-        ckpt.maybe_crash(phase, start as u64)?;
-        let stride = silofuse_observe::epoch_stride(steps);
-        let mut last_loss = 0.0f32;
-        for step in start..steps {
-            let idx: Vec<usize> = (0..batch_size.min(n)).map(|_| rng.gen_range(0..n)).collect();
-            let batch = z.select_rows(&idx);
-            let loss = self.train_step(&batch, rng);
-            last_loss = loss;
-            if step % stride == 0 {
-                silofuse_observe::train_epoch(
-                    "latent-ddpm",
-                    step as u64,
-                    f64::from(loss),
-                    f64::from(lr_for_log),
-                    batch.rows() as u64,
-                );
-            }
-            let done = (step + 1) as u64;
-            if ckpt.is_enabled() && ckpt.due(done, steps as u64) {
-                let payload = self.snapshot_with_rng(rng);
-                ckpt.save(name, phase, done, &payload)?;
-            }
-            ckpt.maybe_crash(phase, done)?;
-        }
-        Ok(last_loss)
-    }
-
-    /// `caller-rng state u64 | training-state dict` — the payload format
-    /// [`GaussianDdpm::fit_latent`] checkpoints.
-    fn snapshot_with_rng(&mut self, rng: &StdRng) -> Vec<u8> {
-        let mut payload = rng.state().to_le_bytes().to_vec();
-        payload.extend_from_slice(&self.export_train_state());
-        payload
+        let run = TrainLoop {
+            model: "latent-ddpm",
+            lr: lr_for_log,
+            steps,
+            batch_size,
+            ckpt,
+            name,
+            phase,
+        };
+        run.run(
+            self,
+            z.rows(),
+            rng,
+            |ddpm, idx, rng| ddpm.train_step(&z.select_rows(idx), rng),
+            |_| {},
+        )
     }
 
     /// One optimisation step on a batch of clean data; returns the loss.

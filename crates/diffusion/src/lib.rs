@@ -5,6 +5,11 @@
 //! multinomial diffusion for categorical features (TabDDPM's `M^t[v]` loss,
 //! Eq. 3), and the MLP denoising backbone with sinusoidal time embeddings.
 //!
+//! It also holds [`train::TrainLoop`], the one resumable minibatch training
+//! loop of the workspace: the latent DDPM here and the autoencoder,
+//! TabDDPM and GAN models of `silofuse-models` all train through it, so
+//! they share one checkpoint payload format and one resume rule.
+//!
 //! ## Example: train a tiny Gaussian DDPM
 //!
 //! ```
@@ -34,6 +39,7 @@ pub mod backbone;
 pub mod gaussian;
 pub mod multinomial;
 pub mod schedule;
+pub mod train;
 
 pub use backbone::{BackboneConfig, DiffusionBackbone};
 pub use gaussian::{
@@ -42,3 +48,4 @@ pub use gaussian::{
 };
 pub use multinomial::MultinomialDiffusion;
 pub use schedule::{InvalidInferenceSteps, NoiseSchedule, ScheduleKind};
+pub use train::{TrainLoop, TrainState};

@@ -18,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use silofuse_checkpoint::{CheckpointError, Checkpointer};
 use silofuse_diffusion::gaussian::{GaussianDdpm, Parameterization};
+use silofuse_diffusion::TrainState;
 use silofuse_models::latentdiff::LatentDiffConfig;
 use silofuse_models::TabularAutoencoder;
 use silofuse_nn::Tensor;
@@ -573,17 +574,6 @@ impl E2eDistributed {
     /// Per-silo health for this run.
     pub fn membership(&self) -> &MembershipTable {
         &self.membership
-    }
-
-    /// The supervision configuration this model was fitted under.
-    pub fn supervisor(&self) -> &SupervisorConfig {
-        &self.sup
-    }
-
-    /// Synthesis with post-generation sharing (column concat, client order).
-    pub fn synthesize_joined(&mut self, n: usize, rng: &mut StdRng) -> Table {
-        let parts = self.synthesize_partitioned(n, rng);
-        Table::concat_columns(&parts.iter().collect::<Vec<_>>())
     }
 }
 

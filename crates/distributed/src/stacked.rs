@@ -84,7 +84,7 @@ fn train_silo_ae(
     let ae_config = silo_ae_config(config, i);
     let mut local_rng = StdRng::seed_from_u64(ae_config.seed ^ 0xc11e);
     let mut ae = TabularAutoencoder::new(part, ae_config);
-    ae.fit_resumable_observed(
+    ae.fit_resumable(
         part,
         config.ae_steps,
         config.batch_size,
@@ -165,7 +165,7 @@ impl SiloFuseModel {
     /// [`SiloFuseModel::try_fit`] with crash-safe checkpointing. Each silo
     /// checkpoints its AE training state as `silo<i>-ae`; the coordinator
     /// checkpoints its DDPM as `coordinator-ddpm` plus the pipeline-level
-    /// `pipeline-post-upload` / `pipeline-post-latent-train` states. A node
+    /// `pipeline-post-upload` state (uploaded latents and scaler). A node
     /// killed by `crash_at` restarts, reloads its last checkpoint, and
     /// rejoins the run — bit-identically to an uninterrupted run. A crash
     /// with `ckpt == None` (or a disabled checkpointer) is fatal:
@@ -487,7 +487,7 @@ impl SiloFuseModel {
                 .map(|_| ddpm)
         };
         let coord_crash = crash_plan.clone().filter(|c| c.phase == "latent-train");
-        let mut ddpm = match train_ddpm(&z, rng, &base.clone().with_crash(coord_crash)) {
+        let ddpm = match train_ddpm(&z, rng, &base.clone().with_crash(coord_crash)) {
             Ok(ddpm) => ddpm,
             Err(CheckpointError::Crashed { .. }) if base.is_enabled() => {
                 // Coordinator process died mid-train: its replacement
@@ -511,18 +511,6 @@ impl SiloFuseModel {
             }
             Err(e) => return Err(coord_err(e)),
         };
-        if base.is_enabled() {
-            let mut payload = rng.state().to_le_bytes().to_vec();
-            payload.extend_from_slice(&ddpm.export_train_state());
-            base.save(
-                "pipeline-post-latent-train",
-                "pipeline",
-                config.diffusion_steps as u64,
-                &payload,
-            )
-            .map_err(coord_err)?;
-        }
-
         Ok(Self {
             config,
             net: net.clone(),
@@ -540,11 +528,6 @@ impl SiloFuseModel {
     /// The coordinator's live membership view of the run's silos.
     pub fn membership(&self) -> &MembershipTable {
         &self.membership
-    }
-
-    /// The supervision configuration the model runs under.
-    pub fn supervisor(&self) -> &SupervisorConfig {
-        &self.sup
     }
 
     /// Number of participating clients.
@@ -1036,14 +1019,6 @@ impl SiloFuseModel {
         self.membership.mark_rejoined(i, resume_step);
         Ok(())
     }
-
-    /// Synthesis followed by post-generation sharing: partitions are
-    /// column-concatenated in client order (the paper's second, weaker
-    /// privacy scenario, quantified in Table VI).
-    pub fn synthesize_joined(&mut self, n: usize, rng: &mut StdRng) -> Table {
-        let parts = self.synthesize_partitioned(n, 0, rng);
-        Table::concat_columns(&parts.iter().collect::<Vec<_>>())
-    }
 }
 
 /// Serialises the coordinator's post-upload state — RNG, scaled latent
@@ -1341,16 +1316,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(123);
         let got = beating.synthesize_partitioned(8, 0, &mut rng);
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn joined_synthesis_matches_original_layout() {
-        let t = profiles::diabetes().generate(128, 5);
-        let parts = split(&t, 3);
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut model = SiloFuseModel::fit(&parts, quick_config(5), &mut rng);
-        let joined = model.synthesize_joined(24, &mut rng);
-        assert_eq!(joined.n_rows(), 24);
-        assert_eq!(joined.n_cols(), t.n_cols());
     }
 }

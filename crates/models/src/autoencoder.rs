@@ -7,14 +7,15 @@
 //! the tabular VAE decoders the paper cites.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use silofuse_checkpoint::{CheckpointError, Checkpointer};
+use silofuse_diffusion::{TrainLoop, TrainState};
 use silofuse_nn::init::Init;
 use silofuse_nn::layers::{Activation, ActivationKind, EmbeddingGather, Layer, Linear, Sequential};
 use silofuse_nn::loss::{gaussian_nll, grouped_softmax_cross_entropy};
-use silofuse_nn::optim::{Adam, Optimizer};
+use silofuse_nn::optim::Adam;
+use silofuse_nn::serialize::StateDictError;
 use silofuse_nn::{workspace, Tensor};
-use silofuse_observe as observe;
 use silofuse_tabular::encode::{CategoricalTargets, ScalingKind, TableEncoder};
 use silofuse_tabular::schema::ColumnKind;
 use silofuse_tabular::table::Table;
@@ -254,37 +255,17 @@ impl TabularAutoencoder {
 
     /// Trains for `steps` minibatch steps of size `batch_size`.
     pub fn fit(&mut self, table: &Table, steps: usize, batch_size: usize, rng: &mut StdRng) -> f32 {
-        self.fit_from(table, 0, steps, batch_size, rng)
+        let off = Checkpointer::disabled();
+        self.fit_resumable(table, steps, batch_size, rng, &off, "", "", &mut |_| {})
+            .expect("checkpointing disabled: no I/O or injected crash can fail")
     }
 
-    /// Continues training from minibatch step `start` (exclusive upper bound
-    /// `steps`), without any checkpointing. Callers that restore model and
-    /// RNG state themselves can use this to replay the tail of a run.
-    pub fn fit_from(
-        &mut self,
-        table: &Table,
-        start: usize,
-        steps: usize,
-        batch_size: usize,
-        rng: &mut StdRng,
-    ) -> f32 {
-        self.fit_loop(
-            table,
-            start.min(steps),
-            steps,
-            batch_size,
-            rng,
-            &Checkpointer::disabled(),
-            "",
-            "",
-            &mut |_| {},
-        )
-        .expect("checkpointing disabled: no I/O or injected crash can fail")
-    }
-
-    /// Step-resumable training: periodically checkpoints the full training
-    /// state (weights, Adam moments, caller RNG) under `name`, and resumes
-    /// from the latest checkpoint when `ckpt` has resume enabled.
+    /// Step-resumable training through the shared [`TrainLoop`]: it
+    /// periodically checkpoints the full training state (weights, Adam
+    /// moments, caller RNG) under `name`, and resumes from the latest
+    /// checkpoint when `ckpt` has resume enabled. `on_step` sees the
+    /// completed-step count after every step; it consumes no RNG draws, so
+    /// callers use it for heartbeats keyed to the logical training clock.
     ///
     /// With checkpointing disabled this is bit-identical to
     /// [`TabularAutoencoder::fit`]: checkpoints never consume RNG draws.
@@ -302,93 +283,17 @@ impl TabularAutoencoder {
         ckpt: &Checkpointer,
         name: &str,
         phase: &str,
-    ) -> Result<f32, CheckpointError> {
-        self.fit_resumable_observed(table, steps, batch_size, rng, ckpt, name, phase, &mut |_| {})
-    }
-
-    /// [`TabularAutoencoder::fit_resumable`] with a per-step observer:
-    /// `on_step` is called with the completed-step count after every
-    /// training step. The observer consumes no RNG draws and cannot fail,
-    /// so the trained weights are bit-identical to the unobserved fit;
-    /// callers use it to emit liveness signals (heartbeats) keyed to the
-    /// *logical* training clock rather than wall time.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fit_resumable_observed(
-        &mut self,
-        table: &Table,
-        steps: usize,
-        batch_size: usize,
-        rng: &mut StdRng,
-        ckpt: &Checkpointer,
-        name: &str,
-        phase: &str,
         on_step: &mut dyn FnMut(u64),
     ) -> Result<f32, CheckpointError> {
-        let mut start = 0usize;
-        if let Some(saved) = ckpt.load(name, phase)? {
-            if saved.payload.len() < 8 {
-                return Err(CheckpointError::Truncated);
-            }
-            let state = u64::from_le_bytes(saved.payload[..8].try_into().unwrap());
-            self.import_train_state(&saved.payload[8..]).map_err(CheckpointError::state)?;
-            *rng = StdRng::from_state(state);
-            start = (saved.step as usize).min(steps);
-        } else if ckpt.is_enabled() {
-            // Phase-entry checkpoint: a crash before the first periodic save
-            // must not resume with an already-advanced RNG.
-            let payload = self.snapshot_with_rng(rng);
-            ckpt.save(name, phase, 0, &payload)?;
-        }
-        ckpt.maybe_crash(phase, start as u64)?;
-        self.fit_loop(table, start, steps, batch_size, rng, ckpt, name, phase, on_step)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn fit_loop(
-        &mut self,
-        table: &Table,
-        start: usize,
-        steps: usize,
-        batch_size: usize,
-        rng: &mut StdRng,
-        ckpt: &Checkpointer,
-        name: &str,
-        phase: &str,
-        on_step: &mut dyn FnMut(u64),
-    ) -> Result<f32, CheckpointError> {
-        silofuse_nn::backend::record_telemetry();
-        let stride = observe::epoch_stride(steps);
-        let n = table.n_rows();
-        let mut last = 0.0;
-        for step in start..steps {
-            let idx: Vec<usize> = (0..batch_size.min(n)).map(|_| rng.gen_range(0..n)).collect();
-            let batch = table.select_rows(&idx);
-            last = self.train_step(&batch);
-            if step % stride == 0 {
-                observe::train_epoch(
-                    "autoencoder",
-                    step as u64,
-                    f64::from(last),
-                    f64::from(self.lr),
-                    batch.n_rows() as u64,
-                );
-            }
-            let done = (step + 1) as u64;
-            on_step(done);
-            if ckpt.is_enabled() && ckpt.due(done, steps as u64) {
-                let payload = self.snapshot_with_rng(rng);
-                ckpt.save(name, phase, done, &payload)?;
-            }
-            ckpt.maybe_crash(phase, done)?;
-        }
-        Ok(last)
-    }
-
-    /// Checkpoint payload: caller RNG state (8 LE bytes) then the train state.
-    fn snapshot_with_rng(&mut self, rng: &StdRng) -> Vec<u8> {
-        let mut payload = rng.state().to_le_bytes().to_vec();
-        payload.extend_from_slice(&self.export_train_state());
-        payload
+        let run =
+            TrainLoop { model: "autoencoder", lr: self.lr, steps, batch_size, ckpt, name, phase };
+        run.run(
+            self,
+            table.n_rows(),
+            rng,
+            |ae, idx, _| ae.train_step(&table.select_rows(idx)),
+            on_step,
+        )
     }
 
     /// Encodes a table into latents `Z_i = E_i(X_i)` (inference pass)
@@ -521,11 +426,8 @@ impl TabularAutoencoder {
     /// # Errors
     /// Returns the underlying [`StateDictError`](silofuse_nn::serialize::StateDictError)
     /// if the blob is malformed or the architectures differ.
-    pub fn import_weights(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<(), silofuse_nn::serialize::StateDictError> {
-        use silofuse_nn::serialize::{import_state_dict, StateDictError};
+    pub fn import_weights(&mut self, bytes: &[u8]) -> Result<(), StateDictError> {
+        use silofuse_nn::serialize::import_state_dict;
         let len_bytes: [u8; 4] =
             bytes.get(..4).ok_or(StateDictError::Malformed)?.try_into().unwrap();
         let enc_len = u32::from_le_bytes(len_bytes) as usize;
@@ -534,11 +436,13 @@ impl TabularAutoencoder {
         import_state_dict(&mut self.encoder, enc)?;
         import_state_dict(&mut self.decoder, dec)
     }
+}
 
-    /// Exports the full training state — weights, buffers, layer RNGs and
-    /// both Adam optimizers — framed like [`TabularAutoencoder::export_weights`]
+impl TrainState for TabularAutoencoder {
+    /// Weights, buffers, layer RNGs and both Adam optimizers, framed like
+    /// [`TabularAutoencoder::export_weights`]
     /// (`u32 encoder-section length | encoder section | decoder section`).
-    pub fn export_train_state(&mut self) -> Vec<u8> {
+    fn export_train_state(&mut self) -> Vec<u8> {
         let enc = silofuse_nn::serialize::export_train_state(&mut self.encoder, &self.enc_opt);
         let dec = silofuse_nn::serialize::export_train_state(&mut self.decoder, &self.dec_opt);
         let mut out = Vec::with_capacity(4 + enc.len() + dec.len());
@@ -548,17 +452,8 @@ impl TabularAutoencoder {
         out
     }
 
-    /// Restores a training state exported by
-    /// [`TabularAutoencoder::export_train_state`].
-    ///
-    /// # Errors
-    /// Returns a [`StateDictError`](silofuse_nn::serialize::StateDictError)
-    /// if either section is malformed or the architectures differ.
-    pub fn import_train_state(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<(), silofuse_nn::serialize::StateDictError> {
-        use silofuse_nn::serialize::{import_train_state, StateDictError};
+    fn import_train_state(&mut self, bytes: &[u8]) -> Result<(), StateDictError> {
+        use silofuse_nn::serialize::import_train_state;
         let len_bytes: [u8; 4] =
             bytes.get(..4).ok_or(StateDictError::Malformed)?.try_into().unwrap();
         let enc_len = u32::from_le_bytes(len_bytes) as usize;
@@ -738,7 +633,7 @@ mod tests {
             Checkpointer::new(&dir, 7).with_crash(Some(CrashPoint::parse("ae-train:23").unwrap()));
         let mut crashed = TabularAutoencoder::new(&t, cfg);
         let mut rng = StdRng::seed_from_u64(11);
-        let err = crashed.fit_resumable(&t, 40, 32, &mut rng, &ckpt, "ae", "ae-train");
+        let err = crashed.fit_resumable(&t, 40, 32, &mut rng, &ckpt, "ae", "ae-train", &mut |_| {});
         assert!(matches!(err, Err(CheckpointError::Crashed { .. })));
         drop(crashed); // the "process" died
 
@@ -746,7 +641,9 @@ mod tests {
         let resume = Checkpointer::new(&dir, 7).with_resume(true);
         let mut revived = TabularAutoencoder::new(&t, cfg);
         let mut rng2 = StdRng::seed_from_u64(999);
-        revived.fit_resumable(&t, 40, 32, &mut rng2, &resume, "ae", "ae-train").unwrap();
+        revived
+            .fit_resumable(&t, 40, 32, &mut rng2, &resume, "ae", "ae-train", &mut |_| {})
+            .unwrap();
         assert_eq!(revived.encode(&t), z_clean);
         assert_eq!(rng2.state(), rng_clean.state());
         std::fs::remove_dir_all(&dir).ok();

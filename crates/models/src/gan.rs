@@ -6,14 +6,16 @@
 //! discriminator, Adam with β₁ = 0.5.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use silofuse_checkpoint::{CheckpointError, Checkpointer};
+use silofuse_diffusion::{TrainLoop, TrainState};
 use silofuse_nn::init::{randn, Init};
 use silofuse_nn::layers::{
     Activation, ActivationKind, Conv1d, EmbeddingGather, Layer, LayerNorm, Linear, Sequential,
 };
 use silofuse_nn::loss::bce_with_logits;
-use silofuse_nn::optim::{Adam, Optimizer};
+use silofuse_nn::optim::Adam;
+use silofuse_nn::serialize::StateDictError;
 use silofuse_nn::sparse::SparseSpec;
 use silofuse_nn::Tensor;
 use silofuse_observe as observe;
@@ -208,9 +210,10 @@ impl TabularGan {
         .expect("checkpointing disabled: no I/O or injected crash can fail");
     }
 
-    /// Step-resumable training: periodically checkpoints generator,
-    /// discriminator, both Adam optimizers and the caller RNG under `name`,
-    /// resuming from the latest checkpoint when `ckpt` has resume enabled.
+    /// Step-resumable training through the shared [`TrainLoop`]:
+    /// periodically checkpoints generator, discriminator, both Adam
+    /// optimizers and the caller RNG under `name`, resuming from the
+    /// latest checkpoint when `ckpt` has resume enabled.
     ///
     /// With checkpointing disabled this is bit-identical to
     /// [`TabularGan::fit`]: checkpoints never consume RNG draws.
@@ -230,52 +233,26 @@ impl TabularGan {
         phase: &str,
     ) -> Result<(), CheckpointError> {
         let _span = observe::span("gan-train");
-        silofuse_nn::backend::record_telemetry();
-        let mut start = 0usize;
-        if let Some(saved) = ckpt.load(name, phase)? {
-            if saved.payload.len() < 8 {
-                return Err(CheckpointError::Truncated);
-            }
-            let state = u64::from_le_bytes(saved.payload[..8].try_into().unwrap());
-            self.import_train_state(&saved.payload[8..]).map_err(CheckpointError::state)?;
-            *rng = StdRng::from_state(state);
-            start = (saved.step as usize).min(steps);
-        } else if ckpt.is_enabled() {
-            // Phase-entry checkpoint: a crash before the first periodic save
-            // must not resume with an already-advanced RNG.
-            let payload = self.snapshot_with_rng(rng);
-            ckpt.save(name, phase, 0, &payload)?;
-        }
-        ckpt.maybe_crash(phase, start as u64)?;
-        let stride = observe::epoch_stride(steps);
-        let n = table.n_rows();
-        for step in start..steps {
-            let idx: Vec<usize> = (0..batch_size.min(n)).map(|_| rng.gen_range(0..n)).collect();
-            let batch = table.select_rows(&idx);
-            let losses = self.train_step(&batch, rng);
-            if step % stride == 0 {
-                observe::train_epoch(
-                    "gan",
-                    step as u64,
-                    f64::from(losses.g_loss),
-                    f64::from(self.lr),
-                    batch.n_rows() as u64,
-                );
-            }
-            let done = (step + 1) as u64;
-            if ckpt.is_enabled() && ckpt.due(done, steps as u64) {
-                let payload = self.snapshot_with_rng(rng);
-                ckpt.save(name, phase, done, &payload)?;
-            }
-            ckpt.maybe_crash(phase, done)?;
-        }
-        Ok(())
+        let run = TrainLoop { model: "gan", lr: self.lr, steps, batch_size, ckpt, name, phase };
+        let step = |gan: &mut Self, idx: &[usize], rng: &mut StdRng| {
+            gan.train_step(&table.select_rows(idx), rng).g_loss
+        };
+        run.run(self, table.n_rows(), rng, step, |_| {}).map(drop)
     }
 
-    /// Exports the full training state — generator and discriminator weights
-    /// plus both Adam optimizers — framed as
-    /// `u32 generator-section length | generator section | discriminator section`.
-    pub fn export_train_state(&mut self) -> Vec<u8> {
+    /// Generates `n` synthetic rows.
+    pub fn sample(&mut self, n: usize, rng: &mut StdRng) -> Table {
+        let noise = randn(n, self.noise_dim, rng);
+        let fake = self.generator.infer(&noise);
+        self.table_encoder.decode(fake.as_slice()).expect("generator output width matches encoder")
+    }
+}
+
+impl TrainState for TabularGan {
+    /// Generator and discriminator weights plus both Adam optimizers,
+    /// framed as `u32 generator-section length | generator section |
+    /// discriminator section`.
+    fn export_train_state(&mut self) -> Vec<u8> {
         let gen = silofuse_nn::serialize::export_train_state(&mut self.generator, &self.g_opt);
         let disc = silofuse_nn::serialize::export_train_state(&mut self.discriminator, &self.d_opt);
         let mut out = Vec::with_capacity(4 + gen.len() + disc.len());
@@ -285,16 +262,8 @@ impl TabularGan {
         out
     }
 
-    /// Restores a training state exported by [`TabularGan::export_train_state`].
-    ///
-    /// # Errors
-    /// Returns a [`StateDictError`](silofuse_nn::serialize::StateDictError)
-    /// if either section is malformed or the architectures differ.
-    pub fn import_train_state(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<(), silofuse_nn::serialize::StateDictError> {
-        use silofuse_nn::serialize::{import_train_state, StateDictError};
+    fn import_train_state(&mut self, bytes: &[u8]) -> Result<(), StateDictError> {
+        use silofuse_nn::serialize::import_train_state;
         let len_bytes: [u8; 4] =
             bytes.get(..4).ok_or(StateDictError::Malformed)?.try_into().unwrap();
         let gen_len = u32::from_le_bytes(len_bytes) as usize;
@@ -304,20 +273,6 @@ impl TabularGan {
         let disc = bytes.get(4 + gen_len..).ok_or(StateDictError::Malformed)?;
         import_train_state(&mut self.generator, &mut self.g_opt, gen)?;
         import_train_state(&mut self.discriminator, &mut self.d_opt, disc)
-    }
-
-    /// Checkpoint payload: caller RNG state (8 LE bytes) then the train state.
-    fn snapshot_with_rng(&mut self, rng: &StdRng) -> Vec<u8> {
-        let mut payload = rng.state().to_le_bytes().to_vec();
-        payload.extend_from_slice(&self.export_train_state());
-        payload
-    }
-
-    /// Generates `n` synthetic rows.
-    pub fn sample(&mut self, n: usize, rng: &mut StdRng) -> Table {
-        let noise = randn(n, self.noise_dim, rng);
-        let fake = self.generator.infer(&noise);
-        self.table_encoder.decode(fake.as_slice()).expect("generator output width matches encoder")
     }
 }
 

@@ -221,15 +221,6 @@ impl LatentDiff {
         self.ckpt = ckpt;
     }
 
-    /// Stacked two-phase training on `table`.
-    ///
-    /// # Panics
-    /// Panics if a configured checkpointer fails; use
-    /// [`LatentDiff::try_fit`] to handle checkpoint errors.
-    pub fn fit(&mut self, table: &Table, rng: &mut StdRng) {
-        self.try_fit(table, rng).expect("checkpoint failure during LatentDiff::fit");
-    }
-
     /// Stacked two-phase training with crash-safe checkpointing: phase
     /// `ae-train` checkpoints as `latentdiff-ae`, phase `latent-train` as
     /// `latentdiff-ddpm`. On resume, completed phases fast-forward from
@@ -254,6 +245,7 @@ impl LatentDiff {
                 &ckpt,
                 "latentdiff-ae",
                 "ae-train",
+                &mut |_| {},
             )?;
         }
 
@@ -299,7 +291,7 @@ impl LatentDiff {
         Ok(())
     }
 
-    /// The fitted output schema, or `None` before [`LatentDiff::fit`].
+    /// The fitted output schema, or `None` before [`LatentDiff::try_fit`].
     /// The serving layer hands this to tenants so streamed row grids can
     /// be reassembled into typed tables.
     pub fn schema(&self) -> Option<&silofuse_tabular::Schema> {
@@ -309,7 +301,7 @@ impl LatentDiff {
     /// Generates `n` synthetic rows.
     ///
     /// # Panics
-    /// Panics if called before [`LatentDiff::fit`].
+    /// Panics if called before [`LatentDiff::try_fit`].
     pub fn synthesize(&self, n: usize, rng: &mut StdRng) -> Table {
         self.synthesize_with_steps(n, None, rng)
     }
@@ -342,7 +334,7 @@ impl LatentDiff {
     /// chunking behavior.
     ///
     /// # Panics
-    /// Panics if called before [`LatentDiff::fit`].
+    /// Panics if called before [`LatentDiff::try_fit`].
     pub fn try_synthesize_with_steps(
         &self,
         n: usize,
@@ -371,7 +363,7 @@ impl LatentDiff {
     /// [`SampleRequestError`] as for [`LatentDiff::try_synthesize_with_steps`].
     ///
     /// # Panics
-    /// Panics if called before [`LatentDiff::fit`].
+    /// Panics if called before [`LatentDiff::try_fit`].
     pub fn try_synthesize_range(
         &self,
         start_row: usize,
@@ -423,6 +415,7 @@ impl LatentDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Synthesizer;
     use silofuse_tabular::profiles;
 
     fn quick_config(seed: u64) -> LatentDiffConfig {

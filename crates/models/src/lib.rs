@@ -11,7 +11,11 @@
 //! * [`e2e::E2eCentralized`] — the jointly-trained end-to-end baseline (Fig. 8);
 //! * [`gan::TabularGan`] — GAN(linear)/GAN(conv) baselines (§V-A);
 //!
-//! all unified behind [`synthesizer::Synthesizer`].
+//! all unified behind [`synthesizer::Synthesizer`]. The autoencoder,
+//! TabDDPM and the GANs implement [`silofuse_diffusion::TrainState`] and
+//! train through [`silofuse_diffusion::TrainLoop`], the workspace's one
+//! resumable minibatch loop; so do both phases of LatentDiff. Only the
+//! jointly-trained E2E model keeps a loop of its own.
 
 #![warn(missing_docs)]
 

@@ -3,7 +3,7 @@
 
 use crate::e2e::E2eCentralized;
 use crate::gan::{GanConfig, TabularGan};
-use crate::latentdiff::{LatentDiff, LatentDiffConfig};
+use crate::latentdiff::LatentDiff;
 use crate::tabddpm::{TabDdpm, TabDdpmConfig};
 use rand::rngs::StdRng;
 use silofuse_checkpoint::{CheckpointError, Checkpointer};
@@ -14,8 +14,23 @@ pub trait Synthesizer {
     /// Model name as used in the paper's tables.
     fn name(&self) -> &'static str;
 
+    /// Trains the model on `table`, surfacing checkpoint errors.
+    ///
+    /// # Errors
+    /// Checkpoint-aware models propagate I/O failures, corrupt saved state
+    /// and injected crashes as [`CheckpointError`]; the distributed models
+    /// also report protocol failures through it.
+    fn try_fit(&mut self, table: &Table, rng: &mut StdRng) -> Result<(), CheckpointError>;
+
     /// Trains the model on `table`.
-    fn fit(&mut self, table: &Table, rng: &mut StdRng);
+    ///
+    /// # Panics
+    /// Panics if [`Synthesizer::try_fit`] fails.
+    fn fit(&mut self, table: &Table, rng: &mut StdRng) {
+        if let Err(e) = self.try_fit(table, rng) {
+            panic!("{} training failed: {e}", self.name());
+        }
+    }
 
     /// Generates `n` synthetic rows with the same schema as the training
     /// table.
@@ -28,18 +43,6 @@ pub trait Synthesizer {
     /// state and can resume after a crash. Models without checkpoint
     /// support ignore it (the default).
     fn set_checkpointer(&mut self, _ckpt: Checkpointer) {}
-
-    /// Fallible variant of [`Synthesizer::fit`] surfacing checkpoint
-    /// errors. The default delegates to `fit` (infallible for models
-    /// without checkpoint support).
-    ///
-    /// # Errors
-    /// Checkpoint-aware models propagate I/O failures, corrupt saved state
-    /// and injected crashes as [`CheckpointError`].
-    fn try_fit(&mut self, table: &Table, rng: &mut StdRng) -> Result<(), CheckpointError> {
-        self.fit(table, rng);
-        Ok(())
-    }
 }
 
 /// GAN baseline behind the [`Synthesizer`] interface.
@@ -84,10 +87,6 @@ impl GanSynthesizer {
 impl Synthesizer for GanSynthesizer {
     fn name(&self) -> &'static str {
         self.name
-    }
-
-    fn fit(&mut self, table: &Table, rng: &mut StdRng) {
-        self.try_fit(table, rng).expect("checkpoint failure during GanSynthesizer::fit");
     }
 
     fn synthesize(&mut self, n: usize, rng: &mut StdRng) -> Table {
@@ -152,10 +151,6 @@ impl Synthesizer for TabDdpmSynthesizer {
         "TabDDPM"
     }
 
-    fn fit(&mut self, table: &Table, rng: &mut StdRng) {
-        self.try_fit(table, rng).expect("checkpoint failure during TabDdpmSynthesizer::fit");
-    }
-
     fn synthesize(&mut self, n: usize, rng: &mut StdRng) -> Table {
         self.model.as_mut().expect("TabDdpmSynthesizer::fit must be called first").sample(
             n,
@@ -189,10 +184,6 @@ impl Synthesizer for LatentDiff {
         "LatentDiff"
     }
 
-    fn fit(&mut self, table: &Table, rng: &mut StdRng) {
-        LatentDiff::fit(self, table, rng);
-    }
-
     fn synthesize(&mut self, n: usize, rng: &mut StdRng) -> Table {
         LatentDiff::synthesize(self, n, rng)
     }
@@ -211,8 +202,9 @@ impl Synthesizer for E2eCentralized {
         "E2E"
     }
 
-    fn fit(&mut self, table: &Table, rng: &mut StdRng) {
+    fn try_fit(&mut self, table: &Table, rng: &mut StdRng) -> Result<(), CheckpointError> {
         E2eCentralized::fit(self, table, rng);
+        Ok(())
     }
 
     fn synthesize(&mut self, n: usize, rng: &mut StdRng) -> Table {
@@ -220,15 +212,10 @@ impl Synthesizer for E2eCentralized {
     }
 }
 
-/// Convenience constructor for a LatentDiff synthesizer boxed as a trait
-/// object.
-pub fn boxed_latent_diff(config: LatentDiffConfig) -> Box<dyn Synthesizer> {
-    Box::new(LatentDiff::new(config))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::latentdiff::LatentDiffConfig;
     use rand::SeedableRng;
     use silofuse_tabular::profiles;
 

@@ -9,10 +9,12 @@ use silofuse_diffusion::backbone::{BackboneConfig, DiffusionBackbone};
 use silofuse_diffusion::gaussian::{GaussianDiffusion, Parameterization};
 use silofuse_diffusion::multinomial::MultinomialDiffusion;
 use silofuse_diffusion::schedule::{NoiseSchedule, ScheduleKind};
+use silofuse_diffusion::{TrainLoop, TrainState};
 use silofuse_nn::init::randn;
 use silofuse_nn::layers::Layer;
 use silofuse_nn::loss::mse;
-use silofuse_nn::optim::{Adam, Optimizer};
+use silofuse_nn::optim::Adam;
+use silofuse_nn::serialize::StateDictError;
 use silofuse_nn::Tensor;
 use silofuse_observe as observe;
 use silofuse_tabular::encode::QuantileTransformer;
@@ -221,9 +223,10 @@ impl TabDdpm {
         .expect("checkpointing disabled: no I/O or injected crash can fail")
     }
 
-    /// Step-resumable training: periodically checkpoints the backbone,
-    /// optimizer and caller RNG under `name`, resuming from the latest
-    /// checkpoint when `ckpt` has resume enabled.
+    /// Step-resumable training through the shared [`TrainLoop`]:
+    /// periodically checkpoints the backbone, optimizer and caller RNG
+    /// under `name`, resuming from the latest checkpoint when `ckpt` has
+    /// resume enabled.
     ///
     /// With checkpointing disabled this is bit-identical to [`TabDdpm::fit`]:
     /// checkpoints never consume RNG draws.
@@ -243,76 +246,11 @@ impl TabDdpm {
         phase: &str,
     ) -> Result<f32, CheckpointError> {
         let _span = observe::span("tabddpm-train");
-        silofuse_nn::backend::record_telemetry();
-        let mut start = 0usize;
-        if let Some(saved) = ckpt.load(name, phase)? {
-            if saved.payload.len() < 8 {
-                return Err(CheckpointError::Truncated);
-            }
-            let state = u64::from_le_bytes(saved.payload[..8].try_into().unwrap());
-            self.import_train_state(&saved.payload[8..]).map_err(CheckpointError::state)?;
-            *rng = StdRng::from_state(state);
-            start = (saved.step as usize).min(steps);
-        } else if ckpt.is_enabled() {
-            // Phase-entry checkpoint: a crash before the first periodic save
-            // must not resume with an already-advanced RNG.
-            let payload = self.snapshot_with_rng(rng);
-            ckpt.save(name, phase, 0, &payload)?;
-        }
-        ckpt.maybe_crash(phase, start as u64)?;
-        let stride = observe::epoch_stride(steps);
-        let n = table.n_rows();
-        let mut last = 0.0;
-        for step in start..steps {
-            let idx: Vec<usize> = (0..batch_size.min(n)).map(|_| rng.gen_range(0..n)).collect();
-            let batch = table.select_rows(&idx);
-            last = self.train_step(&batch, rng);
-            if step % stride == 0 {
-                observe::train_epoch(
-                    "tabddpm",
-                    step as u64,
-                    f64::from(last),
-                    f64::from(self.lr),
-                    batch.n_rows() as u64,
-                );
-            }
-            let done = (step + 1) as u64;
-            if ckpt.is_enabled() && ckpt.due(done, steps as u64) {
-                let payload = self.snapshot_with_rng(rng);
-                ckpt.save(name, phase, done, &payload)?;
-            }
-            ckpt.maybe_crash(phase, done)?;
-        }
-        Ok(last)
-    }
-
-    /// Exports the full training state: backbone weights, buffers, layer
-    /// RNGs and the Adam optimizer.
-    pub fn export_train_state(&mut self) -> Vec<u8> {
-        silofuse_nn::serialize::export_train_state(self.backbone.net_mut(), &self.optimizer)
-    }
-
-    /// Restores a training state exported by [`TabDdpm::export_train_state`].
-    ///
-    /// # Errors
-    /// Returns a [`StateDictError`](silofuse_nn::serialize::StateDictError)
-    /// if the blob is malformed or the architectures differ.
-    pub fn import_train_state(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<(), silofuse_nn::serialize::StateDictError> {
-        silofuse_nn::serialize::import_train_state(
-            self.backbone.net_mut(),
-            &mut self.optimizer,
-            bytes,
-        )
-    }
-
-    /// Checkpoint payload: caller RNG state (8 LE bytes) then the train state.
-    fn snapshot_with_rng(&mut self, rng: &StdRng) -> Vec<u8> {
-        let mut payload = rng.state().to_le_bytes().to_vec();
-        payload.extend_from_slice(&self.export_train_state());
-        payload
+        let run = TrainLoop { model: "tabddpm", lr: self.lr, steps, batch_size, ckpt, name, phase };
+        let step = |m: &mut Self, idx: &[usize], rng: &mut StdRng| {
+            m.train_step(&table.select_rows(idx), rng)
+        };
+        run.run(self, table.n_rows(), rng, step, |_| {})
     }
 
     /// Samples `n` synthetic rows over `inference_steps` strided reverse
@@ -397,6 +335,21 @@ impl TabDdpm {
         }
         let columns: Vec<Column> = columns.into_iter().map(Option::unwrap).collect();
         Table::new(self.schema.clone(), columns).expect("sampled data is schema-valid")
+    }
+}
+
+impl TrainState for TabDdpm {
+    /// Backbone weights, buffers, layer RNGs and the Adam optimizer.
+    fn export_train_state(&mut self) -> Vec<u8> {
+        silofuse_nn::serialize::export_train_state(self.backbone.net_mut(), &self.optimizer)
+    }
+
+    fn import_train_state(&mut self, bytes: &[u8]) -> Result<(), StateDictError> {
+        silofuse_nn::serialize::import_train_state(
+            self.backbone.net_mut(),
+            &mut self.optimizer,
+            bytes,
+        )
     }
 }
 

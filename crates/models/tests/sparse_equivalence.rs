@@ -14,6 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use silofuse_checkpoint::{CheckpointError, Checkpointer, CrashPoint};
+use silofuse_diffusion::TrainState;
 use silofuse_models::{AutoencoderConfig, GanConfig, TabularAutoencoder, TabularGan};
 use silofuse_tabular::profiles;
 use silofuse_tabular::table::Table;
@@ -122,7 +123,7 @@ fn checkpoint_resume_crosses_the_representation_switch() {
         Checkpointer::new(&dir, 4).with_crash(Some(CrashPoint::parse("ae-train:10").unwrap()));
     let mut victim = TabularAutoencoder::new(&t, ae_cfg(0, SparsePolicy::Dense));
     let mut rng = StdRng::seed_from_u64(11);
-    let err = victim.fit_resumable(&t, 20, 32, &mut rng, &armed, "ae", "ae-train");
+    let err = victim.fit_resumable(&t, 20, 32, &mut rng, &armed, "ae", "ae-train", &mut |_| {});
     assert!(matches!(err, Err(CheckpointError::Crashed { .. })));
     drop(victim);
 
@@ -131,7 +132,7 @@ fn checkpoint_resume_crosses_the_representation_switch() {
     let resume = Checkpointer::new(&dir, 4).with_resume(true);
     let mut revived = TabularAutoencoder::new(&t, ae_cfg(999, SparsePolicy::Sparse));
     let mut rng2 = StdRng::seed_from_u64(777);
-    revived.fit_resumable(&t, 20, 32, &mut rng2, &resume, "ae", "ae-train").unwrap();
+    revived.fit_resumable(&t, 20, 32, &mut rng2, &resume, "ae", "ae-train", &mut |_| {}).unwrap();
     assert!(revived.uses_sparse());
     assert_eq!(revived.encode(&t), z_clean, "cross-representation resume diverged");
     assert_eq!(rng2.state(), rng_clean.state(), "caller RNG timeline diverged");

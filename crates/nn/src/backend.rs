@@ -78,9 +78,6 @@ pub trait Backend: Send + Sync + fmt::Debug {
     /// `out[i] = f(x[i])`.
     fn map(&self, x: &[f32], out: &mut [f32], f: MapFn);
 
-    /// `x[i] = f(x[i])`.
-    fn map_inplace(&self, x: &mut [f32], f: MapFn);
-
     /// `out[i] = f(a[i], b[i])`.
     fn zip(&self, a: &[f32], b: &[f32], out: &mut [f32], f: ZipFn);
 
@@ -424,12 +421,6 @@ impl Backend for Reference {
         }
     }
 
-    fn map_inplace(&self, x: &mut [f32], f: MapFn) {
-        for v in x.iter_mut() {
-            *v = f(*v);
-        }
-    }
-
     fn zip(&self, a: &[f32], b: &[f32], out: &mut [f32], f: ZipFn) {
         for ((o, &av), &bv) in out.iter_mut().zip(a).zip(b) {
             *o = f(av, bv);
@@ -652,10 +643,6 @@ impl Backend for Parallel {
         });
     }
 
-    fn map_inplace(&self, x: &mut [f32], f: MapFn) {
-        self.run_elems(x.len() >= PAR_ELEM_MIN, x, |_, chunk| Reference.map_inplace(chunk, f));
-    }
-
     fn zip(&self, a: &[f32], b: &[f32], out: &mut [f32], f: ZipFn) {
         self.run_elems(a.len() >= PAR_ELEM_MIN, out, |offset, chunk| {
             let end = offset + chunk.len();
@@ -832,7 +819,7 @@ pub const SCATTER_COUNTERS: KernelCounters =
 /// Counters for [`Backend::axpy`] / [`Backend::scale`].
 pub const AXPY_COUNTERS: KernelCounters =
     KernelCounters { calls: "nn.kernel.axpy.calls", nanos: "nn.kernel.axpy.ns" };
-/// Counters for [`Backend::map`] / [`Backend::map_inplace`].
+/// Counters for [`Backend::map`].
 pub const MAP_COUNTERS: KernelCounters =
     KernelCounters { calls: "nn.kernel.map.calls", nanos: "nn.kernel.map.ns" };
 /// Counters for [`Backend::zip`] / [`Backend::zip_inplace`].

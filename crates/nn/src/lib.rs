@@ -2,7 +2,7 @@
 //!
 //! A from-scratch, dependency-light neural network substrate for the
 //! SiloFuse reproduction: dense `f32` tensors, layers with explicit manual
-//! backpropagation, losses, and optimizers.
+//! backpropagation, losses, and the Adam optimizer.
 //!
 //! The crate deliberately implements *exactly* what the paper's models need —
 //! MLPs with GELU, LeakyReLU GAN stacks, Conv1d, LayerNorm/BatchNorm,
@@ -20,7 +20,7 @@
 //!
 //! ```
 //! use silofuse_nn::layers::{mlp, Layer};
-//! use silofuse_nn::optim::{Adam, Optimizer};
+//! use silofuse_nn::optim::Adam;
 //! use silofuse_nn::{loss, init};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!

@@ -341,7 +341,6 @@ mod tests {
     use super::*;
     use crate::init::{randn, Init};
     use crate::layers::{mlp, BatchNorm1d, Linear, Sequential};
-    use crate::optim::Optimizer;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -74,11 +74,6 @@ impl Tensor {
         Self { rows, cols, data }
     }
 
-    /// Builds a single-row tensor from a slice.
-    pub fn row_vector(values: &[f32]) -> Self {
-        Self { rows: 1, cols: values.len(), data: values.to_vec() }
-    }
-
     /// Number of rows (samples).
     #[inline]
     pub fn rows(&self) -> usize {
@@ -317,20 +312,6 @@ impl Tensor {
             }
         }
         out
-    }
-
-    /// Applies `f` element-wise in place.
-    pub fn map_assign(&mut self, f: impl Fn(f32) -> f32 + Sync) {
-        let be = backend::get();
-        if be.elementwise_parallelism(self.data.len()) > 1 {
-            backend::timed(backend::MAP_COUNTERS, || {
-                be.map_inplace(&mut self.data, &f);
-            });
-        } else {
-            for v in &mut self.data {
-                *v = f(*v);
-            }
-        }
     }
 
     /// GELU (tanh approximation) element-wise into a new tensor, through

@@ -11,7 +11,7 @@ use silofuse_nn::init::Init;
 use silofuse_nn::layers::{
     Activation, ActivationKind, BatchNorm1d, Conv1d, Dropout, Layer, LayerNorm, Linear, Sequential,
 };
-use silofuse_nn::optim::{Adam, Optimizer};
+use silofuse_nn::optim::Adam;
 use silofuse_nn::serialize::{export_train_state, import_train_state};
 
 const DIM: usize = 4;

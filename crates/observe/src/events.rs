@@ -1,4 +1,4 @@
-//! Telemetry event types and the pluggable [`TelemetrySink`] trait.
+//! Telemetry event types: train, comm, wire and phase events.
 
 /// Which way a message crossed the client↔coordinator link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,8 +88,8 @@ pub struct WireEvent {
     /// merge (receive). The *only* input to causal ordering.
     pub lamport: u64,
     /// Nanoseconds since the hub's epoch when the event was recorded;
-    /// stamped by the sink (construct with 0). Used for durations in
-    /// reports only — never for ordering.
+    /// stamped by the [`crate::Telemetry`] that records it (construct
+    /// with 0). Used for durations in reports only — never for ordering.
     pub at_nanos: u64,
 }
 
@@ -101,29 +101,6 @@ pub struct PhaseEvent {
     /// Global phase entry counter (order across the whole run).
     pub seq: u64,
 }
-
-/// Receiver for telemetry events. Every method defaults to a no-op, so a
-/// sink only pays for what it overrides — and instrumented code behind a
-/// disabled [`crate::enabled`] check never constructs events at all.
-pub trait TelemetrySink: Send + Sync {
-    /// A training progress event.
-    fn train(&self, _event: &TrainEvent) {}
-
-    /// A network transfer event.
-    fn comm(&self, _event: &CommEvent) {}
-
-    /// A traced payload crossing a link boundary.
-    fn wire(&self, _event: &WireEvent) {}
-
-    /// A pipeline phase entry.
-    fn phase(&self, _event: &PhaseEvent) {}
-}
-
-/// A sink that drops everything (the trait's defaults, reified).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl TelemetrySink for NoopSink {}
 
 /// A recorded event, preserved in arrival order for export.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,14 +118,6 @@ pub enum Event {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noop_sink_accepts_everything() {
-        let sink = NoopSink;
-        sink.train(&TrainEvent::Epoch { model: "ae", epoch: 0, loss: 0.0, lr: 0.0, rows: 0 });
-        sink.comm(&CommEvent { direction: Direction::Up, msg_kind: "Ack", bytes: 1 });
-        sink.phase(&PhaseEvent { phase: "encode", seq: 0 });
-    }
 
     #[test]
     fn direction_labels() {

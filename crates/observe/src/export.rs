@@ -31,30 +31,19 @@ use std::time::{SystemTime, UNIX_EPOCH};
 /// Directory JSONL files land in, relative to the working directory.
 pub const TELEMETRY_DIR: &str = "target/experiments/telemetry";
 
-/// Serializes one scope to `target/experiments/telemetry/<run>.jsonl`
-/// and returns the written path; see [`write_jsonl_hub`] for whole-run
-/// export.
+/// Serializes every scope of `hub` to
+/// `target/experiments/telemetry/<run>.jsonl` and returns the written
+/// path.
 ///
 /// The file is written to a `.tmp` sibling and atomically renamed into
 /// place, so a crash mid-export never leaves a truncated, unparseable
 /// telemetry file — at worst the previous complete export survives.
-pub fn write_jsonl(telemetry: &Telemetry) -> std::io::Result<PathBuf> {
-    write_named(telemetry.run(), &render_jsonl(telemetry))
-}
-
-/// Serializes every scope of `hub` to
-/// `target/experiments/telemetry/<run>.jsonl` (atomic tmp + rename) and
-/// returns the written path.
 pub fn write_jsonl_hub(hub: &TelemetryHub) -> std::io::Result<PathBuf> {
-    write_named(hub.run(), &render_jsonl_hub(hub))
-}
-
-fn write_named(run: &str, doc: &str) -> std::io::Result<PathBuf> {
     let dir = Path::new(TELEMETRY_DIR);
     std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{}.jsonl", sanitize(run)));
+    let path = dir.join(format!("{}.jsonl", sanitize(hub.run())));
     let tmp = path.with_extension("jsonl.tmp");
-    std::fs::write(&tmp, doc)?;
+    std::fs::write(&tmp, render_jsonl_hub(hub))?;
     std::fs::rename(&tmp, &path)?;
     Ok(path)
 }
@@ -215,7 +204,7 @@ pub(crate) fn sanitize(run: &str) -> String {
 mod tests {
     use super::*;
     use crate::events::{WireEvent, WireOp};
-    use crate::{CommEvent, Direction, PhaseEvent, TelemetrySink};
+    use crate::{CommEvent, Direction, PhaseEvent};
     use std::time::Duration;
 
     #[test]
@@ -269,7 +258,7 @@ mod tests {
              \"kind\":\"LatentUpload\",\"bytes\":4096,\"lamport\":5,"
         ));
         assert!(doc.contains("\"type\":\"span\",\"scope\":\"silo0\",\"path\":\"encode\""));
-        // Wire timestamps are stamped by the sink from the shared epoch.
+        // Wire timestamps are stamped on recording from the shared epoch.
         assert!(!doc.contains("\"at_ns\":}"));
     }
 

@@ -20,8 +20,8 @@
 //!   thread-local span stack.
 //! - [`metrics`] — a registry of counters, gauges, and fixed-bucket
 //!   log₂ histograms with p50/p90/p99 readout.
-//! - [`events`] — the [`TelemetrySink`] trait plus the concrete
-//!   train/comm/wire/phase event types; sink methods default to no-ops.
+//! - [`events`] — the train/comm/wire/phase event types a [`Telemetry`]
+//!   store records.
 //! - [`scope`] — the per-actor [`TelemetryHub`] and the RAII
 //!   actor-context guard.
 //! - [`trace`] — the wire-level [`TraceContext`] (Lamport clocks, no
@@ -32,7 +32,11 @@
 //! - [`export`] — a hand-rolled JSONL exporter writing
 //!   `target/experiments/telemetry/<run>.jsonl` and the human-readable
 //!   span-tree renderer.
+//! - [`cli`] — what the command-line binaries share: console writes that
+//!   survive a closed pipe, and [`cli::TracedRun`], which starts and
+//!   finishes a traced run.
 
+pub mod cli;
 pub mod events;
 pub mod export;
 pub mod expose;
@@ -130,9 +134,7 @@ pub mod names {
     pub const SUPERVISION_REJOINS: &str = "supervision.rejoins";
 }
 
-pub use events::{
-    CommEvent, Direction, Event, NoopSink, PhaseEvent, TelemetrySink, TrainEvent, WireEvent, WireOp,
-};
+pub use events::{CommEvent, Direction, Event, PhaseEvent, TrainEvent, WireEvent, WireOp};
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use scope::{ScopeGuard, TelemetryHub};
 pub use spans::{fmt_duration, SpanGuard, SpanRow, SpanStat};
@@ -219,7 +221,7 @@ pub fn span(name: &str) -> SpanGuard {
 pub fn phase(name: &'static str) -> SpanGuard {
     if let Some(t) = handle() {
         let event = PhaseEvent { phase: name, seq: t.next_phase_seq() };
-        TelemetrySink::phase(&*t, &event);
+        t.phase(&event);
     }
     spans::span(name)
 }
@@ -239,8 +241,8 @@ pub fn comm(direction: Direction, msg_kind: &'static str, bytes: u64) {
     }
 }
 
-/// Records a traced payload crossing a link (timestamp stamped by the
-/// sink); no-op when tracing is off.
+/// Records a traced payload crossing a link (timestamp stamped on
+/// recording); no-op when tracing is off.
 pub fn wire(event: WireEvent) {
     if let Some(t) = handle() {
         t.wire(&event);
@@ -275,8 +277,7 @@ pub fn epoch_stride(steps: usize) -> usize {
 }
 
 /// The concrete telemetry store for one actor scope: span tree, metrics
-/// registry, Lamport clock, and the recorded event log. Implements
-/// [`TelemetrySink`] by recording.
+/// registry, Lamport clock, and the recorded event log.
 pub struct Telemetry {
     run: String,
     actor: String,
@@ -401,26 +402,28 @@ impl Telemetry {
     pub fn render_span_tree(&self) -> String {
         spans::render_rows(&self.span_rows())
     }
-}
 
-impl TelemetrySink for Telemetry {
-    fn train(&self, event: &TrainEvent) {
+    /// Records a training progress event.
+    pub fn train(&self, event: &TrainEvent) {
         self.events.lock().unwrap_or_else(|e| e.into_inner()).push(Event::Train(event.clone()));
     }
 
-    fn comm(&self, event: &CommEvent) {
+    /// Records a network transfer event and feeds its byte histogram.
+    pub fn comm(&self, event: &CommEvent) {
         let name = format!("comm.bytes.{}.{}", event.msg_kind, event.direction.as_str());
         self.metrics.histogram(&name).observe(event.bytes as f64);
         self.events.lock().unwrap_or_else(|e| e.into_inner()).push(Event::Comm(event.clone()));
     }
 
-    fn wire(&self, event: &WireEvent) {
+    /// Records a traced payload crossing a link, stamped with the time.
+    pub fn wire(&self, event: &WireEvent) {
         let mut stamped = event.clone();
         stamped.at_nanos = self.elapsed_nanos();
         self.events.lock().unwrap_or_else(|e| e.into_inner()).push(Event::Wire(stamped));
     }
 
-    fn phase(&self, event: &PhaseEvent) {
+    /// Records a pipeline phase entry.
+    pub fn phase(&self, event: &PhaseEvent) {
         self.events.lock().unwrap_or_else(|e| e.into_inner()).push(Event::Phase(event.clone()));
     }
 }

@@ -167,7 +167,7 @@ fn zero_chunk_rows_is_a_typed_error_at_every_layer() {
     // Model config: the old `.max(1)` clamp is gone — a zero
     // `synth_chunk_rows` is rejected at the request boundary.
     use rand::{rngs::StdRng, SeedableRng};
-    use silofuse_core::models::LatentDiff;
+    use silofuse_core::models::{LatentDiff, Synthesizer};
     let mut cfg = tiny_budget().latent_config(3);
     cfg.synth_chunk_rows = 0;
     let table = silofuse_tabular::profiles::profile_by_name("Loan").unwrap().generate(64, 3);
