@@ -103,6 +103,7 @@ fn gflops_floor(level: SimdLevel) -> Option<f64> {
         SimdLevel::Scalar => None,
         SimdLevel::Sse2 => Some(2.0),
         SimdLevel::Avx2 => Some(6.0),
+        SimdLevel::Avx512 => Some(8.0),
     }
 }
 

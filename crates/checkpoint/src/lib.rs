@@ -334,7 +334,7 @@ impl Checkpointer {
     /// Whether a checkpoint is due after `completed` of `total` steps:
     /// always at the end of the phase, else every `every` steps.
     pub fn due(&self, completed: u64, total: u64) -> bool {
-        completed == total || (self.every > 0 && completed % self.every == 0)
+        completed == total || (self.every > 0 && completed.is_multiple_of(self.every))
     }
 
     /// Whether the armed crash point fires at `completed` steps of `phase`.

@@ -64,6 +64,14 @@ impl ModelKind {
     pub fn is_distributed(&self) -> bool {
         matches!(self, ModelKind::E2eDistr | ModelKind::SiloFuse)
     }
+
+    /// True for the models whose `try_fit` writes and resumes checkpoints
+    /// through [`Synthesizer::set_checkpointer`]. E2E's joint training loop
+    /// has no checkpoint support, so it ignores a checkpointer; the CLI
+    /// rejects checkpoint flags for it.
+    pub fn checkpoints(&self) -> bool {
+        !matches!(self, ModelKind::E2e)
+    }
 }
 
 /// Builds a fresh synthesizer of the given kind.
@@ -184,19 +192,26 @@ mod tests {
     use rand::SeedableRng;
     use silofuse_tabular::profiles;
 
+    /// Every model fits and samples through the factory, and writes
+    /// checkpoints exactly when [`ModelKind::checkpoints`] says it does.
     #[test]
     fn factory_builds_all_seven_models() {
         let t = profiles::loan().generate(96, 0);
         let budget = TrainBudget::quick().scaled_down(8);
         let mut rng = StdRng::seed_from_u64(0);
+        let root = std::env::temp_dir().join(format!("silofuse-factory-{}", std::process::id()));
         for kind in ModelKind::all() {
             let mut model = build_synthesizer(kind, &budget, 2, PartitionStrategy::Default, 0);
             assert_eq!(model.name(), kind.name());
+            let dir = root.join(kind.name());
+            model.set_checkpointer(Checkpointer::new(&dir, 1_000));
             model.fit(&t, &mut rng);
+            assert_eq!(dir.exists(), kind.checkpoints(), "{} checkpoint dir", kind.name());
             let s = model.synthesize(8, &mut rng);
             assert_eq!(s.n_rows(), 8, "{}", kind.name());
             assert_eq!(s.schema(), t.schema(), "{}", kind.name());
         }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

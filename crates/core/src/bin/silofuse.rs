@@ -106,7 +106,7 @@ fn latest_trace_file() -> Result<std::path::PathBuf, String> {
             .metadata()
             .and_then(|m| m.modified())
             .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-        if best.as_ref().map_or(true, |(t, _)| modified > *t) {
+        if best.as_ref().is_none_or(|(t, _)| modified > *t) {
             best = Some((modified, path));
         }
     }
@@ -138,7 +138,8 @@ USAGE:
       --checkpoint-dir makes every training phase write crash-safe
       checkpoints (CRC-checked, atomically renamed) every N steps (default
       50); with --resume a relaunched run continues from the latest
-      checkpoint, bit-identical to an uninterrupted run.
+      checkpoint, bit-identical to an uninterrupted run. e2e cannot
+      checkpoint, and rejects these three flags.
       --degrade picks the supervision policy for dead silos: `fail-fast`
       (default) aborts with a typed error, `quorum` continues while at
       least K silos survive (requires --quorum K), `best-effort` while any
@@ -188,8 +189,8 @@ USAGE:
   Any command also accepts --threads N: run the dense kernels on N worker
   threads (default: SILOFUSE_THREADS, else one per available core; 1 =
   serial SIMD kernels). Outputs are bit-identical at every thread count,
-  so --threads is purely a speed knob. SILOFUSE_SIMD (auto|sse2|scalar)
-  caps the SIMD level the same way.
+  so --threads is purely a speed knob. SILOFUSE_SIMD
+  (auto|avx2|sse2|scalar) caps the SIMD level the same way.
 
   Any command also accepts --help (or -h): print this text. Any other
   flag a command does not read is an error (exit code 2).
@@ -504,6 +505,15 @@ fn cmd_synth(flags: &Flags) -> Result<String, String> {
     let seed: u64 = parse_num(flags, "seed", 42)?;
     let clients: usize = parse_num(flags, "clients", 4)?;
     let kind = model_kind(flags.get("model").map(String::as_str).unwrap_or("silofuse"))?;
+    if !kind.checkpoints() {
+        let asked = ["checkpoint-dir", "checkpoint-every", "resume"];
+        if let Some(flag) = asked.into_iter().find(|f| flags.contains_key(*f)) {
+            return Err(format!(
+                "--{flag} only applies to models that checkpoint, not {}",
+                kind.name()
+            ));
+        }
+    }
     let mut budget =
         if flags.contains_key("quick") { TrainBudget::quick() } else { TrainBudget::standard() };
     if let Some(v) = flags.get("encoding") {
@@ -556,13 +566,13 @@ fn cmd_synth(flags: &Flags) -> Result<String, String> {
 
     let csv = load_csv(input, None)?;
     let clients = clients.min(csv.table.n_cols()).max(1);
+    let silos = if kind.is_distributed() { format!(", {clients} clients") } else { String::new() };
     note!(
-        "fitting {} on {} ({} rows x {} cols, {} clients)...",
+        "fitting {} on {} ({} rows x {} cols{silos})...",
         kind.name(),
         input,
         csv.table.n_rows(),
-        csv.table.n_cols(),
-        clients
+        csv.table.n_cols()
     );
     let mut rng = StdRng::seed_from_u64(seed);
     if net.supervision.policy.degrades() {
@@ -715,6 +725,27 @@ mod tests {
         assert!(parse("inspect --input x.csv --quick").is_err());
         assert!(parse("bogus --input x.csv").is_err());
         assert!(parse("").is_err());
+    }
+
+    /// E2E cannot checkpoint: each checkpoint flag is an error before any
+    /// work, and the checkpoint directory is never created.
+    #[test]
+    fn checkpoint_flags_are_rejected_for_a_model_that_cannot_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("silofuse-e2e-ckpt-{}", std::process::id()));
+        let ckpt_dir = format!("--checkpoint-dir {}", dir.display());
+        for extra in [ckpt_dir.as_str(), "--checkpoint-every 5", "--resume"] {
+            let line =
+                format!("synth --input missing.csv --rows 16 --out x.csv --model e2e {extra}");
+            let Ok(Invocation::Run { flags, .. }) = parse(&line) else {
+                panic!("{line} does not parse");
+            };
+            let err = cmd_synth(&flags).unwrap_err();
+            assert!(
+                err.contains("only applies to models that checkpoint, not E2E"),
+                "{line}: {err}"
+            );
+        }
+        assert!(!dir.exists());
     }
 
     #[test]

@@ -337,7 +337,7 @@ impl E2eDistributed {
             let batch = client.partition.select_rows(idx);
             client.ae.zero_grad();
             let z_i = client.ae.encoder_forward_train(&batch);
-            if hb > 0 && tick % hb == 0 {
+            if hb > 0 && tick.is_multiple_of(hb) {
                 // Control-plane liveness signal: rides the same link but a
                 // separate byte ledger, so Fig. 10 accounting is untouched.
                 let _ = client.endpoint.send(&Message::Heartbeat { client: i as u32, tick });

@@ -325,7 +325,7 @@ impl PartitionWindow {
     }
 
     fn swallows_index(&self, n: u64) -> bool {
-        n >= self.partition_at && self.rejoin_at.map_or(true, |r| n < r)
+        n >= self.partition_at && self.rejoin_at.is_none_or(|r| n < r)
     }
 
     /// Advances the up-transmission clock for a first transmission and
@@ -339,7 +339,7 @@ impl PartitionWindow {
     /// traffic and retransmissions in either direction).
     pub(crate) fn active(&self) -> bool {
         let t = self.up_sent.load(Ordering::SeqCst);
-        t > self.partition_at && self.rejoin_at.map_or(true, |r| t <= r)
+        t > self.partition_at && self.rejoin_at.is_none_or(|r| t <= r)
     }
 }
 

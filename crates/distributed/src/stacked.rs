@@ -228,7 +228,7 @@ impl SiloFuseModel {
                     // are bit-identical with or without them. Send errors
                     // are ignored: a partitioned silo keeps training.
                     let mut beat = |done: u64| {
-                        if hb > 0 && done % hb == 0 {
+                        if hb > 0 && done.is_multiple_of(hb) {
                             let _ = client_ep
                                 .send(&Message::Heartbeat { client: i as u32, tick: done });
                         }

@@ -1,13 +1,14 @@
 //! Pluggable compute backends for the dense kernels.
 //!
 //! Every dense operation in this crate — the three GEMM variants, axpy,
-//! element-wise map/zip, GELU forward and backward, row reductions, and
-//! softmax — dispatches through a [`Backend`]. Two implementations ship:
+//! element-wise map/zip, GELU (inference, training forward and backward),
+//! row reductions, and softmax — dispatches through a [`Backend`]. Two
+//! implementations ship:
 //!
 //! - [`Reference`]: the original single-threaded scalar loops, kept as the
 //!   correctness oracle.
-//! - [`Parallel`]: register-blocked SIMD micro-kernels (AVX2/SSE2 by
-//!   runtime detection, scalar fallback — see [`crate::simd`]) whose
+//! - [`Parallel`]: register-blocked SIMD micro-kernels (AVX-512, AVX2 or
+//!   SSE2 by runtime detection, scalar fallback — see [`crate::simd`]) whose
 //!   output rows are partitioned into blocks and drained by the caller
 //!   plus whatever idle cores the process-wide [`crate::pool`] lends it
 //!   (a shared work queue — each thread grabs the next block, so uneven
@@ -88,8 +89,14 @@ pub trait Backend: Send + Sync + fmt::Debug {
     /// repo-owned [`simd::tanh`] (see [`simd::gelu`]).
     fn gelu(&self, x: &[f32], out: &mut [f32]);
 
-    /// `out[i] = grad[i] · gelu'(x[i])` (see [`simd::gelu_grad`]).
-    fn gelu_backward(&self, grad: &[f32], x: &[f32], out: &mut [f32]);
+    /// The training forward: `out[i] = gelu(x[i])` and
+    /// `deriv[i] = gelu'(x[i])` (see [`simd::gelu_grad`]), which the
+    /// backward pass multiplies by.
+    fn gelu_train(&self, x: &[f32], out: &mut [f32], deriv: &mut [f32]);
+
+    /// GELU backward: `out[i] = grad[i] · deriv[i]`, with `deriv` the
+    /// derivative [`Backend::gelu_train`] wrote.
+    fn gelu_backward(&self, grad: &[f32], deriv: &[f32], out: &mut [f32]);
 
     /// Column sums over a `rows×cols` matrix: `out[c] = Σ_r x[r][c]`,
     /// accumulated in ascending row order (`out` overwritten, len `cols`).
@@ -439,9 +446,16 @@ impl Backend for Reference {
         }
     }
 
-    fn gelu_backward(&self, grad: &[f32], x: &[f32], out: &mut [f32]) {
-        for ((o, &g), &v) in out.iter_mut().zip(grad).zip(x) {
-            *o = g * simd::gelu_grad(v);
+    fn gelu_train(&self, x: &[f32], out: &mut [f32], deriv: &mut [f32]) {
+        for ((o, d), &v) in out.iter_mut().zip(deriv.iter_mut()).zip(x) {
+            *o = simd::gelu(v);
+            *d = simd::gelu_grad(v);
+        }
+    }
+
+    fn gelu_backward(&self, grad: &[f32], deriv: &[f32], out: &mut [f32]) {
+        for ((o, &g), &d) in out.iter_mut().zip(grad).zip(deriv) {
+            *o = g * d;
         }
     }
 
@@ -468,15 +482,16 @@ impl Backend for Reference {
 /// ran at 0.55–0.64× on two workers, 32×128×128 at 1.0×, 64×128×128 at
 /// 1.26–1.48×.
 const PAR_GEMM_MIN_MADDS: usize = 1 << 19;
-/// Minimum element count before GELU forward or backward fans out: its
-/// `tanh` costs several ns per element, so 2¹⁴ elements ran at 1.15–1.41×
-/// and 24 576 (a 192×128 training batch) at 1.47–1.64×.
+/// Minimum element count before GELU's inference or training forward fans
+/// out: its `tanh` costs several ns per element, so 2¹⁴ elements ran at
+/// 1.15–1.41× and 24 576 (a 192×128 training batch) at 1.47–1.64×.
 const PAR_GELU_MIN: usize = 1 << 14;
 /// Minimum element count before the `dyn Fn` map/zip family and softmax
 /// fan out: map and zip ran at 1.46–1.55× at 2¹⁶ elements.
 const PAR_ELEM_MIN: usize = 1 << 16;
-/// Minimum element count before memory-bound `axpy`/`scale` fan out:
-/// 0.78× at 2¹⁶ elements, 0.98× at 2¹⁷, 1.16× at 2¹⁸.
+/// Minimum element count before memory-bound `axpy`/`scale` (and GELU's
+/// backward, one multiply per element) fan out: 0.78× at 2¹⁶ elements,
+/// 0.98× at 2¹⁷, 1.16× at 2¹⁸.
 const PAR_STREAM_MIN: usize = 1 << 18;
 
 /// Register-blocked SIMD kernels over the process-wide worker pool.
@@ -492,9 +507,11 @@ const PAR_STREAM_MIN: usize = 1 << 18;
 /// SIMD level. The `map`/`zip` family takes `dyn Fn` closures and cannot
 /// be explicitly vectorised; at one worker those calls are inlined
 /// monomorphised by `Tensor` (see `elementwise_parallelism`) where LLVM
-/// auto-vectorises them. GELU has dedicated kernels instead
-/// ([`simd::gelu_slice`]), because its `tanh` only vectorises when the
-/// whole port inlines into an AVX2 loop.
+/// auto-vectorises them at the baseline SSE2 width. GELU has dedicated
+/// kernels instead ([`simd::gelu_slice`], [`simd::gelu_train_slice`]),
+/// compiled again for AVX2 and AVX-512, because its `tanh` is too long for
+/// a `dyn Fn` call per element and vectorises only when the whole port
+/// inlines into one loop.
 #[derive(Debug, Clone, Copy)]
 pub struct Parallel {
     threads: usize,
@@ -506,11 +523,30 @@ impl Parallel {
         Self { threads: threads.max(1) }
     }
 
-    /// Runs `kernel` over `total_rows` output rows as one compute entry.
-    /// When `fan_out` holds and the pool lends helpers, `out` is split
-    /// into per-block `(row_range, chunk)` jobs; otherwise the kernel runs
-    /// once over every row. `row_width` is the number of `f32`s per output
-    /// row; `kernel` must fully overwrite its chunk.
+    /// Runs `kernel` over `units` units of work (rows or elements) as one
+    /// compute entry. When `fan_out` holds and the pool lends helpers,
+    /// `split(whole, block)` cuts the work into jobs of `block` units each
+    /// that the caller and its helpers drain; otherwise the kernel runs
+    /// once on `whole`.
+    fn run_split<T: Send>(
+        &self,
+        fan_out: bool,
+        units: usize,
+        whole: T,
+        split: impl FnOnce(T, usize) -> Vec<T>,
+        kernel: impl Fn(T) + Sync,
+    ) {
+        let lease = pool::lease(self.threads, if fan_out { units } else { 1 });
+        if lease.parts() == 1 {
+            return kernel(whole);
+        }
+        let block = units.div_ceil(self.threads * 4).max(1);
+        lease.run(split(whole, block), kernel);
+    }
+
+    /// [`Parallel::run_split`] over `total_rows` output rows: `kernel` gets
+    /// per-block `(row_range, chunk)` jobs. `row_width` is the number of
+    /// `f32`s per output row; `kernel` must fully overwrite its chunk.
     fn run_rows(
         &self,
         fan_out: bool,
@@ -519,34 +555,35 @@ impl Parallel {
         out: &mut [f32],
         kernel: impl Fn(Range<usize>, &mut [f32]) + Sync,
     ) {
-        let lease = pool::lease(self.threads, if fan_out { total_rows } else { 1 });
-        if lease.parts() == 1 {
-            return kernel(0..total_rows, out);
-        }
-        let block = total_rows.div_ceil(self.threads * 4).max(1);
-        let jobs: Vec<(Range<usize>, &mut [f32])> = out
-            .chunks_mut(block * row_width)
-            .enumerate()
-            .map(|(b, chunk)| {
-                let start = b * block;
-                (start..(start + block).min(total_rows), chunk)
-            })
-            .collect();
-        lease.run(jobs, |(rows, chunk)| kernel(rows, chunk));
+        self.run_split(
+            fan_out,
+            total_rows,
+            (0..total_rows, out),
+            |(_, out), block| {
+                out.chunks_mut(block * row_width)
+                    .enumerate()
+                    .map(|(b, chunk)| {
+                        let start = b * block;
+                        (start..(start + block).min(total_rows), chunk)
+                    })
+                    .collect()
+            },
+            |(rows, chunk)| kernel(rows, chunk),
+        );
     }
 
-    /// [`Parallel::run_rows`] for element-wise ops over one mutable slice;
+    /// [`Parallel::run_split`] for element-wise ops over one mutable slice;
     /// `kernel` gets each chunk's offset into `y`.
     fn run_elems(&self, fan_out: bool, y: &mut [f32], kernel: impl Fn(usize, &mut [f32]) + Sync) {
-        let n = y.len();
-        let lease = pool::lease(self.threads, if fan_out { n } else { 1 });
-        if lease.parts() == 1 {
-            return kernel(0, y);
-        }
-        let block = n.div_ceil(self.threads * 4).max(1);
-        let jobs: Vec<(usize, &mut [f32])> =
-            y.chunks_mut(block).enumerate().map(|(b, chunk)| (b * block, chunk)).collect();
-        lease.run(jobs, |(offset, chunk)| kernel(offset, chunk));
+        self.run_split(
+            fan_out,
+            y.len(),
+            (0, y),
+            |(_, y), block| {
+                y.chunks_mut(block).enumerate().map(|(b, chunk)| (b * block, chunk)).collect()
+            },
+            |(offset, chunk)| kernel(offset, chunk),
+        );
     }
 }
 
@@ -663,10 +700,25 @@ impl Backend for Parallel {
         });
     }
 
-    fn gelu_backward(&self, grad: &[f32], x: &[f32], out: &mut [f32]) {
-        self.run_elems(x.len() >= PAR_GELU_MIN, out, |offset, chunk| {
+    fn gelu_train(&self, x: &[f32], out: &mut [f32], deriv: &mut [f32]) {
+        self.run_split(
+            x.len() >= PAR_GELU_MIN,
+            x.len(),
+            (x, out, deriv),
+            |(x, out, deriv), block| {
+                x.chunks(block)
+                    .zip(out.chunks_mut(block).zip(deriv.chunks_mut(block)))
+                    .map(|(x, (out, deriv))| (x, out, deriv))
+                    .collect()
+            },
+            |(x, out, deriv)| simd::gelu_train_slice(x, out, deriv),
+        );
+    }
+
+    fn gelu_backward(&self, grad: &[f32], deriv: &[f32], out: &mut [f32]) {
+        self.run_elems(out.len() >= PAR_STREAM_MIN, out, |offset, chunk| {
             let end = offset + chunk.len();
-            simd::gelu_backward_slice(&grad[offset..end], &x[offset..end], chunk);
+            Reference.gelu_backward(&grad[offset..end], &deriv[offset..end], chunk);
         });
     }
 
@@ -825,7 +877,7 @@ pub const MAP_COUNTERS: KernelCounters =
 /// Counters for [`Backend::zip`] / [`Backend::zip_inplace`].
 pub const ZIP_COUNTERS: KernelCounters =
     KernelCounters { calls: "nn.kernel.zip.calls", nanos: "nn.kernel.zip.ns" };
-/// Counters for [`Backend::gelu`].
+/// Counters for [`Backend::gelu`] and [`Backend::gelu_train`].
 pub const GELU_COUNTERS: KernelCounters =
     KernelCounters { calls: "nn.kernel.gelu.calls", nanos: "nn.kernel.gelu.ns" };
 /// Counters for [`Backend::gelu_backward`].
@@ -940,7 +992,8 @@ mod tests {
 
     #[test]
     fn elementwise_kernels_match() {
-        // Past PAR_STREAM_MIN, so axpy fans out as well as map.
+        // Past PAR_STREAM_MIN, so axpy and GELU's backward fan out as well
+        // as map.
         let x = noise(300_000, 7);
         let y0 = noise(300_000, 8);
         let f: fn(f32) -> f32 = |v| v * 1.5 - 0.25;
@@ -952,9 +1005,16 @@ mod tests {
 
         let mut want_y = y0.clone();
         Reference.axpy(0.75, &x, &mut want_y);
-        let mut got_y = y0;
+        let mut got_y = y0.clone();
         Parallel::new(4).axpy(0.75, &x, &mut got_y);
         assert_eq!(want_y, got_y);
+
+        // GELU's backward multiply fans out as a streaming kernel.
+        let mut want_g = vec![0.0; x.len()];
+        Reference.gelu_backward(&x, &y0, &mut want_g);
+        let mut got_g = vec![0.0; x.len()];
+        Parallel::new(4).gelu_backward(&x, &y0, &mut got_g);
+        assert_eq!(want_g, got_g);
     }
 
     #[test]

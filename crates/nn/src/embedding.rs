@@ -8,7 +8,7 @@
 /// Panics if `out.len()` is zero or odd.
 pub fn timestep_embedding(t: usize, out: &mut [f32]) {
     let dim = out.len();
-    assert!(dim >= 2 && dim % 2 == 0, "embedding dim must be even and >= 2");
+    assert!(dim >= 2 && dim.is_multiple_of(2), "embedding dim must be even and >= 2");
     let half = dim / 2;
     for k in 0..half {
         let freq = (-(k as f64) * (10_000f64).ln() / half as f64).exp();

@@ -1,8 +1,8 @@
 //! Element-wise activation functions.
 
 use super::{Layer, Param};
-use crate::simd;
 use crate::tensor::Tensor;
+use crate::{simd, workspace};
 
 /// The supported activation nonlinearities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,13 +77,16 @@ impl ActivationKind {
 #[derive(Debug, Clone)]
 pub struct Activation {
     kind: ActivationKind,
-    cached_input: Option<Tensor>,
+    /// What `backward` needs from `forward`: GELU's derivative, which the
+    /// forward pass computes from the `tanh` it evaluates anyway, and the
+    /// input for every other kind.
+    cache: Option<Tensor>,
 }
 
 impl Activation {
     /// Creates an activation layer of the given kind.
     pub fn new(kind: ActivationKind) -> Self {
-        Self { kind, cached_input: None }
+        Self { kind, cache: None }
     }
 
     /// The nonlinearity this layer applies.
@@ -94,7 +97,11 @@ impl Activation {
 
 impl Layer for Activation {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        crate::workspace::cache_assign(&mut self.cached_input, input);
+        if self.kind == ActivationKind::Gelu {
+            let deriv = workspace::cache_slot(&mut self.cache, input.rows(), input.cols());
+            return input.gelu_train(deriv);
+        }
+        workspace::cache_assign(&mut self.cache, input);
         self.infer(input)
     }
 
@@ -106,13 +113,11 @@ impl Layer for Activation {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("Activation::backward called without a cached forward pass");
+        let cache =
+            self.cache.as_ref().expect("Activation::backward called without a cached forward pass");
         match self.kind {
-            ActivationKind::Gelu => grad_output.gelu_backward(input),
-            kind => grad_output.zip_with(input, |g, x| g * kind.derivative(x)),
+            ActivationKind::Gelu => grad_output.gelu_backward(cache),
+            kind => grad_output.zip_with(cache, |g, x| g * kind.derivative(x)),
         }
     }
 

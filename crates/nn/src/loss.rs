@@ -65,15 +65,19 @@ pub fn grouped_softmax_cross_entropy(
             let target = targets[g * rows + r] as usize;
             debug_assert!(target < width, "target class out of range");
             let max = block.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            // Each exp is evaluated once: kept in the gradient row, then
+            // divided by the sum there.
+            let g_block = &mut g_row[offset..offset + width];
             let mut sum = 0.0f32;
-            for &v in block {
-                sum += (v - max).exp();
+            for (e, &v) in g_block.iter_mut().zip(block) {
+                *e = (v - max).exp();
+                sum += *e;
             }
             let log_sum = sum.ln() + max;
             loss += log_sum - block[target];
-            for (k, &v) in block.iter().enumerate() {
-                let p = (v - max).exp() / sum;
-                g_row[offset + k] = (p - if k == target { 1.0 } else { 0.0 }) / denom;
+            for (k, e) in g_block.iter_mut().enumerate() {
+                let p = *e / sum;
+                *e = (p - if k == target { 1.0 } else { 0.0 }) / denom;
             }
             offset += width;
         }
@@ -210,6 +214,51 @@ mod tests {
                 g.as_slice()[i]
             );
         }
+    }
+
+    /// Loss and gradient bits equal the two-pass formula, which evaluated
+    /// every `exp` twice, on Churn's silo-0 head (groups 2932, 7 and 7).
+    #[test]
+    fn grouped_ce_matches_the_two_pass_formula_bitwise() {
+        let groups = [2932, 7, 7];
+        let total: usize = groups.iter().sum();
+        let rows = 5;
+        let logits = Tensor::from_fn(rows, total, |r, c| {
+            ((r * 7919 + c * 104_729) % 2003) as f32 / 97.0 - 10.0
+        });
+        let targets: Vec<u32> =
+            (0..rows * groups.len()).map(|i| ((i * 131) % groups[i / rows]) as u32).collect();
+
+        let denom = (rows * groups.len()) as f32;
+        let mut want_loss = 0.0f32;
+        let mut want_grad = vec![0.0f32; rows * total];
+        for r in 0..rows {
+            let row = logits.row(r);
+            let mut offset = 0;
+            for (g, &width) in groups.iter().enumerate() {
+                let block = &row[offset..offset + width];
+                let target = targets[g * rows + r] as usize;
+                let max = block.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                let mut sum = 0.0f32;
+                for &v in block {
+                    sum += (v - max).exp();
+                }
+                want_loss += sum.ln() + max - block[target];
+                for (k, &v) in block.iter().enumerate() {
+                    let p = (v - max).exp() / sum;
+                    want_grad[r * total + offset + k] =
+                        (p - if k == target { 1.0 } else { 0.0 }) / denom;
+                }
+                offset += width;
+            }
+        }
+        want_loss /= denom;
+
+        let (loss, grad) = grouped_softmax_cross_entropy(&logits, &groups, &targets);
+        assert_eq!(loss.to_bits(), want_loss.to_bits());
+        let got: Vec<u32> = grad.as_slice().iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = want_grad.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -12,10 +12,13 @@
 //! - `gemm_transpose`:  after packing `Bᵀ` with [`pack_transpose`], identical
 //!   to `gemm` — which is how it stops paying a strided load per multiply.
 //!
-//! [`broadcast_gemm`] implements that pattern with register-blocked AVX2 or
-//! SSE2 micro-kernels (4 output rows × 16/8 columns held in accumulator
-//! registers, the lhs element broadcast across lanes) selected by runtime
-//! feature detection, with a scalar fallback.
+//! [`broadcast_gemm`] implements that pattern with register-blocked
+//! AVX-512, AVX2 or SSE2 micro-kernels (4 output rows × 32/16/8 columns
+//! held in accumulator registers, the lhs element broadcast across lanes)
+//! selected by runtime feature detection, with a scalar fallback. At
+//! AVX-512 the last column tile narrower than 16 is one masked tile, so an
+//! output 6 to 15 columns wide (a decoder head, the backbone's output)
+//! does not fall to scalar loops.
 //!
 //! # Bit-identity
 //!
@@ -30,6 +33,8 @@
 //!   differently from the reference;
 //! - cache blocking over `p` stores and reloads the f32 accumulators
 //!   between blocks, which is exact;
+//! - a masked lane runs the same IEEE operations as a full one, and the
+//!   lanes masked off neither load nor store;
 //! - tails (row, column, and depth) fall to narrower kernels or scalar
 //!   loops that preserve the per-element accumulation order.
 //!
@@ -37,23 +42,31 @@
 //! have the same IEEE special-value semantics as their scalar forms (x86
 //! scalar f32 math is SSE anyway), so specials propagate bit-identically.
 //!
-//! # GELU and the repo-owned `tanh`
+//! # Element-wise kernels, GELU and the repo-owned `tanh`
 //!
-//! [`gelu_slice`] and [`gelu_backward_slice`] evaluate the GELU tanh
+//! `axpy`, `scale` and the GELU slices are written once as
+//! `#[inline(always)]` scalar loops and compiled again inside
+//! `#[target_feature(enable = "avx2")]` and `#[target_feature(enable =
+//! "avx512f")]` functions, where LLVM auto-vectorizes them at 8 and 16
+//! lanes; there are no intrinsics. Rust never contracts a multiply and an
+//! add into an FMA, so each lane runs the scalar build's IEEE operations.
+//!
+//! [`gelu_slice`] and [`gelu_train_slice`] evaluate the GELU tanh
 //! approximation through [`tanh`], a branch-free port of the fdlibm
-//! `tanhf`/`expm1f` pair that glibc 2.36 ships. The port is written once as
-//! `#[inline(always)]` scalar code — every branch computed, the result
-//! selected, multiplies and adds kept separate — and compiled a second time
-//! inside a `#[target_feature(enable = "avx2")]` slice loop that LLVM
-//! auto-vectorizes. Both builds perform the same IEEE operations per
-//! element, so every level agrees bit for bit by construction, and the
-//! result no longer depends on which `tanhf` the host's libm provides.
+//! `tanhf`/`expm1f` pair that glibc 2.36 ships: every branch computed, the
+//! result selected, multiplies and adds kept separate, so the port
+//! vectorizes and every level agrees bit for bit. The result no longer
+//! depends on which `tanhf` the host's libm provides. Training calls
+//! [`gelu_train_slice`], which writes the output and the derivative from
+//! one `tanh` per element with the expressions of [`gelu`] and
+//! [`gelu_grad`], so the backward pass is one multiply.
 //!
 //! # Selection
 //!
-//! The level is detected once and cached. `SILOFUSE_SIMD` overrides it:
-//! `0`/`off`/`scalar` force the scalar fallback (the CI matrix uses this),
-//! `sse2` caps at SSE2, `avx2`/`auto`/unset pick the best the host has.
+//! The level is detected once and cached, best first: AVX-512 (`avx512f`),
+//! AVX2, SSE2. `SILOFUSE_SIMD` caps it: `0`/`off`/`scalar` force the scalar
+//! fallback, `sse2` caps at SSE2, `avx2` at AVX2 (the CI matrix uses these),
+//! and `auto` or unset pick the best the host has.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -67,6 +80,8 @@ pub enum SimdLevel {
     Sse2,
     /// 256-bit AVX2 kernels.
     Avx2,
+    /// 512-bit AVX-512 kernels (`avx512f`).
+    Avx512,
 }
 
 impl SimdLevel {
@@ -76,6 +91,7 @@ impl SimdLevel {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
+            SimdLevel::Avx512 => "avx512",
         }
     }
 }
@@ -84,7 +100,9 @@ impl SimdLevel {
 fn detect() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            SimdLevel::Avx512
+        } else if std::arch::is_x86_feature_detected!("avx2") {
             SimdLevel::Avx2
         } else {
             SimdLevel::Sse2
@@ -97,8 +115,9 @@ fn detect() -> SimdLevel {
 }
 
 /// The active SIMD level: host capability capped by `SILOFUSE_SIMD`
-/// (`0`/`off`/`scalar` → scalar, `sse2` → at most SSE2, anything else →
-/// best available). Detected once and cached for the process lifetime.
+/// (`0`/`off`/`scalar` → scalar, `sse2` → at most SSE2, `avx2` → at most
+/// AVX2, anything else → best available). Detected once and cached for the
+/// process lifetime; never above [`detect`].
 pub fn level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
@@ -106,9 +125,10 @@ pub fn level() -> SimdLevel {
             Ok(v) => match v.to_ascii_lowercase().as_str() {
                 "0" | "off" | "scalar" | "none" => SimdLevel::Scalar,
                 "sse" | "sse2" => SimdLevel::Sse2,
-                _ => SimdLevel::Avx2,
+                "avx2" => SimdLevel::Avx2,
+                _ => SimdLevel::Avx512,
             },
-            Err(_) => SimdLevel::Avx2,
+            Err(_) => SimdLevel::Avx512,
         };
         detect().min(cap)
     })
@@ -136,25 +156,42 @@ pub fn broadcast_gemm(
     rhs: &[f32],
     out_block: &mut [f32],
 ) {
-    debug_assert!(out_block.len() >= rows.len() * n);
-    debug_assert!(depth == 0 || rhs.len() >= depth * n);
-    debug_assert!(
-        rows.is_empty() || depth == 0 || lhs.len() > (rows.end - 1) * lrs + (depth - 1) * lps
-    );
-    #[cfg(target_arch = "x86_64")]
-    match level() {
-        // SAFETY: gated on runtime feature detection.
-        SimdLevel::Avx2 => unsafe {
-            x86::broadcast_gemm_avx2(rows, depth, n, lhs, lrs, lps, rhs, out_block)
-        },
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        SimdLevel::Sse2 => unsafe {
-            x86::broadcast_gemm_sse2(rows, depth, n, lhs, lrs, lps, rhs, out_block)
-        },
-        SimdLevel::Scalar => scalar_broadcast_gemm(rows, depth, n, lhs, lrs, lps, rhs, out_block),
+    // SAFETY: `level()` never exceeds what `detect()` found on this host.
+    unsafe { broadcast_gemm_at(level(), rows, depth, n, lhs, lrs, lps, rhs, out_block) }
+}
+
+/// [`broadcast_gemm`] at an explicit `level`.
+///
+/// # Safety
+/// The host must support `level`: `level <= detect()`.
+#[allow(clippy::too_many_arguments)]
+unsafe fn broadcast_gemm_at(
+    level: SimdLevel,
+    rows: Range<usize>,
+    depth: usize,
+    n: usize,
+    lhs: &[f32],
+    lrs: usize,
+    lps: usize,
+    rhs: &[f32],
+    out_block: &mut [f32],
+) {
+    // The kernels read through raw pointers; these bounds are what they
+    // rely on.
+    assert!(out_block.len() >= rows.len() * n);
+    assert!(depth == 0 || rhs.len() >= depth * n);
+    assert!(rows.is_empty() || depth == 0 || lhs.len() > (rows.end - 1) * lrs + (depth - 1) * lps);
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => {
+            x86::broadcast_gemm_avx512(rows, depth, n, lhs, lrs, lps, rhs, out_block)
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => x86::broadcast_gemm_avx2(rows, depth, n, lhs, lrs, lps, rhs, out_block),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Sse2 => x86::broadcast_gemm_sse2(rows, depth, n, lhs, lrs, lps, rhs, out_block),
+        _ => scalar_broadcast_gemm(rows, depth, n, lhs, lrs, lps, rhs, out_block),
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    scalar_broadcast_gemm(rows, depth, n, lhs, lrs, lps, rhs, out_block)
 }
 
 /// Packs `src` (a `rows×cols` row-major matrix) transposed into `dst`
@@ -182,14 +219,37 @@ pub fn pack_transpose(rows: usize, cols: usize, src: &[f32], dst: &mut [f32]) {
     }
 }
 
+/// Dispatches one element-wise kernel to its AVX-512 or AVX2 build at those
+/// levels, and to the scalar loop (which the x86_64 baseline compiles for
+/// SSE2) otherwise.
+macro_rules! dispatch_elementwise {
+    ($level:expr, $avx512:ident, $avx2:ident, $loop:ident($($arg:expr),*)) => {
+        match $level {
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => x86::$avx512($($arg),*),
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => x86::$avx2($($arg),*),
+            _ => $loop($($arg),*),
+        }
+    };
+}
+
 /// `y[i] += alpha · x[i]` (separate mul and add — bit-identical to scalar).
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: gated on runtime feature detection.
-        unsafe { x86::axpy_avx2(alpha, x, y) };
-        return;
-    }
+    // SAFETY: `level()` never exceeds what `detect()` found on this host.
+    unsafe { axpy_at(level(), alpha, x, y) }
+}
+
+/// [`axpy`] at an explicit `level`.
+///
+/// # Safety
+/// The host must support `level`: `level <= detect()`.
+unsafe fn axpy_at(level: SimdLevel, alpha: f32, x: &[f32], y: &mut [f32]) {
+    dispatch_elementwise!(level, axpy_avx512, axpy_avx2, axpy_loop(alpha, x, y))
+}
+
+#[inline(always)]
+fn axpy_loop(alpha: f32, x: &[f32], y: &mut [f32]) {
     for (yv, &xv) in y.iter_mut().zip(x) {
         *yv += alpha * xv;
     }
@@ -197,12 +257,20 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 
 /// `y[i] *= alpha` (bit-identical to scalar).
 pub fn scale(alpha: f32, y: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: gated on runtime feature detection.
-        unsafe { x86::scale_avx2(alpha, y) };
-        return;
-    }
+    // SAFETY: `level()` never exceeds what `detect()` found on this host.
+    unsafe { scale_at(level(), alpha, y) }
+}
+
+/// [`scale`] at an explicit `level`.
+///
+/// # Safety
+/// The host must support `level`: `level <= detect()`.
+unsafe fn scale_at(level: SimdLevel, alpha: f32, y: &mut [f32]) {
+    dispatch_elementwise!(level, scale_avx512, scale_avx2, scale_loop(alpha, y))
+}
+
+#[inline(always)]
+fn scale_loop(alpha: f32, y: &mut [f32]) {
     for v in y.iter_mut() {
         *v *= alpha;
     }
@@ -211,45 +279,82 @@ pub fn scale(alpha: f32, y: &mut [f32]) {
 /// `√(2/π)`, the scale of the GELU tanh approximation.
 const GELU_C: f32 = 0.797_884_6;
 
+/// `tanh(√(2/π)·(x + 0.044715·x³))`, the one transcendental [`gelu`] and
+/// [`gelu_grad`] share.
+#[inline(always)]
+fn gelu_tanh(x: f32) -> f32 {
+    tanh(GELU_C * (x + 0.044715 * x * x * x))
+}
+
+/// [`gelu`] at `x` given `t = gelu_tanh(x)`.
+#[inline(always)]
+fn gelu_from_tanh(x: f32, t: f32) -> f32 {
+    0.5 * x * (1.0 + t)
+}
+
+/// [`gelu_grad`] at `x` given `t = gelu_tanh(x)`.
+#[inline(always)]
+fn gelu_grad_from_tanh(x: f32, t: f32) -> f32 {
+    let sech2 = 1.0 - t * t;
+    0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
+}
+
 /// GELU, tanh approximation: `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`.
 #[inline(always)]
 pub fn gelu(x: f32) -> f32 {
-    let inner = GELU_C * (x + 0.044715 * x * x * x);
-    0.5 * x * (1.0 + tanh(inner))
+    gelu_from_tanh(x, gelu_tanh(x))
 }
 
 /// Derivative of [`gelu`] at `x`.
 #[inline(always)]
 pub fn gelu_grad(x: f32) -> f32 {
-    let x3 = 0.044715 * x * x * x;
-    let t = tanh(GELU_C * (x + x3));
-    let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
+    gelu_grad_from_tanh(x, gelu_tanh(x))
 }
 
 /// `out[i] = gelu(x[i])`.
 pub fn gelu_slice(x: &[f32], out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: gated on runtime feature detection.
-        unsafe { x86::gelu_avx2(x, out) };
-        return;
-    }
+    // SAFETY: `level()` never exceeds what `detect()` found on this host.
+    unsafe { gelu_slice_at(level(), x, out) }
+}
+
+/// [`gelu_slice`] at an explicit `level`.
+///
+/// # Safety
+/// The host must support `level`: `level <= detect()`.
+unsafe fn gelu_slice_at(level: SimdLevel, x: &[f32], out: &mut [f32]) {
+    dispatch_elementwise!(level, gelu_avx512, gelu_avx2, gelu_loop(x, out))
+}
+
+#[inline(always)]
+fn gelu_loop(x: &[f32], out: &mut [f32]) {
     for (o, &v) in out.iter_mut().zip(x) {
         *o = gelu(v);
     }
 }
 
-/// `out[i] = grad[i] · gelu'(x[i])`.
-pub fn gelu_backward_slice(grad: &[f32], x: &[f32], out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: gated on runtime feature detection.
-        unsafe { x86::gelu_backward_avx2(grad, x, out) };
-        return;
-    }
-    for ((o, &g), &v) in out.iter_mut().zip(grad).zip(x) {
-        *o = g * gelu_grad(v);
+/// `out[i] = gelu(x[i])` and `deriv[i] = gelu_grad(x[i])`, from one
+/// [`tanh`] per element: the training forward, which keeps the derivative
+/// for the backward pass. Bit-identical to [`gelu`] and [`gelu_grad`],
+/// which evaluate the same expressions.
+pub fn gelu_train_slice(x: &[f32], out: &mut [f32], deriv: &mut [f32]) {
+    // SAFETY: `level()` never exceeds what `detect()` found on this host.
+    unsafe { gelu_train_slice_at(level(), x, out, deriv) }
+}
+
+/// [`gelu_train_slice`] at an explicit `level`.
+///
+/// # Safety
+/// The host must support `level`: `level <= detect()`.
+unsafe fn gelu_train_slice_at(level: SimdLevel, x: &[f32], out: &mut [f32], deriv: &mut [f32]) {
+    dispatch_elementwise!(level, gelu_train_avx512, gelu_train_avx2, gelu_train_loop(x, out, deriv))
+}
+
+#[inline(always)]
+fn gelu_train_loop(x: &[f32], out: &mut [f32], deriv: &mut [f32]) {
+    for ((o, d), &v) in out.iter_mut().zip(deriv.iter_mut()).zip(x) {
+        let t = gelu_tanh(v);
+        *o = gelu_from_tanh(v, t);
+        *d = gelu_grad_from_tanh(v, t);
     }
 }
 
@@ -396,18 +501,25 @@ mod x86 {
     use std::ops::Range;
 
     /// Generates the register-blocked micro-kernel family for one vector
-    /// width. Structure (identical for AVX2/SSE2, differing in lane count):
-    /// k-blocks of [`KC`] → 4-row tiles (then 1-row tail) → column tiles of
-    /// two vectors (then one, then scalar). Accumulators live in registers
-    /// for a whole k-block and are stored/reloaded between blocks (exact).
+    /// width. Structure (identical for AVX-512/AVX2/SSE2, differing in lane
+    /// count): k-blocks of [`KC`] → 4-row tiles (then 1-row tail) → column
+    /// tiles of two vectors (then one, then one masked vector where the ISA
+    /// has masked loads and stores, then scalar). Accumulators live in
+    /// registers for a whole k-block and are stored/reloaded between blocks
+    /// (exact).
     macro_rules! broadcast_gemm_impl {
         (
             $fn_name:ident, $tile4:ident, $tile1:ident, $feature:literal,
             $vec:ty, $lanes:expr, $load:ident, $store:ident, $set1:ident,
             $add:ident, $mul:ident
+            $(, masked: $mask:ident, $mload:ident, $mstore:ident)?
         ) => {
-            /// See [`super::broadcast_gemm`]; caller must have verified the
-            /// instruction-set feature at runtime.
+            /// See [`super::broadcast_gemm`].
+            ///
+            /// # Safety
+            /// The host must support the instruction-set feature, and the
+            /// slices must hold the elements the bounds asserted in
+            /// [`super::broadcast_gemm_at`] require.
             #[target_feature(enable = $feature)]
             #[allow(clippy::too_many_arguments)]
             pub(super) unsafe fn $fn_name(
@@ -439,8 +551,9 @@ mod x86 {
                 }
             }
 
-            /// 4 output rows × (2·lanes → lanes → scalar) columns for one
-            /// k-block, accumulating on top of `out` (absolute lhs row `r`).
+            /// 4 output rows × (2·lanes → lanes → masked → scalar) columns
+            /// for one k-block, accumulating on top of `out` (absolute lhs
+            /// row `r`).
             #[target_feature(enable = $feature)]
             #[allow(clippy::too_many_arguments)]
             unsafe fn $tile4(
@@ -519,6 +632,30 @@ mod x86 {
                     $store(o3, a3);
                     j += L;
                 }
+                $(
+                    if j < n {
+                        let m = $mask(n - j);
+                        let (o0, o1, o2, o3) =
+                            (op.add(j), op.add(n + j), op.add(2 * n + j), op.add(3 * n + j));
+                        let mut a0 = $mload(m, o0);
+                        let mut a1 = $mload(m, o1);
+                        let mut a2 = $mload(m, o2);
+                        let mut a3 = $mload(m, o3);
+                        for p in p0..p1 {
+                            let b0 = $mload(m, bp.add(p * n + j));
+                            let l = lp.add(p * lps);
+                            a0 = $add(a0, $mul($set1(*l.add(r * lrs)), b0));
+                            a1 = $add(a1, $mul($set1(*l.add((r + 1) * lrs)), b0));
+                            a2 = $add(a2, $mul($set1(*l.add((r + 2) * lrs)), b0));
+                            a3 = $add(a3, $mul($set1(*l.add((r + 3) * lrs)), b0));
+                        }
+                        $mstore(o0, m, a0);
+                        $mstore(o1, m, a1);
+                        $mstore(o2, m, a2);
+                        $mstore(o3, m, a3);
+                        j = n;
+                    }
+                )?
                 while j < n {
                     for row in 0..4 {
                         let o = op.add(row * n + j);
@@ -575,6 +712,19 @@ mod x86 {
                     $store(o, a0);
                     j += L;
                 }
+                $(
+                    if j < n {
+                        let m = $mask(n - j);
+                        let o = op.add(j);
+                        let mut a0 = $mload(m, o);
+                        for p in p0..p1 {
+                            let v = $set1(*lp.add(r * lrs + p * lps));
+                            a0 = $add(a0, $mul(v, $mload(m, bp.add(p * n + j))));
+                        }
+                        $mstore(o, m, a0);
+                        j = n;
+                    }
+                )?
                 while j < n {
                     let o = op.add(j);
                     let mut acc = *o;
@@ -587,6 +737,29 @@ mod x86 {
             }
         };
     }
+
+    /// Lane mask selecting the first `rem` of 16 lanes (`0 < rem < 16`).
+    #[inline(always)]
+    fn tail_mask16(rem: usize) -> __mmask16 {
+        ((1u32 << rem) - 1) as __mmask16
+    }
+
+    broadcast_gemm_impl!(
+        broadcast_gemm_avx512,
+        tile4_avx512,
+        tile1_avx512,
+        "avx512f",
+        __m512,
+        16,
+        _mm512_loadu_ps,
+        _mm512_storeu_ps,
+        _mm512_set1_ps,
+        _mm512_add_ps,
+        _mm512_mul_ps,
+        masked: tail_mask16,
+        _mm512_maskz_loadu_ps,
+        _mm512_mask_storeu_ps
+    );
 
     broadcast_gemm_impl!(
         broadcast_gemm_avx2,
@@ -616,65 +789,67 @@ mod x86 {
         _mm_mul_ps
     );
 
-    /// AVX2 `y += alpha·x`: one lane per element, separate mul and add.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
-        let n = y.len().min(x.len());
-        let a = _mm256_set1_ps(alpha);
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let yv = _mm256_loadu_ps(yp.add(i));
-            let xv = _mm256_loadu_ps(xp.add(i));
-            _mm256_storeu_ps(yp.add(i), _mm256_add_ps(yv, _mm256_mul_ps(a, xv)));
-            i += 8;
-        }
-        while i < n {
-            *yp.add(i) += alpha * *xp.add(i);
-            i += 1;
-        }
+    /// Generates the element-wise kernels for one instruction-set feature:
+    /// the `#[inline(always)]` scalar loops inline here and LLVM vectorizes
+    /// them at the feature's width, so each lane runs the same IEEE
+    /// operations as the scalar build.
+    macro_rules! elementwise_impl {
+        ($feature:literal, $axpy:ident, $scale:ident, $gelu:ident, $gelu_train:ident) => {
+            /// [`super::axpy`] compiled for the feature.
+            ///
+            /// # Safety
+            /// The host must support the instruction-set feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn $axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
+                super::axpy_loop(alpha, x, y)
+            }
+
+            /// [`super::scale`] compiled for the feature.
+            ///
+            /// # Safety
+            /// The host must support the instruction-set feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn $scale(alpha: f32, y: &mut [f32]) {
+                super::scale_loop(alpha, y)
+            }
+
+            /// [`super::gelu_slice`] compiled for the feature.
+            ///
+            /// # Safety
+            /// The host must support the instruction-set feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn $gelu(x: &[f32], out: &mut [f32]) {
+                super::gelu_loop(x, out)
+            }
+
+            /// [`super::gelu_train_slice`] compiled for the feature.
+            ///
+            /// # Safety
+            /// The host must support the instruction-set feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn $gelu_train(x: &[f32], out: &mut [f32], deriv: &mut [f32]) {
+                super::gelu_train_loop(x, out, deriv)
+            }
+        };
     }
 
-    /// [`super::gelu_slice`] compiled for AVX2: the `#[inline(always)]`
-    /// scalar port inlines here and LLVM vectorizes the loop, so each lane
-    /// runs the same IEEE operations as the scalar build.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gelu_avx2(x: &[f32], out: &mut [f32]) {
-        for (o, &v) in out.iter_mut().zip(x) {
-            *o = super::gelu(v);
-        }
-    }
-
-    /// [`super::gelu_backward_slice`] compiled for AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gelu_backward_avx2(grad: &[f32], x: &[f32], out: &mut [f32]) {
-        for ((o, &g), &v) in out.iter_mut().zip(grad).zip(x) {
-            *o = g * super::gelu_grad(v);
-        }
-    }
-
-    /// AVX2 `y *= alpha`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scale_avx2(alpha: f32, y: &mut [f32]) {
-        let n = y.len();
-        let a = _mm256_set1_ps(alpha);
-        let yp = y.as_mut_ptr();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            _mm256_storeu_ps(yp.add(i), _mm256_mul_ps(a, _mm256_loadu_ps(yp.add(i))));
-            i += 8;
-        }
-        while i < n {
-            *yp.add(i) *= alpha;
-            i += 1;
-        }
-    }
+    elementwise_impl!("avx512f", axpy_avx512, scale_avx512, gelu_avx512, gelu_train_avx512);
+    elementwise_impl!("avx2", axpy_avx2, scale_avx2, gelu_avx2, gelu_train_avx2);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every level this host can run, lowest first. Tests check each of
+    /// them whatever `SILOFUSE_SIMD` caps [`level`] at, so a capped run
+    /// still covers the wider kernels; a level the host lacks is skipped.
+    fn host_levels() -> Vec<SimdLevel> {
+        [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Avx512]
+            .into_iter()
+            .filter(|&l| l <= detect())
+            .collect()
+    }
 
     fn noise(n: usize, seed: u64) -> Vec<f32> {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1);
@@ -711,32 +886,34 @@ mod tests {
         out
     }
 
+    /// Every host level's kernel, in both lhs layouts, at every column
+    /// count from 1 to 40 (so every masked AVX-512 width from 1 to 15, after
+    /// zero, one and two full tiles), with 4-row tiles and 1-row tails and a
+    /// depth past one `KC` block.
     #[test]
     fn broadcast_gemm_matches_oracle_at_awkward_shapes() {
-        for &(m, depth, n) in &[
-            (1, 1, 1),
-            (2, 3, 2),
-            (3, 7, 5),
-            (4, 16, 16),
-            (5, 17, 9),
-            (7, 31, 33),
-            (8, 300, 19),
-            (13, 64, 40),
-        ] {
-            // Row-major lhs (gemm layout) and strided lhs (transpose_gemm
-            // layout, stride m) both go through the same kernel.
-            for &(lrs, lps, lhs_len) in &[(depth, 1usize, m * depth), (1usize, m, depth * m)] {
-                let lhs = noise(lhs_len, (m * depth * n) as u64);
-                let rhs = noise(depth * n, (m + depth + n) as u64);
-                let want = oracle(0..m, depth, n, &lhs, lrs, lps, &rhs);
-                let mut got = vec![f32::NAN; m * n];
-                broadcast_gemm(0..m, depth, n, &lhs, lrs, lps, &rhs, &mut got);
-                assert_eq!(
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{m}x{depth}x{n} lrs={lrs} lps={lps} level={:?}",
-                    level()
-                );
+        let mut shapes: Vec<(usize, usize, usize)> =
+            (1..=40).map(|n| (1 + n % 9, 1 + (n * 7) % 31, n)).collect();
+        shapes.extend([(8, 300, 19), (13, 64, 40), (16, 128, 13), (4, 16, 16)]);
+        for level in host_levels() {
+            for &(m, depth, n) in &shapes {
+                // Row-major lhs (gemm layout) and strided lhs (transpose_gemm
+                // layout, stride m) both go through the same kernel.
+                for &(lrs, lps, lhs_len) in &[(depth, 1usize, m * depth), (1usize, m, depth * m)] {
+                    let lhs = noise(lhs_len, (m * depth * n) as u64);
+                    let rhs = noise(depth * n, (m + depth + n) as u64);
+                    let want = oracle(0..m, depth, n, &lhs, lrs, lps, &rhs);
+                    let mut got = vec![f32::NAN; m * n];
+                    // SAFETY: `host_levels` lists only levels the host has.
+                    unsafe {
+                        broadcast_gemm_at(level, 0..m, depth, n, &lhs, lrs, lps, &rhs, &mut got)
+                    };
+                    assert_eq!(
+                        bits(&want),
+                        bits(&got),
+                        "{m}x{depth}x{n} lrs={lrs} lps={lps} level={level:?}"
+                    );
+                }
             }
         }
     }
@@ -767,23 +944,29 @@ mod tests {
 
     #[test]
     fn axpy_and_scale_match_scalar() {
-        let x = noise(1003, 6);
-        let y0 = noise(1003, 7);
-        let mut want = y0.clone();
-        for (yv, &xv) in want.iter_mut().zip(&x) {
-            *yv += 0.37 * xv;
-        }
-        let mut got = y0.clone();
-        axpy(0.37, &x, &mut got);
-        assert_eq!(want, got);
+        for level in host_levels() {
+            for len in [1, 7, 15, 16, 17, 31, 33, 1003] {
+                let x = noise(len, 6);
+                let y0 = noise(len, 7);
+                let mut want = y0.clone();
+                for (yv, &xv) in want.iter_mut().zip(&x) {
+                    *yv += 0.37 * xv;
+                }
+                let mut got = y0.clone();
+                // SAFETY: `host_levels` lists only levels the host has.
+                unsafe { axpy_at(level, 0.37, &x, &mut got) };
+                assert_eq!(bits(&want), bits(&got), "axpy len {len} level={level:?}");
 
-        let mut want_s = y0.clone();
-        for v in want_s.iter_mut() {
-            *v *= -1.25;
+                let mut want_s = y0.clone();
+                for v in want_s.iter_mut() {
+                    *v *= -1.25;
+                }
+                let mut got_s = y0;
+                // SAFETY: as above.
+                unsafe { scale_at(level, -1.25, &mut got_s) };
+                assert_eq!(bits(&want_s), bits(&got_s), "scale len {len} level={level:?}");
+            }
         }
-        let mut got_s = y0;
-        scale(-1.25, &mut got_s);
-        assert_eq!(want_s, got_s);
     }
 
     /// Inputs the fdlibm branches single out: ±0, subnormals, the
@@ -833,44 +1016,41 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The AVX2 build of the GELU kernels equals the scalar definition bit
-    /// for bit, forward and backward, on every 97th f32 bit pattern plus
-    /// the specials. Scalar vs AVX2 only: the host's libm plays no part.
+    /// Every host level's build of the GELU kernels equals the scalar
+    /// definitions bit for bit on every 97th f32 bit pattern plus the
+    /// specials: the inference kernel equals [`gelu`], and the fused
+    /// training kernel's output equals [`gelu`] and its derivative
+    /// [`gelu_grad`]. Builds against the scalar code only: the host's libm
+    /// plays no part.
     #[test]
     fn gelu_kernels_match_scalar_definition() {
-        let avx2 = cfg!(target_arch = "x86_64") && detect() == SimdLevel::Avx2;
+        let levels = host_levels();
         let mut checked = 0usize;
+        let (mut got, mut got_train, mut got_deriv) = (Vec::new(), Vec::new(), Vec::new());
         for_each_block(97, |x| {
             let want: Vec<f32> = x.iter().map(|&v| gelu(v)).collect();
-            // Upstream gradients of mixed sign and magnitude.
-            let grad: Vec<f32> = (0..x.len()).map(|i| (i % 13) as f32 * 0.75 - 4.0).collect();
-            let want_grad: Vec<f32> = grad.iter().zip(x).map(|(&g, &v)| g * gelu_grad(v)).collect();
-            let mut got = vec![0.0f32; x.len()];
-            let mut got_grad = vec![0.0f32; x.len()];
-            gelu_slice(x, &mut got);
-            gelu_backward_slice(&grad, x, &mut got_grad);
-            assert_eq!(bits(&want), bits(&got), "gelu_slice at level {:?}", level());
-            assert_eq!(bits(&want_grad), bits(&got_grad), "gelu_backward_slice");
-            #[cfg(target_arch = "x86_64")]
-            if avx2 {
-                // SAFETY: AVX2 detected above (independent of SILOFUSE_SIMD,
-                // so capped CI legs still check the AVX2 build).
+            let want_deriv: Vec<f32> = x.iter().map(|&v| gelu_grad(v)).collect();
+            for &level in &levels {
+                got.resize(x.len(), 0.0);
+                got_train.resize(x.len(), 0.0);
+                got_deriv.resize(x.len(), 0.0);
+                // SAFETY: `host_levels` lists only levels the host has.
                 unsafe {
-                    x86::gelu_avx2(x, &mut got);
-                    x86::gelu_backward_avx2(&grad, x, &mut got_grad);
+                    gelu_slice_at(level, x, &mut got);
+                    gelu_train_slice_at(level, x, &mut got_train, &mut got_deriv);
                 }
                 for i in 0..x.len() {
+                    let at = x[i].to_bits();
+                    assert_eq!(want[i].to_bits(), got[i].to_bits(), "gelu {level:?} at {at:#010x}");
                     assert_eq!(
                         want[i].to_bits(),
-                        got[i].to_bits(),
-                        "gelu avx2 vs scalar at {:#010x}",
-                        x[i].to_bits()
+                        got_train[i].to_bits(),
+                        "fused gelu {level:?} at {at:#010x}"
                     );
                     assert_eq!(
-                        want_grad[i].to_bits(),
-                        got_grad[i].to_bits(),
-                        "gelu_grad avx2 vs scalar at {:#010x}",
-                        x[i].to_bits()
+                        want_deriv[i].to_bits(),
+                        got_deriv[i].to_bits(),
+                        "fused gelu_grad {level:?} at {at:#010x}"
                     );
                 }
             }
@@ -930,6 +1110,10 @@ mod tests {
         }
     }
 
+    /// The port compiled for AVX2, as the GELU kernels compile it.
+    ///
+    /// # Safety
+    /// The host must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn tanh_avx2(x: &[f32], out: &mut [f32]) {
@@ -938,27 +1122,43 @@ mod tests {
         }
     }
 
-    /// Both builds of the port equal the host's `tanhf` on all 2^32 inputs.
-    /// This pins the host libm (the port follows glibc 2.36); run it with
-    /// `cargo test --release -p silofuse-nn --lib tanh_port_matches_host_libm
-    /// -- --ignored`.
+    /// The port compiled for AVX-512, as the GELU kernels compile it.
+    ///
+    /// # Safety
+    /// The host must support AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tanh_avx512(x: &[f32], out: &mut [f32]) {
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = tanh(v);
+        }
+    }
+
+    /// Every build of the port the host can run equals the host's `tanhf`
+    /// on all 2^32 inputs. This pins the host libm (the port follows glibc
+    /// 2.36); run it with `cargo test --release -p silofuse-nn --lib
+    /// tanh_port_matches_host_libm -- --ignored`.
     #[test]
     #[ignore = "exhaustive over 2^32 inputs; compares against the host libm"]
     fn tanh_port_matches_host_libm_on_every_input() {
-        let avx2 = cfg!(target_arch = "x86_64") && detect() == SimdLevel::Avx2;
+        let levels = host_levels();
         let mut mismatches = 0u64;
         let mut got = Vec::new();
         for_each_block(1, |x| {
-            got.resize(x.len(), 0.0);
             for &v in x {
                 if tanh(v).to_bits() != v.tanh().to_bits() {
                     mismatches += 1;
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            if avx2 {
-                // SAFETY: AVX2 detected above.
-                unsafe { tanh_avx2(x, &mut got) };
+            for &level in &levels {
+                got.resize(x.len(), 0.0);
+                // SAFETY: `host_levels` lists only levels the host has.
+                match level {
+                    SimdLevel::Avx2 => unsafe { tanh_avx2(x, &mut got) },
+                    SimdLevel::Avx512 => unsafe { tanh_avx512(x, &mut got) },
+                    SimdLevel::Scalar | SimdLevel::Sse2 => continue,
+                }
                 for (g, &v) in got.iter().zip(x) {
                     if g.to_bits() != v.tanh().to_bits() {
                         mismatches += 1;
@@ -979,11 +1179,11 @@ mod tests {
         rhs[3] = f32::NEG_INFINITY;
         rhs[depth * n / 2] = f32::NAN;
         let want = oracle(0..m, depth, n, &lhs, depth, 1, &rhs);
-        let mut got = vec![0.0f32; m * n];
-        broadcast_gemm(0..m, depth, n, &lhs, depth, 1, &rhs, &mut got);
-        assert_eq!(
-            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        for level in host_levels() {
+            let mut got = vec![0.0f32; m * n];
+            // SAFETY: `host_levels` lists only levels the host has.
+            unsafe { broadcast_gemm_at(level, 0..m, depth, n, &lhs, depth, 1, &rhs, &mut got) };
+            assert_eq!(bits(&want), bits(&got), "level={level:?}");
+        }
     }
 }

@@ -324,13 +324,26 @@ impl Tensor {
         out
     }
 
-    /// GELU backward for the upstream gradient `self` at layer input `x`:
-    /// `self[i] · gelu'(x[i])` into a new tensor.
-    pub fn gelu_backward(&self, x: &Tensor) -> Tensor {
-        assert_eq!(self.shape(), x.shape(), "gelu_backward shape mismatch");
+    /// GELU for training: returns `gelu(self)` and overwrites `deriv` with
+    /// `gelu'(self)`, from one `tanh` per element, through the backend's
+    /// [`backend::Backend::gelu_train`] kernel (counted as `gelu`).
+    pub fn gelu_train(&self, deriv: &mut Tensor) -> Tensor {
+        assert_eq!(self.shape(), deriv.shape(), "gelu_train shape mismatch");
+        let mut out = workspace::take(self.rows, self.cols);
+        backend::timed(backend::GELU_COUNTERS, || {
+            backend::get().gelu_train(&self.data, out.as_mut_slice(), &mut deriv.data);
+        });
+        out
+    }
+
+    /// GELU backward for the upstream gradient `self`: `self[i] · deriv[i]`
+    /// into a new tensor, with `deriv` the derivative
+    /// [`Tensor::gelu_train`] wrote.
+    pub fn gelu_backward(&self, deriv: &Tensor) -> Tensor {
+        assert_eq!(self.shape(), deriv.shape(), "gelu_backward shape mismatch");
         let mut out = workspace::take(self.rows, self.cols);
         backend::timed(backend::GELU_GRAD_COUNTERS, || {
-            backend::get().gelu_backward(&self.data, &x.data, out.as_mut_slice());
+            backend::get().gelu_backward(&self.data, &deriv.data, out.as_mut_slice());
         });
         out
     }

@@ -58,7 +58,7 @@ fn take_storage(len: usize) -> Option<Vec<f32>> {
         let mut best: Option<(usize, usize)> = None;
         for (i, buf) in pool.free.iter().enumerate() {
             let cap = buf.capacity();
-            if cap >= len && best.map_or(true, |(_, c)| cap < c) {
+            if cap >= len && best.is_none_or(|(_, c)| cap < c) {
                 best = Some((i, cap));
             }
         }
@@ -118,17 +118,20 @@ pub fn recycle_vec(buf: Vec<f32>) {
 /// This is how layers keep their `cached_input` across steps without a
 /// fresh clone per forward pass.
 pub fn cache_assign(slot: &mut Option<Tensor>, src: &Tensor) {
-    match slot {
-        Some(t) if t.shape() == src.shape() => {
-            t.as_mut_slice().copy_from_slice(src.as_slice());
+    cache_slot(slot, src.rows(), src.cols()).as_mut_slice().copy_from_slice(src.as_slice());
+}
+
+/// The `rows×cols` tensor in a cache slot, for the caller to overwrite:
+/// the slot's allocation when the shape matches, else a pooled one (the
+/// old one recycled). **Contents are unspecified.**
+pub fn cache_slot(slot: &mut Option<Tensor>, rows: usize, cols: usize) -> &mut Tensor {
+    if slot.as_ref().is_none_or(|t| t.shape() != (rows, cols)) {
+        if let Some(old) = slot.take() {
+            recycle(old);
         }
-        _ => {
-            if let Some(old) = slot.take() {
-                recycle(old);
-            }
-            *slot = Some(take_copy(src));
-        }
+        *slot = Some(take(rows, cols));
     }
+    slot.as_mut().expect("the slot was filled above")
 }
 
 /// Pool takes served from a recycled buffer (this thread).

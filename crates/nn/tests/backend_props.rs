@@ -135,10 +135,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The GELU forward and backward kernels are bit-identical between
-    /// Reference and Parallel at every thread count. Lengths leave a SIMD
-    /// tail of 1..=7 lanes and reach past the element-wise fan-out
-    /// threshold; NaN, ±Inf, -0 and the |x| ≥ 22 branch ride along.
+    /// The GELU kernels (inference, the fused training forward and the
+    /// backward over its cached derivative) are bit-identical between
+    /// Reference, which evaluates `gelu` and `gelu_grad` separately, and
+    /// Parallel at every thread count. Lengths leave a SIMD tail of 1..=7
+    /// lanes and reach past the GELU fan-out threshold; NaN, ±Inf, -0 and
+    /// the |x| ≥ 22 branch ride along.
     #[test]
     fn gelu_kernels_bit_identical(seed in 0u64..1000, blocks in 0usize..12_000, tail in 1usize..8) {
         let len = blocks * 8 + tail;
@@ -152,15 +154,22 @@ proptest! {
         }
         let mut want = vec![0.0f32; len];
         Reference.gelu(&x, &mut want);
+        let (mut want_train, mut want_deriv) = (vec![0.0f32; len], vec![0.0f32; len]);
+        Reference.gelu_train(&x, &mut want_train, &mut want_deriv);
+        prop_assert!(bits_eq(&want, &want_train), "Reference gelu_train output is not gelu");
         let mut want_grad = vec![0.0f32; len];
-        Reference.gelu_backward(&grad, &x, &mut want_grad);
+        Reference.gelu_backward(&grad, &want_deriv, &mut want_grad);
         for t in THREADS {
             let par = Parallel::new(t);
             let mut got = vec![0.0f32; len];
             par.gelu(&x, &mut got);
             prop_assert!(bits_eq(&want, &got), "gelu len {len} diverged at {t} threads");
+            let (mut got_train, mut got_deriv) = (vec![0.0f32; len], vec![0.0f32; len]);
+            par.gelu_train(&x, &mut got_train, &mut got_deriv);
+            prop_assert!(bits_eq(&want, &got_train), "fused gelu len {len} diverged at {t} threads");
+            prop_assert!(bits_eq(&want_deriv, &got_deriv), "fused gelu' len {len} diverged at {t} threads");
             let mut got_grad = vec![0.0f32; len];
-            par.gelu_backward(&grad, &x, &mut got_grad);
+            par.gelu_backward(&grad, &got_deriv, &mut got_grad);
             prop_assert!(bits_eq(&want_grad, &got_grad), "gelu_backward len {len} diverged at {t} threads");
         }
     }

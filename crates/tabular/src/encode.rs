@@ -387,7 +387,7 @@ impl TableEncoder {
     /// width (propagated as [`TableError::RaggedColumns`]).
     pub fn decode(&self, data: &[f32]) -> Result<Table, TableError> {
         let width = self.encoded_width();
-        if width == 0 || data.len() % width != 0 {
+        if width == 0 || !data.len().is_multiple_of(width) {
             return Err(TableError::RaggedColumns);
         }
         let rows = data.len() / width;

@@ -270,7 +270,7 @@ pub fn cover() -> DatasetProfile {
 /// Intrusion: 22 544 rows, 22 cat / 20 num, one-hot 42 → 268.
 pub fn intrusion() -> DatasetProfile {
     let mut cards = vec![3u32, 66, 11, 6];
-    cards.extend(std::iter::repeat(2).take(11));
+    cards.extend(std::iter::repeat_n(2, 11));
     cards.extend([3, 3, 4, 5, 23, 100]);
     DatasetProfile {
         name: "Intrusion",

@@ -77,7 +77,7 @@ fn quantile_edges(values: &[f64], max_bins: usize) -> Vec<f64> {
         let idx = (k * n) / max_bins;
         let e = sorted[idx.min(n - 1)];
         // An edge is useful only if some value falls strictly below it.
-        if e > sorted[0] && edges.last().map_or(true, |&last| e > last) {
+        if e > sorted[0] && edges.last().is_none_or(|&last| e > last) {
             edges.push(e);
         }
     }

@@ -89,7 +89,7 @@ impl Tree {
                 }
                 let gain =
                     gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda) - parent_score;
-                if gain > params.gamma && best.map_or(true, |(_, _, g)| gain > g) {
+                if gain > params.gamma && best.is_none_or(|(_, _, g)| gain > g) {
                     best = Some((j, b, gain));
                 }
             }
