@@ -140,6 +140,13 @@ fn main() {
     // features × hidden), to show the row-partitioning still pays off when
     // rows are plentiful and columns are not.
     cases.push(Case { kernel: "gemm", m: 4096, k: 64, n: 64 });
+    // Churn's silo-0 decoder head, 2 946 outputs wide: on a 192-row
+    // training batch its forward, input gradient and weight gradient, and
+    // its forward on a 1 024-row decode chunk.
+    cases.push(Case { kernel: "gemm", m: 192, k: 128, n: 2946 });
+    cases.push(Case { kernel: "gemm_transpose", m: 192, k: 2946, n: 128 });
+    cases.push(Case { kernel: "transpose_gemm", m: 128, k: 192, n: 2946 });
+    cases.push(Case { kernel: "gemm", m: 1024, k: 128, n: 2946 });
 
     let mut json = String::from("{\n  \"bench\": \"kernels\",\n");
     let _ = writeln!(json, "  \"seed\": {},", opts.seed);

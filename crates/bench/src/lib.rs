@@ -158,12 +158,17 @@ fn usage(reads: &[&str]) -> String {
 ///
 /// On a malformed argument, or a flag the bin does not read, this prints
 /// the error and the usage line and exits with status 2, before any work
-/// runs.
+/// runs. So does a malformed `SILOFUSE_THREADS` or `SILOFUSE_SIMD` (see
+/// [`silofuse_nn::backend::check_env`]), with the values it accepts.
 pub fn parse_cli(reads: &[&str]) -> CliOptions {
     let opts = parse_args(std::env::args().skip(1), reads).unwrap_or_else(|e| {
         note!("error: {e}\n{}", usage(reads));
         std::process::exit(2)
     });
+    if let Err(e) = silofuse_nn::backend::check_env() {
+        note!("error: {e}");
+        std::process::exit(2)
+    }
     if let Some(n) = opts.threads {
         silofuse_nn::backend::set_threads(n);
     }

@@ -44,6 +44,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Err(e) = silofuse_nn::backend::check_env() {
+        note!("error: {e}");
+        return ExitCode::from(2);
+    }
     match flags.get("threads").map(|v| v.parse::<usize>()) {
         None => {}
         Some(Ok(n)) if n > 0 => silofuse_nn::backend::set_threads(n),
@@ -190,7 +194,8 @@ USAGE:
   threads (default: SILOFUSE_THREADS, else one per available core; 1 =
   serial SIMD kernels). Outputs are bit-identical at every thread count,
   so --threads is purely a speed knob. SILOFUSE_SIMD
-  (auto|avx2|sse2|scalar) caps the SIMD level the same way.
+  (auto|avx512|avx2|sse2|scalar) caps the SIMD level the same way. Any
+  other value of either variable is an error (exit code 2).
 
   Any command also accepts --help (or -h): print this text. Any other
   flag a command does not read is an error (exit code 2).

@@ -12,7 +12,7 @@ use silofuse_checkpoint::{CheckpointError, Checkpointer};
 use silofuse_diffusion::{TrainLoop, TrainState};
 use silofuse_nn::init::Init;
 use silofuse_nn::layers::{Activation, ActivationKind, EmbeddingGather, Layer, Linear, Sequential};
-use silofuse_nn::loss::{gaussian_nll, grouped_softmax_cross_entropy};
+use silofuse_nn::loss::{gaussian_nll_at, grouped_softmax_cross_entropy_at};
 use silofuse_nn::optim::Adam;
 use silofuse_nn::serialize::StateDictError;
 use silofuse_nn::{workspace, Tensor};
@@ -183,42 +183,26 @@ impl TabularAutoencoder {
         BatchTargets { numeric, categorical: self.table_encoder.categorical_targets(table) }
     }
 
-    /// Splits head outputs into `(μ, log σ², cat_logits)`.
-    fn split_heads(&self, heads: &Tensor) -> (Tensor, Tensor, Tensor) {
-        let n = self.heads.n_numeric;
-        let cat_w: usize = self.heads.cat_widths.iter().sum();
-        let parts = heads.split_cols(&[n, n, cat_w]);
-        let mut it = parts.into_iter();
-        (it.next().unwrap(), it.next().unwrap(), it.next().unwrap())
-    }
-
     /// NLL loss (Eq. 4) and its gradient with respect to the head outputs.
+    /// Both losses read their columns of `heads` in place (`μ`, then
+    /// `log σ²`, then the logit groups) and write the same columns of one
+    /// gradient tensor, which together they cover.
     fn loss_and_head_grad(&self, heads: &Tensor, targets: &BatchTargets) -> (f32, Tensor) {
-        let (mu, log_var, logits) = self.split_heads(heads);
+        let n = self.heads.n_numeric;
+        let mut grad = workspace::take(heads.rows(), heads.cols());
         let mut loss = 0.0f32;
-        let mut grads: Vec<Tensor> = Vec::with_capacity(3);
-        if self.heads.n_numeric > 0 {
-            let (l, g_mu, g_lv) = gaussian_nll(&mu, &log_var, &targets.numeric);
-            loss += l;
-            grads.push(g_mu);
-            grads.push(g_lv);
-        } else {
-            grads.push(Tensor::zeros(heads.rows(), 0));
-            grads.push(Tensor::zeros(heads.rows(), 0));
+        if n > 0 {
+            loss += gaussian_nll_at(heads, 0, &targets.numeric, &mut grad);
         }
         if !self.heads.cat_widths.is_empty() {
-            let (l, g) = grouped_softmax_cross_entropy(
-                &logits,
+            loss += grouped_softmax_cross_entropy_at(
+                heads,
+                2 * n,
                 &self.heads.cat_widths,
                 targets.categorical.as_slice(),
+                &mut grad,
             );
-            loss += l;
-            grads.push(g);
-        } else {
-            grads.push(Tensor::zeros(heads.rows(), 0));
         }
-        let grad = Tensor::concat_cols(&grads.iter().collect::<Vec<_>>());
-        grads.into_iter().for_each(workspace::recycle);
         (loss, grad)
     }
 
@@ -323,9 +307,10 @@ impl TabularAutoencoder {
     }
 
     fn heads_to_table(&self, heads: &Tensor) -> Table {
-        let (mu, _lv, logits) = self.split_heads(heads);
-        // Re-pack into the TableEncoder layout: numeric slot = μ, categorical
-        // block = logits (argmax during decode).
+        // Re-pack into the TableEncoder layout: numeric slot = μ (head
+        // columns from 0), categorical block = logits (head columns from
+        // 2·n_numeric; argmax during decode).
+        let logits_at = 2 * self.heads.n_numeric;
         let rows = heads.rows();
         let width = self.table_encoder.encoded_width();
         let mut data = vec![0.0f32; rows * width];
@@ -333,25 +318,23 @@ impl TabularAutoencoder {
             let mut slot = 0;
             let mut num_idx = 0;
             let mut cat_slot = 0;
-            let mut cat_idx = 0;
             for meta in self.table_encoder.schema().columns() {
                 match meta.kind {
                     ColumnKind::Numeric => {
-                        data[r * width + slot] = mu.row(r)[num_idx];
+                        data[r * width + slot] = heads.row(r)[num_idx];
                         num_idx += 1;
                         slot += 1;
                     }
                     ColumnKind::Categorical { cardinality } => {
                         let k = cardinality as usize;
+                        let at = logits_at + cat_slot;
                         data[r * width + slot..r * width + slot + k]
-                            .copy_from_slice(&logits.row(r)[cat_slot..cat_slot + k]);
+                            .copy_from_slice(&heads.row(r)[at..at + k]);
                         cat_slot += k;
-                        cat_idx += 1;
                         slot += k;
                     }
                 }
             }
-            let _ = cat_idx;
         }
         self.table_encoder.decode(&data).expect("head layout matches encoder layout")
     }

@@ -2,8 +2,8 @@
 //!
 //! Every dense operation in this crate — the three GEMM variants, axpy,
 //! element-wise map/zip, GELU (inference, training forward and backward),
-//! row reductions, and softmax — dispatches through a [`Backend`]. Two
-//! implementations ship:
+//! row reductions, softmax, the two decoder losses and the Adam update —
+//! dispatches through a [`Backend`]. Two implementations ship:
 //!
 //! - [`Reference`]: the original single-threaded scalar loops, kept as the
 //!   correctness oracle.
@@ -37,6 +37,7 @@
 //! kernels. Since no worker count changes a result, it may change at any
 //! time, even while a model trains.
 
+use crate::simd::AdamStep;
 use crate::sparse::{SparseField, SparseSpec};
 use crate::{pool, simd, workspace};
 use std::fmt;
@@ -104,6 +105,48 @@ pub trait Backend: Send + Sync + fmt::Debug {
 
     /// Row-wise numerically-stabilised softmax, in place.
     fn softmax_rows(&self, rows: usize, cols: usize, x: &mut [f32]);
+
+    /// Grouped softmax cross entropy over the logit blocks that start at
+    /// column `offset` of the `rows × ld` matrix `logits`: `groups` gives
+    /// each block's width and `targets[g·rows + r]` the class of block `g`
+    /// in row `r`. Writes the gradient of the mean loss into the same
+    /// columns of `grad` (`rows × ld`, other columns untouched) and returns
+    /// the mean of the `rows·groups.len()` terms, summed row by row and
+    /// block by block.
+    #[allow(clippy::too_many_arguments)]
+    fn cross_entropy(
+        &self,
+        rows: usize,
+        ld: usize,
+        offset: usize,
+        logits: &[f32],
+        groups: &[usize],
+        targets: &[u32],
+        grad: &mut [f32],
+    ) -> f32;
+
+    /// Gaussian negative log-likelihood of the `rows × n` matrix `target`
+    /// under the heads in the `rows × ld` matrix `heads`: `μ` in columns
+    /// `offset..offset + n`, `log σ²` in the `n` after them (see
+    /// [`crate::loss::gaussian_nll`]). Writes the gradient of the mean loss
+    /// into the same columns of `grad` (`rows × ld`, other columns
+    /// untouched) and returns the mean of the `rows·n` terms, summed in
+    /// row-major order.
+    #[allow(clippy::too_many_arguments)]
+    fn gaussian_nll(
+        &self,
+        rows: usize,
+        n: usize,
+        ld: usize,
+        offset: usize,
+        heads: &[f32],
+        target: &[f32],
+        grad: &mut [f32],
+    ) -> f32;
+
+    /// One Adam update of a parameter slice from its gradient, moving the
+    /// moments `m` and `v` (see [`AdamStep::apply`]).
+    fn adam(&self, step: AdamStep, value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32]);
 
     /// Sparse one-hot forward: `out = X·W` where `X` is the densified
     /// `rows × in_width` batch described by `spec` + (`numeric`,
@@ -381,6 +424,97 @@ fn softmax_row(row: &mut [f32]) {
     }
 }
 
+/// Grouped softmax cross entropy for the rows `rows` of `logits` (see
+/// [`Backend::cross_entropy`]; `total_rows` rows in all). Writes the
+/// gradient of those rows into `grad`, which starts at row `rows.start`,
+/// and hands each row's per-block loss terms to `term` in row-major
+/// order.
+#[allow(clippy::too_many_arguments)]
+fn cross_entropy_rows(
+    rows: Range<usize>,
+    total_rows: usize,
+    ld: usize,
+    offset: usize,
+    logits: &[f32],
+    groups: &[usize],
+    targets: &[u32],
+    grad: &mut [f32],
+    mut term: impl FnMut(f32),
+) {
+    let denom = (total_rows * groups.len().max(1)) as f32;
+    for (local, r) in rows.enumerate() {
+        let row = &logits[r * ld + offset..];
+        let g_row = &mut grad[local * ld + offset..];
+        let mut start = 0;
+        for (g, &width) in groups.iter().enumerate() {
+            let block = &row[start..start + width];
+            let target = targets[g * total_rows + r] as usize;
+            debug_assert!(target < width, "target class out of range");
+            let max = block.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            // Each exp is evaluated once: kept in the gradient row, then
+            // divided by the sum there.
+            let g_block = &mut g_row[start..start + width];
+            let mut sum = 0.0f32;
+            for (e, &v) in g_block.iter_mut().zip(block) {
+                *e = (v - max).exp();
+                sum += *e;
+            }
+            let log_sum = sum.ln() + max;
+            term(log_sum - block[target]);
+            for (k, e) in g_block.iter_mut().enumerate() {
+                let p = *e / sum;
+                *e = (p - if k == target { 1.0 } else { 0.0 }) / denom;
+            }
+            start += width;
+        }
+    }
+}
+
+/// Gaussian NLL for the rows `rows` of `heads` (see
+/// [`Backend::gaussian_nll`]; `total_rows` rows in all). Writes the
+/// gradient of those rows into `grad`, which starts at row `rows.start`,
+/// and hands each element's loss term to `term` in row-major order.
+#[allow(clippy::too_many_arguments)]
+fn gaussian_nll_rows(
+    rows: Range<usize>,
+    total_rows: usize,
+    n: usize,
+    ld: usize,
+    offset: usize,
+    heads: &[f32],
+    target: &[f32],
+    grad: &mut [f32],
+    mut term: impl FnMut(f32),
+) {
+    const C: f32 = crate::loss::GAUSSIAN_NLL_LOG_VAR_CLAMP;
+    let count = (total_rows * n) as f32;
+    for (local, r) in rows.enumerate() {
+        let mu = &heads[r * ld + offset..r * ld + offset + n];
+        let log_var = &heads[r * ld + offset + n..r * ld + offset + 2 * n];
+        let (g_mu, g_lv) = grad[local * ld + offset..local * ld + offset + 2 * n].split_at_mut(n);
+        for c in 0..n {
+            let m = mu[c];
+            let lv_raw = log_var[c];
+            let lv = lv_raw.clamp(-C, C);
+            let x = target[r * n + c];
+            let inv_var = (-lv).exp();
+            let d = x - m;
+            term(0.5 * (lv + d * d * inv_var));
+            g_mu[c] = -(d * inv_var) / count;
+            // d(clamp)/d(lv_raw) is 0 in the saturated zone: the clamped
+            // loss is locally constant in log_var there.
+            g_lv[c] = if lv_raw.abs() > C { 0.0 } else { 0.5 * (1.0 - d * d * inv_var) / count };
+        }
+    }
+}
+
+/// A loss-term sink for the row kernels that writes each term to the next
+/// slot of `terms`.
+fn fill(terms: &mut [f32]) -> impl FnMut(f32) + '_ {
+    let mut slots = terms.iter_mut();
+    move |t| *slots.next().expect("one slot per loss term") = t
+}
+
 // ---------------------------------------------------------------------------
 // Reference backend: the oracle.
 // ---------------------------------------------------------------------------
@@ -468,6 +602,42 @@ impl Backend for Reference {
             softmax_row(&mut x[r * cols..(r + 1) * cols]);
         }
     }
+
+    fn cross_entropy(
+        &self,
+        rows: usize,
+        ld: usize,
+        offset: usize,
+        logits: &[f32],
+        groups: &[usize],
+        targets: &[u32],
+        grad: &mut [f32],
+    ) -> f32 {
+        let mut loss = 0.0f32;
+        cross_entropy_rows(0..rows, rows, ld, offset, logits, groups, targets, grad, |t| loss += t);
+        loss / (rows * groups.len().max(1)) as f32
+    }
+
+    fn gaussian_nll(
+        &self,
+        rows: usize,
+        n: usize,
+        ld: usize,
+        offset: usize,
+        heads: &[f32],
+        target: &[f32],
+        grad: &mut [f32],
+    ) -> f32 {
+        let mut loss = 0.0f32;
+        gaussian_nll_rows(0..rows, rows, n, ld, offset, heads, target, grad, |t| loss += t);
+        loss / (rows * n) as f32
+    }
+
+    fn adam(&self, step: AdamStep, value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32]) {
+        for (((p, &g), m), v) in value.iter_mut().zip(grad).zip(m.iter_mut()).zip(v.iter_mut()) {
+            *p -= step.apply(g, m, v);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -493,6 +663,15 @@ const PAR_ELEM_MIN: usize = 1 << 16;
 /// backward, one multiply per element) fan out: 0.78× at 2¹⁶ elements,
 /// 0.98× at 2¹⁷, 1.16× at 2¹⁸.
 const PAR_STREAM_MIN: usize = 1 << 18;
+/// Minimum logit (or Gaussian head) count before a loss fans out over row
+/// blocks: each costs a libm `exp`, so 2¹³ logits ran at 1.4–1.8× on two
+/// workers (on a 2-vCPU AVX-512 host) and 3 072 Gaussian heads at
+/// 1.05–1.2×.
+const PAR_LOSS_MIN: usize = 1 << 13;
+/// Minimum parameter count before an Adam update fans out: three divisions
+/// and a square root per element bound it, so 2¹⁵ parameters ran at
+/// 1.35–1.4× on two workers (same host), 2¹⁴ at 1.0×.
+const PAR_ADAM_MIN: usize = 1 << 15;
 
 /// Register-blocked SIMD kernels over the process-wide worker pool.
 ///
@@ -570,6 +749,46 @@ impl Parallel {
             },
             |(rows, chunk)| kernel(rows, chunk),
         );
+    }
+
+    /// [`Parallel::run_split`] for a loss over `rows` rows of `ld` floats
+    /// with `per_row` loss terms each. `kernel` gets per-block
+    /// `(row_range, grad_chunk, terms_chunk)` jobs and writes the block's
+    /// terms in row-major order (see [`fill`]) into a workspace buffer;
+    /// the caller then sums them in that order, the order [`Reference`]
+    /// sums in.
+    fn run_loss(
+        &self,
+        fan_out: bool,
+        rows: usize,
+        ld: usize,
+        per_row: usize,
+        grad: &mut [f32],
+        kernel: impl Fn(Range<usize>, &mut [f32], &mut [f32]) + Sync,
+    ) -> f32 {
+        let mut terms = workspace::take_vec(rows * per_row);
+        self.run_split(
+            fan_out && per_row > 0,
+            rows,
+            (0..rows, &mut grad[..rows * ld], &mut terms[..]),
+            |(_, grad, terms), block| {
+                grad.chunks_mut(block * ld)
+                    .zip(terms.chunks_mut(block * per_row))
+                    .enumerate()
+                    .map(|(b, (grad, terms))| {
+                        let start = b * block;
+                        (start..(start + block).min(rows), grad, terms)
+                    })
+                    .collect()
+            },
+            |(rows, grad, terms)| kernel(rows, grad, terms),
+        );
+        let mut sum = 0.0f32;
+        for &t in &terms {
+            sum += t;
+        }
+        workspace::recycle_vec(terms);
+        sum
     }
 
     /// [`Parallel::run_split`] for element-wise ops over one mutable slice;
@@ -736,6 +955,57 @@ impl Backend for Parallel {
         });
     }
 
+    fn cross_entropy(
+        &self,
+        rows: usize,
+        ld: usize,
+        offset: usize,
+        logits: &[f32],
+        groups: &[usize],
+        targets: &[u32],
+        grad: &mut [f32],
+    ) -> f32 {
+        let fan_out = rows * groups.iter().sum::<usize>() >= PAR_LOSS_MIN;
+        let sum = self.run_loss(fan_out, rows, ld, groups.len(), grad, |block, grad, terms| {
+            cross_entropy_rows(block, rows, ld, offset, logits, groups, targets, grad, fill(terms))
+        });
+        sum / (rows * groups.len().max(1)) as f32
+    }
+
+    fn gaussian_nll(
+        &self,
+        rows: usize,
+        n: usize,
+        ld: usize,
+        offset: usize,
+        heads: &[f32],
+        target: &[f32],
+        grad: &mut [f32],
+    ) -> f32 {
+        let sum =
+            self.run_loss(rows * n >= PAR_LOSS_MIN, rows, ld, n, grad, |block, grad, terms| {
+                gaussian_nll_rows(block, rows, n, ld, offset, heads, target, grad, fill(terms))
+            });
+        sum / (rows * n) as f32
+    }
+
+    fn adam(&self, step: AdamStep, value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32]) {
+        self.run_split(
+            value.len() >= PAR_ADAM_MIN,
+            value.len(),
+            (value, grad, m, v),
+            |(value, grad, m, v), block| {
+                value
+                    .chunks_mut(block)
+                    .zip(grad.chunks(block))
+                    .zip(m.chunks_mut(block).zip(v.chunks_mut(block)))
+                    .map(|((value, grad), (m, v))| (value, grad, m, v))
+                    .collect()
+            },
+            |(value, grad, m, v)| simd::adam_slice(step, value, grad, m, v),
+        );
+    }
+
     fn elementwise_parallelism(&self, elems: usize) -> usize {
         if elems >= PAR_ELEM_MIN && !pool::inside() {
             self.threads
@@ -750,19 +1020,53 @@ impl Backend for Parallel {
 // ---------------------------------------------------------------------------
 
 /// The configured worker count; 0 until [`set_threads`] sets it or the
-/// first [`threads`] call reads it from `SILOFUSE_THREADS`. It publishes no
-/// other data, so `Relaxed`.
+/// first [`threads`] call reads it from `SILOFUSE_THREADS` (see
+/// [`parse_threads`]). It publishes no other data, so `Relaxed`.
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Worker count implied by `SILOFUSE_THREADS`: unset or invalid → one
-/// worker per available core (1 when that cannot be read), ≤1 → one
-/// worker (serial SIMD kernels).
-fn threads_from_env() -> usize {
-    std::env::var("SILOFUSE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
+/// The worker count a `SILOFUSE_THREADS` value asks for: `None` (one
+/// worker per available core) when it is empty, else the whole number it
+/// holds, where 0 and 1 both mean one worker (serial SIMD kernels).
+///
+/// # Errors
+/// A message naming the accepted values when the value is not a whole
+/// number, so a mistyped count is never run as the default.
+fn parse_threads(value: &str) -> Result<Option<usize>, String> {
+    if value.is_empty() {
+        return Ok(None);
+    }
+    value.parse::<usize>().map(Some).map_err(|_| {
+        format!(
+            "SILOFUSE_THREADS={value:?} is not a worker count; \
+             use a whole number such as 1 or 4, or leave it unset for one per core"
+        )
+    })
+}
+
+/// The worker count `SILOFUSE_THREADS` asks for (see [`parse_threads`]).
+///
+/// # Errors
+/// [`parse_threads`]'s message for a value that is not a whole number.
+fn threads_from_env() -> Result<usize, String> {
+    let value = std::env::var_os("SILOFUSE_THREADS").unwrap_or_default();
+    Ok(parse_threads(&value.to_string_lossy())?
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .max(1)
+        .max(1))
+}
+
+/// Checks the two environment variables the kernels read:
+/// `SILOFUSE_THREADS` must be empty or a whole number, and `SILOFUSE_SIMD`
+/// empty or one of `scalar`, `sse2`, `avx2`, `avx512` and `auto` (see
+/// [`simd::level`]). The CLI and the bench bins call this before any work
+/// and exit with a usage error on `Err`; a kernel that meets a bad value
+/// first panics with the same message.
+///
+/// # Errors
+/// A message naming the variable, its value and the accepted values.
+pub fn check_env() -> Result<(), String> {
+    threads_from_env()?;
+    simd::cap_from_env()?;
+    Ok(())
 }
 
 /// The backend every `Tensor` kernel dispatches through: a [`Parallel`]
@@ -779,10 +1083,14 @@ pub fn set_threads(n: usize) {
 }
 
 /// The configured worker count.
+///
+/// # Panics
+/// Panics with [`check_env`]'s message when [`set_threads`] has not set a
+/// count and `SILOFUSE_THREADS` is not empty or a whole number.
 pub fn threads() -> usize {
     match THREADS.load(Ordering::Relaxed) {
         0 => {
-            let n = threads_from_env();
+            let n = threads_from_env().unwrap_or_else(|e| panic!("{e}"));
             // A `set_threads` racing this first read wins over the env.
             match THREADS.compare_exchange(0, n, Ordering::Relaxed, Ordering::Relaxed) {
                 Ok(_) => n,
@@ -889,6 +1197,15 @@ pub const SUM_ROWS_COUNTERS: KernelCounters =
 /// Counters for [`Backend::softmax_rows`].
 pub const SOFTMAX_COUNTERS: KernelCounters =
     KernelCounters { calls: "nn.kernel.softmax.calls", nanos: "nn.kernel.softmax.ns" };
+/// Counters for [`Backend::cross_entropy`].
+pub const CROSS_ENTROPY_COUNTERS: KernelCounters =
+    KernelCounters { calls: "nn.kernel.cross_entropy.calls", nanos: "nn.kernel.cross_entropy.ns" };
+/// Counters for [`Backend::gaussian_nll`].
+pub const GAUSSIAN_NLL_COUNTERS: KernelCounters =
+    KernelCounters { calls: "nn.kernel.gaussian_nll.calls", nanos: "nn.kernel.gaussian_nll.ns" };
+/// Counters for [`Backend::adam`].
+pub const ADAM_COUNTERS: KernelCounters =
+    KernelCounters { calls: "nn.kernel.adam.calls", nanos: "nn.kernel.adam.ns" };
 
 /// The kernel counter name pairs emitted by this crate.
 pub const KERNEL_COUNTERS: &[KernelCounters] = &[
@@ -904,6 +1221,9 @@ pub const KERNEL_COUNTERS: &[KernelCounters] = &[
     GELU_GRAD_COUNTERS,
     SUM_ROWS_COUNTERS,
     SOFTMAX_COUNTERS,
+    CROSS_ENTROPY_COUNTERS,
+    GAUSSIAN_NLL_COUNTERS,
+    ADAM_COUNTERS,
 ];
 
 /// Runs `f`, charging its wall-clock time to the kernel's telemetry
@@ -1032,6 +1352,17 @@ mod tests {
         let mut got_s = x;
         Parallel::new(3).softmax_rows(rows, cols, &mut got_s);
         assert_eq!(want_s, got_s);
+    }
+
+    #[test]
+    fn thread_count_spellings() {
+        assert_eq!(parse_threads(""), Ok(None));
+        assert_eq!(parse_threads("0"), Ok(Some(0)));
+        assert_eq!(parse_threads("4"), Ok(Some(4)));
+        for value in ["four", "-1", "2.5", " 4", "4 "] {
+            let err = parse_threads(value).expect_err(value);
+            assert!(err.contains("SILOFUSE_THREADS") && err.contains("whole number"), "{err}");
+        }
     }
 
     #[test]

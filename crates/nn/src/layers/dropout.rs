@@ -3,7 +3,7 @@
 use super::{Layer, Param};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Inverted dropout: zeroes each element with probability `p` during
 /// training and scales the survivors by `1/(1-p)`; identity at inference.
@@ -13,6 +13,9 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct Dropout {
     p: f32,
+    /// The integer form of the keep test `rng.gen::<f32>() < 1 − p`
+    /// (see [`rand::f32_below_threshold`]).
+    threshold: u64,
     rng: StdRng,
     mask: Option<Tensor>,
 }
@@ -24,7 +27,12 @@ impl Dropout {
     /// Panics if `p` is not in `[0, 1)`.
     pub fn new(p: f32, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&p), "dropout probability must be in [0,1)");
-        Self { p, rng: StdRng::seed_from_u64(seed), mask: None }
+        Self {
+            p,
+            threshold: rand::f32_below_threshold(1.0 - p),
+            rng: StdRng::seed_from_u64(seed),
+            mask: None,
+        }
     }
 
     /// The drop probability.
@@ -41,8 +49,7 @@ impl Layer for Dropout {
             }
             return self.infer(input);
         }
-        let keep = 1.0 - self.p;
-        let scale = 1.0 / keep;
+        let scale = 1.0 / (1.0 - self.p);
         // Reuse last step's mask buffer; the RNG is drawn in row-major
         // order either way, so resume streams stay bit-identical.
         let mut mask = match self.mask.take() {
@@ -54,9 +61,7 @@ impl Layer for Dropout {
                 crate::workspace::take(input.rows(), input.cols())
             }
         };
-        for v in mask.as_mut_slice() {
-            *v = if self.rng.gen::<f32>() < keep { scale } else { 0.0 };
-        }
+        crate::simd::dropout_mask(&mut self.rng, self.threshold, scale, mask.as_mut_slice());
         let out = input.mul(&mask);
         self.mask = Some(mask);
         out
@@ -110,6 +115,24 @@ mod tests {
         for (yi, gi) in y.as_slice().iter().zip(g.as_slice().iter()) {
             assert_eq!(*yi == 0.0, *gi == 0.0);
         }
+    }
+
+    /// The mask is the per-element keep test `gen::<f32>() < 1 − p` on the
+    /// layer's draws, and the layer's generator ends where those draws
+    /// leave it, so a checkpoint resumes on the same stream.
+    #[test]
+    fn mask_is_the_per_element_keep_test() {
+        use rand::Rng;
+        let mut d = Dropout::new(0.1, 5);
+        let mut draws = d.rng.clone();
+        let x = Tensor::from_fn(192, 128, |r, c| (r * 128 + c) as f32 * 0.01 - 3.0);
+        let y = d.forward(&x);
+        let keep = 1.0 - 0.1f32;
+        for (i, (&xi, &yi)) in x.as_slice().iter().zip(y.as_slice()).enumerate() {
+            let m = if draws.gen::<f32>() < keep { 1.0 / keep } else { 0.0 };
+            assert_eq!((xi * m).to_bits(), yi.to_bits(), "element {i}");
+        }
+        assert_eq!(draws.state(), d.rng.state());
     }
 
     #[test]

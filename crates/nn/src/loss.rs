@@ -2,8 +2,12 @@
 //!
 //! Every loss returns `(scalar_loss, grad_wrt_prediction)` where the gradient
 //! is already averaged over the batch, so `Layer::backward(grad)` followed by
-//! an optimizer step performs a correct mean-loss update.
+//! an optimizer step performs a correct mean-loss update. The `_at` forms of
+//! the two decoder losses instead read their columns of a wider head matrix
+//! in place, write the same columns of the caller's gradient tensor and
+//! return the loss alone.
 
+use crate::backend::{self, Backend};
 use crate::tensor::Tensor;
 use crate::workspace;
 
@@ -51,38 +55,44 @@ pub fn grouped_softmax_cross_entropy(
 ) -> (f32, Tensor) {
     let total: usize = groups.iter().sum();
     assert_eq!(logits.cols(), total, "logit width must equal sum of group widths");
-    let rows = logits.rows();
+    let mut grad = workspace::take(logits.rows(), logits.cols());
+    let loss = grouped_softmax_cross_entropy_at(logits, 0, groups, targets, &mut grad);
+    (loss, grad)
+}
+
+/// [`grouped_softmax_cross_entropy`] over the logit blocks that start at
+/// column `offset` of `heads`, read in place: writes the gradient into the
+/// same columns of `grad` (shaped like `heads`; its other columns are left
+/// alone) and returns the loss. Runs the backend's counted
+/// [`Backend::cross_entropy`](crate::backend::Backend::cross_entropy)
+/// kernel.
+///
+/// # Panics
+/// Panics if the groups overrun `heads`, `grad` is shaped differently, or
+/// `targets` does not hold one class per (row, group).
+pub fn grouped_softmax_cross_entropy_at(
+    heads: &Tensor,
+    offset: usize,
+    groups: &[usize],
+    targets: &[u32],
+    grad: &mut Tensor,
+) -> f32 {
+    let total: usize = groups.iter().sum();
+    assert!(offset + total <= heads.cols(), "logit groups overrun the head columns");
+    assert_eq!(heads.shape(), grad.shape(), "gradient shape must match the heads");
+    let rows = heads.rows();
     assert_eq!(targets.len(), rows * groups.len(), "one target per (row, group)");
-    let denom = (rows * groups.len().max(1)) as f32;
-    let mut loss = 0.0f32;
-    let mut grad = workspace::take(rows, total);
-    for r in 0..rows {
-        let row = logits.row(r);
-        let g_row = grad.row_mut(r);
-        let mut offset = 0;
-        for (g, &width) in groups.iter().enumerate() {
-            let block = &row[offset..offset + width];
-            let target = targets[g * rows + r] as usize;
-            debug_assert!(target < width, "target class out of range");
-            let max = block.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            // Each exp is evaluated once: kept in the gradient row, then
-            // divided by the sum there.
-            let g_block = &mut g_row[offset..offset + width];
-            let mut sum = 0.0f32;
-            for (e, &v) in g_block.iter_mut().zip(block) {
-                *e = (v - max).exp();
-                sum += *e;
-            }
-            let log_sum = sum.ln() + max;
-            loss += log_sum - block[target];
-            for (k, e) in g_block.iter_mut().enumerate() {
-                let p = *e / sum;
-                *e = (p - if k == target { 1.0 } else { 0.0 }) / denom;
-            }
-            offset += width;
-        }
-    }
-    (loss / denom, grad)
+    backend::timed(backend::CROSS_ENTROPY_COUNTERS, || {
+        backend::get().cross_entropy(
+            rows,
+            heads.cols(),
+            offset,
+            heads.as_slice(),
+            groups,
+            targets,
+            grad.as_mut_slice(),
+        )
+    })
 }
 
 /// Symmetric clamp applied to the predicted log-variance in
@@ -107,26 +117,41 @@ pub const GAUSSIAN_NLL_LOG_VAR_CLAMP: f32 = 10.0;
 pub fn gaussian_nll(mu: &Tensor, log_var: &Tensor, target: &Tensor) -> (f32, Tensor, Tensor) {
     assert_eq!(mu.shape(), target.shape(), "gaussian_nll shape mismatch");
     assert_eq!(mu.shape(), log_var.shape(), "gaussian_nll shape mismatch");
-    const C: f32 = GAUSSIAN_NLL_LOG_VAR_CLAMP;
-    let n = mu.len() as f32;
-    let mut loss = 0.0f32;
-    let mut grad_mu = workspace::take(mu.rows(), mu.cols());
-    let mut grad_lv = workspace::take(mu.rows(), mu.cols());
-    for i in 0..mu.len() {
-        let m = mu.as_slice()[i];
-        let lv_raw = log_var.as_slice()[i];
-        let lv = lv_raw.clamp(-C, C);
-        let x = target.as_slice()[i];
-        let inv_var = (-lv).exp();
-        let d = x - m;
-        loss += 0.5 * (lv + d * d * inv_var);
-        grad_mu.as_mut_slice()[i] = -(d * inv_var) / n;
-        // d(clamp)/d(lv_raw) is 0 in the saturated zone: the clamped loss
-        // is locally constant in log_var there.
-        grad_lv.as_mut_slice()[i] =
-            if lv_raw.abs() > C { 0.0 } else { 0.5 * (1.0 - d * d * inv_var) / n };
-    }
-    (loss / n, grad_mu, grad_lv)
+    let heads = Tensor::concat_cols(&[mu, log_var]);
+    let mut grad = workspace::take(heads.rows(), heads.cols());
+    let loss = gaussian_nll_at(&heads, 0, target, &mut grad);
+    let mut parts = grad.split_cols(&[mu.cols(), mu.cols()]).into_iter();
+    workspace::recycle(heads);
+    workspace::recycle(grad);
+    (loss, parts.next().expect("two parts"), parts.next().expect("two parts"))
+}
+
+/// [`gaussian_nll`] over heads read in place: `μ` in the `n = target.cols()`
+/// columns of `heads` from `offset`, `log σ²` in the `n` after them. Writes
+/// both gradients into the same columns of `grad` (shaped like `heads`; its
+/// other columns are left alone) and returns the loss. Runs the backend's
+/// counted [`Backend::gaussian_nll`](crate::backend::Backend::gaussian_nll)
+/// kernel.
+///
+/// # Panics
+/// Panics if the `2n` columns overrun `heads`, or `grad` or `target` is
+/// shaped differently.
+pub fn gaussian_nll_at(heads: &Tensor, offset: usize, target: &Tensor, grad: &mut Tensor) -> f32 {
+    let n = target.cols();
+    assert!(offset + 2 * n <= heads.cols(), "Gaussian heads overrun the head columns");
+    assert_eq!(heads.rows(), target.rows(), "gaussian_nll row count mismatch");
+    assert_eq!(heads.shape(), grad.shape(), "gradient shape must match the heads");
+    backend::timed(backend::GAUSSIAN_NLL_COUNTERS, || {
+        backend::get().gaussian_nll(
+            heads.rows(),
+            n,
+            heads.cols(),
+            offset,
+            heads.as_slice(),
+            target.as_slice(),
+            grad.as_mut_slice(),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -216,19 +241,10 @@ mod tests {
         }
     }
 
-    /// Loss and gradient bits equal the two-pass formula, which evaluated
-    /// every `exp` twice, on Churn's silo-0 head (groups 2932, 7 and 7).
-    #[test]
-    fn grouped_ce_matches_the_two_pass_formula_bitwise() {
-        let groups = [2932, 7, 7];
-        let total: usize = groups.iter().sum();
-        let rows = 5;
-        let logits = Tensor::from_fn(rows, total, |r, c| {
-            ((r * 7919 + c * 104_729) % 2003) as f32 / 97.0 - 10.0
-        });
-        let targets: Vec<u32> =
-            (0..rows * groups.len()).map(|i| ((i * 131) % groups[i / rows]) as u32).collect();
-
+    /// The two-pass formula for grouped cross-entropy, which evaluated
+    /// every `exp` twice, summing the loss terms serially: `(loss, grad)`.
+    fn two_pass_ce(logits: &Tensor, groups: &[usize], targets: &[u32]) -> (f32, Vec<f32>) {
+        let (rows, total) = logits.shape();
         let denom = (rows * groups.len()) as f32;
         let mut want_loss = 0.0f32;
         let mut want_grad = vec![0.0f32; rows * total];
@@ -252,13 +268,60 @@ mod tests {
                 offset += width;
             }
         }
-        want_loss /= denom;
+        (want_loss / denom, want_grad)
+    }
 
+    /// Churn's silo-0 head (groups 2932, 7 and 7) on `rows` rows, with one
+    /// target per (row, group).
+    fn churn_head(rows: usize) -> (Tensor, [usize; 3], Vec<u32>) {
+        let groups = [2932, 7, 7];
+        let total: usize = groups.iter().sum();
+        let logits = Tensor::from_fn(rows, total, |r, c| {
+            ((r * 7919 + c * 104_729) % 2003) as f32 / 97.0 - 10.0
+        });
+        let targets: Vec<u32> =
+            (0..rows * groups.len()).map(|i| ((i * 131) % groups[i / rows]) as u32).collect();
+        (logits, groups, targets)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Loss and gradient bits equal the two-pass formula, which evaluated
+    /// every `exp` twice, on Churn's silo-0 head (groups 2932, 7 and 7).
+    #[test]
+    fn grouped_ce_matches_the_two_pass_formula_bitwise() {
+        let (logits, groups, targets) = churn_head(5);
+        let (want_loss, want_grad) = two_pass_ce(&logits, &groups, &targets);
         let (loss, grad) = grouped_softmax_cross_entropy(&logits, &groups, &targets);
         assert_eq!(loss.to_bits(), want_loss.to_bits());
-        let got: Vec<u32> = grad.as_slice().iter().map(|v| v.to_bits()).collect();
-        let want: Vec<u32> = want_grad.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want);
+        assert_eq!(bits(grad.as_slice()), bits(&want_grad));
+    }
+
+    /// On a full 192-row Churn batch the loss fans out over row blocks,
+    /// and its bits still equal the serial sum of the terms, at every
+    /// worker count; so do the gradient's.
+    #[test]
+    fn fanned_out_ce_equals_the_serial_sum_at_churn_groups() {
+        use crate::backend::Parallel;
+        let (logits, groups, targets) = churn_head(192);
+        let (rows, total) = logits.shape();
+        let (want_loss, want_grad) = two_pass_ce(&logits, &groups, &targets);
+        for threads in [1, 2, 4, 7] {
+            let mut grad = vec![f32::NAN; rows * total];
+            let loss = Parallel::new(threads).cross_entropy(
+                rows,
+                total,
+                0,
+                logits.as_slice(),
+                &groups,
+                &targets,
+                &mut grad,
+            );
+            assert_eq!(loss.to_bits(), want_loss.to_bits(), "loss at {threads} workers");
+            assert_eq!(bits(&grad), bits(&want_grad), "grad at {threads} workers");
+        }
     }
 
     #[test]

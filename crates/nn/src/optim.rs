@@ -1,6 +1,8 @@
 //! Adam, the optimizer every model trains with.
 
+use crate::backend::{self, Backend};
 use crate::layers::{Layer, Param};
+use crate::simd::AdamStep;
 use crate::tensor::Tensor;
 
 /// Adam with bias correction (Kingma & Ba), the paper's training optimizer.
@@ -26,15 +28,20 @@ impl Adam {
         Self { lr, beta1, beta2, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
-    /// Applies one update to every parameter of `layer` and leaves the
-    /// gradients untouched (call `zero_grad` yourself before the next pass).
+    /// Applies one update to every parameter of `layer` through the
+    /// backend's counted [`Backend::adam`] kernel and leaves the gradients
+    /// untouched (call `zero_grad` yourself before the next pass).
     pub fn step(&mut self, layer: &mut dyn Layer) {
         silofuse_observe::count("nn.adam.steps", 1);
         self.t += 1;
-        let (b1, b2, eps) = (self.beta1, self.beta2, self.eps);
-        let bc1 = 1.0 - b1.powi(self.t as i32);
-        let bc2 = 1.0 - b2.powi(self.t as i32);
-        let lr = self.lr;
+        let step = AdamStep {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            bias1: 1.0 - self.beta1.powi(self.t as i32),
+            bias2: 1.0 - self.beta2.powi(self.t as i32),
+        };
         let (ms, vs) = (&mut self.m, &mut self.v);
         let mut idx = 0;
         layer.visit_params(&mut |p: &mut Param| {
@@ -42,20 +49,10 @@ impl Adam {
                 ms.push(Tensor::zeros(p.value.rows(), p.value.cols()));
                 vs.push(Tensor::zeros(p.value.rows(), p.value.cols()));
             }
-            let m = &mut ms[idx];
-            let v = &mut vs[idx];
-            for ((mi, vi), (&gi, pv)) in m
-                .as_mut_slice()
-                .iter_mut()
-                .zip(v.as_mut_slice().iter_mut())
-                .zip(p.grad.as_slice().iter().zip(p.value.as_mut_slice().iter_mut()))
-            {
-                *mi = b1 * *mi + (1.0 - b1) * gi;
-                *vi = b2 * *vi + (1.0 - b2) * gi * gi;
-                let m_hat = *mi / bc1;
-                let v_hat = *vi / bc2;
-                *pv -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
+            let (m, v) = (ms[idx].as_mut_slice(), vs[idx].as_mut_slice());
+            backend::timed(backend::ADAM_COUNTERS, || {
+                backend::get().adam(step, p.value.as_mut_slice(), p.grad.as_slice(), m, v);
+            });
             idx += 1;
         });
     }

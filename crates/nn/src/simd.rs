@@ -32,7 +32,9 @@
 //!   an FMA keeps the infinitely-precise product and would round
 //!   differently from the reference;
 //! - cache blocking over `p` stores and reloads the f32 accumulators
-//!   between blocks, which is exact;
+//!   between blocks, which is exact, and blocking over output columns
+//!   only changes which element a tile works on next, never the order of
+//!   one element's sum;
 //! - a masked lane runs the same IEEE operations as a full one, and the
 //!   lanes masked off neither load nor store;
 //! - tails (row, column, and depth) fall to narrower kernels or scalar
@@ -44,12 +46,13 @@
 //!
 //! # Element-wise kernels, GELU and the repo-owned `tanh`
 //!
-//! `axpy`, `scale` and the GELU slices are written once as
-//! `#[inline(always)]` scalar loops and compiled again inside
-//! `#[target_feature(enable = "avx2")]` and `#[target_feature(enable =
-//! "avx512f")]` functions, where LLVM auto-vectorizes them at 8 and 16
-//! lanes; there are no intrinsics. Rust never contracts a multiply and an
-//! add into an FMA, so each lane runs the scalar build's IEEE operations.
+//! `axpy`, `scale`, the GELU slices, the Adam update and the dropout mask
+//! are written once as `#[inline(always)]` scalar loops and compiled again
+//! inside `#[target_feature(enable = "avx2")]` and
+//! `#[target_feature(enable = "avx512f")]` functions, where LLVM
+//! auto-vectorizes them at 8 and 16 lanes; there are no intrinsics. Rust
+//! never contracts a multiply and an add into an FMA, so each lane runs the
+//! scalar build's IEEE operations.
 //!
 //! [`gelu_slice`] and [`gelu_train_slice`] evaluate the GELU tanh
 //! approximation through [`tanh`], a branch-free port of the fdlibm
@@ -64,10 +67,12 @@
 //! # Selection
 //!
 //! The level is detected once and cached, best first: AVX-512 (`avx512f`),
-//! AVX2, SSE2. `SILOFUSE_SIMD` caps it: `0`/`off`/`scalar` force the scalar
-//! fallback, `sse2` caps at SSE2, `avx2` at AVX2 (the CI matrix uses these),
-//! and `auto` or unset pick the best the host has.
+//! AVX2, SSE2. `SILOFUSE_SIMD` caps it: `scalar` (or `0`/`off`/`none`)
+//! forces the scalar fallback, `sse2` caps at SSE2, `avx2` at AVX2 (the CI
+//! matrix uses these), and `avx512`, `auto` or unset pick the best the host
+//! has. Any other value is an error, never the default level.
 
+use rand::rngs::StdRng;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -114,30 +119,59 @@ fn detect() -> SimdLevel {
     }
 }
 
+/// The level a `SILOFUSE_SIMD` value caps at, matched case-insensitively:
+/// `scalar` (or `0`/`off`/`none`), `sse2` (or `sse`), `avx2`, and
+/// `avx512`, `auto` or empty for no cap.
+///
+/// # Errors
+/// A message naming the accepted values for any other value, so a
+/// mistyped cap is never run as the default level.
+fn parse_cap(value: &str) -> Result<SimdLevel, String> {
+    match value.to_ascii_lowercase().as_str() {
+        "scalar" | "0" | "off" | "none" => Ok(SimdLevel::Scalar),
+        "sse2" | "sse" => Ok(SimdLevel::Sse2),
+        "avx2" => Ok(SimdLevel::Avx2),
+        "avx512" | "auto" | "" => Ok(SimdLevel::Avx512),
+        _ => Err(format!(
+            "SILOFUSE_SIMD={value:?} is not a SIMD level; use scalar, sse2, avx2, avx512 or auto"
+        )),
+    }
+}
+
+/// The cap the `SILOFUSE_SIMD` environment variable sets (see
+/// [`parse_cap`]); no cap when it is unset.
+///
+/// # Errors
+/// [`parse_cap`]'s message for an unknown value.
+pub(crate) fn cap_from_env() -> Result<SimdLevel, String> {
+    parse_cap(&std::env::var_os("SILOFUSE_SIMD").unwrap_or_default().to_string_lossy())
+}
+
 /// The active SIMD level: host capability capped by `SILOFUSE_SIMD`
-/// (`0`/`off`/`scalar` → scalar, `sse2` → at most SSE2, `avx2` → at most
-/// AVX2, anything else → best available). Detected once and cached for the
-/// process lifetime; never above [`detect`].
+/// (`scalar`, `sse2`, `avx2`, or `avx512`/`auto`/unset for no cap; see the
+/// module docs). Detected once and cached for the process lifetime; never
+/// above [`detect`].
+///
+/// # Panics
+/// Panics, naming the accepted values, when `SILOFUSE_SIMD` holds any
+/// other value. The CLI and the bench bins check it first
+/// ([`crate::backend::check_env`]) and exit with a usage error instead.
 pub fn level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        let cap = match std::env::var("SILOFUSE_SIMD") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "0" | "off" | "scalar" | "none" => SimdLevel::Scalar,
-                "sse" | "sse2" => SimdLevel::Sse2,
-                "avx2" => SimdLevel::Avx2,
-                _ => SimdLevel::Avx512,
-            },
-            Err(_) => SimdLevel::Avx512,
-        };
-        detect().min(cap)
-    })
+    *LEVEL.get_or_init(|| detect().min(cap_from_env().unwrap_or_else(|e| panic!("{e}"))))
 }
 
 /// k-dimension cache-block size: accumulators stay in registers for a full
-/// block; a `KC×n` panel of `rhs` stays hot while a tile of lhs rows
-/// streams over it. Exact regardless of value (see module docs).
+/// block. Exact regardless of value (see module docs).
 const KC: usize = 256;
+
+/// Output-column block width: each k-block is walked in column blocks this
+/// wide, so the `KC×NC` panel of `rhs` (256 KiB) stays in L2 while every
+/// row tile streams over it. Without it a decoder head 2 946 wide streams
+/// its whole 1.5–2.3 MB panel past the L2 once per 4-row tile. A multiple
+/// of every level's two-vector tile (32, 16 and 8 columns), so only the
+/// last block has column tails. Exact regardless of value.
+const NC: usize = 256;
 
 /// `out_block[local·n + j] = Σ_p lhs[r·lrs + p·lps] · rhs[p·n + j]` for the
 /// absolute row indices `r` in `rows` (`local` is the index within the
@@ -358,6 +392,109 @@ fn gelu_train_loop(x: &[f32], out: &mut [f32], deriv: &mut [f32]) {
     }
 }
 
+/// One Adam update's coefficients: the learning rate, the moment decays,
+/// the denominator fuzz, and the two bias corrections `1 − βᵗ`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AdamStep {
+    /// Learning rate.
+    pub lr: f32,
+    /// First-moment decay.
+    pub beta1: f32,
+    /// Second-moment decay.
+    pub beta2: f32,
+    /// Denominator fuzz.
+    pub eps: f32,
+    /// First-moment bias correction `1 − β₁ᵗ`.
+    pub bias1: f32,
+    /// Second-moment bias correction `1 − β₂ᵗ`.
+    pub bias2: f32,
+}
+
+impl AdamStep {
+    /// The update of one parameter element: moves the moments `m` and `v`
+    /// by the gradient `g` and returns the step to subtract from the
+    /// value.
+    #[inline(always)]
+    pub fn apply(self, g: f32, m: &mut f32, v: &mut f32) -> f32 {
+        *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+        *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+        let m_hat = *m / self.bias1;
+        let v_hat = *v / self.bias2;
+        self.lr * m_hat / (v_hat.sqrt() + self.eps)
+    }
+}
+
+/// One Adam step over a parameter slice and its gradient and moments (see
+/// [`AdamStep::apply`]). Bit-identical to the scalar loop at every level:
+/// lanes run the same IEEE operations, square root included.
+pub(crate) fn adam_slice(
+    step: AdamStep,
+    value: &mut [f32],
+    grad: &[f32],
+    m: &mut [f32],
+    v: &mut [f32],
+) {
+    // SAFETY: `level()` never exceeds what `detect()` found on this host.
+    unsafe { adam_slice_at(level(), step, value, grad, m, v) }
+}
+
+/// [`adam_slice`] at an explicit `level`.
+///
+/// # Safety
+/// The host must support `level`: `level <= detect()`.
+unsafe fn adam_slice_at(
+    level: SimdLevel,
+    step: AdamStep,
+    value: &mut [f32],
+    grad: &[f32],
+    m: &mut [f32],
+    v: &mut [f32],
+) {
+    dispatch_elementwise!(level, adam_avx512, adam_avx2, adam_loop(step, value, grad, m, v))
+}
+
+#[inline(always)]
+fn adam_loop(step: AdamStep, value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32]) {
+    for (((p, &g), m), v) in value.iter_mut().zip(grad).zip(m.iter_mut()).zip(v.iter_mut()) {
+        *p -= step.apply(g, m, v);
+    }
+}
+
+/// Fills an inverted-dropout mask from the next `mask.len()` draws of
+/// `rng`: `scale` where a draw's top 53 bits fall below `threshold`, else
+/// `0`. With `threshold = rand::f32_below_threshold(keep)` that is the
+/// per-element `rng.gen::<f32>() < keep` test, draw for draw, and `rng`
+/// ends where those draws leave it; the draws come from one counter loop
+/// ([`StdRng::fill_draws`]) that vectorizes.
+pub(crate) fn dropout_mask(rng: &mut StdRng, threshold: u64, scale: f32, mask: &mut [f32]) {
+    // SAFETY: `level()` never exceeds what `detect()` found on this host.
+    unsafe { dropout_mask_at(level(), rng, threshold, scale, mask) }
+}
+
+/// [`dropout_mask`] at an explicit `level`.
+///
+/// # Safety
+/// The host must support `level`: `level <= detect()`.
+unsafe fn dropout_mask_at(
+    level: SimdLevel,
+    rng: &mut StdRng,
+    threshold: u64,
+    scale: f32,
+    mask: &mut [f32],
+) {
+    dispatch_elementwise!(
+        level,
+        dropout_mask_avx512,
+        dropout_mask_avx2,
+        dropout_mask_loop(rng, threshold, scale, mask)
+    )
+}
+
+#[inline(always)]
+fn dropout_mask_loop(rng: &mut StdRng, threshold: u64, scale: f32, mask: &mut [f32]) {
+    rng.fill_draws(mask, |x| if x >> 11 < threshold { scale } else { 0.0 });
+}
+
 // fdlibm `expm1f` constants as glibc's bit patterns: decimal literals can
 // round to a neighbour (`1.442_695_1` is `0x3fb8aa3c`, one ulp off invln2).
 /// `ln2_hi`, `ln2_lo`, `invln2`.
@@ -480,15 +617,20 @@ fn scalar_broadcast_gemm(
     let mut p0 = 0;
     while p0 < depth {
         let p1 = (p0 + KC).min(depth);
-        for (local, r) in rows.clone().enumerate() {
-            let out_row = &mut out_block[local * n..(local + 1) * n];
-            for p in p0..p1 {
-                let av = lhs[r * lrs + p * lps];
-                let b_row = &rhs[p * n..(p + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
+        let mut j0 = 0;
+        while j0 < n {
+            let j1 = (j0 + NC).min(n);
+            for (local, r) in rows.clone().enumerate() {
+                let out_row = &mut out_block[local * n + j0..local * n + j1];
+                for p in p0..p1 {
+                    let av = lhs[r * lrs + p * lps];
+                    let b_row = &rhs[p * n + j0..p * n + j1];
+                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                        *o += av * bv;
+                    }
                 }
             }
+            j0 = j1;
         }
         p0 = p1;
     }
@@ -496,17 +638,17 @@ fn scalar_broadcast_gemm(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::KC;
+    use super::{KC, NC};
     use core::arch::x86_64::*;
     use std::ops::Range;
 
     /// Generates the register-blocked micro-kernel family for one vector
     /// width. Structure (identical for AVX-512/AVX2/SSE2, differing in lane
-    /// count): k-blocks of [`KC`] → 4-row tiles (then 1-row tail) → column
-    /// tiles of two vectors (then one, then one masked vector where the ISA
-    /// has masked loads and stores, then scalar). Accumulators live in
-    /// registers for a whole k-block and are stored/reloaded between blocks
-    /// (exact).
+    /// count): k-blocks of [`KC`] → column blocks of [`NC`] → 4-row tiles
+    /// (then 1-row tail) → column tiles of two vectors (then one, then one
+    /// masked vector where the ISA has masked loads and stores, then
+    /// scalar). Accumulators live in registers for a whole k-block and are
+    /// stored/reloaded between blocks (exact).
     macro_rules! broadcast_gemm_impl {
         (
             $fn_name:ident, $tile4:ident, $tile1:ident, $feature:literal,
@@ -538,22 +680,29 @@ mod x86 {
                 let mut p0 = 0usize;
                 while p0 < depth {
                     let p1 = (p0 + KC).min(depth);
-                    let mut i = 0usize;
-                    while i + 4 <= nrows {
-                        $tile4(r0 + i, p0, p1, n, lhs, lrs, lps, rhs, &mut out_block[i * n..]);
-                        i += 4;
-                    }
-                    while i < nrows {
-                        $tile1(r0 + i, p0, p1, n, lhs, lrs, lps, rhs, &mut out_block[i * n..]);
-                        i += 1;
+                    let mut j0 = 0usize;
+                    while j0 < n {
+                        let j1 = (j0 + NC).min(n);
+                        let mut i = 0usize;
+                        while i + 4 <= nrows {
+                            let out = &mut out_block[i * n..];
+                            $tile4(r0 + i, p0, p1, n, j0, j1, lhs, lrs, lps, rhs, out);
+                            i += 4;
+                        }
+                        while i < nrows {
+                            let out = &mut out_block[i * n..];
+                            $tile1(r0 + i, p0, p1, n, j0, j1, lhs, lrs, lps, rhs, out);
+                            i += 1;
+                        }
+                        j0 = j1;
                     }
                     p0 = p1;
                 }
             }
 
             /// 4 output rows × (2·lanes → lanes → masked → scalar) columns
-            /// for one k-block, accumulating on top of `out` (absolute lhs
-            /// row `r`).
+            /// `j0..j1` for one k-block, accumulating on top of `out`
+            /// (absolute lhs row `r`, row stride `n`).
             #[target_feature(enable = $feature)]
             #[allow(clippy::too_many_arguments)]
             unsafe fn $tile4(
@@ -561,6 +710,8 @@ mod x86 {
                 p0: usize,
                 p1: usize,
                 n: usize,
+                j0: usize,
+                j1: usize,
                 lhs: &[f32],
                 lrs: usize,
                 lps: usize,
@@ -571,8 +722,8 @@ mod x86 {
                 let lp = lhs.as_ptr();
                 let bp = rhs.as_ptr();
                 let op = out.as_mut_ptr();
-                let mut j = 0usize;
-                while j + 2 * L <= n {
+                let mut j = j0;
+                while j + 2 * L <= j1 {
                     let (o0, o1, o2, o3) =
                         (op.add(j), op.add(n + j), op.add(2 * n + j), op.add(3 * n + j));
                     let mut a00 = $load(o0);
@@ -611,7 +762,7 @@ mod x86 {
                     $store(o3.add(L), a31);
                     j += 2 * L;
                 }
-                while j + L <= n {
+                while j + L <= j1 {
                     let (o0, o1, o2, o3) =
                         (op.add(j), op.add(n + j), op.add(2 * n + j), op.add(3 * n + j));
                     let mut a0 = $load(o0);
@@ -633,8 +784,8 @@ mod x86 {
                     j += L;
                 }
                 $(
-                    if j < n {
-                        let m = $mask(n - j);
+                    if j < j1 {
+                        let m = $mask(j1 - j);
                         let (o0, o1, o2, o3) =
                             (op.add(j), op.add(n + j), op.add(2 * n + j), op.add(3 * n + j));
                         let mut a0 = $mload(m, o0);
@@ -653,10 +804,10 @@ mod x86 {
                         $mstore(o1, m, a1);
                         $mstore(o2, m, a2);
                         $mstore(o3, m, a3);
-                        j = n;
+                        j = j1;
                     }
                 )?
-                while j < n {
+                while j < j1 {
                     for row in 0..4 {
                         let o = op.add(row * n + j);
                         let mut acc = *o;
@@ -677,6 +828,8 @@ mod x86 {
                 p0: usize,
                 p1: usize,
                 n: usize,
+                j0: usize,
+                j1: usize,
                 lhs: &[f32],
                 lrs: usize,
                 lps: usize,
@@ -687,8 +840,8 @@ mod x86 {
                 let lp = lhs.as_ptr();
                 let bp = rhs.as_ptr();
                 let op = out.as_mut_ptr();
-                let mut j = 0usize;
-                while j + 2 * L <= n {
+                let mut j = j0;
+                while j + 2 * L <= j1 {
                     let o = op.add(j);
                     let mut a0 = $load(o);
                     let mut a1 = $load(o.add(L));
@@ -702,7 +855,7 @@ mod x86 {
                     $store(o.add(L), a1);
                     j += 2 * L;
                 }
-                while j + L <= n {
+                while j + L <= j1 {
                     let o = op.add(j);
                     let mut a0 = $load(o);
                     for p in p0..p1 {
@@ -713,8 +866,8 @@ mod x86 {
                     j += L;
                 }
                 $(
-                    if j < n {
-                        let m = $mask(n - j);
+                    if j < j1 {
+                        let m = $mask(j1 - j);
                         let o = op.add(j);
                         let mut a0 = $mload(m, o);
                         for p in p0..p1 {
@@ -722,10 +875,10 @@ mod x86 {
                             a0 = $add(a0, $mul(v, $mload(m, bp.add(p * n + j))));
                         }
                         $mstore(o, m, a0);
-                        j = n;
+                        j = j1;
                     }
                 )?
-                while j < n {
+                while j < j1 {
                     let o = op.add(j);
                     let mut acc = *o;
                     for p in p0..p1 {
@@ -794,7 +947,10 @@ mod x86 {
     /// them at the feature's width, so each lane runs the same IEEE
     /// operations as the scalar build.
     macro_rules! elementwise_impl {
-        ($feature:literal, $axpy:ident, $scale:ident, $gelu:ident, $gelu_train:ident) => {
+        (
+            $feature:literal, $axpy:ident, $scale:ident, $gelu:ident, $gelu_train:ident,
+            $adam:ident, $dropout_mask:ident
+        ) => {
             /// [`super::axpy`] compiled for the feature.
             ///
             /// # Safety
@@ -830,11 +986,56 @@ mod x86 {
             pub(super) unsafe fn $gelu_train(x: &[f32], out: &mut [f32], deriv: &mut [f32]) {
                 super::gelu_train_loop(x, out, deriv)
             }
+
+            /// [`super::adam_slice`] compiled for the feature.
+            ///
+            /// # Safety
+            /// The host must support the instruction-set feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn $adam(
+                step: super::AdamStep,
+                value: &mut [f32],
+                grad: &[f32],
+                m: &mut [f32],
+                v: &mut [f32],
+            ) {
+                super::adam_loop(step, value, grad, m, v)
+            }
+
+            /// [`super::dropout_mask`] compiled for the feature.
+            ///
+            /// # Safety
+            /// The host must support the instruction-set feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn $dropout_mask(
+                rng: &mut super::StdRng,
+                threshold: u64,
+                scale: f32,
+                mask: &mut [f32],
+            ) {
+                super::dropout_mask_loop(rng, threshold, scale, mask)
+            }
         };
     }
 
-    elementwise_impl!("avx512f", axpy_avx512, scale_avx512, gelu_avx512, gelu_train_avx512);
-    elementwise_impl!("avx2", axpy_avx2, scale_avx2, gelu_avx2, gelu_train_avx2);
+    elementwise_impl!(
+        "avx512f",
+        axpy_avx512,
+        scale_avx512,
+        gelu_avx512,
+        gelu_train_avx512,
+        adam_avx512,
+        dropout_mask_avx512
+    );
+    elementwise_impl!(
+        "avx2",
+        axpy_avx2,
+        scale_avx2,
+        gelu_avx2,
+        gelu_train_avx2,
+        adam_avx2,
+        dropout_mask_avx2
+    );
 }
 
 #[cfg(test)]
@@ -889,12 +1090,15 @@ mod tests {
     /// Every host level's kernel, in both lhs layouts, at every column
     /// count from 1 to 40 (so every masked AVX-512 width from 1 to 15, after
     /// zero, one and two full tiles), with 4-row tiles and 1-row tails and a
-    /// depth past one `KC` block.
+    /// depth past one `KC` block; and at outputs around one and two `NC`
+    /// column blocks and as wide as Churn's decoder head (2 946), at a
+    /// depth past `KC`.
     #[test]
     fn broadcast_gemm_matches_oracle_at_awkward_shapes() {
         let mut shapes: Vec<(usize, usize, usize)> =
             (1..=40).map(|n| (1 + n % 9, 1 + (n * 7) % 31, n)).collect();
         shapes.extend([(8, 300, 19), (13, 64, 40), (16, 128, 13), (4, 16, 16)]);
+        shapes.extend([NC - 1, NC, NC + 1, 2 * NC + 17, 2946].map(|n| (5, KC + 44, n)));
         for level in host_levels() {
             for &(m, depth, n) in &shapes {
                 // Row-major lhs (gemm layout) and strided lhs (transpose_gemm
@@ -966,6 +1170,84 @@ mod tests {
                 unsafe { scale_at(level, -1.25, &mut got_s) };
                 assert_eq!(bits(&want_s), bits(&got_s), "scale len {len} level={level:?}");
             }
+        }
+    }
+
+    /// Every host level's Adam kernel equals the update written out
+    /// element by element, bit for bit, over three steps.
+    #[test]
+    fn adam_matches_the_scalar_update() {
+        for level in host_levels() {
+            for len in [1, 7, 15, 16, 17, 31, 33, 1003] {
+                let grad = noise(len, 21);
+                let (mut want_p, mut want_m) = (noise(len, 22), noise(len, 23));
+                let mut want_v: Vec<f32> = noise(len, 24).iter().map(|x| x.abs()).collect();
+                let (mut p, mut m, mut v) = (want_p.clone(), want_m.clone(), want_v.clone());
+                for t in 1..=3 {
+                    let (b1, b2, lr, eps) = (0.9f32, 0.999f32, 1e-3f32, 1e-8f32);
+                    let (bc1, bc2) = (1.0 - b1.powi(t), 1.0 - b2.powi(t));
+                    for i in 0..len {
+                        let g = grad[i];
+                        want_m[i] = b1 * want_m[i] + (1.0 - b1) * g;
+                        want_v[i] = b2 * want_v[i] + (1.0 - b2) * g * g;
+                        want_p[i] -= lr * (want_m[i] / bc1) / ((want_v[i] / bc2).sqrt() + eps);
+                    }
+                    let step = AdamStep { lr, beta1: b1, beta2: b2, eps, bias1: bc1, bias2: bc2 };
+                    // SAFETY: `host_levels` lists only levels the host has.
+                    unsafe { adam_slice_at(level, step, &mut p, &grad, &mut m, &mut v) };
+                }
+                assert_eq!(bits(&want_p), bits(&p), "value len {len} level={level:?}");
+                assert_eq!(bits(&want_m), bits(&m), "m len {len} level={level:?}");
+                assert_eq!(bits(&want_v), bits(&v), "v len {len} level={level:?}");
+            }
+        }
+    }
+
+    /// Every host level's dropout mask equals the per-element test
+    /// `gen::<f32>() < keep` on the same draws, and leaves the generator
+    /// in the same state.
+    #[test]
+    fn dropout_mask_matches_the_per_element_draws() {
+        use rand::{Rng, SeedableRng};
+        for level in host_levels() {
+            for seed in 0..8u64 {
+                for keep in [0.5f32, 0.7, 0.9, 0.99] {
+                    for len in [0, 1, 15, 16, 17, 1003, 192 * 128] {
+                        let scale = 1.0 / keep;
+                        let mut draws = StdRng::seed_from_u64(seed);
+                        let want: Vec<f32> = (0..len)
+                            .map(|_| if draws.gen::<f32>() < keep { scale } else { 0.0 })
+                            .collect();
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let mut got = vec![f32::NAN; len];
+                        let threshold = rand::f32_below_threshold(keep);
+                        // SAFETY: `host_levels` lists only levels the host has.
+                        unsafe { dropout_mask_at(level, &mut rng, threshold, scale, &mut got) };
+                        let at = format!("seed {seed} keep {keep} len {len} level={level:?}");
+                        assert_eq!(bits(&want), bits(&got), "{at}");
+                        assert_eq!(draws.state(), rng.state(), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn simd_cap_spellings() {
+        for (value, want) in [
+            ("scalar", SimdLevel::Scalar),
+            ("OFF", SimdLevel::Scalar),
+            ("sse2", SimdLevel::Sse2),
+            ("AVX2", SimdLevel::Avx2),
+            ("avx512", SimdLevel::Avx512),
+            ("auto", SimdLevel::Avx512),
+            ("", SimdLevel::Avx512),
+        ] {
+            assert_eq!(parse_cap(value), Ok(want), "{value:?}");
+        }
+        for value in ["avx-2", "sse4", "avx", "1", " avx2"] {
+            let err = parse_cap(value).expect_err(value);
+            assert!(err.contains("scalar, sse2, avx2, avx512 or auto"), "{err}");
         }
     }
 

@@ -1,6 +1,7 @@
 //! Backend equivalence properties: the `Parallel` backend must be
 //! bit-identical to `Reference` at every thread count — this is what keeps
-//! crash-resume byte-identical regardless of `--threads` — plus a
+//! crash-resume byte-identical regardless of `--threads` — for the GEMMs,
+//! the element-wise kernels, the decoder losses and Adam, plus a
 //! finite-difference gradient check for `Conv1d` and the workspace arena's
 //! zero-allocation guarantee for warm training steps.
 
@@ -15,6 +16,7 @@ use silofuse_nn::layers::{
 };
 use silofuse_nn::loss::mse;
 use silofuse_nn::optim::Adam;
+use silofuse_nn::simd::AdamStep;
 use silofuse_nn::sparse::{SparseBatchRef, SparseField, SparseSpec};
 use silofuse_nn::{workspace, Tensor};
 
@@ -223,6 +225,125 @@ fn gemm_variants_bit_identical_at_simd_tail_sizes() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The three GEMMs at Churn's silo-0 decoder-head shapes (192-row batch,
+/// 128 hidden units, 2 946 outputs: a dozen column blocks, past the fan-out
+/// threshold): the forward, the input gradient and the weight gradient are
+/// bit-identical between Reference and Parallel at every thread count.
+#[test]
+fn wide_gemms_bit_identical() {
+    let (m, h, n) = (192, 128, 2946);
+    let x = noise(m * h, 0x1111);
+    let w = noise(h * n, 0x2222);
+    let g = noise(m * n, 0x3333);
+    let mut want = vec![0.0f32; m * n];
+    Reference.gemm(m, h, n, &x, &w, &mut want);
+    for t in THREADS {
+        let mut got = vec![f32::NAN; m * n];
+        Parallel::new(t).gemm(m, h, n, &x, &w, &mut got);
+        assert!(bits_eq(&want, &got), "head forward diverged at {t} threads");
+    }
+    let mut want = vec![0.0f32; m * h];
+    Reference.gemm_transpose(m, n, h, &g, &w, &mut want);
+    for t in THREADS {
+        let mut got = vec![f32::NAN; m * h];
+        Parallel::new(t).gemm_transpose(m, n, h, &g, &w, &mut got);
+        assert!(bits_eq(&want, &got), "head input gradient diverged at {t} threads");
+    }
+    let mut want = vec![0.0f32; h * n];
+    Reference.transpose_gemm(m, h, n, &x, &g, &mut want);
+    for t in THREADS {
+        let mut got = vec![f32::NAN; h * n];
+        Parallel::new(t).transpose_gemm(m, h, n, &x, &g, &mut got);
+        assert!(bits_eq(&want, &got), "head weight gradient diverged at {t} threads");
+    }
+}
+
+/// The losses read their head columns in place at an offset into a wider
+/// matrix, and the Adam update: Parallel's loss value, gradient (the
+/// columns a loss must leave alone included) and updated parameters and
+/// moments are bit-identical to Reference's at every thread count, on
+/// shapes either side of the fan-out thresholds (Churn's 2932+7+7 groups
+/// among them).
+#[test]
+fn loss_and_adam_kernels_bit_identical() {
+    let ce_cases: [(usize, &[usize], usize, usize); 4] = [
+        (3, &[2, 3], 1, 7),
+        (64, &[64, 64], 2, 130),
+        (192, &[40, 7, 5], 0, 52),
+        (192, &[2932, 7, 7], 4, 2950),
+    ];
+    for (rows, groups, offset, ld) in ce_cases {
+        let logits = noise(rows * ld, rows as u64 ^ 0xce);
+        let picks = noise(rows * groups.len(), 0x7a);
+        let targets: Vec<u32> = (0..rows * groups.len())
+            .map(|i| (picks[i].abs() * 1000.0) as u32 % groups[i / rows] as u32)
+            .collect();
+        let sentinel = noise(rows * ld, 0x5e);
+        let mut want = sentinel.clone();
+        let want_loss =
+            Reference.cross_entropy(rows, ld, offset, &logits, groups, &targets, &mut want);
+        for t in THREADS {
+            let mut got = sentinel.clone();
+            let loss = Parallel::new(t)
+                .cross_entropy(rows, ld, offset, &logits, groups, &targets, &mut got);
+            let at = format!("cross_entropy rows {rows} groups {groups:?} at {t} threads");
+            assert_eq!(want_loss.to_bits(), loss.to_bits(), "{at}");
+            assert!(bits_eq(&want, &got), "{at}");
+        }
+    }
+
+    for (rows, n, offset, ld) in
+        [(5usize, 3usize, 0usize, 6usize), (192, 64, 2, 140), (300, 40, 0, 90)]
+    {
+        // Magnitudes up to 16 put some log-variances past the ±10 clamp.
+        let heads: Vec<f32> = noise(rows * ld, n as u64 ^ 0x9a).iter().map(|v| v * 4.0).collect();
+        let target = noise(rows * n, 0x7e);
+        let sentinel = noise(rows * ld, 0x5e);
+        let mut want = sentinel.clone();
+        let want_loss = Reference.gaussian_nll(rows, n, ld, offset, &heads, &target, &mut want);
+        for t in THREADS {
+            let mut got = sentinel.clone();
+            let loss =
+                Parallel::new(t).gaussian_nll(rows, n, ld, offset, &heads, &target, &mut got);
+            let at = format!("gaussian_nll rows {rows} n {n} at {t} threads");
+            assert_eq!(want_loss.to_bits(), loss.to_bits(), "{at}");
+            assert!(bits_eq(&want, &got), "{at}");
+        }
+    }
+
+    // The coefficients are computed once: `powi` may round differently
+    // where the compiler folds it to a constant, so each backend must see
+    // the same values.
+    let steps: Vec<AdamStep> = (1..=3)
+        .map(|t| AdamStep {
+            lr: 1e-3,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+            bias1: 1.0 - 0.9f32.powi(t),
+            bias2: 1.0 - 0.999f32.powi(t),
+        })
+        .collect();
+    for len in [5usize, 1003, 40_000, 377_088] {
+        let grad = noise(len, 0xad);
+        let start = (noise(len, 1), noise(len, 2), noise(len, 3).iter().map(|v| v.abs()).collect());
+        let run = |be: &dyn Backend| {
+            let (mut p, mut m, mut v): (Vec<f32>, Vec<f32>, Vec<f32>) = start.clone();
+            for &step in &steps {
+                be.adam(step, &mut p, &grad, &mut m, &mut v);
+            }
+            (p, m, v)
+        };
+        let want = run(&Reference);
+        for t in THREADS {
+            let got = run(&Parallel::new(t));
+            assert!(bits_eq(&want.0, &got.0), "adam value len {len} at {t} threads");
+            assert!(bits_eq(&want.1, &got.1), "adam m len {len} at {t} threads");
+            assert!(bits_eq(&want.2, &got.2), "adam v len {len} at {t} threads");
         }
     }
 }
