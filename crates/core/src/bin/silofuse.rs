@@ -340,6 +340,17 @@ fn load_csv(path: &str, like: Option<&CsvTable>) -> Result<CsvTable, String> {
     .map_err(|e| format!("{path}: {e}"))
 }
 
+/// [`load_csv`] for a table a model trains on or a metric scores: a file
+/// with a header and no rows is an error naming it, never a model fitted
+/// on nothing or a metric's panic.
+fn load_rows(path: &str, like: Option<&CsvTable>) -> Result<CsvTable, String> {
+    let csv = load_csv(path, like)?;
+    if csv.table.n_rows() == 0 {
+        return Err(format!("{path}: no data rows, only a header"));
+    }
+    Ok(csv)
+}
+
 fn cmd_generate(flags: &Flags) -> Result<String, String> {
     let name = required(flags, "profile")?;
     let rows: usize = parse_num(flags, "rows", 1000)?;
@@ -569,7 +580,7 @@ fn cmd_synth(flags: &Flags) -> Result<String, String> {
 
     let ckpt = checkpointer_from_flags(flags)?;
 
-    let csv = load_csv(input, None)?;
+    let csv = load_rows(input, None)?;
     let clients = clients.min(csv.table.n_cols()).max(1);
     let silos = if kind.is_distributed() { format!(", {clients} clients") } else { String::new() };
     note!(
@@ -641,10 +652,11 @@ fn cmd_synth(flags: &Flags) -> Result<String, String> {
 }
 
 fn cmd_evaluate(flags: &Flags) -> Result<String, String> {
-    let real = load_csv(required(flags, "real")?, None)?;
+    let real = load_rows(required(flags, "real")?, None)?;
     // Read against the real table, so a label has one code in both and a
     // category the synthetic rows never produce scores as lost resemblance.
-    let synth = load_csv(required(flags, "synth")?, Some(&real))?;
+    let synth = load_rows(required(flags, "synth")?, Some(&real))?;
+    let holdout = flags.get("holdout").map(|path| load_rows(path, Some(&real))).transpose()?;
     let seed: u64 = parse_num(flags, "seed", 42)?;
     let mut out = String::new();
 
@@ -658,8 +670,7 @@ fn cmd_evaluate(flags: &Flags) -> Result<String, String> {
     let _ = writeln!(out, "  propensity               {:.1}", r.propensity);
     let _ = writeln!(out, "  COMPOSITE                {:.1}", r.composite);
 
-    if let Some(holdout_path) = flags.get("holdout") {
-        let holdout = load_csv(holdout_path, Some(&real))?;
+    if let Some(holdout) = holdout {
         let u = utility(
             &real.table,
             &synth.table,

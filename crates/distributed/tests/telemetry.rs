@@ -1,7 +1,8 @@
 //! Integration tests tying the transport's byte-accounted [`CommStats`] to
-//! the telemetry layer's per-message-kind byte histograms, and pinning the
+//! the telemetry layer's per-message-kind byte histograms, pinning the
 //! stacked protocol's round structure (one `rounds` bump per protocol
-//! phase: upload, then one per synthesis).
+//! phase: upload, then one per synthesis), and tying the checkpoint byte
+//! counters to the files on disk.
 //!
 //! Telemetry is process-global, so every test here serialises on
 //! `TELEMETRY_LOCK` — otherwise one test's comm events would leak into
@@ -9,10 +10,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use silofuse_checkpoint::Checkpointer;
 use silofuse_distributed::stacked::SiloFuseModel;
 use silofuse_distributed::transport::CommStats;
-use silofuse_models::latentdiff::LatentDiffConfig;
+use silofuse_models::latentdiff::{LatentDiff, LatentDiffConfig};
 use silofuse_models::AutoencoderConfig;
+use silofuse_observe::names::{CHECKPOINT_BYTES_READ, CHECKPOINT_LOADS};
 use silofuse_tabular::partition::{PartitionPlan, PartitionStrategy};
 use silofuse_tabular::profiles;
 use silofuse_tabular::table::Table;
@@ -127,4 +130,34 @@ fn comm_histograms_are_not_recorded_when_tracing_is_off() {
     silofuse_observe::shutdown();
     assert!(telemetry.metrics().histograms().is_empty());
     assert!(telemetry.events().is_empty());
+}
+
+#[test]
+fn a_resumed_fit_counts_each_checkpoint_file_it_reads_once() {
+    let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("silofuse-bytes-read-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let t = profiles::loan().generate(64, 17);
+
+    let mut first = LatentDiff::new(quick_config(17));
+    first.set_checkpointer(Checkpointer::new(&dir, 0));
+    first.try_fit(&t, &mut StdRng::seed_from_u64(17)).expect("checkpointed fit");
+    let file_bytes: u64 = ["latentdiff-ae", "latentdiff-ddpm"]
+        .iter()
+        .map(|name| std::fs::metadata(dir.join(format!("{name}.ckpt"))).expect("written").len())
+        .sum();
+
+    // Both phases are complete on disk, so the resumed fit loads each
+    // file once and trains no step.
+    let hub = silofuse_observe::init_scoped("test-checkpoint-bytes-read", "main");
+    let mut resumed = LatentDiff::new(quick_config(17));
+    resumed.set_checkpointer(Checkpointer::new(&dir, 0).with_resume(true));
+    resumed.try_fit(&t, &mut StdRng::seed_from_u64(17)).expect("resumed fit");
+    silofuse_observe::shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let counter =
+        |name| hub.scopes().iter().map(|scope| scope.metrics().counter(name).get()).sum::<u64>();
+    assert_eq!(counter(CHECKPOINT_LOADS), 2);
+    assert_eq!(counter(CHECKPOINT_BYTES_READ), file_bytes);
 }

@@ -74,6 +74,8 @@ pub mod names {
     pub const CHECKPOINT_LOADS: &str = "checkpoint.loads";
     /// Counter: total checkpoint bytes written.
     pub const CHECKPOINT_BYTES: &str = "checkpoint.bytes_written";
+    /// Counter: total bytes of checkpoint files loaded and verified.
+    pub const CHECKPOINT_BYTES_READ: &str = "checkpoint.bytes_read";
     /// Counter: injected process crashes fired.
     pub const CHECKPOINT_CRASH: &str = "checkpoint.crash_injected";
     /// Span wrapping each atomic checkpoint write.
