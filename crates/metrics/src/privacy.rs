@@ -7,6 +7,7 @@
 //! score is `100 · (1 − risk)`; higher is more private. The composite is
 //! the mean of the three attack scores.
 
+use crate::MetricError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silofuse_tabular::schema::ColumnKind;
@@ -50,20 +51,35 @@ pub struct PrivacyReport {
 /// Evaluates all three attacks of `synth` against `real`.
 ///
 /// # Panics
-/// Panics if schemas differ or either table is empty.
+/// Panics if schemas differ or either table is empty; use [`try_privacy`]
+/// to get those as a [`MetricError`].
 pub fn privacy(real: &Table, synth: &Table, config: &PrivacyConfig) -> PrivacyReport {
-    assert_eq!(real.schema(), synth.schema(), "schema mismatch");
-    assert!(real.n_rows() > 0 && synth.n_rows() > 0, "empty table");
+    try_privacy(real, synth, config).unwrap_or_else(|e| panic!("privacy: {e}"))
+}
+
+/// Evaluates all three attacks of `synth` against `real`.
+///
+/// # Errors
+/// [`MetricError::SchemaMismatch`] if the schemas differ and
+/// [`MetricError::EmptyTable`] if either table has no rows.
+pub fn try_privacy(
+    real: &Table,
+    synth: &Table,
+    config: &PrivacyConfig,
+) -> Result<PrivacyReport, MetricError> {
+    crate::same_schema(real, synth, "synthetic")?;
+    crate::has_rows(real, "real")?;
+    crate::has_rows(synth, "synthetic")?;
     let ranges = column_ranges(real);
     let singling_out = singling_out_score(real, synth, &ranges, config);
     let linkability = linkability_score(real, synth, &ranges, config);
     let attribute_inference = attribute_inference_score(real, synth, &ranges, config);
-    PrivacyReport {
+    Ok(PrivacyReport {
         singling_out,
         linkability,
         attribute_inference,
         composite: (singling_out + linkability + attribute_inference) / 3.0,
-    }
+    })
 }
 
 fn normalise_risk(attack_success: f64, baseline_success: f64) -> f64 {
@@ -342,6 +358,22 @@ mod tests {
 
     fn quick_config() -> PrivacyConfig {
         PrivacyConfig { attempts: 80, ..Default::default() }
+    }
+
+    /// An empty table or a foreign schema is a typed error; the panicking
+    /// `privacy` asserted on both.
+    #[test]
+    fn empty_or_mismatched_tables_are_typed_errors() {
+        let real = profiles::loan().generate(64, 0);
+        let empty = Table::empty(real.schema().clone());
+        let other = profiles::diabetes().generate(64, 0);
+        let cfg = quick_config();
+        let err = |t| MetricError::EmptyTable { table: t };
+        assert_eq!(try_privacy(&real, &empty, &cfg), Err(err("synthetic")));
+        assert_eq!(try_privacy(&empty, &real, &cfg), Err(err("real")));
+        let mismatch = MetricError::SchemaMismatch { table: "synthetic" };
+        assert_eq!(try_privacy(&real, &other, &cfg), Err(mismatch));
+        assert_eq!(try_privacy(&real, &real, &cfg), Ok(privacy(&real, &real, &cfg)));
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::stats::{
     category_frequencies, histogram, jensen_shannon_distance, ks_statistic, pearson,
     quantile_profile, total_variation,
 };
+use crate::MetricError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silofuse_tabular::schema::ColumnKind;
@@ -96,10 +97,25 @@ pub fn per_column_report(
 /// Computes the resemblance report between `real` and `synth`.
 ///
 /// # Panics
-/// Panics if the schemas differ or either table is empty.
+/// Panics if the schemas differ or either table is empty; use
+/// [`try_resemblance`] to get those as a [`MetricError`].
 pub fn resemblance(real: &Table, synth: &Table, config: &ResemblanceConfig) -> ResemblanceReport {
-    assert_eq!(real.schema(), synth.schema(), "schema mismatch");
-    assert!(real.n_rows() > 0 && synth.n_rows() > 0, "empty table");
+    try_resemblance(real, synth, config).unwrap_or_else(|e| panic!("resemblance: {e}"))
+}
+
+/// Computes the resemblance report between `real` and `synth`.
+///
+/// # Errors
+/// [`MetricError::SchemaMismatch`] if the schemas differ and
+/// [`MetricError::EmptyTable`] if either table has no rows.
+pub fn try_resemblance(
+    real: &Table,
+    synth: &Table,
+    config: &ResemblanceConfig,
+) -> Result<ResemblanceReport, MetricError> {
+    crate::same_schema(real, synth, "synthetic")?;
+    crate::has_rows(real, "real")?;
+    crate::has_rows(synth, "synthetic")?;
 
     let column_similarity = column_similarity(real, synth, config.quantile_points);
     let correlation_similarity = 1.0 - correlation_difference(real, synth).mean_abs_diff;
@@ -113,14 +129,14 @@ pub fn resemblance(real: &Table, synth: &Table, config: &ResemblanceConfig) -> R
         + kolmogorov_smirnov
         + propensity)
         / 5.0;
-    ResemblanceReport {
+    Ok(ResemblanceReport {
         column_similarity: 100.0 * column_similarity,
         correlation_similarity: 100.0 * correlation_similarity,
         jensen_shannon: 100.0 * jensen_shannon,
         kolmogorov_smirnov: 100.0 * kolmogorov_smirnov,
         propensity: 100.0 * propensity,
         composite: 100.0 * composite,
-    }
+    })
 }
 
 /// Score 1 — column similarity. For numeric columns: the Pearson
@@ -266,6 +282,23 @@ mod tests {
     use super::*;
     use silofuse_tabular::profiles;
     use silofuse_tabular::split::train_holdout_split;
+
+    /// An empty table or a foreign schema is a typed error; the panicking
+    /// `resemblance` asserted on both.
+    #[test]
+    fn empty_or_mismatched_tables_are_typed_errors() {
+        let real = profiles::loan().generate(64, 0);
+        let empty = Table::empty(real.schema().clone());
+        let other = profiles::diabetes().generate(64, 0);
+        let cfg = ResemblanceConfig::default();
+        let err = |t| MetricError::EmptyTable { table: t };
+        assert_eq!(try_resemblance(&real, &empty, &cfg), Err(err("synthetic")));
+        assert_eq!(try_resemblance(&empty, &real, &cfg), Err(err("real")));
+        let mismatch = MetricError::SchemaMismatch { table: "synthetic" };
+        assert_eq!(try_resemblance(&real, &other, &cfg), Err(mismatch));
+        let ok = try_resemblance(&real, &real, &cfg).unwrap();
+        assert_eq!(ok, resemblance(&real, &real, &cfg));
+    }
 
     #[test]
     fn identical_data_scores_near_perfect() {

@@ -9,6 +9,7 @@
 
 use crate::features::{categorical_targets, numeric_targets, row_features, table_to_features};
 use crate::stats::{d2_absolute_error, macro_f1, percentile};
+use crate::MetricError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -62,16 +63,32 @@ pub struct UtilityReport {
 /// data never used for training.
 ///
 /// # Panics
-/// Panics if schemas differ or tables are empty.
+/// Panics if schemas differ or the holdout is empty; use [`try_utility`]
+/// to get those as a [`MetricError`].
 pub fn utility(
     real_train: &Table,
     synth: &Table,
     holdout: &Table,
     config: &UtilityConfig,
 ) -> UtilityReport {
-    assert_eq!(real_train.schema(), synth.schema(), "schema mismatch");
-    assert_eq!(real_train.schema(), holdout.schema(), "schema mismatch");
-    assert!(holdout.n_rows() > 0, "empty holdout");
+    try_utility(real_train, synth, holdout, config).unwrap_or_else(|e| panic!("utility: {e}"))
+}
+
+/// Computes the utility score; see [`utility`].
+///
+/// # Errors
+/// [`MetricError::SchemaMismatch`] if `synth` or `holdout` has another
+/// schema than `real_train`, and [`MetricError::EmptyTable`] if the
+/// holdout, which every model is scored on, has no rows.
+pub fn try_utility(
+    real_train: &Table,
+    synth: &Table,
+    holdout: &Table,
+    config: &UtilityConfig,
+) -> Result<UtilityReport, MetricError> {
+    crate::same_schema(real_train, synth, "synthetic")?;
+    crate::same_schema(real_train, holdout, "holdout")?;
+    crate::has_rows(holdout, "holdout")?;
 
     // Pick target columns: seeded subsample, always including the last
     // column (the dataset's designated downstream label).
@@ -92,12 +109,12 @@ pub fn utility(
     let real_perf = percentile(&real_scores, config.performance_percentile).max(1e-6);
     let synth_perf = percentile(&synth_scores, config.performance_percentile).max(0.0);
     let score = (100.0 * synth_perf / real_perf).clamp(0.0, 100.0);
-    UtilityReport {
+    Ok(UtilityReport {
         real_performance: real_perf,
         synthetic_performance: synth_perf,
         score,
         evaluated_columns: targets,
-    }
+    })
 }
 
 /// Trains a model on `train` predicting column `target` and scores it on
@@ -157,6 +174,25 @@ mod tests {
     use super::*;
     use silofuse_tabular::profiles;
     use silofuse_tabular::split::train_holdout_split;
+
+    /// An empty holdout or a foreign schema is a typed error; the
+    /// panicking `utility` asserted on both.
+    #[test]
+    fn empty_holdout_or_mismatched_tables_are_typed_errors() {
+        let t = profiles::loan().generate(96, 0);
+        let (train, holdout) = train_holdout_split(&t, 0.25, 0);
+        let empty = Table::empty(t.schema().clone());
+        let other = profiles::diabetes().generate(64, 0);
+        let cfg = UtilityConfig { max_targets: 2, ..Default::default() };
+        let empty_holdout = MetricError::EmptyTable { table: "holdout" };
+        assert_eq!(try_utility(&train, &train, &empty, &cfg).unwrap_err(), empty_holdout);
+        let synth_mismatch = MetricError::SchemaMismatch { table: "synthetic" };
+        assert_eq!(try_utility(&train, &other, &holdout, &cfg).unwrap_err(), synth_mismatch);
+        let holdout_mismatch = MetricError::SchemaMismatch { table: "holdout" };
+        assert_eq!(try_utility(&train, &train, &other, &cfg).unwrap_err(), holdout_mismatch);
+        let ok = try_utility(&train, &train, &holdout, &cfg).unwrap();
+        assert_eq!(ok.score, utility(&train, &train, &holdout, &cfg).score);
+    }
 
     #[test]
     fn real_as_synthetic_scores_near_100() {

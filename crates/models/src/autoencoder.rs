@@ -16,7 +16,7 @@ use silofuse_nn::loss::{gaussian_nll_at, grouped_softmax_cross_entropy_at};
 use silofuse_nn::optim::Adam;
 use silofuse_nn::serialize::StateDictError;
 use silofuse_nn::{workspace, Tensor};
-use silofuse_tabular::encode::{CategoricalTargets, ScalingKind, TableEncoder};
+use silofuse_tabular::encode::{CategoricalTargets, ColumnDecoder, ScalingKind, TableEncoder};
 use silofuse_tabular::schema::ColumnKind;
 use silofuse_tabular::table::Table;
 use silofuse_tabular::{SparseBatch, SparsePolicy};
@@ -298,45 +298,39 @@ impl TabularAutoencoder {
     /// Decodes latents back into a table: numeric = μ head, categorical =
     /// argmax over logits.
     ///
+    /// The decoder runs over blocks of [`DECODE_BLOCK_ROWS`] rows, and each
+    /// block's μ columns and logit blocks are decoded in place from its
+    /// head output into columns allocated once for all rows. A call holds
+    /// one block's `DECODE_BLOCK_ROWS × head` logits at a time, however
+    /// many rows it decodes, and the table equals one whole-batch pass's.
+    ///
     /// # Panics
     /// Panics if `latents` width differs from the latent dimension.
     pub fn decode(&self, latents: &Tensor) -> Table {
         assert_eq!(latents.cols(), self.latent_dim, "latent width mismatch");
-        let heads = self.decoder.infer(latents);
-        self.heads_to_table(&heads)
+        let out = self.table_encoder.column_decoder(self.head_offsets(), latents.rows());
+        decode_in_blocks(&self.decoder, latents, out)
     }
 
-    fn heads_to_table(&self, heads: &Tensor) -> Table {
-        // Re-pack into the TableEncoder layout: numeric slot = μ (head
-        // columns from 0), categorical block = logits (head columns from
-        // 2·n_numeric; argmax during decode).
-        let logits_at = 2 * self.heads.n_numeric;
-        let rows = heads.rows();
-        let width = self.table_encoder.encoded_width();
-        let mut data = vec![0.0f32; rows * width];
-        for r in 0..rows {
-            let mut slot = 0;
-            let mut num_idx = 0;
-            let mut cat_slot = 0;
-            for meta in self.table_encoder.schema().columns() {
-                match meta.kind {
-                    ColumnKind::Numeric => {
-                        data[r * width + slot] = heads.row(r)[num_idx];
-                        num_idx += 1;
-                        slot += 1;
-                    }
-                    ColumnKind::Categorical { cardinality } => {
-                        let k = cardinality as usize;
-                        let at = logits_at + cat_slot;
-                        data[r * width + slot..r * width + slot + k]
-                            .copy_from_slice(&heads.row(r)[at..at + k]);
-                        cat_slot += k;
-                        slot += k;
-                    }
-                }
-            }
-        }
-        self.table_encoder.decode(&data).expect("head layout matches encoder layout")
+    /// Where each schema column reads its head slots: a numeric column its
+    /// μ (head column = its index among the numerics), a categorical
+    /// column its logit block (from `2·n_numeric`, in schema order).
+    fn head_offsets(&self) -> Vec<usize> {
+        let (mut mu, mut logits) = (0, 2 * self.heads.n_numeric);
+        let schema = self.table_encoder.schema();
+        schema
+            .columns()
+            .iter()
+            .map(|meta| {
+                let next = match meta.kind {
+                    ColumnKind::Numeric => &mut mu,
+                    ColumnKind::Categorical { .. } => &mut logits,
+                };
+                let at = *next;
+                *next += meta.kind.one_hot_width();
+                at
+            })
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -419,6 +413,31 @@ impl TabularAutoencoder {
         import_state_dict(&mut self.encoder, enc)?;
         import_state_dict(&mut self.decoder, dec)
     }
+}
+
+/// Rows per network pass when a decoder head or a GAN generator turns
+/// rows into a table: the serve page size. A decode holds one block's
+/// network output at a time, so its memory follows the output width, not
+/// the number of rows asked for.
+pub const DECODE_BLOCK_ROWS: usize = 256;
+
+/// Runs `net` over `input` in blocks of [`DECODE_BLOCK_ROWS`] rows and
+/// decodes each block's output in place with `out`. Every layer of the
+/// decoders and generators computes an output row from its input row
+/// alone, so the table equals the decode of one whole-batch pass, byte for
+/// byte.
+pub(crate) fn decode_in_blocks(net: &Sequential, input: &Tensor, mut out: ColumnDecoder) -> Table {
+    let (rows, cols) = input.shape();
+    for start in (0..rows).step_by(DECODE_BLOCK_ROWS) {
+        let end = (start + DECODE_BLOCK_ROWS).min(rows);
+        let mut block = workspace::take(end - start, cols);
+        block.as_mut_slice().copy_from_slice(&input.as_slice()[start * cols..end * cols]);
+        let y = net.infer(&block);
+        workspace::recycle(block);
+        out.push_rows(y.as_slice(), y.cols()).expect("the offsets fit the network's output");
+        workspace::recycle(y);
+    }
+    out.finish().expect("argmax codes lie inside their cardinality")
 }
 
 impl TrainState for TabularAutoencoder {
@@ -697,6 +716,63 @@ mod tests {
         dense.fit(&t, 6, 32, &mut rng_a);
         sparse.fit(&t, 6, 32, &mut rng_b);
         assert_eq!(dense.export_weights(), sparse.export_weights());
+    }
+
+    /// The decode before blocking: one decoder pass over every row,
+    /// re-packed into the encoder's one-hot layout (μ in a numeric slot,
+    /// logits in a categorical block) and decoded by `TableEncoder::decode`.
+    fn whole_batch_decode(ae: &TabularAutoencoder, latents: &Tensor) -> Table {
+        let heads = ae.decoder.infer(latents);
+        let logits_at = 2 * ae.heads.n_numeric;
+        let width = ae.table_encoder.encoded_width();
+        let mut data = vec![0.0f32; heads.rows() * width];
+        for (r, row) in data.chunks_exact_mut(width).enumerate() {
+            let (mut slot, mut num_idx, mut cat_slot) = (0, 0, 0);
+            for meta in ae.table_encoder.schema().columns() {
+                match meta.kind {
+                    ColumnKind::Numeric => {
+                        row[slot] = heads.row(r)[num_idx];
+                        num_idx += 1;
+                        slot += 1;
+                    }
+                    ColumnKind::Categorical { cardinality } => {
+                        let (k, at) = (cardinality as usize, logits_at + cat_slot);
+                        row[slot..slot + k].copy_from_slice(&heads.row(r)[at..at + k]);
+                        cat_slot += k;
+                        slot += k;
+                    }
+                }
+            }
+        }
+        ae.table_encoder.decode(&data).unwrap()
+    }
+
+    /// The blocked decode writes the bytes of the whole-batch oracle at
+    /// every block boundary, on Churn's sparse silo head (its 2 932-way
+    /// column and two more logit groups) and on Loan's mixed numeric and
+    /// categorical head.
+    #[test]
+    fn blocked_decode_equals_the_whole_batch_oracle() {
+        use silofuse_tabular::partition::{PartitionPlan, PartitionStrategy};
+        let churn = profiles::churn().generate(96, 5);
+        let plan = PartitionPlan::new(churn.n_cols(), 4, PartitionStrategy::Default);
+        let silo0 = plan.split(&churn).swap_remove(0);
+        for (name, table) in [("churn silo 0", silo0), ("loan", toy_table(96))] {
+            let cfg = AutoencoderConfig { hidden_dim: 48, ..Default::default() };
+            let mut ae = TabularAutoencoder::new(&table, cfg);
+            let mut rng = StdRng::seed_from_u64(31);
+            ae.fit(&table, 4, 32, &mut rng);
+            match name {
+                "loan" => assert!(ae.heads.n_numeric > 0 && !ae.heads.cat_widths.is_empty()),
+                _ => assert!(ae.uses_sparse() && ae.heads.width() > 2_900, "{}", ae.heads.width()),
+            }
+            for rows in [0, 1, 255, 256, 257, 785] {
+                let latents = silofuse_nn::init::randn(rows, ae.latent_dim(), &mut rng);
+                let ctx = format!("{name}, {rows} rows");
+                let oracle = whole_batch_decode(&ae, &latents);
+                crate::assert_same_bytes(&ae.decode(&latents), &oracle, &ctx);
+            }
+        }
     }
 
     /// After warm-up an AE training step takes every buffer from the

@@ -240,11 +240,14 @@ impl TabularGan {
         run.run(self, table.n_rows(), rng, step, |_| {}).map(drop)
     }
 
-    /// Generates `n` synthetic rows.
+    /// Generates `n` synthetic rows. The noise for all rows is drawn up
+    /// front; the generator then runs over blocks of
+    /// [`DECODE_BLOCK_ROWS`](crate::autoencoder::DECODE_BLOCK_ROWS) rows,
+    /// each decoded in place, as [`crate::TabularAutoencoder::decode`] does.
     pub fn sample(&mut self, n: usize, rng: &mut StdRng) -> Table {
         let noise = randn(n, self.noise_dim, rng);
-        let fake = self.generator.infer(&noise);
-        self.table_encoder.decode(fake.as_slice()).expect("generator output width matches encoder")
+        let out = self.table_encoder.column_decoder(self.table_encoder.slot_offsets(), n);
+        crate::autoencoder::decode_in_blocks(&self.generator, &noise, out)
     }
 }
 
@@ -373,6 +376,35 @@ mod tests {
         assert!(losses.d_loss.is_finite() && losses.g_loss.is_finite());
         let sample = gan.sample(8, &mut rng);
         assert_eq!(sample.n_rows(), 8);
+    }
+
+    /// Blocked sampling draws the same noise and writes the bytes of one
+    /// whole-batch generator pass decoded by `TableEncoder::decode`, at
+    /// every block boundary and for both architectures.
+    #[test]
+    fn blocked_sample_equals_the_whole_batch_generator() {
+        let loan = profiles::loan().generate(64, 4);
+        let churn = profiles::churn().generate(64, 4);
+        for (table, architecture) in [
+            (&loan, GanArchitecture::Linear),
+            (&loan, GanArchitecture::Conv),
+            (&churn, GanArchitecture::Linear),
+        ] {
+            let cfg = GanConfig { architecture, hidden_dim: 32, ..Default::default() };
+            let mut gan = TabularGan::new(table, cfg);
+            let mut rng = StdRng::seed_from_u64(8);
+            gan.fit(table, 2, 32, &mut rng);
+            for rows in [0, 1, 255, 256, 257, 785] {
+                let (mut a, mut b) =
+                    (StdRng::seed_from_u64(rows as u64), StdRng::seed_from_u64(rows as u64));
+                let sampled = gan.sample(rows, &mut a);
+                let fake = gan.generator.infer(&randn(rows, gan.noise_dim, &mut b));
+                let oracle = gan.table_encoder.decode(fake.as_slice()).unwrap();
+                let ctx = format!("{architecture:?}, width {}, {rows} rows", fake.cols());
+                crate::assert_same_bytes(&sampled, &oracle, &ctx);
+                assert_eq!(a.state(), b.state(), "{ctx}: noise draws");
+            }
+        }
     }
 
     #[test]

@@ -27,9 +27,31 @@ pub(crate) mod sparse;
 pub mod synthesizer;
 pub mod tabddpm;
 
-pub use autoencoder::{AutoencoderConfig, TabularAutoencoder};
+pub use autoencoder::{AutoencoderConfig, TabularAutoencoder, DECODE_BLOCK_ROWS};
 pub use e2e::E2eCentralized;
 pub use gan::{GanArchitecture, GanConfig, TabularGan};
 pub use latentdiff::{LatentDiff, LatentDiffConfig, LatentScaler};
 pub use synthesizer::Synthesizer;
 pub use tabddpm::{TabDdpm, TabDdpmConfig};
+
+/// Asserts that two tables hold the same bytes: equal schemas, equal
+/// category codes, and numerics equal bit for bit.
+#[cfg(test)]
+pub(crate) fn assert_same_bytes(
+    a: &silofuse_tabular::Table,
+    b: &silofuse_tabular::Table,
+    ctx: &str,
+) {
+    use silofuse_tabular::Column;
+    assert_eq!(a.schema(), b.schema(), "{ctx}: schema");
+    assert_eq!(a.n_rows(), b.n_rows(), "{ctx}: rows");
+    for (c, (x, y)) in a.columns().iter().zip(b.columns()).enumerate() {
+        match (x, y) {
+            (Column::Numeric(x), Column::Numeric(y)) => {
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(x), bits(y), "{ctx}: numeric column {c}");
+            }
+            _ => assert_eq!(x, y, "{ctx}: column {c}"),
+        }
+    }
+}

@@ -13,8 +13,9 @@
 //!   plus whatever idle cores the process-wide [`crate::pool`] lends it
 //!   (a shared work queue — each thread grabs the next block, so uneven
 //!   blocks self-balance). `gemm_transpose` packs the `Bᵀ` panel k-major
-//!   first, so the hot loop reads both operands contiguously instead of
-//!   paying a strided load per multiply.
+//!   first (a large panel split across the same workers), so the hot loop
+//!   reads both operands contiguously instead of paying a strided load per
+//!   multiply.
 //!
 //! # Determinism guarantee
 //!
@@ -660,8 +661,8 @@ const PAR_GELU_MIN: usize = 1 << 14;
 /// fan out: map and zip ran at 1.46–1.55× at 2¹⁶ elements.
 const PAR_ELEM_MIN: usize = 1 << 16;
 /// Minimum element count before memory-bound `axpy`/`scale` (and GELU's
-/// backward, one multiply per element) fan out: 0.78× at 2¹⁶ elements,
-/// 0.98× at 2¹⁷, 1.16× at 2¹⁸.
+/// backward, one multiply per element, and `gemm_transpose`'s Bᵀ pack)
+/// fan out: 0.78× at 2¹⁶ elements, 0.98× at 2¹⁷, 1.16× at 2¹⁸.
 const PAR_STREAM_MIN: usize = 1 << 18;
 /// Minimum logit (or Gaussian head) count before a loss fans out over row
 /// blocks: each costs a libm `exp`, so 2¹³ logits ran at 1.4–1.8× on two
@@ -719,8 +720,13 @@ impl Parallel {
         if lease.parts() == 1 {
             return kernel(whole);
         }
-        let block = units.div_ceil(self.threads * 4).max(1);
-        lease.run(split(whole, block), kernel);
+        lease.run(split(whole, self.block(units)), kernel);
+    }
+
+    /// Units per job when `units` units fan out: `4×threads` jobs, so a
+    /// slow core takes fewer of them.
+    fn block(&self, units: usize) -> usize {
+        units.div_ceil(self.threads * 4).max(1)
     }
 
     /// [`Parallel::run_split`] over `total_rows` output rows: `kernel` gets
@@ -738,15 +744,7 @@ impl Parallel {
             fan_out,
             total_rows,
             (0..total_rows, out),
-            |(_, out), block| {
-                out.chunks_mut(block * row_width)
-                    .enumerate()
-                    .map(|(b, chunk)| {
-                        let start = b * block;
-                        (start..(start + block).min(total_rows), chunk)
-                    })
-                    .collect()
-            },
+            |(_, out), block| row_jobs(total_rows, row_width, out, block),
             |(rows, chunk)| kernel(rows, chunk),
         );
     }
@@ -806,6 +804,23 @@ impl Parallel {
     }
 }
 
+/// Cuts `out` (`total_rows` rows of `row_width` floats) into jobs of
+/// `block` rows: each job's row range and its chunk of `out`.
+fn row_jobs(
+    total_rows: usize,
+    row_width: usize,
+    out: &mut [f32],
+    block: usize,
+) -> Vec<(Range<usize>, &mut [f32])> {
+    out.chunks_mut(block * row_width)
+        .enumerate()
+        .map(|(b, chunk)| {
+            let start = b * block;
+            (start..(start + block).min(total_rows), chunk)
+        })
+        .collect()
+}
+
 impl Backend for Parallel {
     fn name(&self) -> &'static str {
         "parallel"
@@ -828,14 +843,29 @@ impl Backend for Parallel {
                 gemm_transpose_rows(rows, k, n, a, b, chunk)
             });
         }
-        // Pack the Bᵀ panel k-major once on the calling thread, then run
-        // the plain gemm kernel over it: the per-element dot order is
-        // unchanged (still ascending k), but every load is now contiguous.
-        // Workers share the packed panel read-only.
+        // Pack the Bᵀ panel k-major, then run the plain gemm kernel over
+        // it: the per-element dot order is unchanged (still ascending k),
+        // but every load is now contiguous. One lease covers both stages:
+        // with helpers, a panel large enough for a memory-bound fan-out is
+        // packed in blocks of panel rows by the caller and its helpers,
+        // which then share it read-only for the GEMM's row blocks.
         let mut packed = workspace::take_vec(k * n);
-        simd::pack_transpose(n, k, b, &mut packed);
+        let lease = pool::lease(self.threads, if fan_out { m } else { 1 });
+        if lease.parts() > 1 && k * n >= PAR_STREAM_MIN {
+            let panel_rows = self.block(k);
+            let packs = packed.chunks_mut(panel_rows * n).enumerate().collect();
+            lease.run(packs, |(i, chunk)| simd::pack_transpose(n, k, b, i * panel_rows, chunk));
+        } else {
+            simd::pack_transpose(n, k, b, 0, &mut packed);
+        }
         let bp: &[f32] = &packed;
-        self.run_rows(fan_out, m, n, out, |rows, chunk| fast_gemm_rows(rows, k, n, a, bp, chunk));
+        if lease.parts() == 1 {
+            fast_gemm_rows(0..m, k, n, a, bp, out);
+        } else {
+            lease.run(row_jobs(m, n, out, self.block(m)), |(rows, chunk)| {
+                fast_gemm_rows(rows, k, n, a, bp, chunk)
+            });
+        }
         workspace::recycle_vec(packed);
     }
 

@@ -228,23 +228,26 @@ unsafe fn broadcast_gemm_at(
     }
 }
 
-/// Packs `src` (a `rows×cols` row-major matrix) transposed into `dst`
-/// (`cols×rows` row-major): `dst[c·rows + r] = src[r·cols + c]`. Blocked
-/// so both sides stream through cache lines; pure data movement, so it
-/// cannot affect numerics.
-pub fn pack_transpose(rows: usize, cols: usize, src: &[f32], dst: &mut [f32]) {
-    debug_assert!(src.len() >= rows * cols);
-    debug_assert!(dst.len() >= rows * cols);
+/// Packs columns `col0..col0 + dst.len() / rows` of `src` (a `rows×cols`
+/// row-major matrix) transposed into `dst`, the matching rows of the
+/// `cols×rows` row-major transpose: `dst[(c − col0)·rows + r] =
+/// src[r·cols + c]`. Blocked so both sides stream through cache lines;
+/// pure data movement, so it cannot affect numerics. Disjoint column
+/// ranges write disjoint parts of the transpose, so threads can pack one
+/// panel together.
+pub fn pack_transpose(rows: usize, cols: usize, src: &[f32], col0: usize, dst: &mut [f32]) {
+    let col1 = col0 + dst.len() / rows.max(1);
+    debug_assert!(src.len() >= rows * cols && col1 <= cols);
     const TILE: usize = 32;
     let mut r0 = 0;
     while r0 < rows {
         let r1 = (r0 + TILE).min(rows);
-        let mut c0 = 0;
-        while c0 < cols {
-            let c1 = (c0 + TILE).min(cols);
+        let mut c0 = col0;
+        while c0 < col1 {
+            let c1 = (c0 + TILE).min(col1);
             for r in r0..r1 {
                 for c in c0..c1 {
-                    dst[c * rows + r] = src[r * cols + c];
+                    dst[(c - col0) * rows + r] = src[r * cols + c];
                 }
             }
             c0 = c1;
@@ -1138,11 +1141,19 @@ mod tests {
         let (r, c) = (37, 23);
         let src = noise(r * c, 5);
         let mut t = vec![0.0f32; r * c];
-        pack_transpose(r, c, &src, &mut t);
+        pack_transpose(r, c, &src, 0, &mut t);
         for i in 0..r {
             for j in 0..c {
                 assert_eq!(t[j * r + i], src[i * c + j]);
             }
+        }
+        // Packed in column blocks of any width, the panel is the same.
+        for block in [1, 5, 22, 23] {
+            let mut parts = vec![f32::NAN; r * c];
+            for (b, chunk) in parts.chunks_mut(block * r).enumerate() {
+                pack_transpose(r, c, &src, b * block, chunk);
+            }
+            assert_eq!(parts, t, "column blocks of {block}");
         }
     }
 

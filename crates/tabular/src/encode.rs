@@ -379,52 +379,116 @@ impl TableEncoder {
         CategoricalTargets { rows, groups: cat_cols.len(), codes }
     }
 
+    /// Where each schema column's slots start in an encoded row: the
+    /// layout [`Self::encode`] writes and [`Self::decode`] reads.
+    pub fn slot_offsets(&self) -> Vec<usize> {
+        let mut offset = 0;
+        self.schema
+            .columns()
+            .iter()
+            .map(|meta| {
+                let at = offset;
+                offset += meta.kind.one_hot_width();
+                at
+            })
+            .collect()
+    }
+
     /// Decodes a row-major `f32` buffer back into a table. Numeric slots are
-    /// unscaled; categorical blocks are decoded by argmax.
+    /// unscaled; categorical blocks are decoded by argmax. This is the
+    /// contiguous case of [`Self::column_decoder`]: the encoder's own slot
+    /// layout, every row in one block.
     ///
     /// # Errors
     /// Returns an error if `data.len()` is not a multiple of the encoded
     /// width (propagated as [`TableError::RaggedColumns`]).
     pub fn decode(&self, data: &[f32]) -> Result<Table, TableError> {
         let width = self.encoded_width();
-        if width == 0 || !data.len().is_multiple_of(width) {
+        let mut out = self.column_decoder(self.slot_offsets(), data.len() / width.max(1));
+        out.push_rows(data, width)?;
+        out.finish()
+    }
+
+    /// A decoder that reads schema column `c` at `offsets[c]` of every row
+    /// of a strided `f32` matrix, one block of rows at a time, into output
+    /// columns allocated once for `rows` rows. A numeric column reads one
+    /// scaled value there, a categorical column `cardinality` scores.
+    ///
+    /// # Panics
+    /// Panics if `offsets` does not hold one offset per schema column.
+    pub fn column_decoder(&self, offsets: Vec<usize>, rows: usize) -> ColumnDecoder<'_> {
+        assert_eq!(offsets.len(), self.schema.width(), "column_decoder: one offset per column");
+        let span = self
+            .schema
+            .columns()
+            .iter()
+            .zip(&offsets)
+            .map(|(meta, &at)| at + meta.kind.one_hot_width())
+            .max()
+            .unwrap_or(0);
+        let columns = self
+            .schema
+            .columns()
+            .iter()
+            .map(|meta| match meta.kind {
+                ColumnKind::Numeric => Column::Numeric(Vec::with_capacity(rows)),
+                ColumnKind::Categorical { .. } => Column::Categorical(Vec::with_capacity(rows)),
+            })
+            .collect();
+        ColumnDecoder { encoder: self, offsets, span, columns }
+    }
+}
+
+/// Decodes rows of a strided `f32` matrix into a [`Table`], block by block:
+/// numeric slots are unscaled, categorical blocks decoded by argmax. Each
+/// row's values depend on that row alone, so any split into blocks yields
+/// the same table. Built by [`TableEncoder::column_decoder`].
+#[derive(Debug)]
+pub struct ColumnDecoder<'a> {
+    encoder: &'a TableEncoder,
+    offsets: Vec<usize>,
+    /// Row width the offsets need: the end of the last column's slots.
+    span: usize,
+    columns: Vec<Column>,
+}
+
+impl ColumnDecoder<'_> {
+    /// Decodes every row of `block` (row-major, `ld` floats per row) and
+    /// appends it to the output columns.
+    ///
+    /// # Errors
+    /// [`TableError::RaggedColumns`] if `ld` is zero or narrower than the
+    /// offsets need, or `block.len()` is not a multiple of `ld`.
+    pub fn push_rows(&mut self, block: &[f32], ld: usize) -> Result<(), TableError> {
+        if ld == 0 || ld < self.span || !block.len().is_multiple_of(ld) {
             return Err(TableError::RaggedColumns);
         }
-        let rows = data.len() / width;
-        let mut columns: Vec<Column> = Vec::with_capacity(self.schema.width());
-        let mut offset = 0;
-        for (col_idx, meta) in self.schema.columns().iter().enumerate() {
-            match meta.kind {
-                ColumnKind::Numeric => {
-                    let codec = self.numeric_codecs[col_idx]
-                        .as_ref()
-                        .expect("numeric codec fitted for numeric column");
-                    let values = (0..rows)
-                        .map(|r| codec.decode(f64::from(data[r * width + offset])))
-                        .collect();
-                    columns.push(Column::Numeric(values));
-                    offset += 1;
+        let rows = block.chunks_exact(ld);
+        let encoder = self.encoder;
+        let layout =
+            encoder.schema.columns().iter().zip(&encoder.numeric_codecs).zip(&self.offsets);
+        for (column, ((meta, codec), &at)) in self.columns.iter_mut().zip(layout) {
+            match column {
+                Column::Numeric(values) => {
+                    let codec = codec.as_ref().expect("numeric codec fitted for numeric column");
+                    values.extend(rows.clone().map(|row| codec.decode(f64::from(row[at]))));
                 }
-                ColumnKind::Categorical { cardinality } => {
-                    let card = cardinality as usize;
-                    let codes = (0..rows)
-                        .map(|r| {
-                            let block = &data[r * width + offset..r * width + offset + card];
-                            let code = argmax(block);
-                            debug_assert!(
-                                code < card,
-                                "decode: argmax produced code {code} outside cardinality {card} \
-                                 for column {col_idx}"
-                            );
-                            code as u32
-                        })
-                        .collect();
-                    columns.push(Column::Categorical(codes));
-                    offset += card;
+                Column::Categorical(codes) => {
+                    let card = meta.kind.one_hot_width();
+                    codes.extend(rows.clone().map(|row| argmax(&row[at..at + card]) as u32));
                 }
             }
         }
-        Table::new(self.schema.clone(), columns)
+        Ok(())
+    }
+
+    /// The decoded table.
+    ///
+    /// # Errors
+    /// Whatever [`Table::new`] rejects; argmax codes always lie inside
+    /// their column's cardinality.
+    pub fn finish(self) -> Result<Table, TableError> {
+        Table::new(self.encoder.schema.clone(), self.columns)
     }
 }
 

@@ -35,7 +35,7 @@ pub mod split;
 pub mod synthetic;
 pub mod table;
 
-pub use encode::{CategoricalTargets, ScalingKind, TableEncoder};
+pub use encode::{CategoricalTargets, ColumnDecoder, ScalingKind, TableEncoder};
 pub use schema::{ColumnKind, ColumnMeta, Schema};
 pub use sparse::{SparseBatch, SparsePolicy};
 pub use table::{Column, Table, TableError};
