@@ -13,7 +13,6 @@
 //! host actually grants, and both the requested and effective counts are
 //! recorded in the JSON.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -93,6 +92,31 @@ fn time_case(
     best
 }
 
+/// Best-of-`reps` wall times in nanoseconds of `gemm` and `gemm_transpose`
+/// at `size`³ through `be`, each rep timing one call of each back to back.
+fn time_alternating(be: &dyn Backend, size: usize, seed: u64, reps: usize) -> (u64, u64) {
+    let case = |kernel| Case { kernel, m: size, k: size, n: size };
+    let (gemm, gemm_transpose) = (case("gemm"), case("gemm_transpose"));
+    // At a square size both kernels read two size² inputs.
+    let a = noise(size * size, seed ^ 0x51ed);
+    let b = noise(size * size, seed ^ 0x2f0b);
+    let mut out = vec![0.0f32; size * size];
+    let mut time = |c: &Case| {
+        let start = Instant::now();
+        run_case(be, c, &a, &b, &mut out);
+        start.elapsed().as_nanos() as u64
+    };
+    // One warmup call of each outside the timed reps.
+    time(&gemm);
+    time(&gemm_transpose);
+    let mut best = (u64::MAX, u64::MAX);
+    for _ in 0..reps {
+        best.0 = best.0.min(time(&gemm));
+        best.1 = best.1.min(time(&gemm_transpose));
+    }
+    best
+}
+
 /// Minimum acceptable single-run GFLOP/s for the timed parallel leg, per
 /// detected SIMD level. Floors are deliberately 3-4x below what the packed
 /// kernels measure on commodity hardware so they catch a fallback to the
@@ -167,12 +191,6 @@ fn main() {
         "GFLOP/s (par)",
     ]);
 
-    // Per-square-size GFLOP/s, to gate gemm_transpose against gemm: the
-    // B-panel packing step must keep the transposed product within 2x of
-    // the straight one (the pre-packing gap was 4-8x).
-    let mut gemm_gflops: HashMap<usize, f64> = HashMap::new();
-    let mut gt_gflops: HashMap<usize, f64> = HashMap::new();
-
     let mut gemm512_speedup = None;
     for (i, c) in cases.iter().enumerate() {
         let (la, lb, lo) = lens(c);
@@ -203,17 +221,6 @@ fn main() {
         let gflops = 2.0 * madds(c) as f64 / t_par.max(1) as f64; // madds are fused mul+add
         if c.kernel == "gemm" && c.m == 512 && c.k == 512 && c.n == 512 {
             gemm512_speedup = Some(speedup);
-        }
-        if c.m == c.k && c.k == c.n {
-            match c.kernel {
-                "gemm" => {
-                    gemm_gflops.insert(c.m, gflops);
-                }
-                "gemm_transpose" => {
-                    gt_gflops.insert(c.m, gflops);
-                }
-                _ => {}
-            }
         }
         // Throughput floor: a packed SIMD kernel that regresses to naive
         // loops loses an order of magnitude; fail loudly instead of letting
@@ -268,18 +275,22 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    // Packing-ratio gate: gemm_transpose must stay within 2x of gemm at
-    // every square size. Skipped on the scalar fallback, which keeps the
-    // old strided loops by design.
+    // Packing-ratio gate: the B-panel packing step must keep gemm_transpose
+    // within 2x of gemm at every square size (the pre-packing gap was
+    // 4-8x). The two are timed rep by rep in alternation, so a host
+    // speed-state switch slows both sides of the ratio, not one. Skipped on
+    // the scalar fallback, which keeps the old strided loops by design.
     if simd_level != SimdLevel::Scalar {
-        for (&size, &g) in &gemm_gflops {
-            let gt = gt_gflops.get(&size).copied().unwrap_or(0.0);
+        for &size in sizes {
+            let (t_gemm, t_gt) = time_alternating(&parallel, size, opts.seed, reps);
+            let ratio = t_gemm as f64 / t_gt.max(1) as f64;
             assert!(
-                gt >= 0.5 * g,
-                "gemm_transpose at {size}^3 is {gt:.2} GFLOP/s, \
-                 more than 2x slower than gemm ({g:.2})"
+                ratio >= 0.5,
+                "gemm_transpose at {size}^3 takes {:.2} ms, more than 2x gemm's {:.2} ms",
+                t_gt as f64 / 1e6,
+                t_gemm as f64 / 1e6
             );
-            note!("[kernels] gemm_transpose/gemm ratio at {size}^3: {:.2} (gate: >= 0.50)", gt / g);
+            note!("[kernels] gemm_transpose/gemm ratio at {size}^3: {ratio:.2} (gate: >= 0.50)");
         }
     }
 

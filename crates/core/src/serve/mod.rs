@@ -1,6 +1,6 @@
 //! Multi-tenant synthesis service: a [`ModelRegistry`] of fitted
-//! synthesizers (loaded — fast-forwarded bit-identically — from their
-//! training checkpoints), a [`SynthesisServer`] running one service
+//! synthesizers (reloaded from a snapshot of what sampling reads, written
+//! when each fit completes), a [`SynthesisServer`] running one service
 //! thread per tenant connection over the byte-accounted transport, and
 //! admission control that *rejects* excess load with a typed
 //! [`crate::ProtocolError::Overloaded`] instead of queueing it.
@@ -12,8 +12,8 @@
 //! row index, so a job is a pure function of its identity. Fetching rows
 //! `0..8192` now and `8192..16384` later yields bytes identical to one
 //! big fetch — across chunk-size changes, thread counts, and server
-//! restarts (the registry reload is a bit-identical checkpoint
-//! fast-forward). Serve traffic rides the control ledger
+//! restarts (the reloaded model is the one that served before, bit for
+//! bit). Serve traffic rides the control ledger
 //! ([`silofuse_distributed::Message::is_control`]), so the Fig. 10
 //! training-communication accounting stays clean.
 //!
@@ -99,6 +99,18 @@ pub enum ServeError {
     Config(String),
     /// Checkpoint load/store failure while opening the registry.
     Checkpoint(CheckpointError),
+    /// A model's checkpoint directory holds a model fitted from another
+    /// [`ModelSpec`]; raised before anything is generated or served.
+    SpecMismatch {
+        /// The model's registry name.
+        model: String,
+        /// The spec field that differs, e.g. `seed` or `budget.ae_steps`.
+        field: String,
+        /// Its value in the directory.
+        saved: String,
+        /// Its value in the spec asked for.
+        requested: String,
+    },
     /// A degenerate synthesis request (zero chunk rows / zero steps).
     Sample(SampleRequestError),
     /// The transport failed mid-job.
@@ -122,6 +134,11 @@ impl fmt::Display for ServeError {
             ServeError::DuplicateModel(name) => write!(f, "duplicate model name `{name}`"),
             ServeError::Config(msg) => write!(f, "invalid serve config: {msg}"),
             ServeError::Checkpoint(e) => write!(f, "registry checkpoint: {e}"),
+            ServeError::SpecMismatch { model, field, saved, requested } => write!(
+                f,
+                "model `{model}`: its checkpoint directory was fitted with {field} = {saved}, \
+                 not the requested {requested}"
+            ),
             ServeError::Sample(e) => write!(f, "synthesis request: {e}"),
             ServeError::Transport(e) => write!(f, "serve transport: {e}"),
             ServeError::Rejected { job, code } => write!(f, "job {job} rejected: {code:?}"),

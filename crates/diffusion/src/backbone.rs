@@ -2,8 +2,11 @@
 
 use rand::Rng;
 use silofuse_nn::embedding::timestep_embedding;
-use silofuse_nn::layers::{mlp, Layer, Sequential};
+use silofuse_nn::init::Init;
+use silofuse_nn::layers::{mlp_with, Layer, Sequential};
+use silofuse_nn::serialize::{SavedParams, StateDictError};
 use silofuse_nn::{workspace, Tensor};
+use std::convert::Infallible;
 
 /// Architecture hyperparameters for a [`DiffusionBackbone`].
 #[derive(Debug, Clone, Copy)]
@@ -63,6 +66,35 @@ impl std::fmt::Debug for DiffusionBackbone {
 impl DiffusionBackbone {
     /// Builds the backbone with seeded initialisation.
     pub fn new(config: BackboneConfig, seed: u64, rng: &mut impl Rng) -> Self {
+        let Ok(backbone) = Self::build(config, seed, |i, o| {
+            Ok::<_, Infallible>(Init::XavierUniform.affine(i, o, rng))
+        });
+        backbone
+    }
+
+    /// Builds the backbone straight from a saved state dict's tensors (visit
+    /// order), with no initialiser draws: what a fitted model's snapshot
+    /// loads. `seed` seeds the dropout layers, as in [`Self::new`].
+    ///
+    /// # Errors
+    /// [`StateDictError`] when the tensors' count or shapes do not fit
+    /// `config`'s architecture.
+    pub fn from_params(
+        config: BackboneConfig,
+        seed: u64,
+        params: Vec<Tensor>,
+    ) -> Result<Self, StateDictError> {
+        let mut saved = SavedParams::new(params);
+        let backbone = Self::build(config, seed, |i, o| saved.affine(i, o))?;
+        saved.finish()?;
+        Ok(backbone)
+    }
+
+    fn build<E>(
+        config: BackboneConfig,
+        seed: u64,
+        affine: impl FnMut(usize, usize) -> Result<(Tensor, Tensor), E>,
+    ) -> Result<Self, E> {
         let mut dims = Vec::with_capacity(config.depth + 2);
         dims.push(config.data_dim + config.time_embed_dim);
         for _ in 0..config.depth {
@@ -70,7 +102,7 @@ impl DiffusionBackbone {
         }
         dims.push(config.out_dim);
         let dropout = (config.dropout > 0.0).then_some(config.dropout);
-        Self { net: mlp(&dims, dropout, seed, rng), config }
+        Ok(Self { net: mlp_with(&dims, dropout, seed, affine)?, config })
     }
 
     /// The architecture configuration.

@@ -669,19 +669,29 @@ fn fill_gaussian_rows(x: &mut Tensor, rngs: &mut [StdRng]) {
     }
 }
 
-/// A sampling chunk splits only when every core it borrows gets at least
-/// this many rows.
+/// A sampling chunk borrows a core only when every core that drains its
+/// parts gets at least this many rows.
 const MIN_SPLIT_ROWS: usize = 64;
 
-/// Rows per part of a split chunk. The parts are taken one at a time from
-/// a shared queue, so a core the host slows down takes fewer of them, and
-/// the smaller they are, the less the chunk waits on its last part. On
-/// one core of a 2-vCPU AVX2 host, the 24-wide, 128-hidden latent DDPM
-/// sampled at 265–267 µs/row in batches of 16 to 96 rows and 271–276
-/// µs/row in batches of 128 to 1 024. At two workers the pipeline's
-/// synthesis rates spread less from run to run with 16-row parts than
-/// with 32-row ones, at a 3–8% lower median.
+/// Rows per part of a chunk that borrowed cores. The parts are taken one
+/// at a time from a shared queue, so a core the host slows down takes
+/// fewer of them, and the smaller they are, the less the chunk waits on
+/// its last part. On one core of a 2-vCPU AVX2 host, the 24-wide,
+/// 128-hidden latent DDPM sampled at 265–267 µs/row in batches of 16 to 96
+/// rows and 271–276 µs/row in batches of 128 to 1 024. At two workers the
+/// pipeline's synthesis rates spread less from run to run with 16-row
+/// parts than with 32-row ones, at a 3–8% lower median.
 const SPLIT_PART_ROWS: usize = 16;
+
+/// Rows per part, at most, of a chunk its caller drains alone. A part is
+/// all its core holds activations for, so this bounds a lone chunk's
+/// memory (one 256-row activation of a 128-wide layer is 128 KiB) however
+/// many rows the chunk holds. Parts stay this large because small ones
+/// cost a lone caller whose neighbour core is busy: on the 2-vCPU AVX-512
+/// host, with two threads each sampling 256-row chunks of the 13-wide,
+/// 128-hidden DDPM at one worker, 16-row parts ran 10% slower per row
+/// than 256-row ones.
+const LONE_PART_ROWS: usize = 256;
 
 /// Streaming batched sampler over the reverse-diffusion chain: yields
 /// latent chunks of at most `chunk_rows` rows until `n` rows have been
@@ -731,14 +741,18 @@ impl ChunkedSampler<'_> {
     /// allocation-free at steady state.
     ///
     /// The chunk is one compute entry of the worker pool
-    /// ([`silofuse_nn::pool`]): when idle cores are free and each gets at
-    /// least 64 rows, it splits into contiguous parts of 16 to 18 rows,
-    /// each sampled as its own batch by whichever core takes it next from
-    /// a shared queue. A core that the host slows down, or a helper that
-    /// wakes late, then takes fewer parts instead of holding the whole
-    /// chunk up. Every row's noise depends only on its absolute index and
-    /// every kernel's per-row arithmetic on nothing but that row, so the
-    /// split never changes a byte.
+    /// ([`silofuse_nn::pool`]), split into contiguous parts that are each
+    /// sampled as their own batch by whichever core takes them next from a
+    /// shared queue. The lease decides how many cores drain the queue, and
+    /// with that how big the parts are. When idle cores are free and each
+    /// gets at least 64 rows, the caller and the borrowed cores take parts
+    /// of 16 to 18 rows, so a core that the host slows down, or a helper
+    /// that wakes late, takes fewer parts instead of holding the whole
+    /// chunk up. A caller alone takes parts of at most 256 rows. Either
+    /// way a chunk holds only its parts' activations, at any worker count.
+    /// Every row's noise depends only on its absolute index and every
+    /// kernel's per-row arithmetic on nothing but that row, so the split
+    /// never changes a byte.
     pub fn next_chunk(&mut self) -> Option<(usize, Tensor)> {
         if self.next_row >= self.n {
             return None;
@@ -748,27 +762,26 @@ impl ChunkedSampler<'_> {
         let m = self.chunk_rows.min(self.n - first);
         let dim = self.dim();
         let lease = pool::lease(backend::threads(), if dim == 0 { 1 } else { m / MIN_SPLIT_ROWS });
-        let x = if lease.parts() == 1 {
-            self.ddpm.sample_chunk(&self.coeffs, self.base, first, m)
-        } else {
+        let n_parts = if lease.parts() > 1 {
             silofuse_observe::count(silofuse_observe::names::SYNTH_SPLIT_CHUNKS, 1);
-            let n_parts = m / SPLIT_PART_ROWS;
-            let mut x = workspace::take(m, dim);
-            let mut parts: Vec<(usize, &mut [f32])> = Vec::with_capacity(n_parts);
-            let mut rest = x.as_mut_slice();
-            for p in 0..n_parts {
-                let (lo, hi) = (p * m / n_parts, (p + 1) * m / n_parts);
-                let (out, tail) = rest.split_at_mut((hi - lo) * dim);
-                parts.push((first + lo, out));
-                rest = tail;
-            }
-            lease.run(parts, |(row, out)| {
-                let part = self.ddpm.sample_chunk(&self.coeffs, self.base, row, out.len() / dim);
-                out.copy_from_slice(part.as_slice());
-                workspace::recycle(part);
-            });
-            x
+            m / SPLIT_PART_ROWS
+        } else {
+            m.div_ceil(LONE_PART_ROWS)
         };
+        let mut x = workspace::take(m, dim);
+        let mut parts: Vec<(usize, usize, &mut [f32])> = Vec::with_capacity(n_parts);
+        let mut rest = x.as_mut_slice();
+        for p in 0..n_parts {
+            let (lo, hi) = (p * m / n_parts, (p + 1) * m / n_parts);
+            let (out, tail) = rest.split_at_mut((hi - lo) * dim);
+            parts.push((first + lo, hi - lo, out));
+            rest = tail;
+        }
+        lease.run(parts, |(row, rows, out)| {
+            let part = self.ddpm.sample_chunk(&self.coeffs, self.base, row, rows);
+            out.copy_from_slice(part.as_slice());
+            workspace::recycle(part);
+        });
         self.next_row = first + m;
         silofuse_observe::count(silofuse_observe::names::SYNTH_ROWS, m as u64);
         silofuse_observe::count(silofuse_observe::names::SYNTH_CHUNKS, 1);

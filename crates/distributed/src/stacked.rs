@@ -21,7 +21,7 @@ use crate::Message;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silofuse_checkpoint::{CheckpointError, Checkpointer, CrashPoint};
-use silofuse_diffusion::gaussian::{GaussianDdpm, Parameterization};
+use silofuse_diffusion::gaussian::GaussianDdpm;
 use silofuse_models::latentdiff::{LatentDiffConfig, LatentScaler};
 use silofuse_models::{AutoencoderConfig, TabularAutoencoder};
 use silofuse_nn::Tensor;
@@ -474,11 +474,7 @@ impl SiloFuseModel {
 
         // A (re)started coordinator builds its DDPM from config, then
         // trains it from the latest checkpoint if `ckpt` resumes.
-        let parameterization = if config.predict_noise {
-            Parameterization::PredictNoise
-        } else {
-            Parameterization::PredictX0
-        };
+        let parameterization = config.parameterization();
         let train_ddpm = |z: &Tensor, rng: &mut StdRng, ckpt: &Checkpointer| {
             let mut ddpm = config.latent_ddpm(z.cols(), COORDINATOR_DDPM_SALT, parameterization);
             let _phase = observe::phase("latent-train");

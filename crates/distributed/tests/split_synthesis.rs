@@ -77,7 +77,7 @@ fn chunks_split_across_idle_cores_give_the_serial_bytes() {
         backend::set_threads(1);
         let splits_before = counter(&hub, SYNTH_SPLIT_CHUNKS);
         let serial = run();
-        assert_eq!(counter(&hub, SYNTH_SPLIT_CHUNKS), splits_before, "1 worker never splits");
+        assert_eq!(counter(&hub, SYNTH_SPLIT_CHUNKS), splits_before, "1 worker borrows no core");
         for threads in [2, 4] {
             backend::set_threads(threads);
             let splits = counter(&hub, SYNTH_SPLIT_CHUNKS);

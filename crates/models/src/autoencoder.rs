@@ -14,12 +14,15 @@ use silofuse_nn::init::Init;
 use silofuse_nn::layers::{Activation, ActivationKind, EmbeddingGather, Layer, Linear, Sequential};
 use silofuse_nn::loss::{gaussian_nll_at, grouped_softmax_cross_entropy_at};
 use silofuse_nn::optim::Adam;
-use silofuse_nn::serialize::StateDictError;
+use silofuse_nn::serialize::{self, Reader, SavedParams, StateDictError};
 use silofuse_nn::{workspace, Tensor};
-use silofuse_tabular::encode::{CategoricalTargets, ColumnDecoder, ScalingKind, TableEncoder};
-use silofuse_tabular::schema::ColumnKind;
+use silofuse_tabular::encode::{
+    CategoricalTargets, ColumnDecoder, NumericCodec, QuantileTransformer, ScalingKind, TableEncoder,
+};
+use silofuse_tabular::schema::{ColumnKind, ColumnMeta, Schema};
 use silofuse_tabular::table::Table;
 use silofuse_tabular::{SparseBatch, SparsePolicy};
+use std::convert::Infallible;
 
 /// Autoencoder hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -94,41 +97,66 @@ impl TabularAutoencoder {
     /// Builds an (untrained) autoencoder for `table`'s schema, fitting the
     /// feature scalers on `table`.
     pub fn new(table: &Table, config: AutoencoderConfig) -> Self {
-        let table_encoder = TableEncoder::fit(table, ScalingKind::Standard);
-        let input_dim = table_encoder.encoded_width();
-        let latent_dim = config.latent_dim.unwrap_or_else(|| table.schema().width().max(1));
+        Self::from_encoder(TableEncoder::fit(table, ScalingKind::Standard), config)
+    }
+
+    /// Builds an (untrained) autoencoder around a fitted table encoder: the
+    /// networks and initial weights [`Self::new`] builds on the table the
+    /// encoder was fitted on.
+    pub fn from_encoder(table_encoder: TableEncoder, config: AutoencoderConfig) -> Self {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let Ok(ae) = Self::build(table_encoder, config, |i, o| {
+            Ok::<_, Infallible>(Init::XavierUniform.affine(i, o, &mut rng))
+        });
+        ae
+    }
+
+    /// Assembles the networks for `table_encoder`'s schema, each affine
+    /// layer's `(weight, bias)` from `affine(fan_in, fan_out)` in layer
+    /// order: encoder, then decoder.
+    fn build<E>(
+        table_encoder: TableEncoder,
+        config: AutoencoderConfig,
+        mut affine: impl FnMut(usize, usize) -> Result<(Tensor, Tensor), E>,
+    ) -> Result<Self, E> {
+        let schema = table_encoder.schema();
+        let latent_dim = config.latent_dim.unwrap_or_else(|| schema.width().max(1));
         let heads = HeadLayout {
-            n_numeric: table.schema().numeric_count(),
+            n_numeric: schema.numeric_count(),
             cat_widths: table_encoder.categorical_group_widths(),
         };
-        let mut rng = StdRng::seed_from_u64(config.seed);
         let h = config.hidden_dim;
         // Three linear layers per side, GELU activations (§V-A). When the
         // schema's one-hot expansion crosses the sparse threshold the first
         // encoder layer is an EmbeddingGather: same parameter layout, same
         // initialiser draws (checkpoints interchange with the dense build),
         // but batches arrive as index+value buffers instead of one-hot.
-        let use_sparse = config.encoding.selects_sparse(table.schema());
+        let use_sparse = config.encoding.selects_sparse(schema);
+        let (weight, bias) = affine(table_encoder.encoded_width(), h)?;
         let mut encoder = Sequential::new();
         if use_sparse {
-            let spec = crate::sparse::sparse_spec(table.schema());
-            encoder.add(Box::new(EmbeddingGather::new(spec, h, Init::XavierUniform, &mut rng)));
+            let spec = crate::sparse::sparse_spec(schema);
+            encoder.add(Box::new(EmbeddingGather::from_parts(spec, weight, bias)));
         } else {
-            encoder.add(Box::new(Linear::new(input_dim, h, Init::XavierUniform, &mut rng)));
+            encoder.add(Box::new(Linear::from_parts(weight, bias)));
         }
+        let mut linear = |fan_in, fan_out| -> Result<Linear, E> {
+            let (weight, bias) = affine(fan_in, fan_out)?;
+            Ok(Linear::from_parts(weight, bias))
+        };
         let encoder = encoder
             .push(Activation::new(ActivationKind::Gelu))
-            .push(Linear::new(h, h, Init::XavierUniform, &mut rng))
+            .push(linear(h, h)?)
             .push(Activation::new(ActivationKind::Gelu))
-            .push(Linear::new(h, latent_dim, Init::XavierUniform, &mut rng));
+            .push(linear(h, latent_dim)?);
         let decoder = Sequential::new()
-            .push(Linear::new(latent_dim, h, Init::XavierUniform, &mut rng))
+            .push(linear(latent_dim, h)?)
             .push(Activation::new(ActivationKind::Gelu))
-            .push(Linear::new(h, h, Init::XavierUniform, &mut rng))
+            .push(linear(h, h)?)
             .push(Activation::new(ActivationKind::Gelu))
-            .push(Linear::new(h, heads.width(), Init::XavierUniform, &mut rng));
+            .push(linear(h, heads.width())?);
         let sparse = use_sparse.then(|| table_encoder.sparse_batch());
-        Self {
+        Ok(Self {
             encoder,
             decoder,
             enc_opt: Adam::new(config.lr),
@@ -138,7 +166,38 @@ impl TabularAutoencoder {
             heads,
             latent_dim,
             lr: config.lr,
-        }
+        })
+    }
+
+    /// Appends what inference reads, for [`Self::read_fitted`]: the fitted
+    /// table encoder (the schema, then each numeric column's scaling with
+    /// its exact `f64` bits) and the encoder's and decoder's parameters as
+    /// two state dicts. No optimizer state and no layer RNGs.
+    pub fn write_fitted(&mut self, out: &mut Vec<u8>) {
+        write_table_encoder(out, &self.table_encoder);
+        serialize::write_state_dict(out, &mut self.encoder);
+        serialize::write_state_dict(out, &mut self.decoder);
+    }
+
+    /// Reads what [`Self::write_fitted`] wrote and builds the autoencoder
+    /// around it for `config`'s architecture, its networks straight from
+    /// the saved tensors (no initialiser draws). Encodes and decodes the
+    /// bytes of the model that wrote it.
+    ///
+    /// # Errors
+    /// [`StateDictError`] when the bytes are malformed or do not fit
+    /// `config`'s architecture.
+    pub fn read_fitted(
+        r: &mut Reader<'_>,
+        config: AutoencoderConfig,
+    ) -> Result<Self, StateDictError> {
+        let table_encoder = read_table_encoder(r)?;
+        let mut params = r.tensor_list()?;
+        params.extend(r.tensor_list()?);
+        let mut saved = SavedParams::new(params);
+        let ae = Self::build(table_encoder, config, |i, o| saved.affine(i, o))?;
+        saved.finish()?;
+        Ok(ae)
     }
 
     /// True when batches are encoded sparsely (index+value buffers).
@@ -440,6 +499,74 @@ pub(crate) fn decode_in_blocks(net: &Sequential, input: &Tensor, mut out: Column
     out.finish().expect("argmax codes lie inside their cardinality")
 }
 
+/// Appends a fitted table encoder: `u32 columns`, then per column its name
+/// (`u32 len | utf-8`), its kind (`0` numeric, `1` categorical followed by
+/// `u32 cardinality`) and its scaling (`0` none, `1` standard `mean std`,
+/// `2` min-max `min max`, `3` quantile `u32 len | f64*`). Every `f64` keeps
+/// its exact bits.
+fn write_table_encoder(out: &mut Vec<u8>, encoder: &TableEncoder) {
+    let columns = encoder.schema().columns();
+    out.extend_from_slice(&(columns.len() as u32).to_le_bytes());
+    for (meta, codec) in columns.iter().zip(encoder.numeric_codecs()) {
+        serialize::write_str(out, &meta.name);
+        match meta.kind {
+            ColumnKind::Numeric => out.push(0),
+            ColumnKind::Categorical { cardinality } => {
+                out.push(1);
+                out.extend_from_slice(&cardinality.to_le_bytes());
+            }
+        }
+        let mut f64s = |tag: u8, values: &[f64]| {
+            out.push(tag);
+            values.iter().for_each(|v| out.extend_from_slice(&v.to_le_bytes()));
+        };
+        match codec {
+            None => f64s(0, &[]),
+            Some(NumericCodec::Standard { mean, std }) => f64s(1, &[*mean, *std]),
+            Some(NumericCodec::MinMax { min, max }) => f64s(2, &[*min, *max]),
+            Some(NumericCodec::Quantile(q)) => {
+                out.push(3);
+                out.extend_from_slice(&(q.sorted().len() as u32).to_le_bytes());
+                q.sorted().iter().for_each(|v| out.extend_from_slice(&v.to_le_bytes()));
+            }
+        }
+    }
+}
+
+/// Reads what [`write_table_encoder`] wrote.
+fn read_table_encoder(r: &mut Reader<'_>) -> Result<TableEncoder, StateDictError> {
+    let n = r.u32()? as usize;
+    // Every column takes at least its name length and two tags.
+    if n > r.remaining() / 6 {
+        return Err(StateDictError::Malformed);
+    }
+    let (mut columns, mut codecs) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for _ in 0..n {
+        let name = r.str()?;
+        columns.push(match r.u8()? {
+            0 => ColumnMeta::numeric(name),
+            1 => match r.u32()? {
+                0 => return Err(StateDictError::Malformed),
+                cardinality => ColumnMeta::categorical(name, cardinality),
+            },
+            _ => return Err(StateDictError::Malformed),
+        });
+        codecs.push(match r.u8()? {
+            0 => None,
+            1 => Some(NumericCodec::Standard { mean: r.f64()?, std: r.f64()? }),
+            2 => Some(NumericCodec::MinMax { min: r.f64()?, max: r.f64()? }),
+            3 => {
+                let len = r.u32()? as usize;
+                let sorted = r.f64_vec(len)?;
+                let q = QuantileTransformer::try_fit(&sorted).ok_or(StateDictError::Malformed)?;
+                Some(NumericCodec::Quantile(q))
+            }
+            _ => return Err(StateDictError::Malformed),
+        });
+    }
+    TableEncoder::from_parts(Schema::new(columns), codecs).map_err(|_| StateDictError::Malformed)
+}
+
 impl TrainState for TabularAutoencoder {
     /// Weights, buffers, layer RNGs and both Adam optimizers, framed like
     /// [`TabularAutoencoder::export_weights`]
@@ -649,6 +776,38 @@ mod tests {
         assert_eq!(revived.encode(&t), z_clean);
         assert_eq!(rng2.state(), rng_clean.state());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What inference reads round-trips under every numeric scaling: the
+    /// read-back autoencoder encodes and decodes the same bytes, and
+    /// writes the same bytes again, so every codec `f64` kept its bits.
+    #[test]
+    fn fitted_state_round_trips_under_every_scaling() {
+        let t = toy_table(96);
+        let cfg = AutoencoderConfig { hidden_dim: 32, ..Default::default() };
+        for scaling in [ScalingKind::Standard, ScalingKind::MinMax, ScalingKind::QuantileGaussian] {
+            let mut ae = TabularAutoencoder::from_encoder(TableEncoder::fit(&t, scaling), cfg);
+            ae.fit(&t, 6, 32, &mut StdRng::seed_from_u64(2));
+            let mut bytes = Vec::new();
+            ae.write_fitted(&mut bytes);
+            let mut r = Reader::new(&bytes);
+            let mut loaded = TabularAutoencoder::read_fitted(&mut r, cfg).unwrap();
+            r.finish().unwrap();
+            let mut again = Vec::new();
+            loaded.write_fitted(&mut again);
+            assert_eq!(again, bytes, "{scaling:?}");
+            assert_eq!(loaded.encode(&t), ae.encode(&t), "{scaling:?}");
+            let latents =
+                silofuse_nn::init::randn(300, ae.latent_dim(), &mut StdRng::seed_from_u64(3));
+            let ctx = format!("{scaling:?}");
+            crate::assert_same_bytes(&loaded.decode(&latents), &ae.decode(&latents), &ctx);
+            for cut in [0, 3, bytes.len() / 2, bytes.len() - 1] {
+                let err = TabularAutoencoder::read_fitted(&mut Reader::new(&bytes[..cut]), cfg);
+                assert!(err.is_err(), "{scaling:?}: cut at {cut}");
+            }
+            let narrower = AutoencoderConfig { hidden_dim: 16, ..cfg };
+            assert!(TabularAutoencoder::read_fitted(&mut Reader::new(&bytes), narrower).is_err());
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use silofuse_diffusion::gaussian::{
     GaussianDdpm, GaussianDiffusion, InvalidChunkRows, Parameterization, SampleRequestError,
 };
 use silofuse_diffusion::schedule::{NoiseSchedule, ScheduleKind};
+use silofuse_nn::serialize::{Reader, StateDictError};
 use silofuse_nn::Tensor;
 use silofuse_observe as observe;
 use silofuse_tabular::table::Table;
@@ -104,6 +105,24 @@ impl LatentDiffConfig {
             self.seed,
             &mut init_rng,
         );
+        self.ddpm_around(backbone, parameterization)
+    }
+
+    /// The latent DDPM's training objective: x0-prediction (Eq. 5) unless
+    /// [`LatentDiffConfig::predict_noise`] is set.
+    pub fn parameterization(&self) -> Parameterization {
+        if self.predict_noise {
+            Parameterization::PredictNoise
+        } else {
+            Parameterization::PredictX0
+        }
+    }
+
+    fn ddpm_around(
+        &self,
+        backbone: DiffusionBackbone,
+        parameterization: Parameterization,
+    ) -> GaussianDdpm {
         let schedule = NoiseSchedule::new(self.schedule, self.timesteps);
         GaussianDdpm::new(
             GaussianDiffusion::new(schedule, parameterization),
@@ -265,12 +284,7 @@ impl LatentDiff {
             z.add_scaled(&noise, cfg.latent_noise_std);
         }
 
-        let parameterization = if cfg.predict_noise {
-            Parameterization::PredictNoise
-        } else {
-            Parameterization::PredictX0
-        };
-        let mut ddpm = cfg.latent_ddpm(z.cols(), 0xddb1, parameterization);
+        let mut ddpm = cfg.latent_ddpm(z.cols(), 0xddb1, cfg.parameterization());
 
         {
             let _phase = observe::phase("latent-train");
@@ -289,6 +303,55 @@ impl LatentDiff {
         self.fitted =
             Some(Fitted { ae, ddpm, scaler, inference_steps: cfg.inference_steps, eta: cfg.eta });
         Ok(())
+    }
+
+    /// What sampling reads, as bytes for [`LatentDiff::from_fitted`]: the
+    /// autoencoder's fitted table encoder and parameters
+    /// ([`TabularAutoencoder::write_fitted`]), the latent scaler
+    /// (`u32 columns | f32 mean* | f32 std*`) and the latent DDPM's
+    /// parameters as a state dict. No optimizer moments and no RNG states:
+    /// about a third of a training checkpoint's bytes. `None` before
+    /// [`LatentDiff::try_fit`].
+    pub fn export_fitted(&mut self) -> Option<Vec<u8>> {
+        let fitted = self.fitted.as_mut()?;
+        let mut out = Vec::new();
+        fitted.ae.write_fitted(&mut out);
+        let (mean, std) = (fitted.scaler.mean(), fitted.scaler.std());
+        out.extend_from_slice(&(mean.len() as u32).to_le_bytes());
+        for v in mean.iter().chain(std) {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(&fitted.ddpm.export_weights());
+        Some(out)
+    }
+
+    /// A fitted model rebuilt from [`LatentDiff::export_fitted`]'s bytes
+    /// and the `config` it was fitted with, without the training data: no
+    /// data generation, encoding or training, and its networks are built
+    /// straight from the saved tensors. It samples the bytes of the model
+    /// that wrote them. The returned model has no checkpointer.
+    ///
+    /// # Errors
+    /// [`StateDictError`] when the bytes are malformed or do not fit
+    /// `config`'s architecture.
+    pub fn from_fitted(config: LatentDiffConfig, bytes: &[u8]) -> Result<Self, StateDictError> {
+        let mut r = Reader::new(bytes);
+        let ae = TabularAutoencoder::read_fitted(&mut r, config.ae)?;
+        let width = r.u32()? as usize;
+        if width != ae.latent_dim() {
+            return Err(StateDictError::Malformed);
+        }
+        let scaler = LatentScaler::from_parts(r.f32_vec(width)?, r.f32_vec(width)?);
+        let backbone = DiffusionBackbone::from_params(
+            BackboneConfig::paper_latent(width, config.ddpm_hidden),
+            config.seed,
+            r.tensor_list()?,
+        )?;
+        r.finish()?;
+        let ddpm = config.ddpm_around(backbone, config.parameterization());
+        let fitted =
+            Fitted { ae, ddpm, scaler, inference_steps: config.inference_steps, eta: config.eta };
+        Ok(Self { config, ckpt: Checkpointer::disabled(), fitted: Some(fitted) })
     }
 
     /// The fitted output schema, or `None` before [`LatentDiff::try_fit`].

@@ -43,6 +43,12 @@ impl Init {
             }
         }
     }
+
+    /// A new affine layer's parameters: a `fan_in × fan_out` weight drawn
+    /// by [`Init::sample`] and a zero `1 × fan_out` bias.
+    pub fn affine(self, fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> (Tensor, Tensor) {
+        (self.sample(fan_in, fan_out, rng), Tensor::zeros(1, fan_out))
+    }
 }
 
 /// Box–Muller transform of two uniforms in `(0, 1]`.

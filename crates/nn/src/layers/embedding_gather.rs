@@ -59,9 +59,23 @@ impl EmbeddingGather {
     /// samples `Linear::new(spec.in_width(), fan_out, init, rng)` would, so
     /// a model seeded identically initialises identically on either path.
     pub fn new(spec: SparseSpec, fan_out: usize, init: Init, rng: &mut impl Rng) -> Self {
+        let (weight, bias) = init.affine(spec.in_width(), fan_out, rng);
+        Self::from_parts(spec, weight, bias)
+    }
+
+    /// The layer for `spec` with the given `spec.in_width() × fan_out`
+    /// weight and `1 × fan_out` bias, such as a fitted model's saved
+    /// parameters.
+    ///
+    /// # Panics
+    /// Panics if the weight does not have `spec.in_width()` rows or the
+    /// bias is not one row as wide as the weight.
+    pub fn from_parts(spec: SparseSpec, weight: Tensor, bias: Tensor) -> Self {
+        assert_eq!(weight.rows(), spec.in_width(), "weight must have one row per input slot");
+        assert_eq!(bias.shape(), (1, weight.cols()), "bias must be 1 x fan_out");
         Self {
-            weight: Param::new(init.sample(spec.in_width(), fan_out, rng)),
-            bias: Param::new(Tensor::zeros(1, fan_out)),
+            weight: Param::new(weight),
+            bias: Param::new(bias),
             spec,
             cached_input: None,
             cached_rows: 0,

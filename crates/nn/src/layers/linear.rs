@@ -16,11 +16,18 @@ pub struct Linear {
 impl Linear {
     /// Creates a layer with the given fan-in/fan-out and initialiser.
     pub fn new(fan_in: usize, fan_out: usize, init: Init, rng: &mut impl Rng) -> Self {
-        Self {
-            weight: Param::new(init.sample(fan_in, fan_out, rng)),
-            bias: Param::new(Tensor::zeros(1, fan_out)),
-            cached_input: None,
-        }
+        let (weight, bias) = init.affine(fan_in, fan_out, rng);
+        Self::from_parts(weight, bias)
+    }
+
+    /// A layer with the given `fan_in × fan_out` weight and `1 × fan_out`
+    /// bias, such as a fitted model's saved parameters.
+    ///
+    /// # Panics
+    /// Panics if the bias is not one row as wide as the weight.
+    pub fn from_parts(weight: Tensor, bias: Tensor) -> Self {
+        assert_eq!(bias.shape(), (1, weight.cols()), "bias must be 1 x fan_out");
+        Self { weight: Param::new(weight), bias: Param::new(bias), cached_input: None }
     }
 
     /// Input feature count.

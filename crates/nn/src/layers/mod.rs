@@ -25,7 +25,7 @@ pub use dropout::Dropout;
 pub use embedding_gather::EmbeddingGather;
 pub use linear::Linear;
 pub use norm::{BatchNorm1d, LayerNorm};
-pub use sequential::{mlp, Sequential};
+pub use sequential::{mlp, mlp_with, Sequential};
 
 use crate::sparse::SparseBatchRef;
 use crate::tensor::Tensor;

@@ -138,15 +138,35 @@ pub fn mlp(
     seed: u64,
     rng: &mut impl rand::Rng,
 ) -> Sequential {
+    let Ok(seq) = mlp_with(dims, dropout, seed, |fan_in, fan_out| {
+        Ok::<_, std::convert::Infallible>(
+            crate::init::Init::XavierUniform.affine(fan_in, fan_out, rng),
+        )
+    });
+    seq
+}
+
+/// [`mlp`] with each linear layer's `(weight, bias)` from
+/// `affine(fan_in, fan_out)`, called in layer order: fresh initialiser
+/// draws, or a saved model's tensors ([`crate::serialize::SavedParams`]).
+///
+/// # Errors
+/// The first error `affine` returns; the build stops there.
+///
+/// # Panics
+/// Panics if `dims` has fewer than two entries, or `affine` returns a bias
+/// that is not one row as wide as its weight.
+pub fn mlp_with<E>(
+    dims: &[usize],
+    dropout: Option<f32>,
+    seed: u64,
+    mut affine: impl FnMut(usize, usize) -> Result<(crate::Tensor, crate::Tensor), E>,
+) -> Result<Sequential, E> {
     assert!(dims.len() >= 2, "mlp needs at least input and output dims");
     let mut seq = Sequential::new();
     for i in 0..dims.len() - 1 {
-        seq.add(Box::new(super::Linear::new(
-            dims[i],
-            dims[i + 1],
-            crate::init::Init::XavierUniform,
-            rng,
-        )));
+        let (weight, bias) = affine(dims[i], dims[i + 1])?;
+        seq.add(Box::new(super::Linear::from_parts(weight, bias)));
         let is_last = i + 2 == dims.len();
         if !is_last {
             seq.add(Box::new(super::Activation::new(super::ActivationKind::Gelu)));
@@ -157,7 +177,7 @@ pub fn mlp(
             }
         }
     }
-    seq
+    Ok(seq)
 }
 
 #[cfg(test)]

@@ -17,10 +17,13 @@
 //!          | tensor_list m | tensor_list v
 //! ```
 //!
-//! All readers are hardened against adversarial length prefixes: a count
-//! or shape implying more bytes than the buffer holds is rejected *before*
-//! any allocation sized from it (mirroring the transport's
-//! `Message::decode` hardening).
+//! Every parse goes through [`Reader`], which is hardened against
+//! adversarial length prefixes: a count or shape implying more bytes than
+//! the buffer holds is rejected *before* any allocation sized from it
+//! (mirroring the transport's `Message::decode` hardening). Model
+//! snapshots (`silofuse-models`) frame their own sections with the same
+//! reader and writers, and rebuild their networks straight from the saved
+//! tensors through [`SavedParams`].
 
 use crate::layers::Layer;
 use crate::optim::{Adam, AdamState};
@@ -66,23 +69,29 @@ impl std::fmt::Display for StateDictError {
 
 impl std::error::Error for StateDictError {}
 
-/// Bounded little-endian reader over a byte buffer. Every length or count
-/// it returns has been checked against the bytes actually remaining, so
-/// callers can size allocations from it safely.
-struct Reader<'a> {
+/// Bounded little-endian reader over a byte buffer: the one checked reader
+/// the state dicts and the model snapshots built on them parse with. Every
+/// length or count it returns has been checked against the bytes actually
+/// remaining, so callers can size allocations from it safely, and every
+/// short read is [`StateDictError::Malformed`], never a panic.
+#[derive(Debug)]
+pub struct Reader<'a> {
     bytes: &'a [u8],
     cursor: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, cursor: 0 }
     }
 
-    fn remaining(&self) -> usize {
+    /// Bytes not read yet.
+    pub fn remaining(&self) -> usize {
         self.bytes.len() - self.cursor
     }
 
+    /// The next `n` bytes.
     fn take(&mut self, n: usize) -> Result<&'a [u8], StateDictError> {
         let end = self.cursor.checked_add(n).ok_or(StateDictError::Malformed)?;
         let slice = self.bytes.get(self.cursor..end).ok_or(StateDictError::Malformed)?;
@@ -90,29 +99,60 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u32(&mut self) -> Result<u32, StateDictError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], StateDictError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
     }
 
+    /// A byte.
+    pub fn u8(&mut self) -> Result<u8, StateDictError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, StateDictError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// A little-endian `u64`.
     fn u64(&mut self) -> Result<u64, StateDictError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
+    /// A little-endian `f32`, bit for bit.
     fn f32(&mut self) -> Result<f32, StateDictError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(f32::from_le_bytes(self.array()?))
+    }
+
+    /// A little-endian `f64`, bit for bit.
+    pub fn f64(&mut self) -> Result<f64, StateDictError> {
+        Ok(f64::from_le_bytes(self.array()?))
+    }
+
+    /// A `u32 len | utf-8 bytes` string, as written by [`write_str`].
+    pub fn str(&mut self) -> Result<&'a str, StateDictError> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?).map_err(|_| StateDictError::Malformed)
     }
 
     /// Reads `len` f32 values after verifying the bytes exist.
-    fn f32_vec(&mut self, len: usize) -> Result<Vec<f32>, StateDictError> {
+    pub fn f32_vec(&mut self, len: usize) -> Result<Vec<f32>, StateDictError> {
         let n = len.checked_mul(4).ok_or(StateDictError::Malformed)?;
         let slice = self.take(n)?;
         Ok(slice.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
     }
 
+    /// Reads `len` f64 values after verifying the bytes exist.
+    pub fn f64_vec(&mut self, len: usize) -> Result<Vec<f64>, StateDictError> {
+        let n = len.checked_mul(8).ok_or(StateDictError::Malformed)?;
+        let slice = self.take(n)?;
+        Ok(slice.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect())
+    }
+
     /// Reads a `count u32 | (rows u32, cols u32, f32*)*` tensor list. The
     /// count is bounded by the smallest possible per-tensor encoding
     /// (8 bytes) before the vector is allocated.
-    fn tensor_list(&mut self) -> Result<Vec<Tensor>, StateDictError> {
+    pub fn tensor_list(&mut self) -> Result<Vec<Tensor>, StateDictError> {
         let count = self.u32()? as usize;
         if count > self.remaining() / 8 {
             return Err(StateDictError::Malformed);
@@ -127,7 +167,13 @@ impl<'a> Reader<'a> {
         Ok(tensors)
     }
 
-    fn finish(self) -> Result<(), StateDictError> {
+    /// The bytes not read yet, ending the read.
+    pub fn rest(self) -> &'a [u8] {
+        &self.bytes[self.cursor..]
+    }
+
+    /// Ends the read: an error if any byte is left over.
+    pub fn finish(self) -> Result<(), StateDictError> {
         if self.cursor == self.bytes.len() {
             Ok(())
         } else {
@@ -136,23 +182,102 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Appends `s` as `u32 len | utf-8 bytes`, the form [`Reader::str`] reads.
+pub fn write_str(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Appends `tensors` as the tensor list [`Reader::tensor_list`] reads.
 fn write_tensor_list(out: &mut Vec<u8>, tensors: &[Tensor]) {
     out.extend_from_slice(&(tensors.len() as u32).to_le_bytes());
     for t in tensors {
-        out.extend_from_slice(&(t.rows() as u32).to_le_bytes());
-        out.extend_from_slice(&(t.cols() as u32).to_le_bytes());
-        for &v in t.as_slice() {
-            out.extend_from_slice(&v.to_le_bytes());
+        write_tensor(out, t);
+    }
+}
+
+fn write_tensor(out: &mut Vec<u8>, t: &Tensor) {
+    out.extend_from_slice(&(t.rows() as u32).to_le_bytes());
+    out.extend_from_slice(&(t.cols() as u32).to_le_bytes());
+    for &v in t.as_slice() {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Appends every parameter of `layer` (visit order) as a tensor list: the
+/// state dict [`export_state_dict`] returns, without copying the tensors.
+pub fn write_state_dict(out: &mut Vec<u8>, layer: &mut dyn Layer) {
+    let (mut count, mut bytes) = (0u32, 4usize);
+    layer.visit_params(&mut |p| {
+        count += 1;
+        bytes += 8 + 4 * p.value.len();
+    });
+    out.reserve(bytes);
+    out.extend_from_slice(&count.to_le_bytes());
+    layer.visit_params(&mut |p| write_tensor(out, &p.value));
+}
+
+/// The tensors of a saved state dict, handed out as `(weight, bias)` pairs
+/// while the network they came from is rebuilt layer by layer
+/// ([`crate::layers::mlp_with`]), so a loaded model skips the initialiser
+/// draws its weights would overwrite. Each pair is checked against the
+/// shape the builder asks for before the builder sees it, so a bad list
+/// stops the build at its first misfit and never sizes an allocation.
+#[derive(Debug)]
+pub struct SavedParams {
+    tensors: std::vec::IntoIter<Tensor>,
+    total: usize,
+    taken: usize,
+}
+
+impl SavedParams {
+    /// Hands out `tensors` in order.
+    pub fn new(tensors: Vec<Tensor>) -> Self {
+        let total = tensors.len();
+        Self { tensors: tensors.into_iter(), total, taken: 0 }
+    }
+
+    /// The next `fan_in × fan_out` weight and `1 × fan_out` bias.
+    ///
+    /// # Errors
+    /// [`StateDictError::CountMismatch`] when the list runs out, and
+    /// [`StateDictError::ShapeMismatch`] when a tensor has another shape.
+    pub fn affine(
+        &mut self,
+        fan_in: usize,
+        fan_out: usize,
+    ) -> Result<(Tensor, Tensor), StateDictError> {
+        Ok((self.next((fan_in, fan_out))?, self.next((1, fan_out))?))
+    }
+
+    fn next(&mut self, expected: (usize, usize)) -> Result<Tensor, StateDictError> {
+        let index = self.taken;
+        self.taken += 1;
+        match self.tensors.next() {
+            Some(t) if t.shape() == expected => Ok(t),
+            Some(t) => Err(StateDictError::ShapeMismatch { index, got: t.shape(), expected }),
+            None => Err(StateDictError::CountMismatch { got: self.total, expected: self.taken }),
+        }
+    }
+
+    /// Ends the build: an error if tensors are left over.
+    ///
+    /// # Errors
+    /// [`StateDictError::CountMismatch`] when the network asked for fewer
+    /// tensors than the list holds.
+    pub fn finish(self) -> Result<(), StateDictError> {
+        if self.taken == self.total {
+            Ok(())
+        } else {
+            Err(StateDictError::CountMismatch { got: self.total, expected: self.taken })
         }
     }
 }
 
 /// Serialises every parameter of `layer` (visit order) to bytes.
 pub fn export_state_dict(layer: &mut dyn Layer) -> Vec<u8> {
-    let mut tensors: Vec<Tensor> = Vec::new();
-    layer.visit_params(&mut |p| tensors.push(p.value.clone()));
-    let mut out = Vec::with_capacity(4 + tensors.iter().map(|t| 8 + 4 * t.len()).sum::<usize>());
-    write_tensor_list(&mut out, &tensors);
+    let mut out = Vec::new();
+    write_state_dict(&mut out, layer);
     out
 }
 
@@ -397,6 +522,61 @@ mod tests {
         let mut padded = dict.clone();
         padded.push(0);
         assert_eq!(import_state_dict(&mut net, &padded), Err(StateDictError::Malformed));
+    }
+
+    #[test]
+    fn a_network_rebuilt_from_saved_params_infers_the_same_bits() {
+        use crate::layers::mlp_with;
+        let mut rng = StdRng::seed_from_u64(7);
+        let dims = [5, 16, 16, 3];
+        let mut net = mlp(&dims, Some(0.1), 7, &mut rng);
+        let x = randn(4, 5, &mut rng);
+        let dict = export_state_dict(&mut net);
+        let tensors = Reader::new(&dict).tensor_list().unwrap();
+
+        let mut saved = SavedParams::new(tensors.clone());
+        let mut rebuilt = mlp_with(&dims, Some(0.1), 7, |i, o| saved.affine(i, o)).unwrap();
+        saved.finish().unwrap();
+        assert_eq!(rebuilt.infer(&x), net.infer(&x));
+        assert_eq!(export_state_dict(&mut rebuilt), dict);
+
+        // Another architecture asks for other shapes or counts.
+        let mut saved = SavedParams::new(tensors.clone());
+        let err = mlp_with(&[5, 8, 16, 3], None, 7, |i, o| saved.affine(i, o)).unwrap_err();
+        assert!(matches!(err, StateDictError::ShapeMismatch { index: 0, .. }), "{err}");
+        let mut saved = SavedParams::new(tensors.clone());
+        mlp_with(&[5, 16, 3], None, 7, |i, o| saved.affine(i, o)).unwrap_err();
+        let mut saved = SavedParams::new(tensors.clone());
+        mlp_with(&[5, 16, 16, 16, 3], None, 7, |i, o| saved.affine(i, o)).unwrap_err();
+        let mut saved = SavedParams::new(tensors[..4].to_vec());
+        let err = mlp_with(&dims, None, 7, |i, o| saved.affine(i, o)).unwrap_err();
+        assert_eq!(err, StateDictError::CountMismatch { got: 4, expected: 5 });
+        // A network that takes a prefix of the list leaves the rest over.
+        let mut saved = SavedParams::new(tensors);
+        mlp_with(&dims[..3], None, 7, |i, o| saved.affine(i, o)).unwrap();
+        assert_eq!(saved.finish(), Err(StateDictError::CountMismatch { got: 6, expected: 4 }));
+    }
+
+    #[test]
+    fn reader_parses_what_the_writers_write() {
+        let mut out = Vec::new();
+        write_str(&mut out, "côté");
+        out.push(7);
+        out.extend_from_slice(&(-0.0f64).to_le_bytes());
+        out.extend_from_slice(&f64::MIN_POSITIVE.to_le_bytes());
+        let mut r = Reader::new(&out);
+        assert_eq!(r.str().unwrap(), "côté");
+        assert_eq!(r.u8().unwrap(), 7);
+        let v = r.f64_vec(2).unwrap();
+        assert_eq!(v[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(v[1], f64::MIN_POSITIVE);
+        r.finish().unwrap();
+        // A length past the end, bad UTF-8 and a short read are errors.
+        assert_eq!(Reader::new(&[9, 0, 0, 0, b'a']).str(), Err(StateDictError::Malformed));
+        assert_eq!(Reader::new(&[1, 0, 0, 0, 0xff]).str(), Err(StateDictError::Malformed));
+        assert_eq!(Reader::new(&[0; 7]).f64(), Err(StateDictError::Malformed));
+        assert_eq!(Reader::new(&[0; 15]).f64_vec(2), Err(StateDictError::Malformed));
+        assert_eq!(Reader::new(&[]).f64_vec(usize::MAX), Err(StateDictError::Malformed));
     }
 
     #[test]

@@ -31,8 +31,10 @@
 //! - multiply and add are issued as *separate* instructions, never fused:
 //!   an FMA keeps the infinitely-precise product and would round
 //!   differently from the reference;
-//! - cache blocking over `p` stores and reloads the f32 accumulators
-//!   between blocks, which is exact, and blocking over output columns
+//! - cache blocking over `p` starts each accumulator at +0.0 in the first
+//!   block, where the first addend meets the same +0.0 a zero-filled output
+//!   would hold, and stores and reloads it between blocks, which is exact;
+//!   so the output is never zero-filled first. Blocking over output columns
 //!   only changes which element a tile works on next, never the order of
 //!   one element's sum;
 //! - a masked lane runs the same IEEE operations as a full one, and the
@@ -616,7 +618,9 @@ fn scalar_broadcast_gemm(
     rhs: &[f32],
     out_block: &mut [f32],
 ) {
-    out_block[..rows.len() * n].fill(0.0);
+    if depth == 0 {
+        out_block[..rows.len() * n].fill(0.0);
+    }
     let mut p0 = 0;
     while p0 < depth {
         let p1 = (p0 + KC).min(depth);
@@ -625,6 +629,9 @@ fn scalar_broadcast_gemm(
             let j1 = (j0 + NC).min(n);
             for (local, r) in rows.clone().enumerate() {
                 let out_row = &mut out_block[local * n + j0..local * n + j1];
+                if p0 == 0 {
+                    out_row.fill(0.0);
+                }
                 for p in p0..p1 {
                     let av = lhs[r * lrs + p * lps];
                     let b_row = &rhs[p * n + j0..p * n + j1];
@@ -650,13 +657,14 @@ mod x86 {
     /// count): k-blocks of [`KC`] → column blocks of [`NC`] → 4-row tiles
     /// (then 1-row tail) → column tiles of two vectors (then one, then one
     /// masked vector where the ISA has masked loads and stores, then
-    /// scalar). Accumulators live in registers for a whole k-block and are
-    /// stored/reloaded between blocks (exact).
+    /// scalar). Accumulators live in registers for a whole k-block, start
+    /// at +0.0 in the first one and are stored/reloaded between blocks
+    /// (exact); only a zero-depth product zero-fills its output.
     macro_rules! broadcast_gemm_impl {
         (
             $fn_name:ident, $tile4:ident, $tile1:ident, $feature:literal,
             $vec:ty, $lanes:expr, $load:ident, $store:ident, $set1:ident,
-            $add:ident, $mul:ident
+            $zero:ident, $add:ident, $mul:ident
             $(, masked: $mask:ident, $mload:ident, $mstore:ident)?
         ) => {
             /// See [`super::broadcast_gemm`].
@@ -678,7 +686,9 @@ mod x86 {
                 out_block: &mut [f32],
             ) {
                 let nrows = rows.len();
-                out_block[..nrows * n].fill(0.0);
+                if depth == 0 {
+                    out_block[..nrows * n].fill(0.0);
+                }
                 let r0 = rows.start;
                 let mut p0 = 0usize;
                 while p0 < depth {
@@ -704,8 +714,9 @@ mod x86 {
             }
 
             /// 4 output rows × (2·lanes → lanes → masked → scalar) columns
-            /// `j0..j1` for one k-block, accumulating on top of `out`
-            /// (absolute lhs row `r`, row stride `n`).
+            /// `j0..j1` for one k-block, starting from +0.0 in the first
+            /// k-block (`p0 == 0`) and on top of `out` after it (absolute
+            /// lhs row `r`, row stride `n`).
             #[target_feature(enable = $feature)]
             #[allow(clippy::too_many_arguments)]
             unsafe fn $tile4(
@@ -725,18 +736,21 @@ mod x86 {
                 let lp = lhs.as_ptr();
                 let bp = rhs.as_ptr();
                 let op = out.as_mut_ptr();
+                // The first k-block starts its sums at +0.0 in registers;
+                // later blocks reload what the previous block stored.
+                let first = p0 == 0;
                 let mut j = j0;
                 while j + 2 * L <= j1 {
                     let (o0, o1, o2, o3) =
                         (op.add(j), op.add(n + j), op.add(2 * n + j), op.add(3 * n + j));
-                    let mut a00 = $load(o0);
-                    let mut a01 = $load(o0.add(L));
-                    let mut a10 = $load(o1);
-                    let mut a11 = $load(o1.add(L));
-                    let mut a20 = $load(o2);
-                    let mut a21 = $load(o2.add(L));
-                    let mut a30 = $load(o3);
-                    let mut a31 = $load(o3.add(L));
+                    let mut a00 = if first { $zero() } else { $load(o0) };
+                    let mut a01 = if first { $zero() } else { $load(o0.add(L)) };
+                    let mut a10 = if first { $zero() } else { $load(o1) };
+                    let mut a11 = if first { $zero() } else { $load(o1.add(L)) };
+                    let mut a20 = if first { $zero() } else { $load(o2) };
+                    let mut a21 = if first { $zero() } else { $load(o2.add(L)) };
+                    let mut a30 = if first { $zero() } else { $load(o3) };
+                    let mut a31 = if first { $zero() } else { $load(o3.add(L)) };
                     for p in p0..p1 {
                         let b = bp.add(p * n + j);
                         let b0 = $load(b);
@@ -768,10 +782,10 @@ mod x86 {
                 while j + L <= j1 {
                     let (o0, o1, o2, o3) =
                         (op.add(j), op.add(n + j), op.add(2 * n + j), op.add(3 * n + j));
-                    let mut a0 = $load(o0);
-                    let mut a1 = $load(o1);
-                    let mut a2 = $load(o2);
-                    let mut a3 = $load(o3);
+                    let mut a0 = if first { $zero() } else { $load(o0) };
+                    let mut a1 = if first { $zero() } else { $load(o1) };
+                    let mut a2 = if first { $zero() } else { $load(o2) };
+                    let mut a3 = if first { $zero() } else { $load(o3) };
                     for p in p0..p1 {
                         let b0 = $load(bp.add(p * n + j));
                         let l = lp.add(p * lps);
@@ -791,10 +805,10 @@ mod x86 {
                         let m = $mask(j1 - j);
                         let (o0, o1, o2, o3) =
                             (op.add(j), op.add(n + j), op.add(2 * n + j), op.add(3 * n + j));
-                        let mut a0 = $mload(m, o0);
-                        let mut a1 = $mload(m, o1);
-                        let mut a2 = $mload(m, o2);
-                        let mut a3 = $mload(m, o3);
+                        let mut a0 = if first { $zero() } else { $mload(m, o0) };
+                        let mut a1 = if first { $zero() } else { $mload(m, o1) };
+                        let mut a2 = if first { $zero() } else { $mload(m, o2) };
+                        let mut a3 = if first { $zero() } else { $mload(m, o3) };
                         for p in p0..p1 {
                             let b0 = $mload(m, bp.add(p * n + j));
                             let l = lp.add(p * lps);
@@ -813,7 +827,7 @@ mod x86 {
                 while j < j1 {
                     for row in 0..4 {
                         let o = op.add(row * n + j);
-                        let mut acc = *o;
+                        let mut acc = if first { 0.0 } else { *o };
                         for p in p0..p1 {
                             acc += *lp.add((r + row) * lrs + p * lps) * *bp.add(p * n + j);
                         }
@@ -843,11 +857,14 @@ mod x86 {
                 let lp = lhs.as_ptr();
                 let bp = rhs.as_ptr();
                 let op = out.as_mut_ptr();
+                // The first k-block starts its sums at +0.0 in registers;
+                // later blocks reload what the previous block stored.
+                let first = p0 == 0;
                 let mut j = j0;
                 while j + 2 * L <= j1 {
                     let o = op.add(j);
-                    let mut a0 = $load(o);
-                    let mut a1 = $load(o.add(L));
+                    let mut a0 = if first { $zero() } else { $load(o) };
+                    let mut a1 = if first { $zero() } else { $load(o.add(L)) };
                     for p in p0..p1 {
                         let b = bp.add(p * n + j);
                         let v = $set1(*lp.add(r * lrs + p * lps));
@@ -860,7 +877,7 @@ mod x86 {
                 }
                 while j + L <= j1 {
                     let o = op.add(j);
-                    let mut a0 = $load(o);
+                    let mut a0 = if first { $zero() } else { $load(o) };
                     for p in p0..p1 {
                         let v = $set1(*lp.add(r * lrs + p * lps));
                         a0 = $add(a0, $mul(v, $load(bp.add(p * n + j))));
@@ -872,7 +889,7 @@ mod x86 {
                     if j < j1 {
                         let m = $mask(j1 - j);
                         let o = op.add(j);
-                        let mut a0 = $mload(m, o);
+                        let mut a0 = if first { $zero() } else { $mload(m, o) };
                         for p in p0..p1 {
                             let v = $set1(*lp.add(r * lrs + p * lps));
                             a0 = $add(a0, $mul(v, $mload(m, bp.add(p * n + j))));
@@ -883,7 +900,7 @@ mod x86 {
                 )?
                 while j < j1 {
                     let o = op.add(j);
-                    let mut acc = *o;
+                    let mut acc = if first { 0.0 } else { *o };
                     for p in p0..p1 {
                         acc += *lp.add(r * lrs + p * lps) * *bp.add(p * n + j);
                     }
@@ -910,6 +927,7 @@ mod x86 {
         _mm512_loadu_ps,
         _mm512_storeu_ps,
         _mm512_set1_ps,
+        _mm512_setzero_ps,
         _mm512_add_ps,
         _mm512_mul_ps,
         masked: tail_mask16,
@@ -927,6 +945,7 @@ mod x86 {
         _mm256_loadu_ps,
         _mm256_storeu_ps,
         _mm256_set1_ps,
+        _mm256_setzero_ps,
         _mm256_add_ps,
         _mm256_mul_ps
     );
@@ -941,6 +960,7 @@ mod x86 {
         _mm_loadu_ps,
         _mm_storeu_ps,
         _mm_set1_ps,
+        _mm_setzero_ps,
         _mm_add_ps,
         _mm_mul_ps
     );
@@ -1093,14 +1113,16 @@ mod tests {
     /// Every host level's kernel, in both lhs layouts, at every column
     /// count from 1 to 40 (so every masked AVX-512 width from 1 to 15, after
     /// zero, one and two full tiles), with 4-row tiles and 1-row tails and a
-    /// depth past one `KC` block; and at outputs around one and two `NC`
+    /// depth past one `KC` block; at outputs around one and two `NC`
     /// column blocks and as wide as Churn's decoder head (2 946), at a
-    /// depth past `KC`.
+    /// depth past `KC`; and at depth 0, whose output is all +0.0. The
+    /// output starts as NaN, so an element a kernel skips fails.
     #[test]
     fn broadcast_gemm_matches_oracle_at_awkward_shapes() {
         let mut shapes: Vec<(usize, usize, usize)> =
             (1..=40).map(|n| (1 + n % 9, 1 + (n * 7) % 31, n)).collect();
         shapes.extend([(8, 300, 19), (13, 64, 40), (16, 128, 13), (4, 16, 16)]);
+        shapes.extend([(5, 0, 40), (1, 0, 3)]);
         shapes.extend([NC - 1, NC, NC + 1, 2 * NC + 17, 2946].map(|n| (5, KC + 44, n)));
         for level in host_levels() {
             for &(m, depth, n) in &shapes {

@@ -182,12 +182,14 @@ proptest! {
 /// widths must fall back to narrower kernels that keep the exact scalar
 /// accumulation order. Dims sweep 1..3 plus one-off-the-vector-width on
 /// both sides for SSE (4 lanes), AVX2 (8 lanes), and the 2-vector tile
-/// (16 columns).
+/// (16 columns). The reduced dimension also takes 0, whose product is all
+/// +0.0, and every output starts as NaN, so an element a kernel skips
+/// fails.
 #[test]
 fn gemm_variants_bit_identical_at_simd_tail_sizes() {
     let dims = [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17];
     for &m in &dims {
-        for &k in &dims {
+        for k in std::iter::once(0).chain(dims) {
             for &n in &dims {
                 let seed = (m * 31 + k * 7 + n) as u64;
                 let a = noise(m * k, seed ^ 0xaaaa);
@@ -195,18 +197,21 @@ fn gemm_variants_bit_identical_at_simd_tail_sizes() {
                 let bt = noise(n * k, seed ^ 0xcccc);
                 let at = noise(k * m, seed ^ 0xdddd);
 
-                let mut want = vec![0.0f32; m * n];
+                let mut want = vec![f32::NAN; m * n];
                 Reference.gemm(m, k, n, &a, &b, &mut want);
+                if k == 0 {
+                    assert!(want.iter().all(|v| v.to_bits() == 0), "an empty sum is +0.0");
+                }
                 for t in [1usize, 2, 4] {
-                    let mut got = vec![0.0f32; m * n];
+                    let mut got = vec![f32::NAN; m * n];
                     Parallel::new(t).gemm(m, k, n, &a, &b, &mut got);
                     assert!(bits_eq(&want, &got), "gemm {m}x{k}x{n} tail diverged at {t} threads");
                 }
 
-                let mut want = vec![0.0f32; m * n];
+                let mut want = vec![f32::NAN; m * n];
                 Reference.gemm_transpose(m, k, n, &a, &bt, &mut want);
                 for t in [1usize, 2, 4] {
-                    let mut got = vec![0.0f32; m * n];
+                    let mut got = vec![f32::NAN; m * n];
                     Parallel::new(t).gemm_transpose(m, k, n, &a, &bt, &mut got);
                     assert!(
                         bits_eq(&want, &got),
@@ -214,10 +219,10 @@ fn gemm_variants_bit_identical_at_simd_tail_sizes() {
                     );
                 }
 
-                let mut want = vec![0.0f32; m * n];
+                let mut want = vec![f32::NAN; m * n];
                 Reference.transpose_gemm(k, m, n, &at, &b, &mut want);
                 for t in [1usize, 2, 4] {
-                    let mut got = vec![0.0f32; m * n];
+                    let mut got = vec![f32::NAN; m * n];
                     Parallel::new(t).transpose_gemm(k, m, n, &at, &b, &mut got);
                     assert!(
                         bits_eq(&want, &got),

@@ -18,11 +18,25 @@ pub enum ScalingKind {
     QuantileGaussian,
 }
 
-/// Per-column standardisation parameters.
+/// A numeric column's fitted scaling, as its parameters: what a saved
+/// [`TableEncoder`] keeps of the data it was fitted on.
 #[derive(Debug, Clone)]
-enum NumericCodec {
-    Standard { mean: f64, std: f64 },
-    MinMax { min: f64, max: f64 },
+pub enum NumericCodec {
+    /// `(v − mean) / std`.
+    Standard {
+        /// Mean of the fitted values.
+        mean: f64,
+        /// Their standard deviation (floored at 1e-9).
+        std: f64,
+    },
+    /// `2 (v − min) / (max − min) − 1`.
+    MinMax {
+        /// Smallest fitted value.
+        min: f64,
+        /// Largest fitted value (`min + 1` for a constant column).
+        max: f64,
+    },
+    /// The empirical CDF mapped onto `N(0, 1)`.
     Quantile(QuantileTransformer),
 }
 
@@ -119,6 +133,12 @@ impl QuantileTransformer {
             .expect("QuantileTransformer::fit: column has no finite values to fit on")
     }
 
+    /// The finite fitted values, ascending ([`f64::total_cmp`] order):
+    /// [`Self::try_fit`] on them rebuilds this transformer exactly.
+    pub fn sorted(&self) -> &[f64] {
+        &self.sorted
+    }
+
     /// Maps a value to its Gaussian score.
     pub fn transform(&self, v: f64) -> f64 {
         let n = self.sorted.len();
@@ -192,9 +212,40 @@ impl TableEncoder {
         Self::try_fit(table, scaling).unwrap_or_else(|e| panic!("TableEncoder::fit: {e}"))
     }
 
+    /// Reassembles a fitted encoder from its [`Self::schema`] and
+    /// [`Self::numeric_codecs`], such as a saved model's.
+    ///
+    /// # Errors
+    /// [`TableError::ColumnCountMismatch`] when there is not one codec
+    /// slot per column, and [`TableError::KindMismatch`] when a numeric
+    /// column has no codec or a categorical one has one.
+    pub fn from_parts(
+        schema: Schema,
+        numeric_codecs: Vec<Option<NumericCodec>>,
+    ) -> Result<Self, TableError> {
+        if numeric_codecs.len() != schema.width() {
+            return Err(TableError::ColumnCountMismatch {
+                expected: schema.width(),
+                got: numeric_codecs.len(),
+            });
+        }
+        for (column, (meta, codec)) in schema.columns().iter().zip(&numeric_codecs).enumerate() {
+            if meta.kind.is_categorical() == codec.is_some() {
+                return Err(TableError::KindMismatch { column });
+            }
+        }
+        Ok(Self { schema, numeric_codecs })
+    }
+
     /// The schema this encoder was fitted on.
     pub fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    /// Each column's fitted scaling, schema order: `Some` for a numeric
+    /// column, `None` for a categorical one.
+    pub fn numeric_codecs(&self) -> &[Option<NumericCodec>] {
+        &self.numeric_codecs
     }
 
     /// Width of an encoded row.

@@ -286,6 +286,145 @@ fn concurrent_registry_samples_match_sequential_ones() {
     assert_eq!(concurrent, sequential);
 }
 
+/// A copy of the trained registry directory, to damage or trim.
+fn copy_of_trained_dir(tag: &str) -> PathBuf {
+    let to = std::env::temp_dir().join(format!("silofuse-serve-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&to);
+    std::fs::create_dir_all(to.join("loan")).unwrap();
+    for file in std::fs::read_dir(trained_dir().join("loan")).unwrap() {
+        let file = file.unwrap().path();
+        std::fs::copy(&file, to.join("loan").join(file.file_name().unwrap())).unwrap();
+    }
+    to
+}
+
+/// Every file of a model directory: its name and its bytes.
+fn files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir.join("loan"))
+        .unwrap()
+        .map(|f| f.unwrap().path())
+        .map(|p| (p.file_name().unwrap().to_string_lossy().into_owned(), std::fs::read(p).unwrap()))
+        .collect();
+    files.sort();
+    files
+}
+
+/// Opening the trained directory with `spec` is refused with a spec
+/// mismatch naming `field`, and leaves every file as it was.
+fn assert_refused(spec: ModelSpec, field: &str) {
+    let before = files(trained_dir());
+    let err = ModelRegistry::open(Some(trained_dir()), 25, &[spec]).err().expect("refused");
+    match &err {
+        ServeError::SpecMismatch { model, field: got, .. } => {
+            assert_eq!((model.as_str(), got.as_str()), ("loan", field), "{err}");
+        }
+        other => panic!("expected a spec mismatch on {field}, got {other}"),
+    }
+    assert!(err.to_string().contains("was fitted with"), "{err}");
+    assert_eq!(files(trained_dir()), before, "a refused open wrote to the directory");
+}
+
+#[test]
+fn a_changed_seed_is_refused_before_anything_is_generated() {
+    let mut spec = specs().remove(0);
+    spec.seed += 1;
+    assert_refused(spec, "seed");
+}
+
+#[test]
+fn a_changed_row_count_is_refused_before_anything_is_generated() {
+    let mut spec = specs().remove(0);
+    spec.rows *= 2;
+    assert_refused(spec, "rows");
+}
+
+#[test]
+fn a_changed_budget_is_refused_before_anything_is_generated() {
+    let mut spec = specs().remove(0);
+    spec.budget.diffusion_steps += 1;
+    assert_refused(spec, "budget.diffusion_steps");
+}
+
+/// Rows 0..300 of job 9, sampled directly.
+fn job_rows(registry: &ModelRegistry) -> Table {
+    registry.sample(registry.model_id("loan").unwrap(), 9, 0, 300).unwrap()
+}
+
+#[test]
+fn a_directory_without_a_snapshot_resumes_and_writes_one() {
+    let want = job_rows(&ModelRegistry::open(Some(trained_dir()), 25, &specs()).unwrap());
+    // A fit that never finished keeps its spec record: a changed spec is
+    // still refused, before anything is generated.
+    let dir = copy_of_trained_dir("unfinished");
+    std::fs::remove_file(dir.join("loan/snapshot.ckpt")).unwrap();
+    let mut other = specs();
+    other[0].seed += 1;
+    let err = ModelRegistry::open(Some(&dir), 25, &other).err().expect("refused");
+    assert!(matches!(&err, ServeError::SpecMismatch { field, .. } if field == "seed"), "{err}");
+    assert!(!dir.join("loan/snapshot.ckpt").exists());
+    // A directory written before snapshots existed has no spec record
+    // either. Both resume from the training checkpoints, write the
+    // snapshot and serve the same bytes, and so does a reopen from that
+    // snapshot.
+    for (tag, trim) in [("unfinished", vec!["snapshot"]), ("older", vec!["snapshot", "spec"])] {
+        let dir = copy_of_trained_dir(tag);
+        for file in trim {
+            std::fs::remove_file(dir.join(format!("loan/{file}.ckpt"))).unwrap();
+        }
+        let resumed = ModelRegistry::open(Some(&dir), 25, &specs()).unwrap();
+        assert_eq!(job_rows(&resumed), want, "{tag}");
+        assert_eq!(files(&dir), files(trained_dir()), "{tag}: the resumed fit's files");
+        let reopened = ModelRegistry::open(Some(&dir), 25, &specs()).unwrap();
+        assert_eq!(job_rows(&reopened), want, "{tag}: reopened");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_reopen_reads_the_snapshot_and_no_training_checkpoint() {
+    let want = job_rows(&ModelRegistry::open(Some(trained_dir()), 25, &specs()).unwrap());
+    let dir = copy_of_trained_dir("snapshot-only");
+    for file in ["latentdiff-ae", "latentdiff-ddpm"] {
+        std::fs::write(dir.join(format!("loan/{file}.ckpt")), b"not a checkpoint").unwrap();
+    }
+    let reopened = ModelRegistry::open(Some(&dir), 25, &specs()).unwrap();
+    assert_eq!(job_rows(&reopened), want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_damaged_snapshot_is_a_typed_error_and_never_refitted() {
+    use silofuse_core::checkpoint::CheckpointError;
+    let snapshot = std::fs::read(trained_dir().join("loan/snapshot.ckpt")).unwrap();
+    let ckpt = silofuse_core::checkpoint::decode(&snapshot).unwrap();
+    let mut flipped = snapshot.clone();
+    flipped[snapshot.len() / 2] ^= 0x40;
+    let mut cut_payload = ckpt.payload.clone();
+    cut_payload.truncate(cut_payload.len() - 9);
+    let resealed = silofuse_core::checkpoint::encode(&ckpt.kind, ckpt.step, &cut_payload);
+    for (what, bytes) in [
+        ("flipped", flipped),
+        ("truncated", snapshot[..snapshot.len() - 5].to_vec()),
+        ("empty", Vec::new()),
+        ("short payload", resealed),
+    ] {
+        let dir = copy_of_trained_dir("damaged");
+        std::fs::write(dir.join("loan/snapshot.ckpt"), &bytes).unwrap();
+        let before = files(&dir);
+        let err = ModelRegistry::open(Some(&dir), 25, &specs()).err().expect("refused");
+        match &err {
+            ServeError::Checkpoint(
+                CheckpointError::CrcMismatch { .. }
+                | CheckpointError::Truncated
+                | CheckpointError::State(_),
+            ) => {}
+            other => panic!("{what}: expected a typed checkpoint error, got {other}"),
+        }
+        assert_eq!(files(&dir), before, "{what}: the directory changed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Tenant threads share one registry and sample from it without a lock,
 /// so every model layer on the inference path must be `Send + Sync`.
 #[test]
