@@ -110,7 +110,6 @@ pub fn build_synthesizer_with_net(
                 architecture: GanArchitecture::Linear,
                 hidden_dim: budget.hidden_dim,
                 seed,
-                encoding: budget.encoding,
                 ..Default::default()
             },
             budget.gan_steps,

@@ -198,15 +198,7 @@ USAGE:
   other value of either variable is an error (exit code 2).
 
   Any command also accepts --help (or -h): print this text. Any other
-  flag a command does not read is an error (exit code 2).
-
-  `synth` also accepts --encoding auto|dense|sparse: how categorical
-  batches reach the autoencoders and the linear GAN discriminator. `auto`
-  (default) switches to the sparse index+value path when the schema's
-  one-hot expansion is at least 4x (e.g. Churn's 2932-way column);
-  `dense` forces the one-hot oracle; `sparse` forces the sparse path.
-  Both paths train bit-identically, so the flag is purely a
-  speed/memory knob.";
+  flag a command does not read is an error (exit code 2).";
 
 type Flags = HashMap<String, String>;
 
@@ -243,7 +235,6 @@ fn lookup(command: &str) -> Option<(CommandFn, &'static [&'static str])> {
                 "clients",
                 "model",
                 "quick",
-                "encoding",
                 "faults",
                 "retry-deadline",
                 "retry-max-backoff",
@@ -530,12 +521,8 @@ fn cmd_synth(flags: &Flags) -> Result<String, String> {
             ));
         }
     }
-    let mut budget =
+    let budget =
         if flags.contains_key("quick") { TrainBudget::quick() } else { TrainBudget::standard() };
-    if let Some(v) = flags.get("encoding") {
-        budget.encoding = silofuse_tabular::SparsePolicy::parse(v)
-            .ok_or_else(|| format!("--encoding needs auto, dense, or sparse, got `{v}`"))?;
-    }
     let mut net = match flags.get("faults") {
         None => NetConfig::default(),
         Some(spec) => {
@@ -734,8 +721,11 @@ mod tests {
     fn flags_a_command_does_not_read_are_rejected() {
         let err = parse("synth --input real.csv --out s.csv --modle gan-linear").unwrap_err();
         assert_eq!(err, "unknown flag --modle for synth");
+        // Flags removed from the program are unknown like any other.
         let err = parse("generate --profile Loan --out x.csv --precision f16").unwrap_err();
         assert_eq!(err, "unknown flag --precision for generate");
+        let err = parse("synth --input real.csv --out s.csv --encoding dense").unwrap_err();
+        assert_eq!(err, "unknown flag --encoding for synth");
         // A flag another command reads is still unknown here.
         assert!(parse("generate --profile Loan --out x.csv --model silofuse").is_err());
         assert!(parse("inspect --input x.csv --quick").is_err());
@@ -822,7 +812,7 @@ mod tests {
             "serve --models Loan,Adult --tenants 4 --quick",
             "synth --input real.csv --rows 500 --out synth.csv --checkpoint-dir ckpts \
              --checkpoint-every 100 --resume",
-            "synth --input real.csv --out synth.csv --threads 8 --encoding sparse",
+            "synth --input real.csv --out synth.csv --threads 8",
         ] {
             let parsed = parse(line);
             assert!(matches!(parsed, Ok(Invocation::Run { .. })), "{line}: {parsed:?}");

@@ -3,7 +3,6 @@
 //! sized for CPU-scale reproduction. DESIGN.md documents the substitution.
 
 use silofuse_models::{AutoencoderConfig, LatentDiffConfig};
-use silofuse_tabular::SparsePolicy;
 
 /// A uniform training budget applied to every model so comparisons stay
 /// fair (the paper trains all models for the same iteration count).
@@ -25,11 +24,6 @@ pub struct TrainBudget {
     pub timesteps: usize,
     /// Reverse steps at synthesis (paper: 25).
     pub inference_steps: usize,
-    /// Batch representation policy for the categorical-heavy models
-    /// (autoencoders and the linear GAN discriminator): `Auto` picks the
-    /// sparse index+value path on high-expansion schemas, `Dense`/`Sparse`
-    /// force one side. Either way training is bit-identical.
-    pub encoding: SparsePolicy,
 }
 
 impl TrainBudget {
@@ -44,7 +38,6 @@ impl TrainBudget {
             hidden_dim: 96,
             timesteps: 60,
             inference_steps: 10,
-            encoding: SparsePolicy::Auto,
         }
     }
 
@@ -60,7 +53,6 @@ impl TrainBudget {
             hidden_dim: 128,
             timesteps: 200,
             inference_steps: 25,
-            encoding: SparsePolicy::Auto,
         }
     }
 
@@ -85,7 +77,6 @@ impl TrainBudget {
                 latent_dim: None, // paper rule: latent dim = #original features
                 lr: 1e-3,
                 seed,
-                encoding: self.encoding,
             },
             ddpm_hidden: self.hidden_dim,
             timesteps: self.timesteps,

@@ -83,7 +83,6 @@ impl ModelSpec {
             ("budget.hidden_dim", b.hidden_dim.to_string()),
             ("budget.timesteps", b.timesteps.to_string()),
             ("budget.inference_steps", b.inference_steps.to_string()),
-            ("budget.encoding", format!("{:?}", b.encoding)),
         ]
     }
 

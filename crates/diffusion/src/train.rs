@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use silofuse_checkpoint::{CheckpointError, Checkpointer};
-use silofuse_nn::serialize::StateDictError;
+use silofuse_nn::serialize::{Reader, StateDictError};
 use silofuse_observe as observe;
 
 /// A model whose whole training state (weights, buffers, layer RNGs and
@@ -81,12 +81,10 @@ impl TrainLoop<'_> {
         silofuse_nn::backend::record_telemetry();
         let mut start = 0;
         if let Some(saved) = ckpt.load(name, phase)? {
-            if saved.payload.len() < 8 {
-                return Err(CheckpointError::Truncated);
-            }
-            let (state, train_state) = saved.payload.split_at(8);
-            model.import_train_state(train_state).map_err(CheckpointError::state)?;
-            *rng = StdRng::from_state(u64::from_le_bytes(state.try_into().expect("8 bytes")));
+            let mut r = Reader::new(&saved.payload);
+            let state = r.u64().map_err(CheckpointError::state)?;
+            model.import_train_state(r.rest()).map_err(CheckpointError::state)?;
+            *rng = StdRng::from_state(state);
             start = (saved.step as usize).min(steps);
         } else if ckpt.is_enabled() {
             ckpt.save(name, phase, 0, &snapshot(model, rng))?;

@@ -8,7 +8,7 @@
 
 use crate::error::ProtocolError;
 use crate::faults::NetConfig;
-use crate::stacked::{silo_ae_config, take, take_u32};
+use crate::stacked::silo_ae_config;
 use crate::supervision::{MembershipTable, SiloOutput, SupervisorConfig};
 use crate::transport::{
     bump_round, dead_silo, link_with, new_stats, recv_or_dead, CommStats, Endpoint, SharedStats,
@@ -21,6 +21,7 @@ use silofuse_diffusion::gaussian::{GaussianDdpm, Parameterization};
 use silofuse_diffusion::TrainState;
 use silofuse_models::latentdiff::LatentDiffConfig;
 use silofuse_models::TabularAutoencoder;
+use silofuse_nn::serialize::{Reader, StateDictError};
 use silofuse_nn::Tensor;
 use silofuse_observe as observe;
 use silofuse_tabular::table::Table;
@@ -236,9 +237,10 @@ impl E2eDistributed {
         payload: &[u8],
         rng: &mut StdRng,
     ) -> Result<(), CheckpointError> {
-        let mut at = 0usize;
-        let rng_state = u64::from_le_bytes(take(payload, &mut at, 8)?.try_into().expect("8 bytes"));
-        let m = take_u32(payload, &mut at)? as usize;
+        let malformed = |e: StateDictError| CheckpointError::state(e);
+        let mut r = Reader::new(payload);
+        let rng_state = r.u64().map_err(malformed)?;
+        let m = r.u32().map_err(malformed)? as usize;
         if m != self.clients.len() {
             return Err(CheckpointError::state(format!(
                 "joint checkpoint holds {m} clients, run has {}",
@@ -246,11 +248,11 @@ impl E2eDistributed {
             )));
         }
         for client in &mut self.clients {
-            let len = take_u32(payload, &mut at)? as usize;
-            let blob = take(payload, &mut at, len)?;
-            client.ae.import_train_state(blob).map_err(CheckpointError::state)?;
+            let len = r.u32().map_err(malformed)? as usize;
+            let blob = r.bytes(len).map_err(malformed)?;
+            client.ae.import_train_state(blob).map_err(malformed)?;
         }
-        ddpm.import_train_state(&payload[at..]).map_err(CheckpointError::state)?;
+        ddpm.import_train_state(r.rest()).map_err(malformed)?;
         *rng = StdRng::from_state(rng_state);
         Ok(())
     }
@@ -661,5 +663,30 @@ mod tests {
             e2e.comm_stats().total_bytes() > stacked.comm_stats().total_bytes(),
             "E2EDistr must communicate more than SiloFuse"
         );
+    }
+
+    /// Every truncation of a joint-state payload, and the payload with one
+    /// byte more, is a typed checkpoint error, never a panic; the payload
+    /// itself restores the caller's RNG.
+    #[test]
+    fn cut_or_padded_joint_payloads_are_typed_errors() {
+        let t = profiles::loan().generate(32, 4);
+        let parts = split(&t, 2);
+        let mut cfg = quick_config(4, 2);
+        (cfg.ae.hidden_dim, cfg.ddpm_hidden) = (4, 4);
+        let mut model = E2eDistributed::fit(&parts, cfg, &mut StdRng::seed_from_u64(4));
+        let mut ddpm = model.ddpm.take().expect("a fitted model has its DDPM");
+        let payload = model.snapshot_joint(&mut ddpm, &StdRng::seed_from_u64(9));
+        let mut rng = StdRng::seed_from_u64(1);
+        model.import_joint_state(&mut ddpm, &payload, &mut rng).unwrap();
+        assert_eq!(rng.state(), StdRng::seed_from_u64(9).state());
+
+        let mut damaged: Vec<_> = (0..payload.len()).map(|cut| &payload[..cut]).collect();
+        let padded = [&payload[..], &[0]].concat();
+        damaged.push(&padded);
+        for bytes in damaged {
+            let err = model.import_joint_state(&mut ddpm, bytes, &mut rng).err();
+            assert!(matches!(err, Some(CheckpointError::State(_))), "{}: {err:?}", bytes.len());
+        }
     }
 }

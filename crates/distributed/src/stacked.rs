@@ -24,6 +24,7 @@ use silofuse_checkpoint::{CheckpointError, Checkpointer, CrashPoint};
 use silofuse_diffusion::gaussian::GaussianDdpm;
 use silofuse_models::latentdiff::{LatentDiffConfig, LatentScaler};
 use silofuse_models::{AutoencoderConfig, TabularAutoencoder};
+use silofuse_nn::serialize::{Reader, StateDictError};
 use silofuse_nn::Tensor;
 use silofuse_observe as observe;
 use silofuse_tabular::table::Table;
@@ -720,11 +721,7 @@ impl SiloFuseModel {
         let mut resumed = None;
         if ckpt.is_enabled() && ckpt.resume() {
             if let Some(saved) = ckpt.load(&synth_name, "synthesis").map_err(coord_err)? {
-                if saved.payload.len() < 16 {
-                    return Err(coord_err(CheckpointError::Truncated));
-                }
-                let base = u64::from_le_bytes(saved.payload[..8].try_into().unwrap());
-                let state = u64::from_le_bytes(saved.payload[8..16].try_into().unwrap());
+                let (base, state) = decode_progress(&saved.payload).map_err(coord_err)?;
                 *rng = StdRng::from_state(state);
                 resumed = Some(base);
             }
@@ -1048,46 +1045,41 @@ fn encode_pipeline_state(
     out
 }
 
-pub(crate) fn take<'a>(
-    payload: &'a [u8],
-    at: &mut usize,
-    n: usize,
-) -> Result<&'a [u8], CheckpointError> {
-    let end = at.checked_add(n).ok_or(CheckpointError::Truncated)?;
-    let s = payload.get(*at..end).ok_or(CheckpointError::Truncated)?;
-    *at = end;
-    Ok(s)
-}
-
-pub(crate) fn take_u32(payload: &[u8], at: &mut usize) -> Result<u32, CheckpointError> {
-    Ok(u32::from_le_bytes(take(payload, at, 4)?.try_into().expect("4-byte slice")))
-}
-
-fn take_f32s(payload: &[u8], at: &mut usize, n: usize) -> Result<Vec<f32>, CheckpointError> {
-    let bytes = take(payload, at, n.checked_mul(4).ok_or(CheckpointError::Truncated)?)?;
-    Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))).collect())
-}
-
 /// Inverse of [`encode_pipeline_state`]. Every length is validated against
-/// the payload before allocation, so torn or corrupted checkpoints surface
-/// as [`CheckpointError::Truncated`], never a panic or huge allocation.
+/// the payload before allocation, and the payload must end where the state
+/// does, so a torn, padded or corrupted checkpoint is a typed
+/// [`CheckpointError`], never a panic, a huge allocation or a silent
+/// resume.
 fn decode_pipeline_state(
     payload: &[u8],
 ) -> Result<(u64, Tensor, LatentScaler, Vec<usize>), CheckpointError> {
-    let mut at = 0usize;
-    let rng_state = u64::from_le_bytes(take(payload, &mut at, 8)?.try_into().expect("8 bytes"));
-    let rows = take_u32(payload, &mut at)? as usize;
-    let cols = take_u32(payload, &mut at)? as usize;
-    let len = rows.checked_mul(cols).ok_or(CheckpointError::Truncated)?;
-    let data = take_f32s(payload, &mut at, len)?;
-    let mean = take_f32s(payload, &mut at, cols)?;
-    let std = take_f32s(payload, &mut at, cols)?;
-    let m = take_u32(payload, &mut at)? as usize;
-    let mut widths = Vec::new();
-    for _ in 0..m {
-        widths.push(take_u32(payload, &mut at)? as usize);
-    }
-    Ok((rng_state, Tensor::from_vec(rows, cols, data), LatentScaler::from_parts(mean, std), widths))
+    read_payload(payload, |r| {
+        let rng_state = r.u64()?;
+        let rows = r.u32()? as usize;
+        let cols = r.u32()? as usize;
+        let data = r.f32_vec(rows.checked_mul(cols).ok_or(StateDictError::Malformed)?)?;
+        let scaler = LatentScaler::from_parts(r.f32_vec(cols)?, r.f32_vec(cols)?);
+        let m = r.u32()? as usize;
+        let widths = (0..m).map(|_| Ok(r.u32()? as usize)).collect::<Result<_, _>>()?;
+        Ok((rng_state, Tensor::from_vec(rows, cols, data), scaler, widths))
+    })
+}
+
+/// Reads a synthesis-progress payload, `u64 noise base | u64 RNG state`.
+fn decode_progress(payload: &[u8]) -> Result<(u64, u64), CheckpointError> {
+    read_payload(payload, |r| Ok((r.u64()?, r.u64()?)))
+}
+
+/// Reads a whole checkpoint payload with `read`: a short read, or a byte
+/// left over after it, is a typed [`CheckpointError`].
+fn read_payload<T>(
+    payload: &[u8],
+    read: impl FnOnce(&mut Reader<'_>) -> Result<T, StateDictError>,
+) -> Result<T, CheckpointError> {
+    let mut r = Reader::new(payload);
+    let value = read(&mut r).map_err(CheckpointError::state)?;
+    r.finish().map_err(CheckpointError::state)?;
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -1312,5 +1304,38 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(123);
         let got = beating.synthesize_partitioned(8, 0, &mut rng);
         assert_eq!(got, want);
+    }
+
+    /// Every proper prefix of `payload`, then `payload` with one byte more.
+    fn cut_and_padded(payload: &[u8]) -> Vec<Vec<u8>> {
+        let mut damaged: Vec<_> = (0..payload.len()).map(|cut| payload[..cut].to_vec()).collect();
+        damaged.push([payload, &[0]].concat());
+        damaged
+    }
+
+    /// Every truncation of a pipeline-state and of a synthesis-progress
+    /// payload, and each payload with one byte more, is a typed checkpoint
+    /// error, never a panic or a silent resume; the payloads themselves
+    /// read back exactly.
+    #[test]
+    fn cut_or_padded_pipeline_payloads_are_typed_errors() {
+        let rng = StdRng::seed_from_u64(5);
+        let z = Tensor::from_vec(3, 2, vec![0.5, -1.0, 2.0, 0.25, -0.0, 7.0]);
+        let scaler = LatentScaler::from_parts(vec![0.1, -0.2], vec![1.5, 0.75]);
+        let pipeline = encode_pipeline_state(&rng, &z, &scaler, &[1, 1]);
+        let (state, z2, scaler2, widths) = decode_pipeline_state(&pipeline).unwrap();
+        assert_eq!((state, &z2, widths), (rng.state(), &z, vec![1, 1]));
+        assert_eq!((scaler2.mean(), scaler2.std()), (scaler.mean(), scaler.std()));
+        let progress = [17u64.to_le_bytes(), rng.state().to_le_bytes()].concat();
+        assert_eq!(decode_progress(&progress).unwrap(), (17, rng.state()));
+
+        for bytes in cut_and_padded(&pipeline) {
+            let err = decode_pipeline_state(&bytes).err();
+            assert!(matches!(err, Some(CheckpointError::State(_))), "{}: {err:?}", bytes.len());
+        }
+        for bytes in cut_and_padded(&progress) {
+            let err = decode_progress(&bytes).err();
+            assert!(matches!(err, Some(CheckpointError::State(_))), "{}: {err:?}", bytes.len());
+        }
     }
 }

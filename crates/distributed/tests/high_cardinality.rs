@@ -4,10 +4,9 @@
 //! HighCard profile family (1k- and 10k-way).
 //!
 //! Two properties are pinned here:
-//! 1. the protocols train and synthesize end-to-end on these schemas with
-//!    the default (`Auto`) encoding policy, and
+//! 1. the protocols train and synthesize end-to-end on these schemas, and
 //! 2. encoded-batch memory scales with *nonzeros*, not with the one-hot
-//!    width (the dense oracle's `rows × #Aft` buffer).
+//!    width (a dense one-hot batch's `rows × #Aft` buffer).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,19 +58,18 @@ fn both_protocols_round_trip(table: &Table, seed: u64, ctx: &str) {
     }
 }
 
-/// Trains an AE under `Auto` on `table` and asserts the sparse path is
-/// active with peak encoded-batch bytes proportional to nonzeros.
+/// Trains an AE on `table` and asserts its encoded-batch bytes are
+/// proportional to nonzeros.
 fn assert_sparse_memory(table: &Table, batch: usize, ctx: &str) {
     let mut ae =
         TabularAutoencoder::new(table, AutoencoderConfig { hidden_dim: 32, ..Default::default() });
-    assert!(ae.uses_sparse(), "{ctx}: auto policy must pick sparse");
     let mut rng = StdRng::seed_from_u64(3);
     let loss = ae.fit(table, 4, batch, &mut rng);
     assert!(loss.is_finite(), "{ctx}: loss {loss}");
 
     let schema = table.schema();
     let rows = batch.min(table.n_rows());
-    let sparse_bytes = ae.sparse_batch_bytes().expect("sparse path active");
+    let sparse_bytes = ae.sparse_batch_bytes();
     // Exactly one f32 per numeric slot + one u32 per categorical column.
     let nonzeros = rows * (schema.numeric_count() + schema.categorical_count());
     assert_eq!(sparse_bytes, nonzeros * 4, "{ctx}: bytes must track nonzeros");
@@ -106,17 +104,4 @@ fn encoded_batch_memory_tracks_nonzeros_not_width() {
     assert_sparse_memory(&hc, 64, "high-card-10k");
     let hc1k = profiles::profile_by_name("HighCard1k").unwrap().generate(64, 17);
     assert_sparse_memory(&hc1k, 32, "high-card-1k");
-}
-
-#[test]
-fn wide_silo_autoencoder_is_sparse_under_auto_inside_the_protocol_config() {
-    // The partition holding Churn's 2 932-way column must trip the auto
-    // threshold with the exact AE config the protocols pass to each silo.
-    let t = profiles::churn().generate(64, 19);
-    let parts = split(&t, 2);
-    let cfg = tiny_config(19);
-    let wide =
-        parts.iter().max_by_key(|p| p.schema().one_hot_width()).expect("at least one partition");
-    let ae = TabularAutoencoder::new(wide, cfg.ae);
-    assert!(ae.uses_sparse(), "wide partition must route sparse");
 }

@@ -1,10 +1,13 @@
 //! Tabular autoencoder with per-feature distribution heads (§III-B, §IV-A).
 //!
-//! The encoder maps one-hot + scaled features to a continuous latent; the
-//! decoder maps latents to *distribution parameters*: a Gaussian head
-//! `(μ, log σ²)` per numeric feature and a softmax head per categorical
-//! feature, trained with negative log-likelihood (paper Eq. 4), exactly like
-//! the tabular VAE decoders the paper cites.
+//! The encoder maps scaled numerics and one-hot categoricals to a
+//! continuous latent. Batches reach it sparse (index+value, see
+//! [`SparseBatch`]): its first layer is an [`EmbeddingGather`] that adds
+//! up one weight row per categorical column instead of multiplying the
+//! one-hot zeros. The decoder maps latents to *distribution parameters*:
+//! a Gaussian head `(μ, log σ²)` per numeric feature and a softmax head
+//! per categorical feature, trained with negative log-likelihood (paper
+//! Eq. 4), exactly like the tabular VAE decoders the paper cites.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,7 +24,7 @@ use silofuse_tabular::encode::{
 };
 use silofuse_tabular::schema::{ColumnKind, ColumnMeta, Schema};
 use silofuse_tabular::table::Table;
-use silofuse_tabular::{SparseBatch, SparsePolicy};
+use silofuse_tabular::SparseBatch;
 use std::convert::Infallible;
 
 /// Autoencoder hyperparameters.
@@ -36,16 +39,11 @@ pub struct AutoencoderConfig {
     pub lr: f32,
     /// Initialisation / dropout seed.
     pub seed: u64,
-    /// Batch representation policy: [`SparsePolicy::Auto`] routes
-    /// high-expansion schemas through the sparse categorical path
-    /// (index+value batches, embedding-gather first layer); `Dense` and
-    /// `Sparse` force either path. Both paths train bit-identically.
-    pub encoding: SparsePolicy,
 }
 
 impl Default for AutoencoderConfig {
     fn default() -> Self {
-        Self { hidden_dim: 256, latent_dim: None, lr: 1e-3, seed: 0, encoding: SparsePolicy::Auto }
+        Self { hidden_dim: 256, latent_dim: None, lr: 1e-3, seed: 0 }
     }
 }
 
@@ -71,11 +69,9 @@ pub struct TabularAutoencoder {
     enc_opt: Adam,
     dec_opt: Adam,
     table_encoder: TableEncoder,
-    /// Reusable sparse training batch when the sparse path is active;
-    /// `None` means every batch is densified. The buffer is cleared and
-    /// refilled in place each step, so steady-state training allocates
-    /// nothing here.
-    sparse: Option<SparseBatch>,
+    /// Reusable sparse training batch, cleared and refilled in place each
+    /// step, so steady-state training allocates nothing here.
+    sparse: SparseBatch,
     heads: HeadLayout,
     latent_dim: usize,
     lr: f32,
@@ -126,25 +122,18 @@ impl TabularAutoencoder {
             cat_widths: table_encoder.categorical_group_widths(),
         };
         let h = config.hidden_dim;
-        // Three linear layers per side, GELU activations (§V-A). When the
-        // schema's one-hot expansion crosses the sparse threshold the first
-        // encoder layer is an EmbeddingGather: same parameter layout, same
-        // initialiser draws (checkpoints interchange with the dense build),
-        // but batches arrive as index+value buffers instead of one-hot.
-        let use_sparse = config.encoding.selects_sparse(schema);
+        // Three affine layers per side, GELU activations (§V-A). The first
+        // encoder layer is an EmbeddingGather over the one-hot layout: the
+        // parameters and initialiser draws of a `Linear` on the one-hot
+        // width, fed index+value batches.
         let (weight, bias) = affine(table_encoder.encoded_width(), h)?;
-        let mut encoder = Sequential::new();
-        if use_sparse {
-            let spec = crate::sparse::sparse_spec(schema);
-            encoder.add(Box::new(EmbeddingGather::from_parts(spec, weight, bias)));
-        } else {
-            encoder.add(Box::new(Linear::from_parts(weight, bias)));
-        }
+        let spec = crate::sparse::sparse_spec(schema);
         let mut linear = |fan_in, fan_out| -> Result<Linear, E> {
             let (weight, bias) = affine(fan_in, fan_out)?;
             Ok(Linear::from_parts(weight, bias))
         };
-        let encoder = encoder
+        let encoder = Sequential::new()
+            .push(EmbeddingGather::from_parts(spec, weight, bias))
             .push(Activation::new(ActivationKind::Gelu))
             .push(linear(h, h)?)
             .push(Activation::new(ActivationKind::Gelu))
@@ -155,7 +144,7 @@ impl TabularAutoencoder {
             .push(linear(h, h)?)
             .push(Activation::new(ActivationKind::Gelu))
             .push(linear(h, heads.width())?);
-        let sparse = use_sparse.then(|| table_encoder.sparse_batch());
+        let sparse = table_encoder.sparse_batch();
         Ok(Self {
             encoder,
             decoder,
@@ -200,15 +189,15 @@ impl TabularAutoencoder {
         Ok(ae)
     }
 
-    /// True when batches are encoded sparsely (index+value buffers).
+    /// True: batches are always encoded sparsely (index+value buffers).
     pub fn uses_sparse(&self) -> bool {
-        self.sparse.is_some()
+        true
     }
 
-    /// Bytes held by the most recent sparse training batch, or `None` on
-    /// the dense path. Scales with nonzeros, not with the one-hot width.
-    pub fn sparse_batch_bytes(&self) -> Option<usize> {
-        self.sparse.as_ref().map(SparseBatch::batch_bytes)
+    /// Bytes held by the most recent training batch. Scales with
+    /// nonzeros, not with the one-hot width.
+    pub fn sparse_batch_bytes(&self) -> usize {
+        self.sparse.batch_bytes()
     }
 
     /// Latent width `s_i`.
@@ -219,13 +208,6 @@ impl TabularAutoencoder {
     /// The feature encoder fitted at construction.
     pub fn table_encoder(&self) -> &TableEncoder {
         &self.table_encoder
-    }
-
-    /// Encodes a table into its *dense* input feature tensor (the one-hot
-    /// oracle representation, regardless of the configured encoding policy).
-    pub fn features(&self, table: &Table) -> Tensor {
-        let data = self.table_encoder.encode(table);
-        Tensor::from_vec(table.n_rows(), self.table_encoder.encoded_width(), data)
     }
 
     fn targets(&self, table: &Table) -> BatchTargets {
@@ -265,18 +247,9 @@ impl TabularAutoencoder {
         (loss, grad)
     }
 
-    /// Dense encoder input: the one-hot + scaled features of `table`.
-    fn dense_input(&self, table: &Table) -> Tensor {
-        Tensor::from_vec(
-            table.n_rows(),
-            self.table_encoder.encoded_width(),
-            self.table_encoder.encode(table),
-        )
-    }
-
     /// Fills `batch` with `table`'s sparse encoding.
-    fn encode_sparse(&self, table: &Table, batch: &mut SparseBatch) {
-        self.table_encoder
+    fn encode_sparse(table_encoder: &TableEncoder, table: &Table, batch: &mut SparseBatch) {
+        table_encoder
             .encode_sparse_into(table, batch)
             .expect("batch codes already validated against the fitted schema");
     }
@@ -339,16 +312,13 @@ impl TabularAutoencoder {
         )
     }
 
-    /// Encodes a table into latents `Z_i = E_i(X_i)` (inference pass)
-    /// through whichever representation is active. The sparse path is
-    /// bit-identical to the dense path for finite weights — see the
-    /// backend gather/scatter determinism docs.
+    /// Encodes a table into latents `Z_i = E_i(X_i)` (inference pass). The
+    /// sparse batch gives the bits a dense one-hot batch through a `Linear`
+    /// would for finite weights — see the backend gather/scatter
+    /// determinism docs.
     pub fn encode(&self, table: &Table) -> Tensor {
-        if self.sparse.is_none() {
-            return self.encoder.infer(&self.dense_input(table));
-        }
         let mut batch = self.table_encoder.sparse_batch();
-        self.encode_sparse(table, &mut batch);
+        Self::encode_sparse(&self.table_encoder, table, &mut batch);
         self.encoder
             .try_infer_sparse(crate::sparse::batch_ref(&batch))
             .expect("the sparse encoder starts with an embedding gather")
@@ -396,22 +366,11 @@ impl TabularAutoencoder {
     // Raw forward/backward plumbing for the end-to-end baselines.
     // ------------------------------------------------------------------
 
-    /// Encoder training pass (caches for backward). Routes through the
-    /// sparse path when active, reusing the sparse batch buffer so a warm
-    /// step allocates nothing.
+    /// Encoder training pass (caches for backward). Refills the reusable
+    /// sparse batch in place, so a warm step allocates nothing.
     pub fn encoder_forward_train(&mut self, table: &Table) -> Tensor {
-        match self.sparse.take() {
-            Some(mut batch) => {
-                self.encode_sparse(table, &mut batch);
-                let z = self.encoder.forward_sparse(crate::sparse::batch_ref(&batch));
-                self.sparse = Some(batch);
-                z
-            }
-            None => {
-                let x = self.dense_input(table);
-                self.encoder.forward(&x)
-            }
-        }
+        Self::encode_sparse(&self.table_encoder, table, &mut self.sparse);
+        self.encoder.forward_sparse(crate::sparse::batch_ref(&self.sparse))
     }
 
     /// Decoder forward + NLL loss on `batch`, returning the loss and the
@@ -448,13 +407,8 @@ impl TabularAutoencoder {
     /// the architecture with [`TabularAutoencoder::new`] on the same schema
     /// and config, then [`TabularAutoencoder::import_weights`].
     pub fn export_weights(&mut self) -> Vec<u8> {
-        let enc = silofuse_nn::serialize::export_state_dict(&mut self.encoder);
-        let dec = silofuse_nn::serialize::export_state_dict(&mut self.decoder);
-        let mut out = Vec::with_capacity(4 + enc.len() + dec.len());
-        out.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-        out.extend_from_slice(&enc);
-        out.extend_from_slice(&dec);
-        out
+        let enc = serialize::export_state_dict(&mut self.encoder);
+        crate::frame_pair(&enc, &serialize::export_state_dict(&mut self.decoder))
     }
 
     /// Restores weights exported by [`TabularAutoencoder::export_weights`].
@@ -463,14 +417,9 @@ impl TabularAutoencoder {
     /// Returns the underlying [`StateDictError`](silofuse_nn::serialize::StateDictError)
     /// if the blob is malformed or the architectures differ.
     pub fn import_weights(&mut self, bytes: &[u8]) -> Result<(), StateDictError> {
-        use silofuse_nn::serialize::import_state_dict;
-        let len_bytes: [u8; 4] =
-            bytes.get(..4).ok_or(StateDictError::Malformed)?.try_into().unwrap();
-        let enc_len = u32::from_le_bytes(len_bytes) as usize;
-        let enc = bytes.get(4..4 + enc_len).ok_or(StateDictError::Malformed)?;
-        let dec = bytes.get(4 + enc_len..).ok_or(StateDictError::Malformed)?;
-        import_state_dict(&mut self.encoder, enc)?;
-        import_state_dict(&mut self.decoder, dec)
+        let (enc, dec) = crate::split_pair(bytes)?;
+        serialize::import_state_dict(&mut self.encoder, enc)?;
+        serialize::import_state_dict(&mut self.decoder, dec)
     }
 }
 
@@ -568,29 +517,18 @@ fn read_table_encoder(r: &mut Reader<'_>) -> Result<TableEncoder, StateDictError
 }
 
 impl TrainState for TabularAutoencoder {
-    /// Weights, buffers, layer RNGs and both Adam optimizers, framed like
+    /// Weights, layer RNGs and both Adam optimizers, framed like
     /// [`TabularAutoencoder::export_weights`]
     /// (`u32 encoder-section length | encoder section | decoder section`).
     fn export_train_state(&mut self) -> Vec<u8> {
-        let enc = silofuse_nn::serialize::export_train_state(&mut self.encoder, &self.enc_opt);
-        let dec = silofuse_nn::serialize::export_train_state(&mut self.decoder, &self.dec_opt);
-        let mut out = Vec::with_capacity(4 + enc.len() + dec.len());
-        out.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-        out.extend_from_slice(&enc);
-        out.extend_from_slice(&dec);
-        out
+        let enc = serialize::export_train_state(&mut self.encoder, &self.enc_opt);
+        crate::frame_pair(&enc, &serialize::export_train_state(&mut self.decoder, &self.dec_opt))
     }
 
     fn import_train_state(&mut self, bytes: &[u8]) -> Result<(), StateDictError> {
-        use silofuse_nn::serialize::import_train_state;
-        let len_bytes: [u8; 4] =
-            bytes.get(..4).ok_or(StateDictError::Malformed)?.try_into().unwrap();
-        let enc_len = u32::from_le_bytes(len_bytes) as usize;
-        let enc = bytes.get(4..4usize.checked_add(enc_len).ok_or(StateDictError::Malformed)?);
-        let enc = enc.ok_or(StateDictError::Malformed)?;
-        let dec = bytes.get(4 + enc_len..).ok_or(StateDictError::Malformed)?;
-        import_train_state(&mut self.encoder, &mut self.enc_opt, enc)?;
-        import_train_state(&mut self.decoder, &mut self.dec_opt, dec)
+        let (enc, dec) = crate::split_pair(bytes)?;
+        serialize::import_train_state(&mut self.encoder, &mut self.enc_opt, enc)?;
+        serialize::import_train_state(&mut self.decoder, &mut self.dec_opt, dec)
     }
 }
 
@@ -831,52 +769,6 @@ mod tests {
         assert!(loss.is_finite());
     }
 
-    #[test]
-    fn sparse_auto_path_is_bit_identical_to_dense() {
-        // Churn's 2 932-way column trips the auto threshold; training and
-        // encoding must match the dense oracle bit for bit.
-        let t = profiles::churn().generate(128, 13);
-        let cfg = AutoencoderConfig { hidden_dim: 32, ..Default::default() };
-        let mut sparse = TabularAutoencoder::new(&t, cfg);
-        let mut dense =
-            TabularAutoencoder::new(&t, AutoencoderConfig { encoding: SparsePolicy::Dense, ..cfg });
-        assert!(sparse.uses_sparse() && !dense.uses_sparse());
-        let mut rng_a = StdRng::seed_from_u64(4);
-        let mut rng_b = StdRng::seed_from_u64(4);
-        sparse.fit(&t, 8, 32, &mut rng_a);
-        dense.fit(&t, 8, 32, &mut rng_b);
-        assert_eq!(sparse.export_weights(), dense.export_weights());
-        assert_eq!(sparse.encode(&t), dense.encode(&t));
-        assert!(sparse.sparse_batch_bytes().unwrap() > 0);
-        // Loan's modest expansion stays dense under Auto.
-        assert!(!TabularAutoencoder::new(&toy_table(32), cfg).uses_sparse());
-    }
-
-    #[test]
-    fn checkpoints_interchange_across_representations() {
-        // A dense-trained state must resume on the sparse path (and keep
-        // training bit-identically): EmbeddingGather serialises exactly
-        // like Linear.
-        let t = profiles::churn().generate(96, 5);
-        let cfg = AutoencoderConfig { hidden_dim: 32, ..Default::default() };
-        let mut dense =
-            TabularAutoencoder::new(&t, AutoencoderConfig { encoding: SparsePolicy::Dense, ..cfg });
-        let mut rng = StdRng::seed_from_u64(21);
-        dense.fit(&t, 6, 32, &mut rng);
-        let blob = dense.export_train_state();
-
-        let mut sparse = TabularAutoencoder::new(
-            &t,
-            AutoencoderConfig { seed: 99, encoding: SparsePolicy::Sparse, ..cfg },
-        );
-        sparse.import_train_state(&blob).unwrap();
-        let mut rng_a = StdRng::seed_from_u64(22);
-        let mut rng_b = StdRng::seed_from_u64(22);
-        dense.fit(&t, 6, 32, &mut rng_a);
-        sparse.fit(&t, 6, 32, &mut rng_b);
-        assert_eq!(dense.export_weights(), sparse.export_weights());
-    }
-
     /// The decode before blocking: one decoder pass over every row,
     /// re-packed into the encoder's one-hot layout (μ in a numeric slot,
     /// logits in a categorical block) and decoded by `TableEncoder::decode`.
@@ -923,7 +815,7 @@ mod tests {
             ae.fit(&table, 4, 32, &mut rng);
             match name {
                 "loan" => assert!(ae.heads.n_numeric > 0 && !ae.heads.cat_widths.is_empty()),
-                _ => assert!(ae.uses_sparse() && ae.heads.width() > 2_900, "{}", ae.heads.width()),
+                _ => assert!(ae.heads.width() > 2_900, "{}", ae.heads.width()),
             }
             for rows in [0, 1, 255, 256, 257, 785] {
                 let latents = silofuse_nn::init::randn(rows, ae.latent_dim(), &mut rng);
@@ -935,24 +827,22 @@ mod tests {
     }
 
     /// After warm-up an AE training step takes every buffer from the
-    /// workspace arena, on the dense and on the sparse path.
+    /// workspace arena and refills its sparse batch in place.
     #[test]
     fn warm_train_step_allocates_nothing() {
         let t = toy_table(96);
         let batch = t.select_rows(&(0..32).collect::<Vec<_>>());
-        for encoding in [SparsePolicy::Dense, SparsePolicy::Sparse] {
-            let mut ae = TabularAutoencoder::new(
-                &t,
-                AutoencoderConfig { hidden_dim: 32, encoding, ..Default::default() },
-            );
-            assert_eq!(ae.uses_sparse(), encoding == SparsePolicy::Sparse);
-            for step in 0..8 {
-                if step == 4 {
-                    silofuse_nn::workspace::reset_counters();
-                }
-                ae.train_step(&batch);
+        let mut ae =
+            TabularAutoencoder::new(&t, AutoencoderConfig { hidden_dim: 32, ..Default::default() });
+        for step in 0..8 {
+            if step == 4 {
+                silofuse_nn::workspace::reset_counters();
             }
-            assert_eq!(silofuse_nn::workspace::misses(), 0, "{encoding:?}: a warm step allocated");
+            ae.train_step(&batch);
         }
+        assert_eq!(silofuse_nn::workspace::misses(), 0, "a warm step allocated");
+        let schema = t.schema();
+        let per_row = 4 * (schema.numeric_count() + schema.categorical_count());
+        assert_eq!(ae.sparse_batch_bytes(), 32 * per_row);
     }
 }

@@ -3,7 +3,10 @@
 //! Both train on one-hot encodings with min-max-scaled numerics — the
 //! mainstream encoding whose sparsity/width blow-up the paper criticises —
 //! using four generator layers with LeakyReLU and LayerNorm and a transposed
-//! discriminator, Adam with β₁ = 0.5.
+//! discriminator, Adam with β₁ = 0.5. The linear discriminator reads real
+//! rows as sparse index+value batches through an [`EmbeddingGather`]
+//! first layer; the conv discriminator convolves over the full one-hot
+//! signal, so it reads them dense.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,13 +18,13 @@ use silofuse_nn::layers::{
 };
 use silofuse_nn::loss::bce_with_logits;
 use silofuse_nn::optim::Adam;
-use silofuse_nn::serialize::StateDictError;
+use silofuse_nn::serialize::{self, StateDictError};
 use silofuse_nn::sparse::SparseSpec;
 use silofuse_nn::Tensor;
 use silofuse_observe as observe;
 use silofuse_tabular::encode::{ScalingKind, TableEncoder};
 use silofuse_tabular::table::Table;
-use silofuse_tabular::{SparseBatch, SparsePolicy};
+use silofuse_tabular::SparseBatch;
 
 /// Generator/discriminator backbone flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,10 +48,6 @@ pub struct GanConfig {
     pub lr: f32,
     /// Initialisation seed.
     pub seed: u64,
-    /// Batch representation policy for *real* discriminator batches.
-    /// Only the linear architecture has a sparse input layer; the conv
-    /// discriminator always densifies. Both paths train bit-identically.
-    pub encoding: SparsePolicy,
 }
 
 impl Default for GanConfig {
@@ -59,7 +58,6 @@ impl Default for GanConfig {
             hidden_dim: 256,
             lr: 2e-4,
             seed: 0,
-            encoding: SparsePolicy::Auto,
         }
     }
 }
@@ -80,9 +78,9 @@ pub struct TabularGan {
     g_opt: Adam,
     d_opt: Adam,
     table_encoder: TableEncoder,
-    /// Reusable sparse batch for real discriminator inputs when the sparse
-    /// path is active (linear architecture only); fake batches are
-    /// generator output and always dense.
+    /// Reusable sparse batch for real discriminator inputs, for the linear
+    /// architecture; `None` for the conv one, which reads real rows dense.
+    /// Fake batches are generator output and always dense.
     sparse: Option<SparseBatch>,
     noise_dim: usize,
     lr: f32,
@@ -100,22 +98,22 @@ impl TabularGan {
         let table_encoder = TableEncoder::fit(table, ScalingKind::MinMax);
         let width = table_encoder.encoded_width();
         let mut rng = StdRng::seed_from_u64(config.seed);
-        // Only the linear discriminator can take a sparse first layer; the
-        // conv stack convolves over the full one-hot signal.
-        let use_sparse = config.architecture == GanArchitecture::Linear
-            && config.encoding.selects_sparse(table.schema());
-        let spec = use_sparse.then(|| crate::sparse::sparse_spec(table.schema()));
-        let (generator, discriminator) = match config.architecture {
+        let (generator, discriminator, sparse) = match config.architecture {
             GanArchitecture::Linear => (
                 linear_generator(config.noise_dim, config.hidden_dim, width, &mut rng),
-                linear_discriminator(width, config.hidden_dim, spec, &mut rng),
+                linear_discriminator(
+                    crate::sparse::sparse_spec(table.schema()),
+                    config.hidden_dim,
+                    &mut rng,
+                ),
+                Some(table_encoder.sparse_batch()),
             ),
             GanArchitecture::Conv => (
                 conv_generator(config.noise_dim, width, &mut rng),
                 conv_discriminator(width, &mut rng),
+                None,
             ),
         };
-        let sparse = use_sparse.then(|| table_encoder.sparse_batch());
         Self {
             generator,
             discriminator,
@@ -128,22 +126,10 @@ impl TabularGan {
         }
     }
 
-    /// True when real batches are encoded sparsely (index+value buffers).
-    pub fn uses_sparse(&self) -> bool {
-        self.sparse.is_some()
-    }
-
-    /// Bytes held by the most recently encoded sparse batch, or `None` on
-    /// the dense path. Scales with nonzeros, not with the one-hot width.
-    pub fn sparse_batch_bytes(&self) -> Option<usize> {
-        self.sparse.as_ref().map(SparseBatch::batch_bytes)
-    }
-
-    /// Discriminator forward over a *real* batch: sparse when the sparse
-    /// path is active (the EmbeddingGather first layer gathers weight rows
-    /// instead of multiplying one-hot zeros), dense otherwise. Encoding
-    /// consumes no RNG draws, so both paths leave the training random
-    /// stream identical.
+    /// Discriminator forward over a *real* batch: sparse for the linear
+    /// discriminator (the EmbeddingGather first layer gathers weight rows
+    /// instead of multiplying one-hot zeros), dense one-hot for the conv
+    /// one. Encoding consumes no RNG draws.
     fn discriminate_real(&mut self, real: &Table) -> Tensor {
         let Self { table_encoder, sparse, discriminator, .. } = self;
         match sparse {
@@ -171,8 +157,9 @@ impl TabularGan {
         let x_fake = self.generator.forward(&noise);
 
         // --- Discriminator update: maximise log D(x) + log(1 - D(G(z))).
-        // Real (possibly sparse) and fake (dense) batches go through the
-        // same first layer; each backward consumes the matching cache.
+        // Real (sparse for the linear architecture) and fake (dense)
+        // batches go through the same first layer; each backward consumes
+        // the matching cache.
         self.discriminator.zero_grad();
         let logits_real = self.discriminate_real(real);
         let ones = Tensor::full(n, 1, 1.0);
@@ -256,26 +243,15 @@ impl TrainState for TabularGan {
     /// framed as `u32 generator-section length | generator section |
     /// discriminator section`.
     fn export_train_state(&mut self) -> Vec<u8> {
-        let gen = silofuse_nn::serialize::export_train_state(&mut self.generator, &self.g_opt);
-        let disc = silofuse_nn::serialize::export_train_state(&mut self.discriminator, &self.d_opt);
-        let mut out = Vec::with_capacity(4 + gen.len() + disc.len());
-        out.extend_from_slice(&(gen.len() as u32).to_le_bytes());
-        out.extend_from_slice(&gen);
-        out.extend_from_slice(&disc);
-        out
+        let gen = serialize::export_train_state(&mut self.generator, &self.g_opt);
+        let disc = serialize::export_train_state(&mut self.discriminator, &self.d_opt);
+        crate::frame_pair(&gen, &disc)
     }
 
     fn import_train_state(&mut self, bytes: &[u8]) -> Result<(), StateDictError> {
-        use silofuse_nn::serialize::import_train_state;
-        let len_bytes: [u8; 4] =
-            bytes.get(..4).ok_or(StateDictError::Malformed)?.try_into().unwrap();
-        let gen_len = u32::from_le_bytes(len_bytes) as usize;
-        let gen = bytes
-            .get(4..4usize.checked_add(gen_len).ok_or(StateDictError::Malformed)?)
-            .ok_or(StateDictError::Malformed)?;
-        let disc = bytes.get(4 + gen_len..).ok_or(StateDictError::Malformed)?;
-        import_train_state(&mut self.generator, &mut self.g_opt, gen)?;
-        import_train_state(&mut self.discriminator, &mut self.d_opt, disc)
+        let (gen, disc) = crate::split_pair(bytes)?;
+        serialize::import_train_state(&mut self.generator, &mut self.g_opt, gen)?;
+        serialize::import_train_state(&mut self.discriminator, &mut self.d_opt, disc)
     }
 }
 
@@ -292,24 +268,14 @@ fn linear_generator(noise: usize, hidden: usize, out: usize, rng: &mut StdRng) -
     seq
 }
 
-/// Linear discriminator; with a `sparse` spec the first layer becomes an
-/// [`EmbeddingGather`] (same parameters and initialiser draws as the
-/// `Linear` it replaces, so state dicts interchange).
-fn linear_discriminator(
-    input: usize,
-    hidden: usize,
-    sparse: Option<SparseSpec>,
-    rng: &mut StdRng,
-) -> Sequential {
+/// Linear discriminator over `spec`'s one-hot layout. The first layer is
+/// an [`EmbeddingGather`], with the parameters and initialiser draws of a
+/// `Linear` on the one-hot width: real rows arrive sparse, generator
+/// output dense.
+fn linear_discriminator(spec: SparseSpec, hidden: usize, rng: &mut StdRng) -> Sequential {
     let mut seq = Sequential::new();
-    let dims = [input, hidden, hidden, hidden, 1];
-    match sparse {
-        Some(spec) => {
-            debug_assert_eq!(spec.in_width(), input, "sparse spec width must match encoder");
-            seq.add(Box::new(EmbeddingGather::new(spec, dims[1], Init::KaimingNormal, rng)));
-        }
-        None => seq.add(Box::new(Linear::new(dims[0], dims[1], Init::KaimingNormal, rng))),
-    }
+    let dims = [spec.in_width(), hidden, hidden, hidden, 1];
+    seq.add(Box::new(EmbeddingGather::new(spec, dims[1], Init::KaimingNormal, rng)));
     seq.add(Box::new(Activation::new(ActivationKind::LeakyRelu)));
     seq.add(Box::new(LayerNorm::new(dims[1])));
     for i in 1..4 {
@@ -477,32 +443,5 @@ mod tests {
             .filter_map(|c| c.as_categorical())
             .any(|codes| codes.iter().any(|&v| v != codes[0]));
         assert!(varied, "all categorical outputs collapsed to constants");
-    }
-
-    #[test]
-    fn sparse_discriminator_is_bit_identical_to_dense() {
-        // Churn trips the auto threshold; the sparse real path must leave
-        // training (weights, optimizer state, samples) bit-identical.
-        let t = profiles::churn().generate(96, 4);
-        let cfg = GanConfig { hidden_dim: 32, noise_dim: 16, ..Default::default() };
-        let mut sparse = TabularGan::new(&t, cfg);
-        let mut dense = TabularGan::new(&t, GanConfig { encoding: SparsePolicy::Dense, ..cfg });
-        assert!(sparse.uses_sparse() && !dense.uses_sparse());
-        let mut rng_a = StdRng::seed_from_u64(6);
-        let mut rng_b = StdRng::seed_from_u64(6);
-        sparse.fit(&t, 5, 32, &mut rng_a);
-        dense.fit(&t, 5, 32, &mut rng_b);
-        assert_eq!(sparse.export_train_state(), dense.export_train_state());
-        assert_eq!(sparse.sample(8, &mut rng_a), dense.sample(8, &mut rng_b));
-        // The conv stack has no sparse input layer, even when forced.
-        let conv = TabularGan::new(
-            &t,
-            GanConfig {
-                architecture: GanArchitecture::Conv,
-                encoding: SparsePolicy::Sparse,
-                ..cfg
-            },
-        );
-        assert!(!conv.uses_sparse());
     }
 }

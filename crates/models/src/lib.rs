@@ -34,6 +34,26 @@ pub use latentdiff::{LatentDiff, LatentDiffConfig, LatentScaler};
 pub use synthesizer::Synthesizer;
 pub use tabddpm::{TabDdpm, TabDdpmConfig};
 
+/// Frames two sections as `u32 first-section length | first | second`:
+/// the layout of the autoencoder's weights and of the autoencoder's and
+/// the GANs' train states.
+pub(crate) fn frame_pair(first: &[u8], second: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + first.len() + second.len());
+    out.extend_from_slice(&(first.len() as u32).to_le_bytes());
+    out.extend_from_slice(first);
+    out.extend_from_slice(second);
+    out
+}
+
+/// Splits what [`frame_pair`] wrote into its two sections.
+pub(crate) fn split_pair(
+    bytes: &[u8],
+) -> Result<(&[u8], &[u8]), silofuse_nn::serialize::StateDictError> {
+    let mut r = silofuse_nn::serialize::Reader::new(bytes);
+    let len = r.u32()? as usize;
+    Ok((r.bytes(len)?, r.rest()))
+}
+
 /// Asserts that two tables hold the same bytes: equal schemas, equal
 /// category codes, and numerics equal bit for bit.
 #[cfg(test)]

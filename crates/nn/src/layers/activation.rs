@@ -7,18 +7,12 @@ use crate::{simd, workspace};
 /// The supported activation nonlinearities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActivationKind {
-    /// Rectified linear unit.
-    Relu,
     /// Leaky ReLU with slope 0.2 for negative inputs (GAN default in the paper).
     LeakyRelu,
     /// Gaussian error linear unit (tanh approximation), the paper's choice
     /// for autoencoders and diffusion backbones (§V-A). Evaluated through
     /// the repo-owned [`simd::tanh`], never the host's libm.
     Gelu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
 }
 
 const LEAKY_SLOPE: f32 = 0.2;
@@ -28,7 +22,6 @@ impl ActivationKind {
     #[inline]
     pub fn apply(self, x: f32) -> f32 {
         match self {
-            ActivationKind::Relu => x.max(0.0),
             ActivationKind::LeakyRelu => {
                 if x >= 0.0 {
                     x
@@ -37,8 +30,6 @@ impl ActivationKind {
                 }
             }
             ActivationKind::Gelu => simd::gelu(x),
-            ActivationKind::Tanh => x.tanh(),
-            ActivationKind::Sigmoid => 1.0 / (1.0 + (-x).exp()),
         }
     }
 
@@ -46,13 +37,6 @@ impl ActivationKind {
     #[inline]
     pub fn derivative(self, x: f32) -> f32 {
         match self {
-            ActivationKind::Relu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
             ActivationKind::LeakyRelu => {
                 if x >= 0.0 {
                     1.0
@@ -61,14 +45,6 @@ impl ActivationKind {
                 }
             }
             ActivationKind::Gelu => simd::gelu_grad(x),
-            ActivationKind::Tanh => {
-                let t = x.tanh();
-                1.0 - t * t
-            }
-            ActivationKind::Sigmoid => {
-                let s = 1.0 / (1.0 + (-x).exp());
-                s * (1.0 - s)
-            }
         }
     }
 }
@@ -78,8 +54,8 @@ impl ActivationKind {
 pub struct Activation {
     kind: ActivationKind,
     /// What `backward` needs from `forward`: GELU's derivative, which the
-    /// forward pass computes from the `tanh` it evaluates anyway, and the
-    /// input for every other kind.
+    /// forward pass computes from the `tanh` it evaluates anyway, and
+    /// LeakyReLU's input.
     cache: Option<Tensor>,
 }
 
@@ -132,13 +108,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn relu_clamps_negatives() {
-        let a = Activation::new(ActivationKind::Relu);
-        let x = Tensor::from_vec(1, 3, vec![-1.0, 0.0, 2.0]);
-        assert_eq!(a.infer(&x).as_slice(), &[0.0, 0.0, 2.0]);
-    }
-
-    #[test]
     fn gelu_known_values() {
         // GELU(0) = 0, GELU(x) -> x for large x, GELU(-x) -> 0.
         let g = ActivationKind::Gelu;
@@ -150,23 +119,12 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_is_bounded_and_centred() {
-        let s = ActivationKind::Sigmoid;
-        assert!((s.apply(0.0) - 0.5).abs() < 1e-7);
-        assert!(s.apply(50.0) <= 1.0 && s.apply(-50.0) >= 0.0);
-    }
-
-    #[test]
     fn all_kinds_pass_gradcheck() {
         let mut rng = StdRng::seed_from_u64(11);
-        for kind in [
-            ActivationKind::LeakyRelu,
-            ActivationKind::Gelu,
-            ActivationKind::Tanh,
-            ActivationKind::Sigmoid,
-        ] {
+        for kind in [ActivationKind::LeakyRelu, ActivationKind::Gelu] {
             let mut layer = Activation::new(kind);
-            // Keep inputs away from ReLU kinks for stable finite differences.
+            // Keep inputs away from the LeakyReLU kink for stable finite
+            // differences.
             let x = crate::init::randn(4, 6, &mut rng).map(|v| v * 0.9 + 0.05);
             gradcheck::check_input_grad(&mut layer, &x, 2e-2);
         }

@@ -1,8 +1,8 @@
 //! Neural-network layers with explicit, cached backpropagation.
 //!
 //! Every layer implements [`Layer`] with two passes. The training pass
-//! `forward(&mut self)` caches whatever `backward` needs, draws dropout
-//! masks and updates batch-norm running statistics; `backward` consumes
+//! `forward(&mut self)` caches whatever `backward` needs and draws dropout
+//! masks; `backward` consumes
 //! the most recent cache and returns the gradient with respect to the
 //! layer's input so stacks compose (this is what lets the end-to-end
 //! SiloFuse baselines push gradients decoder → diffusion → encoder).
@@ -24,7 +24,7 @@ pub use conv::Conv1d;
 pub use dropout::Dropout;
 pub use embedding_gather::EmbeddingGather;
 pub use linear::Linear;
-pub use norm::{BatchNorm1d, LayerNorm};
+pub use norm::LayerNorm;
 pub use sequential::{mlp, mlp_with, Sequential};
 
 use crate::sparse::SparseBatchRef;
@@ -66,14 +66,12 @@ impl Param {
 pub trait Layer {
     /// Training pass: computes outputs from `input`, caching intermediates
     /// for `backward`. Stochastic layers draw from their own RNG here
-    /// ([`Dropout`]) and [`BatchNorm1d`] normalises with batch statistics
-    /// while updating its running ones.
+    /// ([`Dropout`]).
     fn forward(&mut self, input: &Tensor) -> Tensor;
 
     /// Inference pass: computes outputs from `input` reading only the
-    /// parameters and buffers. Deterministic ([`Dropout`] is the identity,
-    /// [`BatchNorm1d`] uses its running statistics), cache-free, and
-    /// otherwise bit-identical to [`Layer::forward`].
+    /// parameters. Deterministic ([`Dropout`] is the identity), cache-free,
+    /// and otherwise bit-identical to [`Layer::forward`].
     fn infer(&self, input: &Tensor) -> Tensor;
 
     /// Backpropagates `grad_output` through the most recent `forward`,
@@ -107,13 +105,6 @@ pub trait Layer {
     /// a training-state checkpoint can snapshot and restore the exact
     /// random stream; deterministic layers keep the default no-op.
     fn visit_rngs(&mut self, _f: &mut dyn FnMut(&mut rand::rngs::StdRng)) {}
-
-    /// Visits every non-trainable state buffer (stable order).
-    ///
-    /// Buffers are values updated by forward passes rather than the
-    /// optimizer — e.g. [`BatchNorm1d`] running statistics — and must be
-    /// part of a training-state checkpoint for bit-identical resume.
-    fn visit_buffers(&mut self, _f: &mut dyn FnMut(&mut Vec<f32>)) {}
 
     /// Zeroes all accumulated parameter gradients.
     fn zero_grad(&mut self) {

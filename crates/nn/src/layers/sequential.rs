@@ -121,12 +121,6 @@ impl Layer for Sequential {
             layer.visit_rngs(f);
         }
     }
-
-    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Vec<f32>)) {
-        for layer in &mut self.layers {
-            layer.visit_buffers(f);
-        }
-    }
 }
 
 /// Builds the paper's standard MLP block: `Linear → GELU` repeated, with a

@@ -5,10 +5,11 @@
 //! backpropagation, losses, and the Adam optimizer.
 //!
 //! The crate deliberately implements *exactly* what the paper's models need —
-//! MLPs with GELU, LeakyReLU GAN stacks, Conv1d, LayerNorm/BatchNorm,
-//! dropout, Adam — with each layer caching its forward activations and
-//! exposing a `backward` that returns the gradient with respect to its
-//! input. That compositionality is what makes the end-to-end distributed
+//! MLPs with GELU, LeakyReLU GAN stacks, Conv1d, LayerNorm, dropout, an
+//! embedding-gather input layer that reads categorical columns as sparse
+//! index+value batches, Adam — with each layer caching its forward
+//! activations and exposing a `backward` that returns the gradient with
+//! respect to its input. That compositionality is what makes the end-to-end distributed
 //! baseline (E2EDistr) possible: gradients flow decoder → diffusion backbone
 //! → encoder across simulated silo boundaries.
 //!

@@ -11,11 +11,16 @@
 //!
 //! ```text
 //! params   tensor_list                  (visit_params order)
-//! buffers  u32 count | (u32 len | f32*)*   (visit_buffers order)
+//! buffers  u32 0
 //! rngs     u32 count | u64*              (visit_rngs order, raw states)
 //! adam     f32 lr | f32 beta1 | f32 beta2 | f32 eps | u64 t
 //!          | tensor_list m | tensor_list v
 //! ```
+//!
+//! The buffers count is always zero: no layer keeps state that forward
+//! passes update outside the optimizer, and every train state ever
+//! written carries a zero there, so the files stay readable. A nonzero
+//! count is [`StateDictError::Malformed`].
 //!
 //! Every parse goes through [`Reader`], which is hardened against
 //! adversarial length prefixes: a count or shape implying more bytes than
@@ -23,7 +28,8 @@
 //! (mirroring the transport's `Message::decode` hardening). Model
 //! snapshots (`silofuse-models`) frame their own sections with the same
 //! reader and writers, and rebuild their networks straight from the saved
-//! tensors through [`SavedParams`].
+//! tensors through [`SavedParams`]; the training loop, the stacked
+//! pipeline and E2EDistr parse their checkpoint payloads with it too.
 
 use crate::layers::Layer;
 use crate::optim::{Adam, AdamState};
@@ -70,10 +76,11 @@ impl std::fmt::Display for StateDictError {
 impl std::error::Error for StateDictError {}
 
 /// Bounded little-endian reader over a byte buffer: the one checked reader
-/// the state dicts and the model snapshots built on them parse with. Every
-/// length or count it returns has been checked against the bytes actually
-/// remaining, so callers can size allocations from it safely, and every
-/// short read is [`StateDictError::Malformed`], never a panic.
+/// the state dicts, the model snapshots built on them and every training
+/// checkpoint's payload parse with. Every length or count it returns has
+/// been checked against the bytes actually remaining, so callers can size
+/// allocations from it safely, and every short read is
+/// [`StateDictError::Malformed`], never a panic.
 #[derive(Debug)]
 pub struct Reader<'a> {
     bytes: &'a [u8],
@@ -92,7 +99,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `n` bytes.
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StateDictError> {
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], StateDictError> {
         let end = self.cursor.checked_add(n).ok_or(StateDictError::Malformed)?;
         let slice = self.bytes.get(self.cursor..end).ok_or(StateDictError::Malformed)?;
         self.cursor = end;
@@ -101,12 +108,12 @@ impl<'a> Reader<'a> {
 
     /// The next `N` bytes as an array.
     fn array<const N: usize>(&mut self) -> Result<[u8; N], StateDictError> {
-        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+        Ok(self.bytes(N)?.try_into().expect("bytes returned N bytes"))
     }
 
     /// A byte.
     pub fn u8(&mut self) -> Result<u8, StateDictError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     /// A little-endian `u32`.
@@ -115,7 +122,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A little-endian `u64`.
-    fn u64(&mut self) -> Result<u64, StateDictError> {
+    pub fn u64(&mut self) -> Result<u64, StateDictError> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
@@ -132,20 +139,20 @@ impl<'a> Reader<'a> {
     /// A `u32 len | utf-8 bytes` string, as written by [`write_str`].
     pub fn str(&mut self) -> Result<&'a str, StateDictError> {
         let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?).map_err(|_| StateDictError::Malformed)
+        std::str::from_utf8(self.bytes(len)?).map_err(|_| StateDictError::Malformed)
     }
 
     /// Reads `len` f32 values after verifying the bytes exist.
     pub fn f32_vec(&mut self, len: usize) -> Result<Vec<f32>, StateDictError> {
         let n = len.checked_mul(4).ok_or(StateDictError::Malformed)?;
-        let slice = self.take(n)?;
+        let slice = self.bytes(n)?;
         Ok(slice.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
     }
 
     /// Reads `len` f64 values after verifying the bytes exist.
     pub fn f64_vec(&mut self, len: usize) -> Result<Vec<f64>, StateDictError> {
         let n = len.checked_mul(8).ok_or(StateDictError::Malformed)?;
-        let slice = self.take(n)?;
+        let slice = self.bytes(n)?;
         Ok(slice.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect())
     }
 
@@ -324,20 +331,11 @@ pub fn import_state_dict(layer: &mut dyn Layer, bytes: &[u8]) -> Result<(), Stat
 }
 
 /// Serialises the full training state of a `(network, Adam)` pair:
-/// parameters, state buffers, internal RNG states, and the complete
-/// optimizer state (hyperparameters, step counter, both moment vectors).
+/// parameters, internal RNG states, and the complete optimizer state
+/// (hyperparameters, step counter, both moment vectors).
 pub fn export_train_state(layer: &mut dyn Layer, opt: &Adam) -> Vec<u8> {
     let mut out = export_state_dict(layer);
-
-    let mut buffers: Vec<Vec<f32>> = Vec::new();
-    layer.visit_buffers(&mut |b| buffers.push(b.clone()));
-    out.extend_from_slice(&(buffers.len() as u32).to_le_bytes());
-    for b in &buffers {
-        out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-        for &v in b {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
+    out.extend_from_slice(&0u32.to_le_bytes()); // the empty buffers section
 
     let mut rng_states: Vec<u64> = Vec::new();
     layer.visit_rngs(&mut |r| rng_states.push(r.state()));
@@ -367,15 +365,8 @@ pub fn import_train_state(
 ) -> Result<(), StateDictError> {
     let mut r = Reader::new(bytes);
     let params = r.tensor_list()?;
-
-    let buffer_count = r.u32()? as usize;
-    if buffer_count > r.remaining() / 4 {
+    if r.u32()? != 0 {
         return Err(StateDictError::Malformed);
-    }
-    let mut buffers = Vec::with_capacity(buffer_count);
-    for _ in 0..buffer_count {
-        let len = r.u32()? as usize;
-        buffers.push(r.f32_vec(len)?);
     }
 
     let rng_count = r.u32()? as usize;
@@ -399,16 +390,11 @@ pub fn import_train_state(
     r.finish()?;
 
     // Validate every section against the live network before mutating.
-    let (mut n_params, mut n_buffers, mut n_rngs) = (0usize, 0usize, 0usize);
+    let (mut n_params, mut n_rngs) = (0usize, 0usize);
     let mut param_shapes: Vec<(usize, usize)> = Vec::new();
-    let mut buffer_lens: Vec<usize> = Vec::new();
     layer.visit_params(&mut |p| {
         param_shapes.push(p.value.shape());
         n_params += 1;
-    });
-    layer.visit_buffers(&mut |b| {
-        buffer_lens.push(b.len());
-        n_buffers += 1;
     });
     layer.visit_rngs(&mut |_| n_rngs += 1);
     if params.len() != n_params {
@@ -419,10 +405,7 @@ pub fn import_train_state(
             return Err(StateDictError::ShapeMismatch { index, got: t.shape(), expected: shape });
         }
     }
-    if buffers.len() != n_buffers || rng_states.len() != n_rngs {
-        return Err(StateDictError::Malformed);
-    }
-    if buffers.iter().zip(&buffer_lens).any(|(b, &len)| b.len() != len) {
+    if rng_states.len() != n_rngs {
         return Err(StateDictError::Malformed);
     }
     // Adam moments are either absent (optimizer never stepped) or aligned
@@ -448,11 +431,6 @@ pub fn import_train_state(
         idx += 1;
     });
     let mut idx = 0usize;
-    layer.visit_buffers(&mut |b| {
-        *b = buffers[idx].clone();
-        idx += 1;
-    });
-    let mut idx = 0usize;
     layer.visit_rngs(&mut |r| {
         *r = rand::rngs::StdRng::from_state(rng_states[idx]);
         idx += 1;
@@ -465,7 +443,7 @@ pub fn import_train_state(
 mod tests {
     use super::*;
     use crate::init::{randn, Init};
-    use crate::layers::{mlp, BatchNorm1d, Linear, Sequential};
+    use crate::layers::{mlp, Linear, Sequential};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -582,7 +560,7 @@ mod tests {
     #[test]
     fn empty_network_round_trips() {
         use crate::layers::{Activation, ActivationKind};
-        let mut net = Sequential::new().push(Activation::new(ActivationKind::Relu));
+        let mut net = Sequential::new().push(Activation::new(ActivationKind::Gelu));
         let dict = export_state_dict(&mut net);
         import_state_dict(&mut net, &dict).unwrap();
     }
@@ -638,13 +616,8 @@ mod tests {
     #[test]
     fn train_state_round_trips_params_buffers_rngs_and_adam() {
         let mut rng = StdRng::seed_from_u64(6);
-        // Dropout (internal RNG) + BatchNorm (running-stat buffers) + the
-        // usual Linear/Activation mix.
-        let build = |seed: u64, rng: &mut StdRng| {
-            let mut net = mlp(&[4, 8, 4], Some(0.2), seed, rng);
-            net.add(Box::new(BatchNorm1d::new(4)));
-            net
-        };
+        // Dropout (internal RNG) + the usual Linear/Activation mix.
+        let build = |seed: u64, rng: &mut StdRng| mlp(&[4, 8, 4], Some(0.2), seed, rng);
         let mut net = build(7, &mut rng);
         let mut opt = Adam::new(1e-2);
         let x = randn(8, 4, &mut rng);
@@ -658,6 +631,15 @@ mod tests {
 
         let mut other = build(7, &mut StdRng::seed_from_u64(999));
         let mut other_opt = Adam::new(0.5);
+        // The buffers section after the parameters is a zero count, and a
+        // nonzero one is refused without touching the network.
+        let at = export_state_dict(&mut net).len();
+        assert_eq!(state[at..at + 4], [0; 4]);
+        let mut with_buffer = state.clone();
+        with_buffer[at] = 1;
+        let err = import_train_state(&mut other, &mut other_opt, &with_buffer);
+        assert_eq!(err, Err(StateDictError::Malformed));
+        assert_ne!(other.infer(&x), net.infer(&x));
         import_train_state(&mut other, &mut other_opt, &state).unwrap();
 
         // Both copies must now evolve identically through further

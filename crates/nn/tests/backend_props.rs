@@ -11,8 +11,8 @@ use rand::SeedableRng;
 use silofuse_nn::backend::{self, Backend, Parallel, Reference};
 use silofuse_nn::init::{randn, Init};
 use silofuse_nn::layers::{
-    Activation, ActivationKind, BatchNorm1d, Conv1d, Dropout, EmbeddingGather, Layer, LayerNorm,
-    Linear, Sequential,
+    Activation, ActivationKind, Conv1d, Dropout, EmbeddingGather, Layer, LayerNorm, Linear,
+    Sequential,
 };
 use silofuse_nn::loss::mse;
 use silofuse_nn::optim::Adam;
@@ -433,7 +433,6 @@ fn layer_passes_bit_identical_across_thread_counts() {
         ),
         ("gelu", Box::new(|| Box::new(Activation::new(ActivationKind::Gelu)))),
         ("layernorm", Box::new(|| Box::new(LayerNorm::new(256)))),
-        ("batchnorm", Box::new(|| Box::new(BatchNorm1d::new(256)))),
         (
             // 4 channels × length 64 = the same 256 input columns.
             "conv1d",
@@ -450,7 +449,7 @@ fn layer_passes_bit_identical_across_thread_counts() {
                 Box::new(
                     Sequential::new()
                         .push(Linear::new(256, 96, Init::KaimingNormal, &mut rng))
-                        .push(Activation::new(ActivationKind::Relu))
+                        .push(Activation::new(ActivationKind::LeakyRelu))
                         .push(Linear::new(96, 256, Init::XavierUniform, &mut rng)),
                 )
             }),
@@ -496,8 +495,8 @@ fn gather_layer() -> EmbeddingGather {
 
 /// `infer` is the training `forward` minus caches and randomness, at 1, 2
 /// and 4 backend threads: bit-identical for every deterministic layer
-/// (both input paths of `EmbeddingGather` included), the identity for
-/// `Dropout`, and running-statistics normalisation for `BatchNorm1d`.
+/// (both input paths of `EmbeddingGather` included), and the identity for
+/// `Dropout`.
 #[test]
 fn infer_matches_training_forward_across_thread_counts() {
     type Factory = Box<dyn Fn() -> Box<dyn Layer>>;
@@ -519,13 +518,7 @@ fn infer_matches_training_forward_across_thread_counts() {
         ),
         ("embedding-gather dense".into(), Box::new(|| Box::new(gather_layer()))),
     ];
-    for kind in [
-        ActivationKind::Relu,
-        ActivationKind::LeakyRelu,
-        ActivationKind::Gelu,
-        ActivationKind::Tanh,
-        ActivationKind::Sigmoid,
-    ] {
+    for kind in [ActivationKind::LeakyRelu, ActivationKind::Gelu] {
         factories.push((format!("{kind:?}"), Box::new(move || Box::new(Activation::new(kind)))));
     }
 
@@ -560,24 +553,6 @@ fn infer_matches_training_forward_across_thread_counts() {
         }
 
         assert_eq!(Dropout::new(0.3, 44).infer(&x), x, "dropout at {t} threads");
-
-        let mut bn = BatchNorm1d::new(256);
-        for _ in 0..3 {
-            let _ = bn.forward(&x.map(|v| v * 2.0 + 5.0));
-        }
-        let mut stats = Vec::new();
-        bn.visit_buffers(&mut |b| stats.push(b.clone()));
-        let (mean, var) = (&stats[0], &stats[1]);
-        let mut want = x.clone();
-        for r in 0..want.rows() {
-            for (c, v) in want.row_mut(r).iter_mut().enumerate() {
-                // gamma = 1 and beta = 0: no optimizer step has run.
-                *v = (*v - mean[c]) * (1.0 / (var[c] + 1e-5).sqrt()) * 1.0 + 0.0;
-            }
-        }
-        let y = bn.infer(&x);
-        assert!(bits_eq(y.as_slice(), want.as_slice()), "batchnorm at {t} threads");
-        assert_ne!(y, bn.forward(&x), "training normalises by batch statistics");
     }
     backend::set_threads(found);
 }

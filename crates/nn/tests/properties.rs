@@ -116,13 +116,11 @@ proptest! {
         prop_assert!(g.all_finite());
     }
 
-    /// Activations are monotone where they claim to be.
+    /// LeakyReLU is monotone (GELU, the other kind, is not).
     #[test]
     fn monotone_activations(x in -20.0f32..20.0, dx in 0.001f32..5.0) {
-        for kind in [ActivationKind::Relu, ActivationKind::LeakyRelu,
-                     ActivationKind::Tanh, ActivationKind::Sigmoid] {
-            prop_assert!(kind.apply(x + dx) >= kind.apply(x), "{kind:?} at {x}");
-        }
+        let kind = ActivationKind::LeakyRelu;
+        prop_assert!(kind.apply(x + dx) >= kind.apply(x), "{kind:?} at {x}");
     }
 
     /// A linear layer is... linear: f(ax) = a f(x) + (1-a) bias-term.

@@ -1,15 +1,14 @@
 //! Property tests for the crash-safe training-state dict: an arbitrary
 //! stack of every layer type round-trips its full training state (params,
-//! Adam moments, normalisation buffers, dropout RNGs) exactly, and a run
-//! resumed from a state dict exported at any step is bit-identical to one
-//! that never stopped.
+//! Adam moments, dropout RNGs) exactly, and a run resumed from a state
+//! dict exported at any step is bit-identical to one that never stopped.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use silofuse_nn::init::Init;
 use silofuse_nn::layers::{
-    Activation, ActivationKind, BatchNorm1d, Conv1d, Dropout, Layer, LayerNorm, Linear, Sequential,
+    Activation, ActivationKind, Conv1d, Dropout, Layer, LayerNorm, Linear, Sequential,
 };
 use silofuse_nn::optim::Adam;
 use silofuse_nn::serialize::{export_train_state, import_train_state};
@@ -18,12 +17,11 @@ const DIM: usize = 4;
 
 /// One width-preserving layer per kind, so stacks compose freely.
 fn push_layer(net: Sequential, kind: u8, seed: u64, rng: &mut StdRng) -> Sequential {
-    match kind % 6 {
+    match kind % 5 {
         0 => net.push(Linear::new(DIM, DIM, Init::XavierUniform, rng)),
         1 => net.push(Activation::new(ActivationKind::Gelu)),
         2 => net.push(Dropout::new(0.25, seed)),
         3 => net.push(LayerNorm::new(DIM)),
-        4 => net.push(BatchNorm1d::new(DIM)),
         _ => net.push(Conv1d::new(1, 1, 1, 1, 0, DIM, rng)),
     }
 }
@@ -51,7 +49,7 @@ proptest! {
     /// evolve bit-identically through further stochastic training.
     #[test]
     fn any_layer_stack_round_trips_train_state(
-        kinds in proptest::collection::vec(0u8..6, 1..6),
+        kinds in proptest::collection::vec(0u8..5, 1..6),
         seed in 0u64..1000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -88,8 +86,8 @@ proptest! {
         seed in 0u64..1000,
         split in 1usize..10,
     ) {
-        // Linear params + dropout RNG + batch-norm buffers + Adam moments.
-        let kinds = [0u8, 2, 4, 0];
+        // Linear params + dropout RNG + layer-norm params + Adam moments.
+        let kinds = [0u8, 2, 3, 0];
         let mut rng = StdRng::seed_from_u64(seed);
         let x = silofuse_nn::init::randn(6, DIM, &mut rng);
 

@@ -171,8 +171,10 @@ impl QuantileTransformer {
 ///
 /// Layout follows schema order: a numeric column contributes one scaled slot,
 /// a categorical column contributes `cardinality` one-hot slots. This is the
-/// encoding every model in the reproduction consumes; its width is the
-/// paper's `#Aft` (Table II).
+/// layout every model in the reproduction consumes; its width is the
+/// paper's `#Aft` (Table II). TabDDPM and the conv GAN read it dense
+/// ([`Self::encode`]); the autoencoders and the linear GAN discriminator
+/// read it as sparse batches ([`Self::encode_sparse_into`]).
 #[derive(Debug, Clone)]
 pub struct TableEncoder {
     schema: Schema,

@@ -37,5 +37,5 @@ pub mod table;
 
 pub use encode::{CategoricalTargets, ColumnDecoder, NumericCodec, ScalingKind, TableEncoder};
 pub use schema::{ColumnKind, ColumnMeta, Schema};
-pub use sparse::{SparseBatch, SparsePolicy};
+pub use sparse::SparseBatch;
 pub use table::{Column, Table, TableError};

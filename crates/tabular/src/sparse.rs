@@ -1,4 +1,5 @@
-//! Sparse categorical batch encoding.
+//! Sparse categorical batch encoding: how categorical columns reach the
+//! autoencoders and the linear GAN discriminator.
 //!
 //! The dense one-hot encoding ([`crate::encode::TableEncoder::encode`])
 //! materialises `rows × #Aft` floats even though each categorical column
@@ -15,57 +16,6 @@
 //! allocation once capacity has been reached.
 
 use crate::schema::Schema;
-
-/// One-hot expansion ratio (`#Aft / #Bef`) above which [`SparsePolicy::Auto`]
-/// selects the sparse path. At 4× expansion the dense first-layer GEMM
-/// spends ≥ 75 % of its multiplies on zeros.
-pub const SPARSE_AUTO_RATIO: f64 = 4.0;
-
-/// Whether models encode batches sparsely or densely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SparsePolicy {
-    /// Sparse when the schema's one-hot expansion ratio reaches
-    /// [`SPARSE_AUTO_RATIO`] and there is at least one categorical column.
-    #[default]
-    Auto,
-    /// Always the dense one-hot oracle.
-    Dense,
-    /// Always the sparse path (requires at least one categorical column to
-    /// be worthwhile, but is valid for any schema).
-    Sparse,
-}
-
-impl SparsePolicy {
-    /// Parses a CLI/config spelling (`auto` / `dense` / `sparse`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Some(SparsePolicy::Auto),
-            "dense" => Some(SparsePolicy::Dense),
-            "sparse" => Some(SparsePolicy::Sparse),
-            _ => None,
-        }
-    }
-
-    /// Canonical lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SparsePolicy::Auto => "auto",
-            SparsePolicy::Dense => "dense",
-            SparsePolicy::Sparse => "sparse",
-        }
-    }
-
-    /// True when this policy routes `schema` through the sparse path.
-    pub fn selects_sparse(self, schema: &Schema) -> bool {
-        match self {
-            SparsePolicy::Dense => false,
-            SparsePolicy::Sparse => true,
-            SparsePolicy::Auto => {
-                schema.categorical_count() > 0 && schema.expansion_factor() >= SPARSE_AUTO_RATIO
-            }
-        }
-    }
-}
 
 /// A reusable sparse encoding of a batch of rows.
 ///
@@ -187,29 +137,6 @@ mod tests {
             ColumnMeta::numeric("y"),
             ColumnMeta::categorical("d", 7),
         ])
-    }
-
-    #[test]
-    fn auto_policy_uses_expansion_ratio() {
-        let wide = wide_schema(); // width 4, one-hot 109 -> ratio > 4
-        assert!(SparsePolicy::Auto.selects_sparse(&wide));
-        assert!(!SparsePolicy::Dense.selects_sparse(&wide));
-        assert!(SparsePolicy::Sparse.selects_sparse(&wide));
-
-        let narrow = Schema::new(vec![ColumnMeta::numeric("x"), ColumnMeta::categorical("c", 2)]);
-        assert!(!SparsePolicy::Auto.selects_sparse(&narrow));
-
-        let numeric_only = Schema::new(vec![ColumnMeta::numeric("x")]);
-        assert!(!SparsePolicy::Auto.selects_sparse(&numeric_only));
-    }
-
-    #[test]
-    fn policy_parse_round_trips() {
-        for p in [SparsePolicy::Auto, SparsePolicy::Dense, SparsePolicy::Sparse] {
-            assert_eq!(SparsePolicy::parse(p.name()), Some(p));
-        }
-        assert_eq!(SparsePolicy::parse("AUTO"), Some(SparsePolicy::Auto));
-        assert_eq!(SparsePolicy::parse("bogus"), None);
     }
 
     #[test]

@@ -122,9 +122,16 @@ fn overload_answers_a_typed_rejection_instead_of_queueing() {
     let model = busy.model_id("loan").unwrap();
 
     // A long job: thousands of rows in 8-row chunks keeps the only
-    // in-flight slot occupied for a while.
+    // in-flight slot occupied for a while. It holds the slot from before
+    // its first chunk goes out until after its last, so the probe goes
+    // out once the request and the first chunk have: two serve messages
+    // on the control ledger.
     let big = std::thread::spawn(move || busy.fetch(model, 1, 0, 3000));
-    std::thread::sleep(Duration::from_millis(200));
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while server.comm_stats().messages_control < 2 {
+        assert!(std::time::Instant::now() < deadline, "the busy job sent no chunk");
+        std::thread::sleep(Duration::from_micros(200));
+    }
 
     // While it runs, the same tenant's second connection must be told
     // "overloaded" immediately — the request is answered, not parked.
@@ -343,6 +350,55 @@ fn a_changed_budget_is_refused_before_anything_is_generated() {
     let mut spec = specs().remove(0);
     spec.budget.diffusion_steps += 1;
     assert_refused(spec, "budget.diffusion_steps");
+}
+
+/// Appends `field = value` to the spec record at the start of a spec or
+/// snapshot file's payload, as a build whose spec had one more field
+/// wrote it.
+fn add_saved_field(file: &std::path::Path, field: &str, value: &str) {
+    use silofuse_core::nn::serialize::{write_str, Reader};
+    let ckpt = silofuse_core::checkpoint::decode(&std::fs::read(file).unwrap()).unwrap();
+    let mut r = Reader::new(&ckpt.payload);
+    let count = r.u32().unwrap();
+    let mut payload = (count + 1).to_le_bytes().to_vec();
+    for _ in 0..2 * count {
+        write_str(&mut payload, r.str().unwrap());
+    }
+    write_str(&mut payload, field);
+    write_str(&mut payload, value);
+    payload.extend_from_slice(r.rest());
+    std::fs::write(file, silofuse_core::checkpoint::encode(&ckpt.kind, ckpt.step, &payload))
+        .unwrap();
+}
+
+/// A directory fitted while the spec had a field it no longer has (the
+/// `budget.encoding` of the removed dense/sparse switch) is refused by
+/// that field's name before anything is generated, from its snapshot and
+/// from the spec record of an unfinished fit alike, and is left as it
+/// was: it must be refitted.
+#[test]
+fn a_saved_field_the_spec_no_longer_has_is_refused() {
+    let dir = copy_of_trained_dir("removed-field");
+    for file in ["spec", "snapshot"] {
+        add_saved_field(&dir.join(format!("loan/{file}.ckpt")), "budget.encoding", "Auto");
+    }
+    for unfinished in [false, true] {
+        if unfinished {
+            std::fs::remove_file(dir.join("loan/snapshot.ckpt")).unwrap();
+        }
+        let before = files(&dir);
+        let err = ModelRegistry::open(Some(&dir), 25, &specs()).err().expect("refused");
+        match &err {
+            ServeError::SpecMismatch { model, field, saved, requested } => assert_eq!(
+                [model, field, saved, requested].map(String::as_str),
+                ["loan", "budget.encoding", "Auto", "nothing"],
+                "{err}"
+            ),
+            other => panic!("expected a spec mismatch on budget.encoding, got {other}"),
+        }
+        assert_eq!(files(&dir), before, "a refused open wrote to the directory");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Rows 0..300 of job 9, sampled directly.
