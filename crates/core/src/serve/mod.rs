@@ -42,6 +42,7 @@ pub use server::{SynthesisServer, TenantClient};
 
 use silofuse_checkpoint::CheckpointError;
 use silofuse_diffusion::SampleRequestError;
+use silofuse_distributed::message::{ChunkColumn, ColumnWidth};
 use silofuse_distributed::transport::TransportError;
 use silofuse_distributed::{NetConfig, ServeRejectCode};
 use silofuse_tabular::{Column, ColumnKind, Schema, Table};
@@ -192,67 +193,86 @@ pub fn job_base(model: &str, job: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Flattens a table into the row-major f32 grid a
+/// The width a column of `kind` travels in on the tenant link: f32 for a
+/// numeric, the narrowest code width that holds a categorical's
+/// cardinality.
+fn wire_width(kind: ColumnKind) -> ColumnWidth {
+    match kind {
+        ColumnKind::Numeric => ColumnWidth::F32,
+        ColumnKind::Categorical { cardinality } => ColumnWidth::for_cardinality(cardinality),
+    }
+}
+
+/// A sampled table's columns as the typed columns a
 /// [`silofuse_distributed::Message::ServeChunk`] carries. Numeric values
 /// are rounded to f32: the decoder's inverse scaling runs in f64, so a
 /// served value equals [`ModelRegistry::sample`]'s to f32 precision, not
-/// bit for bit. Categorical codes are small integers, exact in f32 below
-/// 2^24.
-pub(crate) fn table_to_grid(table: &Table) -> Vec<f32> {
-    let (rows, cols) = (table.n_rows(), table.n_cols());
-    let mut grid = vec![0.0f32; rows * cols];
-    for (c, col) in table.columns().iter().enumerate() {
-        match col {
-            Column::Numeric(values) => {
-                for (r, v) in values.iter().enumerate() {
-                    grid[r * cols + c] = *v as f32;
-                }
-            }
-            Column::Categorical(codes) => {
-                for (r, code) in codes.iter().enumerate() {
-                    grid[r * cols + c] = *code as f32;
-                }
-            }
-        }
-    }
-    grid
+/// bit for bit. Codes travel in [`wire_width`], which holds every code
+/// below the column's cardinality, so they are exact.
+pub(crate) fn chunk_columns(table: &Table) -> Vec<ChunkColumn> {
+    let kinds = table.schema().columns().iter().map(|meta| meta.kind);
+    kinds
+        .zip(table.columns())
+        .map(|(kind, column)| match column {
+            Column::Numeric(values) => ChunkColumn::F32(values.iter().map(|&v| v as f32).collect()),
+            // A `Table` keeps every code below its cardinality, so the
+            // narrowing casts are exact.
+            Column::Categorical(codes) => match wire_width(kind) {
+                ColumnWidth::U8 => ChunkColumn::U8(codes.iter().map(|&c| c as u8).collect()),
+                ColumnWidth::U16 => ChunkColumn::U16(codes.iter().map(|&c| c as u16).collect()),
+                ColumnWidth::U32 | ColumnWidth::F32 => ChunkColumn::U32(codes.clone()),
+            },
+        })
+        .collect()
 }
 
-/// Rebuilds a table from a row-major grid received off the wire,
-/// validating geometry and category codes against `schema` (via
-/// [`Table::new`]) so a lying server cannot materialise junk rows.
-pub(crate) fn grid_to_table(
+/// Appends one received chunk's columns to `columns`, the growing columns
+/// of a fetch's result. Each chunk column must arrive in the width
+/// `schema` gives it ([`wire_width`]); codes are widened, numerics
+/// widened to f64. Codes are checked against their cardinality when the
+/// result is assembled ([`Table::new`]).
+pub(crate) fn append_chunk(
     schema: &Schema,
-    rows: usize,
-    grid: &[f32],
-) -> Result<Table, ServeError> {
-    let cols = schema.width();
-    if grid.len() != rows * cols {
+    columns: &mut [Column],
+    chunk: Vec<ChunkColumn>,
+) -> Result<(), ServeError> {
+    if chunk.len() != columns.len() {
         return Err(ServeError::Protocol(format!(
-            "grid holds {} values, geometry says {rows}x{cols}",
-            grid.len()
+            "chunk carries {} columns, the schema has {}",
+            chunk.len(),
+            columns.len()
         )));
     }
-    let columns = schema
-        .columns()
-        .iter()
-        .enumerate()
-        .map(|(c, meta)| match meta.kind {
-            ColumnKind::Numeric => {
-                Column::Numeric((0..rows).map(|r| f64::from(grid[r * cols + c])).collect())
+    for (c, ((meta, column), cells)) in schema.columns().iter().zip(columns).zip(chunk).enumerate()
+    {
+        let want = wire_width(meta.kind);
+        if cells.width() != want {
+            return Err(ServeError::Protocol(format!(
+                "column {c} arrived as {:?}, its schema needs {want:?}",
+                cells.width()
+            )));
+        }
+        match (column, cells) {
+            (Column::Numeric(values), ChunkColumn::F32(cells)) => {
+                values.extend(cells.into_iter().map(f64::from));
             }
-            ColumnKind::Categorical { .. } => {
-                Column::Categorical((0..rows).map(|r| grid[r * cols + c] as u32).collect())
+            (Column::Categorical(codes), ChunkColumn::U8(cells)) => {
+                codes.extend(cells.into_iter().map(u32::from));
             }
-        })
-        .collect();
-    Table::new(schema.clone(), columns)
-        .map_err(|e| ServeError::Protocol(format!("grid does not satisfy schema: {e}")))
+            (Column::Categorical(codes), ChunkColumn::U16(cells)) => {
+                codes.extend(cells.into_iter().map(u32::from));
+            }
+            (Column::Categorical(codes), ChunkColumn::U32(cells)) => codes.extend(cells),
+            _ => return Err(ServeError::Protocol(format!("column {c} is not of its schema kind"))),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use silofuse_distributed::Message;
     use silofuse_tabular::ColumnMeta;
 
     #[test]
@@ -266,35 +286,91 @@ mod tests {
         assert!((a ^ b).count_ones() > 8, "{a:#x} vs {b:#x}");
     }
 
-    #[test]
-    fn grid_round_trips_tables_bit_exactly() {
+    /// Numerics, a 5-way, a 2 932-way (u16) and a 70 000-way (u32)
+    /// column, with each code column's largest code.
+    fn wide_table() -> Table {
         let schema = Schema::new(vec![
             ColumnMeta::numeric("x"),
             ColumnMeta::categorical("k", 5),
+            ColumnMeta::categorical("zip", 2_932),
+            ColumnMeta::categorical("id", 70_000),
             ColumnMeta::numeric("y"),
         ]);
         // f32-representable values, as the decoder produces.
-        let table = Table::new(
-            schema.clone(),
+        Table::new(
+            schema,
             vec![
                 Column::Numeric(vec![0.5, -1.25, 3.0]),
                 Column::Categorical(vec![0, 4, 2]),
+                Column::Categorical(vec![2_931, 256, 0]),
+                Column::Categorical(vec![69_999, 65_536, 1]),
                 Column::Numeric(vec![f64::from(1.1f32), 0.0, f64::from(-2.7f32)]),
             ],
         )
-        .unwrap();
-        let grid = table_to_grid(&table);
-        assert_eq!(grid.len(), 9);
-        let back = grid_to_table(&schema, 3, &grid).unwrap();
-        assert_eq!(back, table);
+        .unwrap()
+    }
+
+    /// `table`'s rows `rows` as they arrive off the wire: encoded and
+    /// decoded as one chunk.
+    fn over_the_wire(table: &Table, rows: std::ops::Range<usize>) -> Vec<ChunkColumn> {
+        let part = table.select_rows(&rows.collect::<Vec<_>>());
+        let chunk = Message::ServeChunk {
+            job: 1,
+            first_row: 0,
+            rows: part.n_rows() as u32,
+            columns: chunk_columns(&part),
+        };
+        match Message::decode(chunk.encode()) {
+            Ok(Message::ServeChunk { columns, .. }) => columns,
+            other => panic!("a chunk decodes to a chunk, got {other:?}"),
+        }
     }
 
     #[test]
-    fn grids_with_bad_geometry_or_codes_are_typed_errors() {
-        let schema = Schema::new(vec![ColumnMeta::categorical("k", 2)]);
-        assert!(matches!(grid_to_table(&schema, 2, &[0.0]), Err(ServeError::Protocol(_))));
-        // Code 9 is outside cardinality 2: Table::new must refuse it.
-        assert!(matches!(grid_to_table(&schema, 1, &[9.0]), Err(ServeError::Protocol(_))));
+    fn chunks_round_trip_tables_bit_exactly() {
+        let table = wide_table();
+        let widths: Vec<_> = chunk_columns(&table).iter().map(ChunkColumn::width).collect();
+        use ColumnWidth::{F32, U16, U32, U8};
+        assert_eq!(widths, [F32, U8, U16, U32, F32]);
+        // Two chunks appended one after the other give back the table.
+        let mut columns = Table::empty(table.schema().clone()).columns().to_vec();
+        for rows in [0..2, 2..3] {
+            append_chunk(table.schema(), &mut columns, over_the_wire(&table, rows)).unwrap();
+        }
+        assert_eq!(Table::new(table.schema().clone(), columns).unwrap(), table);
+    }
+
+    #[test]
+    fn chunks_with_bad_widths_or_codes_are_typed_errors() {
+        let table = wide_table();
+        let schema = table.schema();
+        let empty = || Table::empty(schema.clone()).columns().to_vec();
+        let good = || over_the_wire(&table, 0..3);
+        // A code column in a wider or narrower width than its cardinality
+        // gives, a numeric sent as codes, and a code column sent as f32.
+        for (c, column) in [
+            (1, ChunkColumn::U16(vec![0, 4, 2])),
+            (2, ChunkColumn::U8(vec![0, 1, 2])),
+            (3, ChunkColumn::U16(vec![0, 1, 2])),
+            (0, ChunkColumn::U32(vec![0, 1, 2])),
+            (1, ChunkColumn::F32(vec![0.0, 4.0, 2.0])),
+        ] {
+            let mut chunk = good();
+            chunk[c] = column;
+            let got = append_chunk(schema, &mut empty(), chunk);
+            assert!(matches!(got, Err(ServeError::Protocol(_))), "column {c}: {got:?}");
+        }
+        // A missing column.
+        let mut short = good();
+        short.pop();
+        assert!(matches!(append_chunk(schema, &mut empty(), short), Err(ServeError::Protocol(_))));
+        // A code at its column's cardinality travels in the right width
+        // and is refused when the result is assembled.
+        let mut chunk = good();
+        chunk[2] = ChunkColumn::U16(vec![2_932, 0, 0]);
+        let mut columns = empty();
+        append_chunk(schema, &mut columns, chunk).unwrap();
+        assert!(Table::new(schema.clone(), columns).is_err());
     }
 
     #[test]

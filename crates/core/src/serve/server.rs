@@ -7,7 +7,7 @@
 
 use super::admission::Admission;
 use super::registry::ModelRegistry;
-use super::{grid_to_table, table_to_grid, ServeConfig, ServeError};
+use super::{append_chunk, chunk_columns, ServeConfig, ServeError};
 use silofuse_diffusion::RowRangeOverflow;
 use silofuse_distributed::transport::{
     link_with, new_stats, Endpoint, SharedStats, TransportError,
@@ -156,9 +156,8 @@ fn handle_request(
         let Ok(table) = registry.sample(model, job, first_row, take) else {
             return reject(ServeRejectCode::InvalidRequest);
         };
-        let cols = table.n_cols() as u32;
-        let data = table_to_grid(&table);
-        if coord.send(&Message::ServeChunk { job, first_row, rows: take, cols, data }).is_err() {
+        let columns = chunk_columns(&table);
+        if coord.send(&Message::ServeChunk { job, first_row, rows: take, columns }).is_err() {
             return;
         }
         observe::count(observe::names::SERVE_ROWS, u64::from(take));
@@ -196,11 +195,20 @@ impl TenantClient {
     /// into fetches — including fetches against a restarted server —
     /// returns bytes identical to one big fetch.
     ///
+    /// Each streamed chunk is a typed column frame (see
+    /// [`Message::ServeChunk`]); its columns are appended straight onto
+    /// the result's. Chunks must arrive contiguously from the cursor, each
+    /// column in the width the catalog schema gives it, and every code
+    /// below its column's cardinality. Codes are exact at any
+    /// cardinality; numerics are the sampled values rounded to f32.
+    ///
     /// # Errors
     /// [`ServeError::Rejected`] when admission or validation refuses the
     /// job (back off and retry on
     /// [`ServeRejectCode::Overloaded`]), [`ServeError::Transport`] on
-    /// link failure, [`ServeError::Protocol`] on malformed chunks.
+    /// link failure or a frame that does not decode,
+    /// [`ServeError::Protocol`] on a chunk that leaves a gap, overlaps,
+    /// repeats, runs past the range, or disagrees with the schema.
     pub fn fetch(
         &self,
         model: u32,
@@ -215,28 +223,24 @@ impl TenantClient {
         if rows == 0 {
             return Ok(Table::empty(schema));
         }
-        let cols = schema.width();
         self.endpoint.send(&Message::ServeRequest { model, job, start_row, rows })?;
-        let mut grid = vec![0.0f32; rows as usize * cols];
+        let mut columns = Table::empty(schema.clone()).columns().to_vec();
         let mut got = 0u32;
         while got < rows {
             match self.endpoint.recv()? {
-                Message::ServeChunk { job: j, first_row, rows: r, cols: c, data } if j == job => {
-                    let offset = first_row.checked_sub(start_row).ok_or_else(|| {
-                        ServeError::Protocol(format!(
-                            "chunk at row {first_row} precedes cursor {start_row}"
-                        ))
-                    })?;
-                    if c as usize != cols
-                        || offset + u64::from(r) > u64::from(rows)
-                        || data.len() != r as usize * cols
-                    {
+                Message::ServeChunk { job: j, first_row, rows: r, columns: chunk } if j == job => {
+                    if first_row.checked_sub(start_row) != Some(u64::from(got)) {
                         return Err(ServeError::Protocol(format!(
-                            "chunk geometry {r}x{c} at offset {offset} does not fit {rows}x{cols}"
+                            "chunk at row {first_row}, expected offset {got} from cursor \
+                             {start_row}"
                         )));
                     }
-                    let at = offset as usize * cols;
-                    grid[at..at + data.len()].copy_from_slice(&data);
+                    if r > rows - got {
+                        return Err(ServeError::Protocol(format!(
+                            "chunk of {r} rows at offset {got} runs past the {rows} requested"
+                        )));
+                    }
+                    append_chunk(&schema, &mut columns, chunk)?;
                     got += r;
                 }
                 Message::ServeReject { job: j, code } if j == job => {
@@ -247,6 +251,80 @@ impl TenantClient {
                 _ => continue,
             }
         }
-        grid_to_table(&schema, rows as usize, &grid)
+        Table::new(schema, columns)
+            .map_err(|e| ServeError::Protocol(format!("chunks do not satisfy schema: {e}")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use silofuse_distributed::message::ChunkColumn;
+    use silofuse_distributed::NetConfig;
+    use silofuse_tabular::{Column, ColumnMeta};
+
+    /// A client whose catalog holds one model of a numeric and a 3-way
+    /// column, and the server end of its link, which the test speaks for.
+    fn client() -> (TenantClient, Endpoint) {
+        let (endpoint, coord) = link_with(new_stats(), 0, &NetConfig::default());
+        let schema = Schema::new(vec![ColumnMeta::numeric("x"), ColumnMeta::categorical("k", 3)]);
+        let catalog = vec![("m".to_string(), schema)];
+        (TenantClient { endpoint, tenant: "t".into(), catalog }, coord)
+    }
+
+    /// Rows `first_row..first_row + codes.len()` of job 3, with `codes` as
+    /// the 3-way column in whatever width it holds.
+    fn chunk(first_row: u64, codes: ChunkColumn) -> Message {
+        let rows = codes.len() as u32;
+        let x = ChunkColumn::F32((0..rows).map(|r| r as f32 * 0.5).collect());
+        Message::ServeChunk { job: 3, first_row, rows, columns: vec![x, codes] }
+    }
+
+    /// Fetches rows 10..14 of job 3 after the server end queued `replies`.
+    /// The server end hangs up once the request arrives, so a client that
+    /// wants more than the replies sees the link close instead of waiting.
+    fn fetch_after(replies: &[Message]) -> Result<Table, ServeError> {
+        let (client, coord) = client();
+        for reply in replies {
+            coord.send(reply).unwrap();
+        }
+        std::thread::scope(|s| {
+            s.spawn(move || coord.recv());
+            client.fetch(0, 3, 10, 4)
+        })
+    }
+
+    #[test]
+    fn contiguous_chunks_of_the_schema_widths_assemble_the_range() {
+        let table = fetch_after(&[
+            chunk(10, ChunkColumn::U8(vec![0, 2])),
+            // Another job's chunk on the same connection is skipped.
+            Message::ServeChunk { job: 2, first_row: 0, rows: 0, columns: Vec::new() },
+            chunk(12, ChunkColumn::U8(vec![1, 2])),
+        ])
+        .unwrap();
+        assert_eq!(table.column(0), &Column::Numeric(vec![0.0, 0.5, 0.0, 0.5]));
+        assert_eq!(table.column(1), &Column::Categorical(vec![0, 2, 1, 2]));
+    }
+
+    #[test]
+    fn a_chunk_that_disagrees_with_the_schema_or_the_cursor_is_a_protocol_error() {
+        let codes = || ChunkColumn::U8(vec![0, 1]);
+        for (case, replies) in [
+            ("a u16 width for a 3-way column", vec![chunk(10, ChunkColumn::U16(vec![0, 1]))]),
+            ("f32 cells for a 3-way column", vec![chunk(10, ChunkColumn::F32(vec![0.0, -1.0]))]),
+            ("a code at the cardinality", vec![chunk(10, ChunkColumn::U8(vec![0, 3, 0, 0]))]),
+            ("a repeated chunk", vec![chunk(10, codes()), chunk(10, codes())]),
+            ("a gap", vec![chunk(10, codes()), chunk(13, codes())]),
+            ("an overlap", vec![chunk(10, codes()), chunk(11, codes())]),
+            ("a chunk before the cursor", vec![chunk(9, codes())]),
+            (
+                "a chunk past the range",
+                vec![chunk(10, codes()), chunk(12, ChunkColumn::U8(vec![0; 3]))],
+            ),
+        ] {
+            let got = fetch_after(&replies);
+            assert!(matches!(got, Err(ServeError::Protocol(_))), "{case}: {got:?}");
+        }
     }
 }

@@ -3,7 +3,10 @@
 //! Every payload that crosses a silo boundary is serialised through this
 //! codec so the communication experiments (Fig. 10) measure *actual wire
 //! bytes*, not estimates. The format is a compact little-endian layout:
-//! `tag u8 | client u32 | rows u32 | cols u32 | payload f32*`.
+//! `tag u8 | client u32 | rows u32 | cols u32 | payload f32*`. A
+//! [`Message::ServeChunk`] is a typed column frame instead:
+//! `tag u8 | job u64 | first_row u64 | rows u32 | cols u32 | width u8 × cols`,
+//! then each column's cells contiguously in its [`ColumnWidth`].
 //!
 //! When distributed tracing is enabled a [`TraceContext`] rides in front
 //! of the message as an optional fixed-size header
@@ -109,18 +112,21 @@ pub enum Message {
         rows: u32,
     },
     /// Server → tenant: one streamed chunk of a serve job's rows, as a
-    /// row-major f32 grid (numeric values and categorical codes).
+    /// typed column frame. After the 25-byte header come one width byte
+    /// per column and then each column's `rows` cells contiguously:
+    /// numerics as f32, categorical codes as the narrowest of u8, u16 and
+    /// u32 that holds the column's cardinality
+    /// ([`ColumnWidth::for_cardinality`]). A Loan row (6 numerics, 7
+    /// codes of cardinality 2–3) is 31 bytes.
     ServeChunk {
         /// Job id this chunk answers.
         job: u64,
         /// Absolute row index of the chunk's first row.
         first_row: u64,
-        /// Rows in this chunk.
+        /// Rows in this chunk; every column holds this many cells.
         rows: u32,
-        /// Output table width.
-        cols: u32,
-        /// Row-major cell values.
-        data: Vec<f32>,
+        /// The output table's columns, in schema order.
+        columns: Vec<ChunkColumn>,
     },
     /// Server → tenant: the job was refused before any sampling ran.
     ServeReject {
@@ -161,6 +167,137 @@ impl ServeRejectCode {
     }
 }
 
+/// How one column of a [`Message::ServeChunk`] travels: its width byte
+/// on the wire and the size of each of its cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColumnWidth {
+    /// Numeric values as little-endian f32.
+    F32,
+    /// Categorical codes as u8, for a cardinality of at most 2^8.
+    U8,
+    /// Categorical codes as little-endian u16, for at most 2^16.
+    U16,
+    /// Categorical codes as little-endian u32, for any cardinality.
+    U32,
+}
+
+impl ColumnWidth {
+    /// The narrowest code width that holds every code below
+    /// `cardinality`, so codes are exact at any cardinality.
+    pub fn for_cardinality(cardinality: u32) -> Self {
+        if cardinality <= 1 << 8 {
+            ColumnWidth::U8
+        } else if cardinality <= 1 << 16 {
+            ColumnWidth::U16
+        } else {
+            ColumnWidth::U32
+        }
+    }
+
+    /// Bytes per cell.
+    pub fn bytes(self) -> usize {
+        match self {
+            ColumnWidth::U8 => 1,
+            ColumnWidth::U16 => 2,
+            ColumnWidth::F32 | ColumnWidth::U32 => 4,
+        }
+    }
+
+    /// The width byte on the wire: the cell size, with the high bit set
+    /// for a float.
+    fn to_u8(self) -> u8 {
+        match self {
+            ColumnWidth::U8 => 1,
+            ColumnWidth::U16 => 2,
+            ColumnWidth::U32 => 4,
+            ColumnWidth::F32 => 0x84,
+        }
+    }
+
+    fn from_u8(v: u8) -> Option<Self> {
+        match v {
+            1 => Some(ColumnWidth::U8),
+            2 => Some(ColumnWidth::U16),
+            4 => Some(ColumnWidth::U32),
+            0x84 => Some(ColumnWidth::F32),
+            _ => None,
+        }
+    }
+}
+
+/// One column of a [`Message::ServeChunk`], its cells stored contiguously
+/// in the column's [`ColumnWidth`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum ChunkColumn {
+    /// Numeric values.
+    F32(Vec<f32>),
+    /// Categorical codes of a column with at most 2^8 categories.
+    U8(Vec<u8>),
+    /// Categorical codes of a column with at most 2^16 categories.
+    U16(Vec<u16>),
+    /// Categorical codes of a wider column.
+    U32(Vec<u32>),
+}
+
+impl ChunkColumn {
+    /// The width the column travels in.
+    pub fn width(&self) -> ColumnWidth {
+        match self {
+            ChunkColumn::F32(_) => ColumnWidth::F32,
+            ChunkColumn::U8(_) => ColumnWidth::U8,
+            ChunkColumn::U16(_) => ColumnWidth::U16,
+            ChunkColumn::U32(_) => ColumnWidth::U32,
+        }
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        match self {
+            ChunkColumn::F32(v) => v.len(),
+            ChunkColumn::U8(v) => v.len(),
+            ChunkColumn::U16(v) => v.len(),
+            ChunkColumn::U32(v) => v.len(),
+        }
+    }
+
+    /// True when the column holds no cells.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            ChunkColumn::F32(v) => v.iter().for_each(|&x| buf.put_f32_le(x)),
+            ChunkColumn::U8(v) => buf.put_slice(v),
+            ChunkColumn::U16(v) => v.iter().for_each(|&x| buf.put_slice(&x.to_le_bytes())),
+            ChunkColumn::U32(v) => v.iter().for_each(|&x| buf.put_u32_le(x)),
+        }
+    }
+
+    /// Reads a column of `width` from `cells`, whose length is a whole
+    /// number of cells.
+    fn read(width: ColumnWidth, cells: &[u8]) -> Self {
+        match width {
+            ColumnWidth::F32 => ChunkColumn::F32(
+                cells
+                    .chunks_exact(4)
+                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .collect(),
+            ),
+            ColumnWidth::U8 => ChunkColumn::U8(cells.to_vec()),
+            ColumnWidth::U16 => ChunkColumn::U16(
+                cells.chunks_exact(2).map(|b| u16::from_le_bytes([b[0], b[1]])).collect(),
+            ),
+            ColumnWidth::U32 => ChunkColumn::U32(
+                cells
+                    .chunks_exact(4)
+                    .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .collect(),
+            ),
+        }
+    }
+}
+
 /// Codec errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
@@ -168,6 +305,12 @@ pub enum CodecError {
     Truncated,
     /// Unknown message tag.
     BadTag(u8),
+    /// A [`Message::ServeChunk`] column's width byte names no
+    /// [`ColumnWidth`].
+    BadWidth(u8),
+    /// A [`Message::ServeChunk`] buffer runs past the cells its header
+    /// declares, by this many bytes.
+    Trailing(usize),
 }
 
 impl std::fmt::Display for CodecError {
@@ -175,6 +318,8 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::Truncated => write!(f, "message truncated"),
             CodecError::BadTag(t) => write!(f, "unknown message tag {t}"),
+            CodecError::BadWidth(w) => write!(f, "unknown column width {w:#04x}"),
+            CodecError::Trailing(n) => write!(f, "{n} bytes past the declared cells"),
         }
     }
 }
@@ -287,15 +432,18 @@ impl Message {
                 buf.put_u64_le(*start_row);
                 buf.put_u32_le(*rows);
             }
-            Message::ServeChunk { job, first_row, rows, cols, data } => {
-                debug_assert_eq!(data.len(), *rows as usize * *cols as usize);
+            Message::ServeChunk { job, first_row, rows, columns } => {
                 buf.put_u8(TAG_SERVE_CHUNK);
                 buf.put_u64_le(*job);
                 buf.put_u64_le(*first_row);
                 buf.put_u32_le(*rows);
-                buf.put_u32_le(*cols);
-                for &v in data {
-                    buf.put_f32_le(v);
+                buf.put_u32_le(columns.len() as u32);
+                for column in columns {
+                    buf.put_u8(column.width().to_u8());
+                }
+                for column in columns {
+                    debug_assert_eq!(column.len(), *rows as usize);
+                    column.put(&mut buf);
                 }
             }
             Message::ServeReject { job, code } => {
@@ -387,19 +535,8 @@ impl Message {
                 let first_row = bytes.get_u64_le();
                 let rows = bytes.get_u32_le();
                 let cols = bytes.get_u32_le();
-                // Same overflow-safe length validation as decode_matrix:
-                // reject a lying header before any allocation.
-                let len = u64::from(rows) * u64::from(cols);
-                let need = len.checked_mul(4).ok_or(CodecError::Truncated)?;
-                if (bytes.remaining() as u64) < need {
-                    return Err(CodecError::Truncated);
-                }
-                let len = len as usize;
-                let mut data = Vec::with_capacity(len);
-                for _ in 0..len {
-                    data.push(bytes.get_f32_le());
-                }
-                Ok(Message::ServeChunk { job, first_row, rows, cols, data })
+                let columns = decode_columns(bytes.as_slice(), rows, cols)?;
+                Ok(Message::ServeChunk { job, first_row, rows, columns })
             }
             TAG_SERVE_REJECT => {
                 if bytes.remaining() < 9 {
@@ -426,7 +563,9 @@ impl Message {
             Message::Ack => 1,
             Message::Heartbeat { .. } | Message::RejoinRequest { .. } => 1 + 12,
             Message::ServeRequest { .. } => 1 + 24,
-            Message::ServeChunk { data, .. } => 1 + 24 + 4 * data.len(),
+            Message::ServeChunk { columns, .. } => {
+                1 + 24 + columns.iter().map(|c| 1 + c.len() * c.width().bytes()).sum::<usize>()
+            }
             Message::ServeReject { .. } => 1 + 9,
         }
     }
@@ -465,6 +604,36 @@ fn decode_matrix(bytes: &mut Bytes) -> Result<(u32, u32, u32, Vec<f32>), CodecEr
         data.push(bytes.get_f32_le());
     }
     Ok((client, rows, cols, data))
+}
+
+/// Parses a [`Message::ServeChunk`]'s width bytes and columns from `body`,
+/// which must hold exactly `cols` width bytes and `rows` cells of each
+/// column. Every width byte and the total length, counted in u64 with
+/// checked arithmetic, are validated before anything is allocated, so a
+/// lying header costs a [`CodecError`], never a panic or a huge `Vec`.
+fn decode_columns(body: &[u8], rows: u32, cols: u32) -> Result<Vec<ChunkColumn>, CodecError> {
+    let (widths, mut cells) = body.split_at_checked(cols as usize).ok_or(CodecError::Truncated)?;
+    let mut row_bytes = 0u64;
+    for &w in widths {
+        row_bytes += ColumnWidth::from_u8(w).ok_or(CodecError::BadWidth(w))?.bytes() as u64;
+    }
+    let need = row_bytes.checked_mul(u64::from(rows)).ok_or(CodecError::Truncated)?;
+    let have = cells.len() as u64;
+    if have < need {
+        return Err(CodecError::Truncated);
+    }
+    if have > need {
+        return Err(CodecError::Trailing((have - need) as usize));
+    }
+    let mut columns = Vec::with_capacity(widths.len());
+    for &w in widths {
+        let width = ColumnWidth::from_u8(w).ok_or(CodecError::BadWidth(w))?;
+        let (column, rest) =
+            cells.split_at_checked(rows as usize * width.bytes()).ok_or(CodecError::Truncated)?;
+        columns.push(ChunkColumn::read(width, column));
+        cells = rest;
+    }
+    Ok(columns)
 }
 
 const FRAME_DATA: u8 = 0xD1;
@@ -590,8 +759,13 @@ mod tests {
         // Serve traffic is outside the training/synthesis protocols, so
         // it rides the control ledger and leaves Fig. 10 accounting clean.
         assert!(Message::ServeRequest { model: 0, job: 1, start_row: 0, rows: 8 }.is_control());
-        assert!(Message::ServeChunk { job: 1, first_row: 0, rows: 1, cols: 1, data: vec![0.0] }
-            .is_control());
+        assert!(Message::ServeChunk {
+            job: 1,
+            first_row: 0,
+            rows: 1,
+            columns: vec![ChunkColumn::F32(vec![0.0])]
+        }
+        .is_control());
         assert!(Message::ServeReject { job: 1, code: ServeRejectCode::Overloaded }.is_control());
         // Application-level Ack predates supervision and stays in the
         // protocol byte ledgers; Fig. 10 tests pin its accounting.
@@ -610,30 +784,98 @@ mod tests {
                 job: 9,
                 first_row: 8192,
                 rows: 2,
-                cols: 3,
-                data: vec![1.5, -2.0, 0.0, 4.25, 5.0, -0.5],
+                columns: vec![
+                    ChunkColumn::F32(vec![1.5, -2.0]),
+                    ChunkColumn::U8(vec![0, 255]),
+                    ChunkColumn::U16(vec![2931, 7]),
+                    ChunkColumn::U32(vec![69_999, 65_536]),
+                    ChunkColumn::F32(vec![f32::NAN.copysign(-1.0), f32::INFINITY]),
+                ],
             },
             Message::ServeReject { job: 11, code: ServeRejectCode::Overloaded },
             Message::ServeReject { job: 12, code: ServeRejectCode::InvalidRequest },
             Message::ServeReject { job: 13, code: ServeRejectCode::UnknownModel },
         ] {
             assert_eq!(m.encode().len(), m.wire_size());
-            assert_eq!(Message::decode(m.encode()).unwrap(), m);
+            assert_eq!(Message::decode(m.encode()).unwrap().encode(), m.encode());
         }
         // A lying ServeChunk header must cost a typed error, not an alloc.
-        let mut buf = BytesMut::new();
-        buf.put_u8(super::TAG_SERVE_CHUNK);
-        buf.put_u64_le(0);
-        buf.put_u64_le(0);
-        buf.put_u32_le(u32::MAX);
-        buf.put_u32_le(u32::MAX);
-        assert_eq!(Message::decode(buf.freeze()), Err(CodecError::Truncated));
+        assert_eq!(
+            Message::decode(chunk_header(u32::MAX, u32::MAX, &[])),
+            Err(CodecError::Truncated)
+        );
         // An unknown reject code is a BadTag, not a default.
         let mut buf = BytesMut::new();
         buf.put_u8(super::TAG_SERVE_REJECT);
         buf.put_u64_le(0);
         buf.put_u8(77);
         assert_eq!(Message::decode(buf.freeze()), Err(CodecError::BadTag(77)));
+    }
+
+    /// A ServeChunk header declaring `rows × cols`, followed by `rest`.
+    fn chunk_header(rows: u32, cols: u32, rest: &[u8]) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_u8(TAG_SERVE_CHUNK);
+        buf.put_u64_le(5);
+        buf.put_u64_le(0);
+        buf.put_u32_le(rows);
+        buf.put_u32_le(cols);
+        buf.put_slice(rest);
+        buf.freeze()
+    }
+
+    #[test]
+    fn code_width_is_the_narrowest_that_holds_the_cardinality() {
+        for (cardinality, width) in [
+            (1, ColumnWidth::U8),
+            (3, ColumnWidth::U8),
+            (256, ColumnWidth::U8),
+            (257, ColumnWidth::U16),
+            (2_932, ColumnWidth::U16),
+            (65_536, ColumnWidth::U16),
+            (65_537, ColumnWidth::U32),
+            (70_000, ColumnWidth::U32),
+            (u32::MAX, ColumnWidth::U32),
+        ] {
+            assert_eq!(ColumnWidth::for_cardinality(cardinality), width, "{cardinality}");
+        }
+    }
+
+    #[test]
+    fn a_chunk_costs_its_header_widths_and_cells() {
+        // A 256-row Loan page: 6 f32 numerics and 7 u8 codes, 31 B a row.
+        let mut columns = vec![ChunkColumn::F32(vec![0.5; 256]); 6];
+        columns.extend(vec![ChunkColumn::U8(vec![1; 256]); 7]);
+        let page = Message::ServeChunk { job: 1, first_row: 0, rows: 256, columns };
+        assert_eq!(page.wire_size(), 25 + 13 + 256 * 31);
+        assert_eq!(page.wire_size(), 7_974);
+        assert_eq!(page.encode().len(), page.wire_size());
+    }
+
+    #[test]
+    fn malformed_chunks_are_typed_errors() {
+        // Widths: one f32 column and one u16 column, then 2 rows of cells.
+        let cells = [0u8; 2 * 6];
+        let good = [&[0x84, 2][..], &cells].concat();
+        assert!(Message::decode(chunk_header(2, 2, &good)).is_ok());
+        // Every width byte that is not 1, 2, 4 or 0x84 is refused.
+        for tag in (0..=255u8).filter(|t| ![1, 2, 4, 0x84].contains(t)) {
+            let bad = [&[0x84, tag][..], &cells].concat();
+            assert_eq!(Message::decode(chunk_header(2, 2, &bad)), Err(CodecError::BadWidth(tag)));
+        }
+        // A header that claims more rows or columns than the body holds,
+        // or fewer.
+        assert_eq!(Message::decode(chunk_header(3, 2, &good)), Err(CodecError::Truncated));
+        assert_eq!(Message::decode(chunk_header(1, 2, &good)), Err(CodecError::Trailing(6)));
+        assert_eq!(Message::decode(chunk_header(2, 3, &good)), Err(CodecError::BadWidth(0)));
+        assert_eq!(Message::decode(chunk_header(u32::MAX, 2, &good)), Err(CodecError::Truncated));
+        assert_eq!(
+            Message::decode(chunk_header(u32::MAX, u32::MAX, &good)),
+            Err(CodecError::Truncated)
+        );
+        // Zero columns carry no cells, at any row count.
+        let empty = Message::ServeChunk { job: 5, first_row: 0, rows: 9, columns: Vec::new() };
+        assert_eq!(Message::decode(chunk_header(9, 0, &[])).unwrap(), empty);
     }
 
     #[test]
@@ -779,6 +1021,41 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
+        // Typed chunks of random width mixes: every cut of one is
+        // truncated, and a rewrite of its shape or of a width byte is a
+        // typed error.
+        for case in 0..24u64 {
+            let rows = (next() % 9) as u32;
+            let columns: Vec<ChunkColumn> = (0..1 + next() % 6)
+                .map(|_| {
+                    let cells = 0..u64::from(rows);
+                    match next() % 4 {
+                        0 => ChunkColumn::F32(cells.map(|r| r as f32 - 2.5).collect()),
+                        1 => ChunkColumn::U8(cells.map(|r| r as u8).collect()),
+                        2 => ChunkColumn::U16(cells.map(|r| 300 * r as u16).collect()),
+                        _ => ChunkColumn::U32(cells.map(|r| 70_000 * r as u32).collect()),
+                    }
+                })
+                .collect();
+            let cols = columns.len();
+            let m = Message::ServeChunk { job: case, first_row: 7 * case, rows, columns };
+            let frame = m.encode();
+            assert_eq!(frame.len(), m.wire_size());
+            assert_eq!(Message::decode(frame.clone()).unwrap(), m);
+            for cut in 0..frame.len() {
+                assert_eq!(Message::decode(frame.slice(0..cut)), Err(CodecError::Truncated));
+            }
+            for (rows, cols) in [(u32::MAX, cols as u32), (rows, u32::MAX), (rows + 1, cols as u32)]
+            {
+                let mut bytes = frame.as_slice().to_vec();
+                bytes[17..21].copy_from_slice(&rows.to_le_bytes());
+                bytes[21..25].copy_from_slice(&cols.to_le_bytes());
+                assert!(Message::decode(Bytes::from(bytes)).is_err());
+            }
+            let mut bytes = frame.as_slice().to_vec();
+            bytes[25 + (next() as usize) % cols] = 3;
+            assert_eq!(Message::decode(Bytes::from(bytes)), Err(CodecError::BadWidth(3)));
+        }
         for frame in &valid {
             // Every prefix truncation.
             for cut in 0..frame.len() {

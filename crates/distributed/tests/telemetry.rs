@@ -15,6 +15,7 @@ use silofuse_distributed::stacked::SiloFuseModel;
 use silofuse_distributed::transport::CommStats;
 use silofuse_models::latentdiff::{LatentDiff, LatentDiffConfig};
 use silofuse_models::AutoencoderConfig;
+use silofuse_nn::backend::{BIAS_COUNTERS, DROPOUT_COUNTERS};
 use silofuse_observe::names::{CHECKPOINT_BYTES_READ, CHECKPOINT_LOADS};
 use silofuse_tabular::partition::{PartitionPlan, PartitionStrategy};
 use silofuse_tabular::profiles;
@@ -112,6 +113,24 @@ fn comm_histograms_sum_to_comm_stats_total_bytes() {
     let names: Vec<&str> = comm_hists.iter().map(|(n, _)| n.as_str()).collect();
     assert!(names.contains(&"comm.bytes.LatentUpload.up"), "{names:?}");
     assert!(names.contains(&"comm.bytes.SyntheticLatents.down"), "{names:?}");
+}
+
+#[test]
+fn a_traced_stacked_fit_counts_the_bias_broadcast_and_the_dropout_mask() {
+    let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let hub = silofuse_observe::init_scoped("test-kernel-counters", "main");
+    let t = profiles::loan().generate(64, 17);
+    let mut rng = StdRng::seed_from_u64(17);
+    let _model = SiloFuseModel::fit(&split(&t, 2), quick_config(17), &mut rng);
+    silofuse_observe::shutdown();
+    let counter =
+        |name| hub.scopes().iter().map(|scope| scope.metrics().counter(name).get()).sum::<u64>();
+    // Every Linear forward adds its bias; the latent DDPM's backbone
+    // drops out at 0.01 on every training step.
+    for kernel in [BIAS_COUNTERS, DROPOUT_COUNTERS] {
+        assert!(counter(kernel.calls) > 0, "{} never counted", kernel.calls);
+        assert!(counter(kernel.nanos) > 0, "{} never timed", kernel.nanos);
+    }
 }
 
 #[test]

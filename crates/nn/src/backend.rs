@@ -78,6 +78,10 @@ pub trait Backend: Send + Sync + fmt::Debug {
     /// `y *= alpha`.
     fn scale(&self, alpha: f32, y: &mut [f32]);
 
+    /// Bias broadcast: `x[r][c] += bias[c]` over the `rows × cols` matrix
+    /// `x`, with `bias.len() == cols`.
+    fn add_bias(&self, rows: usize, cols: usize, bias: &[f32], x: &mut [f32]);
+
     /// `out[i] = f(x[i])`.
     fn map(&self, x: &[f32], out: &mut [f32], f: MapFn);
 
@@ -557,6 +561,14 @@ impl Backend for Reference {
         }
     }
 
+    fn add_bias(&self, rows: usize, cols: usize, bias: &[f32], x: &mut [f32]) {
+        for r in 0..rows {
+            for (v, &b) in x[r * cols..(r + 1) * cols].iter_mut().zip(bias) {
+                *v += b;
+            }
+        }
+    }
+
     fn map(&self, x: &[f32], out: &mut [f32], f: MapFn) {
         for (o, &v) in out.iter_mut().zip(x) {
             *o = f(v);
@@ -660,9 +672,10 @@ const PAR_GELU_MIN: usize = 1 << 14;
 /// Minimum element count before the `dyn Fn` map/zip family and softmax
 /// fan out: map and zip ran at 1.46–1.55× at 2¹⁶ elements.
 const PAR_ELEM_MIN: usize = 1 << 16;
-/// Minimum element count before memory-bound `axpy`/`scale` (and GELU's
-/// backward, one multiply per element, and `gemm_transpose`'s Bᵀ pack)
-/// fan out: 0.78× at 2¹⁶ elements, 0.98× at 2¹⁷, 1.16× at 2¹⁸.
+/// Minimum element count before memory-bound `axpy`/`scale` (and the bias
+/// broadcast and GELU's backward, one add or multiply per element, and
+/// `gemm_transpose`'s Bᵀ pack) fan out: 0.78× at 2¹⁶ elements, 0.98× at
+/// 2¹⁷, 1.16× at 2¹⁸.
 const PAR_STREAM_MIN: usize = 1 << 18;
 /// Minimum logit (or Gaussian head) count before a loss fans out over row
 /// blocks: each costs a libm `exp`, so 2¹³ logits ran at 1.4–1.8× on two
@@ -920,6 +933,16 @@ impl Backend for Parallel {
 
     fn scale(&self, alpha: f32, y: &mut [f32]) {
         self.run_elems(y.len() >= PAR_STREAM_MIN, y, |_, chunk| simd::scale(alpha, chunk));
+    }
+
+    fn add_bias(&self, rows: usize, cols: usize, bias: &[f32], x: &mut [f32]) {
+        self.run_rows(
+            rows * cols >= PAR_STREAM_MIN,
+            rows,
+            cols,
+            &mut x[..rows * cols],
+            |_, chunk| simd::add_bias(bias, chunk),
+        );
     }
 
     fn map(&self, x: &[f32], out: &mut [f32], f: MapFn) {
@@ -1209,6 +1232,13 @@ pub const SCATTER_COUNTERS: KernelCounters =
 /// Counters for [`Backend::axpy`] / [`Backend::scale`].
 pub const AXPY_COUNTERS: KernelCounters =
     KernelCounters { calls: "nn.kernel.axpy.calls", nanos: "nn.kernel.axpy.ns" };
+/// Counters for [`Backend::add_bias`].
+pub const BIAS_COUNTERS: KernelCounters =
+    KernelCounters { calls: "nn.kernel.bias.calls", nanos: "nn.kernel.bias.ns" };
+/// Counters for the dropout mask fill in [`crate::layers::Dropout`]'s
+/// training forward.
+pub const DROPOUT_COUNTERS: KernelCounters =
+    KernelCounters { calls: "nn.kernel.dropout.calls", nanos: "nn.kernel.dropout.ns" };
 /// Counters for [`Backend::map`].
 pub const MAP_COUNTERS: KernelCounters =
     KernelCounters { calls: "nn.kernel.map.calls", nanos: "nn.kernel.map.ns" };
@@ -1245,6 +1275,8 @@ pub const KERNEL_COUNTERS: &[KernelCounters] = &[
     GATHER_COUNTERS,
     SCATTER_COUNTERS,
     AXPY_COUNTERS,
+    BIAS_COUNTERS,
+    DROPOUT_COUNTERS,
     MAP_COUNTERS,
     ZIP_COUNTERS,
     GELU_COUNTERS,
@@ -1358,6 +1390,17 @@ mod tests {
         let mut got_y = y0.clone();
         Parallel::new(4).axpy(0.75, &x, &mut got_y);
         assert_eq!(want_y, got_y);
+
+        // The bias broadcast fans out over row blocks of a 1000 × 300
+        // matrix.
+        let (rows, cols) = (1000, 300);
+        let mut want_b = y0.clone();
+        Reference.add_bias(rows, cols, &x[..cols], &mut want_b);
+        for threads in [1, 2, 4, 7] {
+            let mut got_b = y0.clone();
+            Parallel::new(threads).add_bias(rows, cols, &x[..cols], &mut got_b);
+            assert_eq!(want_b, got_b, "add_bias at {threads} threads");
+        }
 
         // GELU's backward multiply fans out as a streaming kernel.
         let mut want_g = vec![0.0; x.len()];

@@ -61,7 +61,9 @@ impl Layer for Dropout {
                 crate::workspace::take(input.rows(), input.cols())
             }
         };
-        crate::simd::dropout_mask(&mut self.rng, self.threshold, scale, mask.as_mut_slice());
+        crate::backend::timed(crate::backend::DROPOUT_COUNTERS, || {
+            crate::simd::dropout_mask(&mut self.rng, self.threshold, scale, mask.as_mut_slice());
+        });
         let out = input.mul(&mask);
         self.mask = Some(mask);
         out

@@ -127,6 +127,28 @@ mod tests {
     }
 
     #[test]
+    fn zero_grad_clears_non_finite_gradients() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut layer = Linear::new(2, 2, Init::XavierUniform, &mut rng);
+        let x = crate::init::randn(3, 2, &mut rng);
+        let g = Tensor::full(3, 2, 1.0);
+        let _ = layer.forward(&x);
+        let _ = layer.backward(&g);
+        let first = layer.weight.grad.clone();
+        // NaN·0 and ±∞·0 are NaN: zeroing must write zeros, not scale.
+        let planted = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        layer.weight.grad.as_mut_slice().copy_from_slice(&planted);
+        layer.bias.grad.as_mut_slice().copy_from_slice(&planted[..2]);
+        layer.zero_grad();
+        for p in [&layer.weight.grad, &layer.bias.grad] {
+            assert!(p.as_slice().iter().all(|v| v.to_bits() == 0), "{:?}", p.as_slice());
+        }
+        let _ = layer.forward(&x);
+        let _ = layer.backward(&g);
+        assert_eq!(layer.weight.grad, first);
+    }
+
+    #[test]
     fn param_count_is_weights_plus_bias() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut layer = Linear::new(10, 7, Init::KaimingNormal, &mut rng);

@@ -46,9 +46,11 @@ impl Param {
         Self { value, grad }
     }
 
-    /// Resets the accumulated gradient to zero.
+    /// Resets the accumulated gradient to +0.0. A fill, not a scale by
+    /// zero: `NaN · 0` and `±∞ · 0` are NaN, so scaling would carry a
+    /// non-finite gradient into every later step.
     pub fn zero_grad(&mut self) {
-        self.grad.scale_assign(0.0);
+        self.grad.as_mut_slice().fill(0.0);
     }
 
     /// Number of scalar parameters.

@@ -315,6 +315,34 @@ fn scale_loop(alpha: f32, y: &mut [f32]) {
     }
 }
 
+/// Bias broadcast: `x[r·n + c] += bias[c]` over every whole `n`-wide row
+/// of `x`, with `n = bias.len()` (one add per element — bit-identical to
+/// scalar).
+pub fn add_bias(bias: &[f32], x: &mut [f32]) {
+    // SAFETY: `level()` never exceeds what `detect()` found on this host.
+    unsafe { add_bias_at(level(), bias, x) }
+}
+
+/// [`add_bias`] at an explicit `level`.
+///
+/// # Safety
+/// The host must support `level`: `level <= detect()`.
+unsafe fn add_bias_at(level: SimdLevel, bias: &[f32], x: &mut [f32]) {
+    dispatch_elementwise!(level, add_bias_avx512, add_bias_avx2, add_bias_loop(bias, x))
+}
+
+#[inline(always)]
+fn add_bias_loop(bias: &[f32], x: &mut [f32]) {
+    if bias.is_empty() {
+        return;
+    }
+    for row in x.chunks_exact_mut(bias.len()) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v += b;
+        }
+    }
+}
+
 /// `√(2/π)`, the scale of the GELU tanh approximation.
 const GELU_C: f32 = 0.797_884_6;
 
@@ -971,8 +999,8 @@ mod x86 {
     /// operations as the scalar build.
     macro_rules! elementwise_impl {
         (
-            $feature:literal, $axpy:ident, $scale:ident, $gelu:ident, $gelu_train:ident,
-            $adam:ident, $dropout_mask:ident
+            $feature:literal, $axpy:ident, $scale:ident, $add_bias:ident, $gelu:ident,
+            $gelu_train:ident, $adam:ident, $dropout_mask:ident
         ) => {
             /// [`super::axpy`] compiled for the feature.
             ///
@@ -990,6 +1018,15 @@ mod x86 {
             #[target_feature(enable = $feature)]
             pub(super) unsafe fn $scale(alpha: f32, y: &mut [f32]) {
                 super::scale_loop(alpha, y)
+            }
+
+            /// [`super::add_bias`] compiled for the feature.
+            ///
+            /// # Safety
+            /// The host must support the instruction-set feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn $add_bias(bias: &[f32], x: &mut [f32]) {
+                super::add_bias_loop(bias, x)
             }
 
             /// [`super::gelu_slice`] compiled for the feature.
@@ -1045,6 +1082,7 @@ mod x86 {
         "avx512f",
         axpy_avx512,
         scale_avx512,
+        add_bias_avx512,
         gelu_avx512,
         gelu_train_avx512,
         adam_avx512,
@@ -1054,6 +1092,7 @@ mod x86 {
         "avx2",
         axpy_avx2,
         scale_avx2,
+        add_bias_avx2,
         gelu_avx2,
         gelu_train_avx2,
         adam_avx2,
@@ -1202,6 +1241,26 @@ mod tests {
                 // SAFETY: as above.
                 unsafe { scale_at(level, -1.25, &mut got_s) };
                 assert_eq!(bits(&want_s), bits(&got_s), "scale len {len} level={level:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn add_bias_matches_scalar() {
+        for level in host_levels() {
+            for (rows, cols) in [(1, 1), (3, 7), (2, 16), (5, 17), (4, 33), (3, 1003), (0, 5)] {
+                let bias = noise(cols, 8);
+                let x0 = noise(rows * cols, 9);
+                let mut want = x0.clone();
+                for row in want.chunks_mut(cols) {
+                    for (v, &b) in row.iter_mut().zip(&bias) {
+                        *v += b;
+                    }
+                }
+                let mut got = x0;
+                // SAFETY: `host_levels` lists only levels the host has.
+                unsafe { add_bias_at(level, &bias, &mut got) };
+                assert_eq!(bits(&want), bits(&got), "add_bias {rows}x{cols} level={level:?}");
             }
         }
     }

@@ -354,11 +354,9 @@ impl Tensor {
     /// Panics if `bias.len() != self.cols()`.
     pub fn add_row_broadcast(&mut self, bias: &[f32]) {
         assert_eq!(bias.len(), self.cols, "broadcast length mismatch");
-        for r in 0..self.rows {
-            for (v, &b) in self.row_mut(r).iter_mut().zip(bias.iter()) {
-                *v += b;
-            }
-        }
+        backend::timed(backend::BIAS_COUNTERS, || {
+            backend::get().add_bias(self.rows, self.cols, bias, &mut self.data);
+        });
     }
 
     /// Sum over rows, producing one value per column.

@@ -105,6 +105,12 @@ proptest! {
             par.axpy(1.5, &x, &mut got);
             prop_assert!(bits_eq(&want, &got), "axpy diverged at {t} threads");
 
+            let mut want = y0.clone();
+            Reference.add_bias(rows, cols, &x[..cols], &mut want);
+            let mut got = y0.clone();
+            par.add_bias(rows, cols, &x[..cols], &mut got);
+            prop_assert!(bits_eq(&want, &got), "add_bias diverged at {t} threads");
+
             let f = |v: f32| (v * 0.5).tanh();
             let mut want = vec![0.0f32; x.len()];
             Reference.map(&x, &mut want, &f);

@@ -2,6 +2,7 @@
 //! feature encodings, the copula generator, and the wire codec.
 
 use proptest::prelude::*;
+use silofuse_core::distributed::message::{ChunkColumn, CodecError};
 use silofuse_core::distributed::Message;
 use silofuse_core::tabular::encode::{ScalingKind, TableEncoder};
 use silofuse_core::tabular::partition::{PartitionPlan, PartitionStrategy};
@@ -113,6 +114,34 @@ proptest! {
         let msg = Message::LatentUpload { client, rows, cols, data };
         let encoded = msg.encode();
         prop_assert_eq!(encoded.len(), msg.wire_size());
+        prop_assert_eq!(Message::decode(encoded).unwrap(), msg);
+    }
+
+    /// A typed serve chunk of any width mix is lossless, costs exactly
+    /// `25 + cols + rows·Σwidth` bytes, and every cut of it is refused as
+    /// truncated.
+    #[test]
+    fn typed_chunk_codec_round_trip(rows in 0u32..24, kinds in proptest::collection::vec(0u8..4, 1..12),
+                                    first_row in any::<u64>(), seed in any::<u32>()) {
+        let cell = |r: u32, c: usize| seed.wrapping_add(r.wrapping_mul(2_654_435_761)) ^ c as u32;
+        let columns: Vec<ChunkColumn> = kinds
+            .iter()
+            .enumerate()
+            .map(|(c, kind)| match kind {
+                0 => ChunkColumn::F32((0..rows).map(|r| f32::from_bits(cell(r, c) & 0x7f7f_ffff)).collect()),
+                1 => ChunkColumn::U8((0..rows).map(|r| cell(r, c) as u8).collect()),
+                2 => ChunkColumn::U16((0..rows).map(|r| cell(r, c) as u16).collect()),
+                _ => ChunkColumn::U32((0..rows).map(|r| cell(r, c)).collect()),
+            })
+            .collect();
+        let row_bytes: usize = columns.iter().map(|c| c.width().bytes()).sum();
+        let msg = Message::ServeChunk { job: u64::from(seed), first_row, rows, columns };
+        let encoded = msg.encode();
+        prop_assert_eq!(encoded.len(), msg.wire_size());
+        prop_assert_eq!(msg.wire_size(), 25 + kinds.len() + rows as usize * row_bytes);
+        for cut in 0..encoded.len() {
+            prop_assert_eq!(Message::decode(encoded.slice(0..cut)), Err(CodecError::Truncated));
+        }
         prop_assert_eq!(Message::decode(encoded).unwrap(), msg);
     }
 
